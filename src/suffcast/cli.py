@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import sdr
-from .factor_analysis import fit_factors, save_factor_estimate, select_num_factors
+from .factor_analysis import fit_factors, save_factor_estimate, select_and_fit_factors
 from .forecaster import RollingConfig, rolling_evaluate, save_eval_report
 from .panel_data import DataError, load_csv, standardize
 from .simulation import DgpSpec, StudyConfig, monte_carlo_study, save_study
@@ -30,6 +30,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+#: kernels `select` can build; the index count is chosen on their spectrum
+SELECT_METHODS = ("sir", "dr", "tm", "ens")
 
 
 class ConfigError(ValueError):
@@ -219,13 +222,14 @@ def cmd_forecast(config: dict, out_dir: Path) -> int:
 
 
 def cmd_select(config: dict, out_dir: Path) -> int:
+    if config["method"] not in SELECT_METHODS:
+        raise ConfigError(
+            f"unknown method {config['method']!r} for select; expected one of {SELECT_METHODS}"
+        )
     panel = load_csv(config["input"], config["target_column"], config["delimiter"])
     if bool(config["standardize"]):
         panel, _ = standardize(panel)
-    k_max = min(config["k_max"], min(panel.p, panel.t_len))
-    selection = select_num_factors(panel.x, k_max)
-    k_use = max(selection.k_hat, 1)
-    fit = fit_factors(panel.x, k_use)
+    selection, fit = select_and_fit_factors(panel.x, min(config["k_max"], panel.p, panel.t_len))
     slices = sdr.slice_target(panel.y, config["h_slices"])
     if config["method"] == "sir":
         kernel = sdr.sir_kernel(fit.factors, slices)
@@ -236,9 +240,9 @@ def cmd_select(config: dict, out_dir: Path) -> int:
             sdr.dr_kernel(fit.factors, slices, config["variance_mode"]),
             sdr.tm_kernel(fit.factors, slices),
         )
-    else:
+    else:  # dr
         kernel = sdr.dr_kernel(fit.factors, slices, config["variance_mode"])
-    c_t = config["ct_multiplier"] * sdr.default_ct(kernel.method, k_use, panel.p, panel.t_len)
+    c_t = config["ct_multiplier"] * sdr.default_ct(kernel.method, fit.k, panel.p, panel.t_len)
     dim = sdr.select_dimension(kernel, panel.t_len, config["c_censor"], c_t)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -264,13 +268,11 @@ def cmd_factors(config: dict, out_dir: Path) -> int:
     if bool(config["standardize"]):
         panel, _ = standardize(panel)
     if config["k"] == "auto":
-        k_max = min(config["k_max"], min(panel.p, panel.t_len))
-        k_use = max(select_num_factors(panel.x, k_max).k_hat, 1)
+        _, fit = select_and_fit_factors(panel.x, min(config["k_max"], panel.p, panel.t_len))
     else:
-        k_use = int(config["k"])
-    fit = fit_factors(panel.x, k_use)
+        fit = fit_factors(panel.x, int(config["k"]))
     save_factor_estimate(fit, out_dir)
-    print(f"k={k_use} eigenvalues={[float(f'{v:.3g}') for v in fit.eigenvalues]}")
+    print(f"k={fit.k} eigenvalues={[float(f'{v:.3g}') for v in fit.eigenvalues]}")
     return EXIT_OK
 
 
@@ -308,6 +310,10 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    # LinAlgError subclasses ValueError, so it is caught first
+    except (np.linalg.LinAlgError, FloatingPointError) as e:
+        print(f"numerical failure: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (ValueError, TypeError) as e:
         if isinstance(e, DataError):
             print(f"data error: {e}", file=sys.stderr)
@@ -317,9 +323,6 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except (np.linalg.LinAlgError, FloatingPointError) as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

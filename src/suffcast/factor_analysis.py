@@ -2,9 +2,23 @@
 
 Given a ``p x T`` panel ``X``, the rank-``K`` least-squares factorization
 ``X ~ B F'`` under the constraints ``F'F / T = I_K`` and ``B'B`` diagonal is
-computed from the eigenvectors of the ``T x T`` Gram matrix ``X'X``: the
-columns of ``F / sqrt(T)`` are the top-``K`` eigenvectors and ``B = X F / T``.
-The number of factors is selected by penalized log residual variance.
+the principal-components solution: the columns of ``F / sqrt(T)`` are the
+top-``K`` eigenvectors of the ``T x T`` Gram matrix ``X'X`` and ``B = X F / T``.
+
+Only the smaller Gram matrix is eigendecomposed.  When ``p >= T`` that is
+``X'X`` itself.  When ``p < T`` it is the ``p x p`` matrix ``XX'``, which has
+the same nonzero eigenvalues: each eigenvector ``u`` maps to the factor column
+``f = sqrt(T) X'u / ||X'u||``, and the mapped columns get the sign and
+tie-order conventions of :func:`suffcast._eigen.sym_eig_desc`.  The map needs
+``X'u != 0``, so when any of the ``K`` selected eigenvalues is at or below the
+numerical rank tolerance (a panel of rank below ``K``, such as a noiseless
+low-rank one) the fit falls back to ``X'X``, whose null-space eigenvectors
+complete the factor basis.
+
+The number of factors is selected by penalized log residual variance, computed
+from the eigenvalues of the same smaller Gram matrix;
+:func:`select_and_fit_factors` shares one eigendecomposition between the
+criterion and the fitted factors.
 """
 from __future__ import annotations
 
@@ -16,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._eigen import sym_eig_desc
+from ._eigen import fix_column_signs, sym_eig_desc
 
 
 @dataclass(frozen=True, eq=False)
@@ -24,16 +38,15 @@ class FactorEstimate:
     """Estimated loadings, factors and spectrum of a fitted factor model.
 
     ``loadings`` is ``p x K``, ``factors`` is ``T x K`` (row ``t`` holds the
-    factor values for time ``t``), ``eigenvalues`` are the top ``K``
-    eigenvalues of ``X'X / (pT)`` in descending order, and ``loadings_pinv``
-    is ``(B'B)^{-1} B'`` (``K x p``), the projector used to recover factor
-    values from new predictor columns.
+    factor values for time ``t``) and ``eigenvalues`` are the top ``K``
+    eigenvalues of ``X'X / (pT)`` in descending order.  The estimate is the
+    same whichever Gram matrix was decomposed (``XX'`` when ``p < T`` and the
+    panel has rank at least ``K``, else ``X'X``), up to rounding.
     """
 
     loadings: np.ndarray
     factors: np.ndarray
     eigenvalues: np.ndarray
-    loadings_pinv: np.ndarray
 
     @property
     def k(self) -> int:
@@ -44,36 +57,69 @@ class FactorEstimate:
         return self.factors.shape[0]
 
 
+def _check_panel(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("x must be 2-D (series x time)")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x contains non-finite values")
+    return x
+
+
+def _rank_tol(vals: np.ndarray, p: int, t_len: int) -> float:
+    """Eigenvalues of a Gram matrix at or below this count as exact zeros."""
+    return vals[0] * max(p, t_len) * np.finfo(float).eps if vals[0] > 0 else 0.0
+
+
+def _gram_eig(x: np.ndarray, transposed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of ``XX'`` (``transposed=False``) or ``X'X`` (``True``)."""
+    name, gram = ("X'X", x.T @ x) if transposed else ("XX'", x @ x.T)
+    try:
+        return sym_eig_desc(gram)
+    except np.linalg.LinAlgError as e:
+        raise np.linalg.LinAlgError(f"eigen-solver failure on {name}: {e}") from e
+
+
+def _small_gram_eig(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the smaller Gram matrix: ``XX'`` when ``p < T``, else ``X'X``."""
+    p, t_len = x.shape
+    return _gram_eig(x, transposed=p >= t_len)
+
+
+def _factors_from_eig(x: np.ndarray, k: int, vals: np.ndarray, vecs: np.ndarray) -> FactorEstimate:
+    """Rank-``k`` factor estimate from the eigenpairs of the smaller Gram matrix."""
+    p, t_len = x.shape
+    if p < t_len and vals[k - 1] > _rank_tol(vals, p, t_len):
+        mapped = x.T @ vecs[:, :k]
+        factors = fix_column_signs(np.sqrt(t_len) * mapped / np.linalg.norm(mapped, axis=0))
+        # exact eigenvalue ties: order by the factor column's anchor index,
+        # as sym_eig_desc orders the eigenvectors of X'X
+        anchors = np.abs(factors).argmax(axis=0)
+        factors = factors[:, np.lexsort((anchors, -vals[:k]))]
+    else:
+        if p < t_len:
+            vals, vecs = _gram_eig(x, transposed=True)
+        factors = np.sqrt(t_len) * vecs[:, :k]
+    loadings = x @ factors / t_len
+    eigenvalues = np.maximum(vals[:k], 0.0) / (p * t_len)
+    return FactorEstimate(loadings=loadings, factors=factors, eigenvalues=eigenvalues)
+
+
+def _check_k(name: str, k: int, p: int, t_len: int) -> None:
+    if not 1 <= k <= min(p, t_len):
+        raise ValueError(f"{name}={k} out of range 1..min(p={p}, T={t_len})")
+
+
 def fit_factors(x: np.ndarray, k: int) -> FactorEstimate:
     """Fit a rank-``k`` factor model to the ``p x T`` matrix ``x``.
 
     The factor columns are sign-fixed (largest-magnitude entry nonnegative)
     and ordered by descending eigenvalue, ties broken by the first index of
-    each eigenvector's largest entry.
+    each factor column's largest entry.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("x must be 2-D (series x time)")
-    p, t_len = x.shape
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x contains non-finite values")
-    if not 1 <= k <= min(p, t_len):
-        raise ValueError(f"k={k} out of range 1..min(p={p}, T={t_len})")
-    gram = x.T @ x
-    try:
-        vals, vecs = sym_eig_desc(gram)
-    except np.linalg.LinAlgError as e:  # pragma: no cover - LAPACK failure
-        raise np.linalg.LinAlgError(f"eigen-solver failure on X'X: {e}") from e
-    factors = np.sqrt(t_len) * vecs[:, :k]
-    loadings = x @ factors / t_len
-    eigenvalues = np.maximum(vals[:k], 0.0) / (p * t_len)
-    loadings_pinv = np.linalg.pinv(loadings)
-    return FactorEstimate(
-        loadings=loadings,
-        factors=factors,
-        eigenvalues=eigenvalues,
-        loadings_pinv=loadings_pinv,
-    )
+    x = _check_panel(x)
+    _check_k("k", k, *x.shape)
+    return _factors_from_eig(x, k, *_small_gram_eig(x))
 
 
 def estimated_factors_known_loadings(x: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -126,6 +172,32 @@ class NumFactorsSelection:
         return self.log_resid + self.penalties
 
 
+def _selection(
+    shape: tuple[int, int], vals: np.ndarray, k_max: int, penalty: str | Callable[[int, int], float]
+) -> NumFactorsSelection:
+    """Factor-count criterion from the descending eigenvalues of a Gram matrix."""
+    p, t_len = shape
+    if callable(penalty):
+        g = penalty(p, t_len)
+        tag = getattr(penalty, "__name__", "custom")
+    else:
+        try:
+            g = _PENALTIES[penalty](p, t_len)
+        except KeyError:
+            raise ValueError(f"unknown penalty tag {penalty!r}") from None
+        tag = penalty
+    vals = np.where(vals > _rank_tol(vals, p, t_len), vals, 0.0)
+    total = vals.sum()
+    ss = total - np.concatenate(([0.0], np.cumsum(vals[:k_max])))
+    ss = np.maximum(ss, RESIDUAL_FLOOR)
+    log_resid = np.log(ss) - np.log(p * t_len)
+    penalties = g * np.arange(k_max + 1, dtype=float)
+    k_hat = int(np.argmin(log_resid + penalties))
+    return NumFactorsSelection(
+        k_hat=k_hat, k_max=k_max, log_resid=log_resid, penalties=penalties, penalty=tag
+    )
+
+
 def select_num_factors(
     x: np.ndarray, k_max: int, penalty: str | Callable[[int, int], float] = "bai-ng"
 ) -> NumFactorsSelection:
@@ -137,32 +209,27 @@ def select_num_factors(
     below numerical rank tolerance count as exact zeros so that noiseless
     low-rank panels hit the residual floor at their true rank.
     """
-    x = np.asarray(x, dtype=float)
-    p, t_len = x.shape
-    if not 0 < k_max <= min(p, t_len):
-        raise ValueError(f"k_max={k_max} out of range 1..min(p={p}, T={t_len})")
-    if callable(penalty):
-        g = penalty(p, t_len)
-        tag = getattr(penalty, "__name__", "custom")
-    else:
-        try:
-            g = _PENALTIES[penalty](p, t_len)
-        except KeyError:
-            raise ValueError(f"unknown penalty tag {penalty!r}") from None
-        tag = penalty
-    gram = x @ x.T if p <= t_len else x.T @ x
-    vals = np.linalg.eigvalsh(gram)[::-1]
-    tol = vals[0] * max(p, t_len) * np.finfo(float).eps if vals[0] > 0 else 0.0
-    vals = np.where(vals > tol, vals, 0.0)
-    total = vals.sum()
-    ss = total - np.concatenate(([0.0], np.cumsum(vals[:k_max])))
-    ss = np.maximum(ss, RESIDUAL_FLOOR)
-    log_resid = np.log(ss) - np.log(p * t_len)
-    penalties = g * np.arange(k_max + 1, dtype=float)
-    k_hat = int(np.argmin(log_resid + penalties))
-    return NumFactorsSelection(
-        k_hat=k_hat, k_max=k_max, log_resid=log_resid, penalties=penalties, penalty=tag
-    )
+    x = _check_panel(x)
+    _check_k("k_max", k_max, *x.shape)
+    return _selection(x.shape, _small_gram_eig(x)[0], k_max, penalty)
+
+
+def select_and_fit_factors(
+    x: np.ndarray, k_max: int, k: int | None = None
+) -> tuple[NumFactorsSelection, FactorEstimate]:
+    """Select the factor count and fit factors from one Gram eigendecomposition.
+
+    Returns ``(select_num_factors(x, k_max), fit_factors(x, k))`` bit for bit;
+    ``k`` defaults to the selected count, at least 1.
+    """
+    x = _check_panel(x)
+    _check_k("k_max", k_max, *x.shape)
+    if k is not None:
+        _check_k("k", k, *x.shape)
+    vals, vecs = _small_gram_eig(x)
+    selection = _selection(x.shape, vals, k_max, "bai-ng")
+    k_fit = max(selection.k_hat, 1) if k is None else k
+    return selection, _factors_from_eig(x, k_fit, vals, vecs)
 
 
 def save_factor_estimate(fit: FactorEstimate, out_dir: str | Path) -> None:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import sdr
-from .factor_analysis import fit_factors, select_num_factors
+from .factor_analysis import fit_factors, select_and_fit_factors
 from .panel_data import PanelData, standardize
 
 BACKFIT_TOL = 1e-8
@@ -301,11 +301,10 @@ def _fit_window_model(x_win, targets_train, config: RollingConfig):
     """
     t_w = x_win.shape[1]
     if config.k == "auto":
-        k_sel = select_num_factors(x_win, min(config.k_max, min(x_win.shape) - 1))
-        k_use = max(k_sel.k_hat, 1)
+        _, fit = select_and_fit_factors(x_win, min(config.k_max, min(x_win.shape) - 1))
     else:
-        k_use = int(config.k)
-    fit = fit_factors(x_win, k_use)
+        fit = fit_factors(x_win, int(config.k))
+    k_use = fit.k
     factors = fit.factors
     train_factors = factors[: targets_train.shape[0]]
 

@@ -23,7 +23,7 @@ from ._eigen import sym_eig_desc
 from .factor_analysis import (
     estimated_factors_known_loadings,
     fit_factors,
-    select_num_factors,
+    select_and_fit_factors,
 )
 from .forecaster import _predict_batch, fit_additive, fit_pc_baseline
 
@@ -95,7 +95,6 @@ class SimDraw:
     factors: np.ndarray  # T x K true factors
     loadings: np.ndarray  # p x K true loadings
     phi: np.ndarray  # K x 2 true directions
-    rotated_directions: np.ndarray  # K x 2 directions after identifiability rotation
     alpha: np.ndarray
     rho: np.ndarray
     replicate: int
@@ -131,17 +130,12 @@ def sample_dgp(spec: DgpSpec, replicate: int) -> SimDraw:
     v1 = factors @ spec.phi1
     v2 = factors @ spec.phi2
     y = link_function(spec.link, v1, v2) + spec.sigma * eps
-
-    h_id, _, _ = identifiability_rotation(factors, b)
-    phi = np.column_stack([spec.phi1, spec.phi2])
-    rotated = np.linalg.solve(h_id.T, phi)
     return SimDraw(
         x=x,
         y=y,
         factors=factors,
         loadings=b,
-        phi=phi,
-        rotated_directions=rotated,
+        phi=np.column_stack([spec.phi1, spec.phi2]),
         alpha=alpha,
         rho=rho,
         replicate=replicate,
@@ -304,14 +298,16 @@ def _run_replicate(spec: DgpSpec, config: StudyConfig, replicate: int) -> dict:
     y_train = draw.y[:t_train]
     out: dict = {}
 
-    if "k_selection" in config.metrics:
-        sel = select_num_factors(x_train, config.k_max)
-        out[("factors", "k_selection")] = sel.k_hat
     need_fit = bool(set(config.metrics) & {"directions", "oos", "l_selection"})
+    if "k_selection" in config.metrics:
+        # one Gram eigendecomposition serves the criterion and the true-K fit
+        sel, fit = select_and_fit_factors(x_train, config.k_max, spec.k)
+        out[("factors", "k_selection")] = sel.k_hat
+    elif need_fit:
+        fit = fit_factors(x_train, spec.k)
     if not need_fit:
         return out
 
-    fit = fit_factors(x_train, spec.k)
     slices = sdr.slice_target(y_train, config.h_slices)
     if "directions" in config.metrics:
         h_id, _, _ = identifiability_rotation(draw.factors[:t_train], draw.loadings)

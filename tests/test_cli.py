@@ -185,6 +185,18 @@ class TestSelect:
             assert line.split(",")[1] == repr(dim.objective[i])
 
 
+    @pytest.mark.parametrize("method", ["bogus", "pc"])
+    def test_unknown_method_exits_2(self, tmp_path, method, capsys):
+        panel = write_factor_panel(tmp_path)
+        out = tmp_path / "sel4"
+        assert run([
+            "select", "--input", panel, "--target-column", "target",
+            "--method", method, "--out-dir", out,
+        ]) == 2
+        assert "unknown method" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+
 class TestFactors:
     def test_dump_matches_library(self, tmp_path):
         from suffcast import load_csv, standardize, fit_factors
@@ -199,6 +211,21 @@ class TestFactors:
         fit = fit_factors(panel.x, 2)
         dumped = np.loadtxt(out / "factors.csv", delimiter=",")
         assert np.array_equal(dumped, fit.factors)
+
+    @pytest.mark.parametrize("k", ["auto", "2"])
+    def test_eigensolver_failure_exits_4(self, tmp_path, k, monkeypatch, capsys):
+        from suffcast import factor_analysis
+
+        def failing(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(factor_analysis, "sym_eig_desc", failing)
+        panel_path = write_factor_panel(tmp_path, t_len=150, p=15, k=2, seed=5)
+        assert run([
+            "factors", "--input", panel_path, "--target-column", "target",
+            "--k", k, "--out-dir", tmp_path / "fac3",
+        ]) == 4
+        assert "numerical failure: eigen-solver failure on XX'" in capsys.readouterr().err
 
     def test_resolved_config_written(self, tmp_path):
         panel_path = write_factor_panel(tmp_path, t_len=150, p=15, k=2, seed=6)

@@ -5,13 +5,49 @@ from suffcast import (
     estimated_factors_known_loadings,
     fit_factors,
     residuals,
+    select_and_fit_factors,
     select_num_factors,
 )
+from suffcast import factor_analysis
+from suffcast._eigen import sym_eig_desc
 from suffcast.factor_analysis import bai_ng_penalty, save_factor_estimate
 
 
 def random_panel(p, t_len, seed=0):
     return np.random.default_rng(seed).standard_normal((p, t_len))
+
+
+def noiseless_panel(p, t_len, rank, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((p, rank)) @ rng.standard_normal((rank, t_len))
+
+
+def tied_panel():
+    """2 x 6 panel whose nonzero eigenvalues tie exactly; the p x p and T x T
+    eigenvectors are anchored in opposite orders."""
+    x = np.zeros((2, 6))
+    x[0, 4] = x[1, 1] = 3.0
+    return x
+
+
+def tt_oracle(x, k):
+    """Factors and eigenvalues from the T x T Gram matrix X'X."""
+    p, t_len = x.shape
+    vals, vecs = sym_eig_desc(x.T @ x)
+    return np.sqrt(t_len) * vecs[:, :k], np.maximum(vals[:k], 0.0) / (p * t_len)
+
+
+#: (panel, k): p < T with separated spectra, an exact tie, a noiseless rank-2
+#: panel with k > rank (the T x T fallback), and p >= T
+ORACLE_CASES = {
+    "p<T": (random_panel(12, 30, seed=15), 4),
+    "p<T k=p": (random_panel(5, 8, seed=16), 5),
+    "p<T study shape": (random_panel(100, 500, seed=17), 6),
+    "p<T exact tie": (tied_panel(), 2),
+    "rank 2 < k": (noiseless_panel(10, 40, 2, seed=18), 4),
+    "p>T": (random_panel(30, 12, seed=19), 4),
+    "p=T": (random_panel(9, 9, seed=20), 3),
+}
 
 
 class TestFitFactors:
@@ -56,6 +92,42 @@ class TestFitFactors:
             assert col[np.abs(col).argmax()] >= 0
         # eigenvalues equal squared loading column norms over p
         assert np.allclose((fit.loadings**2).sum(axis=0) / 12, fit.eigenvalues, rtol=1e-10)
+
+    @pytest.mark.parametrize("x, k", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+    def test_matches_tt_gram_oracle(self, x, k):
+        fit = fit_factors(x, k)
+        factors, eigenvalues = tt_oracle(x, k)
+        p, t_len = x.shape
+        if p >= t_len:  # this route is the oracle
+            assert np.array_equal(fit.factors, factors)
+            assert np.array_equal(fit.eigenvalues, eigenvalues)
+        elif k <= np.linalg.matrix_rank(x):
+            assert np.allclose(fit.factors, factors, rtol=0, atol=1e-10)
+            assert np.allclose(fit.eigenvalues, eigenvalues, rtol=1e-10, atol=0)
+        else:  # beyond the rank only the span is determined
+            span = fit.factors @ fit.factors.T / t_len
+            assert np.allclose(span, factors @ factors.T / t_len, rtol=0, atol=1e-10)
+        assert np.allclose(fit.loadings, x @ fit.factors / t_len)
+
+    @pytest.mark.parametrize(
+        "x, k, shapes",
+        [
+            (random_panel(12, 30, seed=21), 4, [(12, 12)]),
+            (noiseless_panel(10, 40, 2, seed=18), 4, [(10, 10), (40, 40)]),
+            (random_panel(30, 12, seed=22), 4, [(12, 12)]),
+        ],
+        ids=["p<T full rank", "p<T rank 2 < k", "p>T"],
+    )
+    def test_decomposes_smaller_gram_matrix(self, x, k, shapes, monkeypatch):
+        seen = []
+
+        def recording(m):
+            seen.append(m.shape)
+            return sym_eig_desc(m)
+
+        monkeypatch.setattr(factor_analysis, "sym_eig_desc", recording)
+        fit_factors(x, k)
+        assert seen == shapes
 
     def test_monotone_residual_in_k(self):
         x = random_panel(10, 14, seed=5)
@@ -158,6 +230,18 @@ class TestSelectNumFactors:
             assert sel.log_resid[k] == pytest.approx(direct, rel=1e-8)
         assert sel.log_resid[0] == pytest.approx(np.log((x**2).sum() / x.size), rel=1e-12)
         assert np.allclose(sel.penalties, bai_ng_penalty(20, 25) * np.arange(6))
+
+    @pytest.mark.parametrize("p, t_len", [(20, 25), (25, 20)])
+    @pytest.mark.parametrize("k", [None, 2])
+    def test_select_and_fit_matches_separate_calls(self, p, t_len, k):
+        x = random_panel(p, t_len, seed=23)
+        sel, fit = select_and_fit_factors(x, 5, k)
+        alone = select_num_factors(x, 5)
+        assert sel.k_hat == alone.k_hat
+        assert np.array_equal(sel.criterion, alone.criterion)
+        ref = fit_factors(x, max(alone.k_hat, 1) if k is None else k)
+        assert np.array_equal(fit.factors, ref.factors)
+        assert np.array_equal(fit.eigenvalues, ref.eigenvalues)
 
     def test_k_max_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
