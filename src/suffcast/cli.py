@@ -249,13 +249,13 @@ def cmd_select(config: dict, out_dir: Path) -> int:
     lines = ["k,log_resid,penalty,criterion"]
     for k in range(selection.k_max + 1):
         lines.append(
-            f"{k},{selection.log_resid[k]!r},{selection.penalties[k]!r},"
-            f"{selection.criterion[k]!r}"
+            f"{k},{float(selection.log_resid[k])!r},{float(selection.penalties[k])!r},"
+            f"{float(selection.criterion[k])!r}"
         )
     (out_dir / "k_criterion.csv").write_text("\n".join(lines) + "\n")
     lines = ["l,objective"]
     for i, g in enumerate(dim.objective):
-        lines.append(f"{i + 1},{g!r}")
+        lines.append(f"{i + 1},{float(g)!r}")
     (out_dir / "l_objective.csv").write_text("\n".join(lines) + "\n")
     summary = {"k_hat": selection.k_hat, "l_hat": dim.l_hat, "tau": dim.tau, "c_t": dim.c_t}
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")

@@ -24,6 +24,8 @@ from .panel_data import PanelData, standardize
 
 BACKFIT_TOL = 1e-8
 BACKFIT_MAX_SWEEPS = 100
+#: shifted Gaussian exponents below this give a weight of exactly 0
+NW_EXPONENT_FLOOR = -700.0
 
 SDR_METHODS = ("sir", "dr", "tm", "ens")
 METHODS = SDR_METHODS + ("pc", "nlpc")
@@ -40,13 +42,26 @@ def _nw_weights(train_x: np.ndarray, query_x: np.ndarray, bandwidth: float) -> n
 
     Exponents are shifted by their row maximum before exponentiation, so
     queries far outside the training range keep finite weights concentrated
-    on the nearest observations.
+    on the nearest observations.  Shifted exponents below
+    ``NW_EXPONENT_FLOOR`` give a weight of exactly 0 (they are below 1e-304,
+    against a largest weight of 1 in each row).  Without the floor, numpy's
+    ``exp`` leaves its vectorized path for inputs below about -708, and the
+    subnormal weights it returns slow every BLAS product with the weight
+    matrix several-fold.  The array is built and normalized in place.
     """
-    d = (query_x[:, None] - train_x[None, :]) / bandwidth
-    e = -0.5 * d * d
+    # squaring before scaling gives the bits of -0.5 * d * d, as scaling by
+    # -0.5 is exact
+    e = query_x[:, None] - train_x[None, :]
+    e /= bandwidth
+    e *= e
+    e *= -0.5
     e -= e.max(axis=1, keepdims=True)
-    w = np.exp(e)
-    return w / w.sum(axis=1, keepdims=True)
+    keep = e >= NW_EXPONENT_FLOOR
+    np.maximum(e, NW_EXPONENT_FLOOR, out=e)
+    np.exp(e, out=e)
+    e *= keep
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 @dataclass(eq=False)
@@ -71,6 +86,8 @@ class ForecastModel:
 
     ``directions`` maps a length-``K`` factor vector to the ``L`` fitted
     indices; for models fit directly on raw inputs it is the identity.
+    Additive models record how many backfitting sweeps ran and whether the
+    fitted values settled within ``BACKFIT_TOL`` before ``BACKFIT_MAX_SWEEPS``.
     """
 
     kind: str  # "additive" | "linear"
@@ -80,6 +97,8 @@ class ForecastModel:
     directions: np.ndarray | None = None
     smoothers: list[_Smoother] = field(default_factory=list)
     coefficients: np.ndarray | None = None
+    sweeps: int = 0
+    converged: bool = True
 
     @property
     def n_indices(self) -> int:
@@ -142,15 +161,16 @@ def fit_additive(
 
     fitted = np.zeros((n_idx, t_len))
     total_prev = np.zeros(t_len)
-    for _ in range(BACKFIT_MAX_SWEEPS):
+    sweeps, converged = 0, False
+    while sweeps < BACKFIT_MAX_SWEEPS and not converged:
+        sweeps += 1
         for j in range(n_idx):
             if not active[j]:
                 continue
             partial = centered - (fitted.sum(axis=0) - fitted[j])
             fitted[j] = weight_mats[j] @ partial
         total = fitted.sum(axis=0)
-        if np.max(np.abs(total - total_prev)) < BACKFIT_TOL:
-            break
+        converged = bool(np.max(np.abs(total - total_prev)) < BACKFIT_TOL)
         total_prev = total
 
     smoothers = []
@@ -171,6 +191,8 @@ def fit_additive(
         intercept=intercept,
         directions=np.asarray(directions, dtype=float),
         smoothers=smoothers,
+        sweeps=sweeps,
+        converged=converged,
     )
 
 
@@ -185,7 +207,7 @@ def fit_pc_baseline(factors: np.ndarray, targets: np.ndarray, mode: str = "linea
     targets = np.asarray(targets, dtype=float)
     t_len, k = factors.shape
     if mode == "additive":
-        return fit_pc_additive(factors, targets)
+        return fit_additive(factors, targets, directions=np.eye(k), method="NL-PC")
     if mode != "linear":
         raise ValueError(f"unknown mode {mode!r}; expected 'linear' or 'additive'")
     if t_len <= k:
@@ -201,12 +223,6 @@ def fit_pc_baseline(factors: np.ndarray, targets: np.ndarray, mode: str = "linea
         intercept=float(beta[0]),
         coefficients=beta[1:],
     )
-
-
-def fit_pc_additive(factors: np.ndarray, targets: np.ndarray) -> ForecastModel:
-    k = np.asarray(factors).shape[1]
-    model = fit_additive(factors, targets, directions=np.eye(k), method="NL-PC")
-    return model
 
 
 def _predict_batch(model: ForecastModel, f_new: np.ndarray) -> np.ndarray:
@@ -274,6 +290,7 @@ class EvalReport:
     r2_oos: float
     selected_k: np.ndarray
     selected_l: np.ndarray
+    backfit_not_converged: int = 0  # origins whose backfit stopped at the sweep cap
 
     @property
     def n_eval(self) -> int:
@@ -382,6 +399,7 @@ def rolling_evaluate(panel: PanelData, config: RollingConfig) -> EvalReport:
     benchmarks = np.empty(origins.shape[0])
     selected_k = np.empty(origins.shape[0], dtype=int)
     selected_l = np.empty(origins.shape[0], dtype=int)
+    not_converged = 0
 
     for i, t in enumerate(origins):
         try:
@@ -399,6 +417,7 @@ def rolling_evaluate(panel: PanelData, config: RollingConfig) -> EvalReport:
                 x_win = sub.x
             targets_train = aligned[lo : t - h + 1]
             model, fit, k_use, l_use = _fit_window_model(x_win, targets_train, config)
+            not_converged += not model.converged
             forecasts[i] = predict(model, fit.factors[-1])
             if config.method == "pc":
                 baseline[i] = forecasts[i]
@@ -411,7 +430,10 @@ def rolling_evaluate(panel: PanelData, config: RollingConfig) -> EvalReport:
             selected_k[i] = k_use
             selected_l[i] = l_use
         except Exception as e:
-            raise type(e)(f"forecast origin {t}: {e}") from e
+            # prefix the origin in place: rebuilding the exception would
+            # call constructors that take other arguments
+            e.args = (f"forecast origin {t}: {e}",)
+            raise
 
     err = realized - forecasts
     err_pc = realized - baseline
@@ -434,6 +456,7 @@ def rolling_evaluate(panel: PanelData, config: RollingConfig) -> EvalReport:
         r2_oos=r2,
         selected_k=selected_k,
         selected_l=selected_l,
+        backfit_not_converged=not_converged,
     )
 
 
@@ -465,6 +488,7 @@ def save_eval_report(report: EvalReport, out_dir: str | Path, config: RollingCon
         "mse_pc": report.mse_pc,
         "rmse_vs_pc": report.rmse_vs_pc,
         "r2_oos": report.r2_oos,
+        "backfit_not_converged": report.backfit_not_converged,
     }
     if config is not None:
         summary["config"] = asdict(config)

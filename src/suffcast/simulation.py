@@ -348,6 +348,8 @@ def _run_replicate(spec: DgpSpec, config: StudyConfig, replicate: int) -> dict:
             y_test = draw.y[t_train:]
             denom = float(np.sum((y_test - y_train.mean()) ** 2))
             out[(method, "r2_oos")] = 1.0 - float(np.sum((y_test - pred) ** 2)) / denom
+            if model.kind == "additive":
+                out[(method, "backfit_sweeps")] = model.sweeps
     return out
 
 

@@ -178,11 +178,15 @@ class TestSelect:
         lines = (out / "k_criterion.csv").read_text().strip().splitlines()[1:]
         for k, line in enumerate(lines):
             cells = line.split(",")
-            assert cells[1] == repr(selection.log_resid[k])
-            assert cells[3] == repr(selection.criterion[k])
+            assert cells[1] == repr(float(selection.log_resid[k]))
+            assert cells[3] == repr(float(selection.criterion[k]))
         lines = (out / "l_objective.csv").read_text().strip().splitlines()[1:]
         for i, line in enumerate(lines):
-            assert line.split(",")[1] == repr(dim.objective[i])
+            assert line.split(",")[1] == repr(float(dim.objective[i]))
+        k_table = np.loadtxt(out / "k_criterion.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert np.array_equal(k_table[:, 3], selection.criterion)
+        l_table = np.loadtxt(out / "l_objective.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert np.array_equal(l_table[:, 1], dim.objective)
 
 
     @pytest.mark.parametrize("method", ["bogus", "pc"])

@@ -48,6 +48,17 @@ class TestFitAdditive:
         model = fit_additive(rng.standard_normal((20, 2)), rng.standard_normal(20))
         assert np.isfinite(predict(model, np.array([1e6, -1e6])))
 
+    def test_reports_capped_backfit(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        idx = rng.standard_normal((60, 2))
+        y = np.sin(idx[:, 0]) + idx[:, 1] ** 2
+        model = fit_additive(idx, y)
+        assert model.converged and 1 < model.sweeps < fc.BACKFIT_MAX_SWEEPS
+        monkeypatch.setattr(fc, "BACKFIT_MAX_SWEEPS", 1)
+        capped = fit_additive(idx, y)
+        assert capped.sweeps == 1
+        assert not capped.converged
+
     def test_input_checks(self):
         with pytest.raises(ValueError, match="at least 3"):
             fit_additive(np.zeros((2, 1)), np.zeros(2))
@@ -55,6 +66,63 @@ class TestFitAdditive:
             fit_additive(np.array([[np.inf], [0.0], [1.0]]), np.zeros(3))
         with pytest.raises(ValueError, match="strictly positive"):
             fit_additive(np.zeros((4, 1)) + np.arange(4)[:, None], np.zeros(4), [0.0])
+
+
+def _reference_exponents(train_x, query_x, bandwidth):
+    d = (query_x[:, None] - train_x[None, :]) / bandwidth
+    e = -0.5 * d * d
+    return e - e.max(axis=1, keepdims=True)
+
+
+def _reference_weights(train_x, query_x, bandwidth):
+    w = np.exp(_reference_exponents(train_x, query_x, bandwidth))
+    return w / w.sum(axis=1, keepdims=True)
+
+
+class TestWeightFloor:
+    """Weights at the study's narrow bandwidth (0.1x the reference rule, T=500)."""
+
+    @pytest.fixture
+    def narrow(self):
+        rng = np.random.default_rng(16)
+        idx = rng.standard_normal((500, 2))
+        y = 0.4 * idx[:, 0] ** 2 + 3.0 * np.sin(idx[:, 1] / 4.0) + 0.2 * rng.standard_normal(500)
+        bws = 0.1 * np.array([fc.reference_bandwidth(idx[:, j]) for j in range(2)])
+        return idx, y, bws
+
+    def test_weights_match_formula_above_floor_and_are_zero_below(self, narrow):
+        idx, _, bws = narrow
+        x, h = idx[:, 0], bws[0]
+        w = fc._nw_weights(x, x, h)
+        ref = _reference_weights(x, x, h)
+        floored = _reference_exponents(x, x, h) < fc.NW_EXPONENT_FLOOR
+        # the fixture reaches both numpy's underflow range and the subnormals
+        assert floored.mean() > 0.3
+        assert np.any((ref > 0) & (ref < np.finfo(float).tiny))
+        assert not np.any((w > 0) & (w < np.finfo(float).tiny))
+        assert np.allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.array_equal(w[~floored], ref[~floored])
+        assert np.all(w[floored] == 0.0)
+        assert np.all(ref[floored] < np.exp(fc.NW_EXPONENT_FLOOR))
+
+    def test_backfit_matches_reference_weights(self, narrow):
+        idx, y, bws = narrow
+        model = fit_additive(idx, y, bws)
+        mats = [_reference_weights(idx[:, j], idx[:, j], bws[j]) for j in range(2)]
+        centered = y - y.mean()
+        fitted = np.zeros((2, 500))
+        total_prev = np.zeros(500)
+        for sweep in range(1, fc.BACKFIT_MAX_SWEEPS + 1):
+            for j in range(2):
+                fitted[j] = mats[j] @ (centered - (fitted.sum(axis=0) - fitted[j]))
+            total = fitted.sum(axis=0)
+            if np.max(np.abs(total - total_prev)) < fc.BACKFIT_TOL:
+                break
+            total_prev = total
+        assert model.sweeps == sweep
+        for j in range(2):
+            expected = centered - (total - fitted[j])
+            assert np.array_equal(model.smoothers[j].partial_residuals, expected)
 
 
 class TestPredict:
@@ -222,6 +290,21 @@ class TestRollingEvaluate:
                 panel, RollingConfig(window=12, method="pc", k=1, n_eval=1)
             )
 
+    def test_origin_attached_to_multi_argument_errors(self, monkeypatch):
+        class FitFailure(RuntimeError):
+            def __init__(self, stage, code):
+                super().__init__(f"{stage} failed with code {code}")
+                self.code = code
+
+        def failing(x_win, targets_train, config):
+            raise FitFailure("kernel", 7)
+
+        monkeypatch.setattr(fc, "_fit_window_model", failing)
+        panel = linear_panel()
+        with pytest.raises(FitFailure, match="forecast origin 59: kernel failed") as info:
+            rolling_evaluate(panel, RollingConfig(window=30, method="dr", k=1, n_eval=1))
+        assert info.value.code == 7
+
     def test_auto_selection_paths(self):
         rng = np.random.default_rng(14)
         f = rng.standard_normal((80, 2))
@@ -233,6 +316,14 @@ class TestRollingEvaluate:
         report = rolling_evaluate(panel, config)
         assert np.all(report.selected_k >= 1)
         assert np.all(report.selected_l >= 1)
+
+    def test_counts_capped_backfits(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        panel = make_panel(rng.standard_normal((3, 50)), rng.standard_normal(50))
+        config = RollingConfig(window=25, method="nlpc", k=2, n_eval=3)
+        assert rolling_evaluate(panel, config).backfit_not_converged == 0
+        monkeypatch.setattr(fc, "BACKFIT_MAX_SWEEPS", 1)
+        assert rolling_evaluate(panel, config).backfit_not_converged == 3
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method"):
@@ -249,5 +340,6 @@ def test_save_eval_report(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["rmse_vs_pc"] == 1.0
     assert summary["n_eval"] == 4
+    assert summary["backfit_not_converged"] == 0
     lines = (tmp_path / "origins.csv").read_text().strip().splitlines()
     assert len(lines) == 5  # header + 4 origins

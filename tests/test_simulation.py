@@ -214,6 +214,20 @@ class TestMonteCarloStudy:
         assert ("pc", "r2_oos") in result.values
         assert np.all(np.isfinite(result.values[("dr", "r2_oos")]))
 
+    def test_oos_reports_backfit_sweeps_for_additive_methods(self):
+        from suffcast import forecaster as fc
+
+        spec = DgpSpec(p=30, t_len=80, seed=21)
+        config = StudyConfig(
+            methods=("dr", "nlpc", "pc"), metrics=("oos",), n_reps=2, n_test=20, h_slices=5
+        )
+        result = monte_carlo_study(spec, config)
+        for method in ("dr", "nlpc"):
+            sweeps = result.values[(method, "backfit_sweeps")]
+            assert np.all((sweeps >= 1) & (sweeps <= fc.BACKFIT_MAX_SWEEPS))
+            assert np.array_equal(sweeps, np.round(sweeps))
+        assert ("pc", "backfit_sweeps") not in result.values
+
     def test_selection_metrics(self):
         spec = DgpSpec(p=40, t_len=60, seed=22)
         config = StudyConfig(
