@@ -32,7 +32,7 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 #: kernels `select` can build; the index count is chosen on their spectrum
-SELECT_METHODS = ("sir", "dr", "tm", "ens")
+SELECT_METHODS = sdr.KERNEL_METHODS
 
 
 class ConfigError(ValueError):
@@ -117,7 +117,6 @@ _FORECAST_KEYS = {
     "variance_mode": (str, "identity", False),
     "standardize": (int, 1, False),
     "ct_multiplier": (float, 1.0, False),
-    "seed": (int, 0, False),
     "out_dir": (str, None, False),
 }
 
@@ -132,7 +131,6 @@ _SELECT_KEYS = {
     "c_censor": (float, 0.5, False),
     "ct_multiplier": (float, 1.0, False),
     "standardize": (int, 1, False),
-    "seed": (int, 0, False),
     "out_dir": (str, None, False),
 }
 
@@ -143,7 +141,6 @@ _FACTORS_KEYS = {
     "k": (_int_or_auto, "auto", False),
     "k_max": (int, 8, False),
     "standardize": (int, 1, False),
-    "seed": (int, 0, False),
     "out_dir": (str, None, False),
 }
 
@@ -231,17 +228,7 @@ def cmd_select(config: dict, out_dir: Path) -> int:
         panel, _ = standardize(panel)
     selection, fit = select_and_fit_factors(panel.x, min(config["k_max"], panel.p, panel.t_len))
     slices = sdr.slice_target(panel.y, config["h_slices"])
-    if config["method"] == "sir":
-        kernel = sdr.sir_kernel(fit.factors, slices)
-    elif config["method"] == "tm":
-        kernel = sdr.tm_kernel(fit.factors, slices)
-    elif config["method"] == "ens":
-        kernel = sdr.ensemble_kernel(
-            sdr.dr_kernel(fit.factors, slices, config["variance_mode"]),
-            sdr.tm_kernel(fit.factors, slices),
-        )
-    else:  # dr
-        kernel = sdr.dr_kernel(fit.factors, slices, config["variance_mode"])
+    kernel = sdr.build_kernel(config["method"], fit.factors, slices, config["variance_mode"])
     c_t = config["ct_multiplier"] * sdr.default_ct(kernel.method, fit.k, panel.p, panel.t_len)
     dim = sdr.select_dimension(kernel, panel.t_len, config["c_censor"], c_t)
 

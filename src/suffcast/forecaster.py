@@ -20,15 +20,14 @@ import numpy as np
 
 from . import sdr
 from .factor_analysis import fit_factors, select_and_fit_factors
-from .panel_data import PanelData, standardize
+from .panel_data import PanelData, _standardize_array
 
 BACKFIT_TOL = 1e-8
 BACKFIT_MAX_SWEEPS = 100
 #: shifted Gaussian exponents below this give a weight of exactly 0
 NW_EXPONENT_FLOOR = -700.0
 
-SDR_METHODS = ("sir", "dr", "tm", "ens")
-METHODS = SDR_METHODS + ("pc", "nlpc")
+METHODS = sdr.KERNEL_METHODS + ("pc", "nlpc")
 
 
 def reference_bandwidth(values: np.ndarray) -> float:
@@ -92,7 +91,6 @@ class ForecastModel:
 
     kind: str  # "additive" | "linear"
     method: str
-    horizon: int
     intercept: float
     directions: np.ndarray | None = None
     smoothers: list[_Smoother] = field(default_factory=list)
@@ -112,7 +110,6 @@ def fit_additive(
     *,
     directions: np.ndarray | None = None,
     method: str = "additive",
-    horizon: int = 1,
 ) -> ForecastModel:
     """Backfit univariate kernel smoothers on the columns of ``indices``.
 
@@ -187,7 +184,6 @@ def fit_additive(
     return ForecastModel(
         kind="additive",
         method=method,
-        horizon=horizon,
         intercept=intercept,
         directions=np.asarray(directions, dtype=float),
         smoothers=smoothers,
@@ -196,20 +192,14 @@ def fit_additive(
     )
 
 
-def fit_pc_baseline(factors: np.ndarray, targets: np.ndarray, mode: str = "linear") -> ForecastModel:
-    """Baseline forecasts from all factors: OLS (``linear``) or additive on each.
+def fit_pc_baseline(factors: np.ndarray, targets: np.ndarray) -> ForecastModel:
+    """Linear baseline: OLS of the targets on an intercept plus every factor.
 
-    Linear mode regresses the targets on an intercept plus every factor and
-    errors out on a rank-deficient design; additive mode reuses
-    :func:`fit_additive` with identity directions.
+    Errors out on a rank-deficient design.
     """
     factors = np.asarray(factors, dtype=float)
     targets = np.asarray(targets, dtype=float)
     t_len, k = factors.shape
-    if mode == "additive":
-        return fit_additive(factors, targets, directions=np.eye(k), method="NL-PC")
-    if mode != "linear":
-        raise ValueError(f"unknown mode {mode!r}; expected 'linear' or 'additive'")
     if t_len <= k:
         raise ValueError(f"linear baseline needs T > K, got T={t_len}, K={k}")
     design = np.column_stack([np.ones(t_len), factors])
@@ -219,10 +209,39 @@ def fit_pc_baseline(factors: np.ndarray, targets: np.ndarray, mode: str = "linea
     return ForecastModel(
         kind="linear",
         method="PC",
-        horizon=1,
         intercept=float(beta[0]),
         coefficients=beta[1:],
     )
+
+
+def fit_forecast_model(
+    method: str,
+    factors: np.ndarray,
+    targets: np.ndarray,
+    phi: np.ndarray | None,
+    bandwidth_scale: float,
+) -> ForecastModel:
+    """Fit the forecast rule ``method`` names on training factors.
+
+    ``"pc"`` is the linear baseline on every factor, ``"nlpc"`` the additive
+    fit on every factor, and a kernel method the additive fit on the indices
+    ``factors @ phi``, named ``"{METHOD}({l})"``.  Every additive fit smooths
+    index ``j`` with ``bandwidth_scale`` times its normal-reference bandwidth.
+    """
+    if method == "pc":
+        return fit_pc_baseline(factors, targets)
+    if method == "nlpc":
+        indices, directions, name = factors, np.eye(factors.shape[1]), "NL-PC"
+    else:
+        indices, directions, name = factors @ phi, phi, f"{method.upper()}({phi.shape[1]})"
+    bandwidths = None
+    # at 1.0 fit_additive's own reference rule gives the same bandwidths and
+    # also fixes a zero-variance index at 0 instead of rejecting its bandwidth
+    if bandwidth_scale != 1.0:
+        bandwidths = bandwidth_scale * np.array(
+            [reference_bandwidth(indices[:, j]) for j in range(indices.shape[1])]
+        )
+    return fit_additive(indices, targets, bandwidths, directions=directions, method=name)
 
 
 def _predict_batch(model: ForecastModel, f_new: np.ndarray) -> np.ndarray:
@@ -316,57 +335,28 @@ def _fit_window_model(x_win, targets_train, config: RollingConfig):
     requested); the last column is the forecast origin and the first
     ``len(targets_train)`` columns are the training times.
     """
-    t_w = x_win.shape[1]
     if config.k == "auto":
         _, fit = select_and_fit_factors(x_win, min(config.k_max, min(x_win.shape) - 1))
     else:
         fit = fit_factors(x_win, int(config.k))
-    k_use = fit.k
-    factors = fit.factors
-    train_factors = factors[: targets_train.shape[0]]
-
-    if config.method == "pc":
-        model = fit_pc_baseline(train_factors, targets_train, "linear")
-        return model, fit, k_use, 0
-    if config.method == "nlpc":
-        model = fit_pc_baseline(train_factors, targets_train, "additive")
-        return model, fit, k_use, k_use
-
-    slices = sdr.slice_target(targets_train, config.h_slices)
-    if config.method == "sir":
-        kernel = sdr.sir_kernel(train_factors, slices)
-    elif config.method == "dr":
-        kernel = sdr.dr_kernel(train_factors, slices, config.variance_mode)
-    elif config.method == "tm":
-        kernel = sdr.tm_kernel(train_factors, slices)
-    else:  # ens
-        kernel = sdr.ensemble_kernel(
-            sdr.dr_kernel(train_factors, slices, config.variance_mode),
-            sdr.tm_kernel(train_factors, slices),
-        )
-    if config.l == "auto":
-        c_t = config.ct_multiplier * sdr.default_ct(
-            kernel.method, k_use, x_win.shape[0], slices.t_len
-        )
-        l_use = sdr.select_dimension(kernel, slices.t_len, config.c_censor, c_t).l_hat
+    train_factors = fit.factors[: targets_train.shape[0]]
+    if config.method not in sdr.KERNEL_METHODS:
+        phi, l_use = None, (fit.k if config.method == "nlpc" else 0)
     else:
-        l_use = int(config.l)
-    phi = sdr.extract_directions(kernel, l_use)
-    indices = train_factors @ phi
-    bandwidths = None
-    if config.bandwidth_scale != 1.0:
-        bandwidths = config.bandwidth_scale * np.array(
-            [reference_bandwidth(indices[:, j]) for j in range(l_use)]
-        )
-    model = fit_additive(
-        indices,
-        targets_train,
-        bandwidths,
-        directions=phi,
-        method=f"{config.method.upper()}({l_use})",
-        horizon=config.horizon,
+        slices = sdr.slice_target(targets_train, config.h_slices)
+        kernel = sdr.build_kernel(config.method, train_factors, slices, config.variance_mode)
+        if config.l == "auto":
+            c_t = config.ct_multiplier * sdr.default_ct(
+                kernel.method, fit.k, x_win.shape[0], slices.t_len
+            )
+            l_use = sdr.select_dimension(kernel, slices.t_len, config.c_censor, c_t).l_hat
+        else:
+            l_use = int(config.l)
+        phi = sdr.extract_directions(kernel, l_use)
+    model = fit_forecast_model(
+        config.method, train_factors, targets_train, phi, config.bandwidth_scale
     )
-    return model, fit, k_use, l_use
+    return model, fit, fit.k, l_use
 
 
 def rolling_evaluate(panel: PanelData, config: RollingConfig) -> EvalReport:
@@ -406,15 +396,7 @@ def rolling_evaluate(panel: PanelData, config: RollingConfig) -> EvalReport:
             lo = t - t_w + 1
             x_win = panel.x[:, lo : t + 1]
             if config.standardize:
-                sub = PanelData(
-                    x=x_win,
-                    series_names=panel.series_names,
-                    time_labels=panel.time_labels[lo : t + 1],
-                    y=panel.y[lo : t + 1],
-                    target_name=panel.target_name,
-                )
-                sub, _ = standardize(sub)
-                x_win = sub.x
+                x_win, _, _ = _standardize_array(x_win, 0, t_w, panel.series_names)
             targets_train = aligned[lo : t - h + 1]
             model, fit, k_use, l_use = _fit_window_model(x_win, targets_train, config)
             not_converged += not model.converged
@@ -422,9 +404,7 @@ def rolling_evaluate(panel: PanelData, config: RollingConfig) -> EvalReport:
             if config.method == "pc":
                 baseline[i] = forecasts[i]
             else:
-                pc_model = fit_pc_baseline(
-                    fit.factors[: targets_train.shape[0]], targets_train, "linear"
-                )
+                pc_model = fit_pc_baseline(fit.factors[: targets_train.shape[0]], targets_train)
                 baseline[i] = predict(pc_model, fit.factors[-1])
             benchmarks[i] = targets_train.mean() if config.benchmark == "window" else aligned.mean()
             selected_k[i] = k_use

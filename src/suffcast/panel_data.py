@@ -1,4 +1,4 @@
-"""Panel ingestion, standardization, and forecast-target construction.
+"""Panel ingestion and standardization.
 
 Conventions used throughout the package:
 
@@ -197,6 +197,23 @@ def save_csv(panel: PanelData, path: str | Path, delimiter: str = ",", time_name
     Path(path).write_text(buf.getvalue())
 
 
+def _standardize_array(
+    x: np.ndarray, start: int, stop: int, series_names
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scale each row of ``x`` by the mean and sample sd of columns ``start:stop``.
+
+    Returns ``(z, means, sds)``; a series that is flat over the window is a
+    ``ValueError`` naming it.
+    """
+    sub = x[:, start:stop]
+    means = sub.mean(axis=1)
+    sds = sub.std(axis=1, ddof=1)
+    flat = np.nonzero(sds == 0)[0]
+    if flat.size:
+        raise ValueError(f"zero-variance series over window: {series_names[flat[0]]!r}")
+    return (x - means[:, None]) / sds[:, None], means, sds
+
+
 def standardize(
     panel: PanelData, window: tuple[int, int] | None = None
 ) -> tuple[PanelData, StandardizationRecord]:
@@ -211,16 +228,10 @@ def standardize(
         raise ValueError(f"empty or out-of-range window {(start, stop)}")
     if stop - start < 2:
         raise ValueError("window must contain at least 2 time points")
-    sub = panel.x[:, start:stop]
-    means = sub.mean(axis=1)
-    sds = sub.std(axis=1, ddof=1)
-    flat = np.nonzero(sds == 0)[0]
-    if flat.size:
-        raise ValueError(f"zero-variance series over window: {panel.series_names[flat[0]]!r}")
+    z, means, sds = _standardize_array(panel.x, start, stop, panel.series_names)
     record = StandardizationRecord(
         means=means, sds=sds, window=(start, stop), series_names=panel.series_names
     )
-    z = (panel.x - means[:, None]) / sds[:, None]
     out = PanelData(
         x=z,
         series_names=panel.series_names,
@@ -243,21 +254,3 @@ def unstandardize(panel: PanelData, record: StandardizationRecord) -> PanelData:
         target_name=panel.target_name,
         n_dropped=panel.n_dropped,
     )
-
-
-def make_h_step_target(y, h: int) -> np.ndarray:
-    """Average the next ``h`` outcomes: ``out[t] = mean(y[t+1], ..., y[t+h])``.
-
-    The result has length ``T - h`` and ``out[t]`` pairs with regressors
-    observed at time ``t``.  With ``h=1`` this is the plain one-step target.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise ValueError("y must be 1-D")
-    t_len = y.shape[0]
-    if h < 1:
-        raise ValueError(f"horizon must be >= 1, got {h}")
-    if h >= t_len:
-        raise ValueError(f"horizon {h} too large for series of length {t_len}")
-    windows = np.lib.stride_tricks.sliding_window_view(y[1:], h)
-    return windows.mean(axis=1)

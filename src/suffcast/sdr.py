@@ -15,12 +15,8 @@ to ``1/H`` whenever ``T`` is divisible by ``H``.
 """
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +27,8 @@ from ._eigen import sym_eig_desc
 EIGENVALUE_POSITIVITY_THRESHOLD = 1e-12
 
 VARIANCE_MODES = ("identity", "pooled")
+#: the kernels :func:`build_kernel` builds, by method name
+KERNEL_METHODS = ("sir", "dr", "tm", "ens")
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,20 +78,18 @@ def slice_target(y, h_count: int) -> SliceAssignment:
     return SliceAssignment(h_count=h_count, labels=labels, counts=counts, boundaries=boundaries)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class KernelEstimate:
-    """A symmetric candidate matrix with its spectrum and extracted directions.
+    """A symmetric candidate matrix with its spectrum, from one eigendecomposition.
 
-    ``directions`` starts empty and is filled by :func:`extract_directions`.
+    ``eigenvalues`` descend and ``eigenvectors`` holds the matching unit
+    columns, per the package eigen conventions.
     """
 
     method: str
     matrix: np.ndarray
     eigenvalues: np.ndarray
-    h_count: int
-    t_len: int
-    variance_mode: str = "identity"
-    directions: np.ndarray | None = field(default=None)
+    eigenvectors: np.ndarray
 
     @property
     def k(self) -> int:
@@ -129,27 +125,20 @@ def _slice_stats(g: np.ndarray, slices: SliceAssignment):
     return means, seconds
 
 
-def _finish(method: str, m: np.ndarray, slices: SliceAssignment, variance_mode: str) -> KernelEstimate:
-    m = (m + m.T) / 2.0
-    vals, _ = sym_eig_desc(m)
-    return KernelEstimate(
-        method=method,
-        matrix=m,
-        eigenvalues=vals,
-        h_count=slices.h_count,
-        t_len=slices.t_len,
-        variance_mode=variance_mode,
-    )
+def _symmetrized(m: np.ndarray) -> np.ndarray:
+    """``(M + M')/2``: exactly symmetric, whatever rounding built ``M``."""
+    return (m + m.T) / 2.0
 
 
-def sir_kernel(factors: np.ndarray, slices: SliceAssignment) -> KernelEstimate:
+def _estimate(method: str, m: np.ndarray) -> KernelEstimate:
+    vals, vecs = sym_eig_desc(m)
+    return KernelEstimate(method=method, matrix=m, eigenvalues=vals, eigenvectors=vecs)
+
+
+def _sir_matrix(g: np.ndarray, slices: SliceAssignment) -> np.ndarray:
     """First-inverse-moment kernel: ``sum_h p_h m_h m_h'`` over slice means."""
-    g = _centered(factors)
-    _check_slices(g, slices)
     means, _ = _slice_stats(g, slices)
-    p_hat = slices.proportions
-    m = (means.T * p_hat) @ means
-    return _finish("SIR", m, slices, "identity")
+    return _symmetrized((means.T * slices.proportions) @ means)
 
 
 def _variance_matrix(mode: str, p_hat: np.ndarray, seconds: np.ndarray, k: int) -> np.ndarray:
@@ -160,9 +149,7 @@ def _variance_matrix(mode: str, p_hat: np.ndarray, seconds: np.ndarray, k: int) 
     raise ValueError(f"unknown variance_mode {mode!r}; expected one of {VARIANCE_MODES}")
 
 
-def dr_kernel(
-    factors: np.ndarray, slices: SliceAssignment, variance_mode: str = "identity"
-) -> KernelEstimate:
+def _dr_matrix(g: np.ndarray, slices: SliceAssignment, variance_mode: str) -> np.ndarray:
     """Directional-regression kernel from slice means and second moments.
 
     With slice means ``m_h``, slice second moments ``S_h`` and the variance
@@ -171,28 +158,24 @@ def dr_kernel(
         M = 2 sum_h p_h (V - S_h)^2 + 2 (sum_h p_h m_h m_h')^2
             + 2 (sum_h p_h m_h'm_h) (sum_h p_h m_h m_h').
     """
-    g = _centered(factors)
-    _check_slices(g, slices)
-    k = g.shape[1]
     means, seconds = _slice_stats(g, slices)
     p_hat = slices.proportions
-    v = _variance_matrix(variance_mode, p_hat, seconds, k)
+    v = _variance_matrix(variance_mode, p_hat, seconds, g.shape[1])
     a = v[None, :, :] - seconds
     term1 = 2.0 * np.einsum("h,hij,hjk->ik", p_hat, a, a)
     c = (means.T * p_hat) @ means
     c_scalar = float(np.einsum("h,hi,hi->", p_hat, means, means))
-    m = term1 + 2.0 * c @ c + 2.0 * c_scalar * c
-    return _finish("DR", m, slices, variance_mode)
+    return _symmetrized(term1 + 2.0 * c @ c + 2.0 * c_scalar * c)
 
 
 def dr_kernel_pairform(
     factors: np.ndarray, slices: SliceAssignment, variance_mode: str = "identity"
 ) -> KernelEstimate:
-    """Brute-force double sum over slice pairs; oracle for :func:`dr_kernel`.
+    """Brute-force double sum over slice pairs; oracle for the DR kernel.
 
     Accumulates ``sum_{h,g} p_h p_g M_{h,g}^2`` with
     ``M_{h,g} = 2V - S_h - S_g + m_h m_g' + m_g m_h'``.  In pooled mode this
-    equals :func:`dr_kernel` exactly: global centering makes
+    equals ``build_kernel("dr", ...)`` exactly: global centering makes
     ``sum_h p_h m_h = 0`` and pooling makes ``sum_h p_h (V - S_h) = 0``, so
     every cross term cancels.
     """
@@ -213,7 +196,7 @@ def dr_kernel_pairform(
                 + np.outer(means[j], means[h])
             )
             m += p_hat[h] * p_hat[j] * (m_hg @ m_hg)
-    return _finish("DR", m, slices, variance_mode)
+    return _estimate("DR", _symmetrized(m))
 
 
 def _distinct_row_indices(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -223,7 +206,7 @@ def _distinct_row_indices(k: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def tm_kernel(factors: np.ndarray, slices: SliceAssignment) -> KernelEstimate:
+def _tm_matrix(g: np.ndarray, slices: SliceAssignment) -> np.ndarray:
     """Inverse third-moment kernel with the global third-moment correction.
 
     For each slice the within-slice-centered third-moment array is computed,
@@ -234,8 +217,6 @@ def tm_kernel(factors: np.ndarray, slices: SliceAssignment) -> KernelEstimate:
     Requires at least 2 observations per slice; 3 or more are recommended for
     a meaningful third moment.
     """
-    g = _centered(factors)
-    _check_slices(g, slices)
     if np.any(slices.counts < 2):
         raise ValueError("slice too small: third moments need >= 2 observations per slice")
     k = g.shape[1]
@@ -249,40 +230,42 @@ def tm_kernel(factors: np.ndarray, slices: SliceAssignment) -> KernelEstimate:
         mu3 = np.einsum("ti,tj,tk->ijk", d, d, d) / d.shape[0]
         mu = (mu3 - global3)[rows, cols, :]
         m += p_hat[h] * mu.T @ mu
-    return _finish("TM", m, slices, "identity")
+    return _symmetrized(m)
 
 
-def ensemble_kernel(dr: KernelEstimate, tm: KernelEstimate) -> KernelEstimate:
-    """Sum of the DR and TM kernels, exhaustive under weaker conditions."""
-    if dr.matrix.shape != tm.matrix.shape:
-        raise ValueError(f"kernel dimensions differ: {dr.matrix.shape} vs {tm.matrix.shape}")
-    if (dr.h_count, dr.t_len) != (tm.h_count, tm.t_len):
-        raise ValueError("kernels were built from different slicings")
-    m = dr.matrix + tm.matrix
-    vals, _ = sym_eig_desc(m)
-    return KernelEstimate(
-        method="DR+TM",
-        matrix=m,
-        eigenvalues=vals,
-        h_count=dr.h_count,
-        t_len=dr.t_len,
-        variance_mode=dr.variance_mode,
-    )
+def build_kernel(
+    method: str,
+    factors: np.ndarray,
+    slices: SliceAssignment,
+    variance_mode: str = "identity",
+) -> KernelEstimate:
+    """Build one of the ``KERNEL_METHODS`` kernels and eigendecompose it once.
+
+    ``"sir"``, ``"dr"`` and ``"tm"`` build the SIR, DR and TM kernels of the
+    globally centered factors; ``"ens"`` is the sum of the DR and TM kernels,
+    exhaustive under weaker conditions than either.  ``variance_mode`` is the
+    DR variance estimate and is not used by SIR or TM.
+    """
+    g = _centered(factors)
+    _check_slices(g, slices)
+    if method == "sir":
+        return _estimate("SIR", _sir_matrix(g, slices))
+    if method == "dr":
+        return _estimate("DR", _dr_matrix(g, slices, variance_mode))
+    if method == "tm":
+        return _estimate("TM", _tm_matrix(g, slices))
+    if method == "ens":
+        # both sides are symmetrized, so their sum is exactly symmetric
+        return _estimate("DR+TM", _dr_matrix(g, slices, variance_mode) + _tm_matrix(g, slices))
+    raise ValueError(f"unknown kernel method {method!r}; expected one of {KERNEL_METHODS}")
 
 
 def extract_directions(kernel: KernelEstimate, l: int) -> np.ndarray:
-    """Return the ``K x l`` matrix of leading unit eigenvectors of the kernel.
-
-    Columns are sign-fixed and tie-stable per the package eigen conventions;
-    the result is also stored on ``kernel.directions``.
-    """
+    """Return the ``K x l`` matrix of the kernel's leading unit eigenvectors."""
     k = kernel.k
     if not 1 <= l <= k:
         raise ValueError(f"l={l} out of range 1..{k}")
-    _, vecs = sym_eig_desc(kernel.matrix)
-    directions = vecs[:, :l].copy()
-    kernel.directions = directions
-    return directions
+    return kernel.eigenvectors[:, :l].copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,32 +336,3 @@ def select_dimension(
     return DimensionSelection(
         l_hat=l_hat, objective=objective, k_censored=k_c, tau=tau, c_t=float(c_t)
     )
-
-
-def save_kernel(
-    kernel: KernelEstimate,
-    out_dir: str | Path,
-    selection: DimensionSelection | None = None,
-) -> None:
-    """Serialize a kernel as CSV (matrix and eigenvalues) plus a JSON summary."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in kernel.matrix:
-        writer.writerow([repr(float(v)) for v in row])
-    (out / "kernel.csv").write_text(buf.getvalue())
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for v in kernel.eigenvalues:
-        writer.writerow([repr(float(v))])
-    (out / "eigenvalues.csv").write_text(buf.getvalue())
-    summary = {
-        "method": kernel.method,
-        "h_count": kernel.h_count,
-        "t_len": kernel.t_len,
-        "variance_mode": kernel.variance_mode,
-        "l_hat": None if selection is None else selection.l_hat,
-        "objective": None if selection is None else [float(v) for v in selection.objective],
-    }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")

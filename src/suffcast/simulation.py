@@ -25,7 +25,7 @@ from .factor_analysis import (
     fit_factors,
     select_and_fit_factors,
 )
-from .forecaster import _predict_batch, fit_additive, fit_pc_baseline
+from .forecaster import METHODS, _predict_batch, fit_forecast_model
 
 LINKS = ("I", "II", "III", "IV")
 
@@ -223,7 +223,7 @@ class StudyConfig:
         if bad:
             raise ValueError(f"unknown metrics {sorted(bad)}; expected subset of {sorted(known)}")
         for m in self.methods:
-            if m not in ("sir", "dr", "tm", "ens", "pc", "nlpc"):
+            if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
         if self.n_reps < 1:
             raise ValueError("n_reps must be >= 1")
@@ -261,33 +261,6 @@ class StudyResult:
         return rows
 
 
-def _fit_scaled_additive(indices, targets, directions, method, bandwidth_scale):
-    from .forecaster import reference_bandwidth
-
-    indices = np.asarray(indices, dtype=float)
-    bws = None
-    if bandwidth_scale != 1.0:
-        bws = bandwidth_scale * np.array(
-            [reference_bandwidth(indices[:, j]) for j in range(indices.shape[1])]
-        )
-    return fit_additive(indices, targets, bws, directions=directions, method=method)
-
-
-def _build_kernel(method: str, factors: np.ndarray, slices, variance_mode: str):
-    if method == "sir":
-        return sdr.sir_kernel(factors, slices)
-    if method == "dr":
-        return sdr.dr_kernel(factors, slices, variance_mode)
-    if method == "tm":
-        return sdr.tm_kernel(factors, slices)
-    if method == "ens":
-        return sdr.ensemble_kernel(
-            sdr.dr_kernel(factors, slices, variance_mode),
-            sdr.tm_kernel(factors, slices),
-        )
-    raise ValueError(f"no kernel for method {method!r}")
-
-
 def _run_replicate(spec: DgpSpec, config: StudyConfig, replicate: int) -> dict:
     """Compute every requested (method, metric) cell for one replication."""
     want_oos = "oos" in config.metrics
@@ -316,8 +289,8 @@ def _run_replicate(spec: DgpSpec, config: StudyConfig, replicate: int) -> dict:
     for method in config.methods:
         kernel = None
         phi_hat = None
-        if method in ("sir", "dr", "tm", "ens"):
-            kernel = _build_kernel(method, fit.factors, slices, config.variance_mode)
+        if method in sdr.KERNEL_METHODS:
+            kernel = sdr.build_kernel(method, fit.factors, slices, config.variance_mode)
             phi_hat = sdr.extract_directions(kernel, config.l)
         if "directions" in config.metrics and phi_hat is not None:
             out[(method, "r2_phi1")] = subspace_r2(phi_hat[:, 0], basis)
@@ -331,17 +304,9 @@ def _run_replicate(spec: DgpSpec, config: StudyConfig, replicate: int) -> dict:
                 kernel, t_train, config.c_censor, c_t
             ).l_hat
         if want_oos:
-            if method == "pc":
-                model = fit_pc_baseline(fit.factors, y_train, "linear")
-            elif method == "nlpc":
-                model = _fit_scaled_additive(
-                    fit.factors, y_train, np.eye(spec.k), "NL-PC", config.bandwidth_scale
-                )
-            else:
-                model = _fit_scaled_additive(
-                    fit.factors @ phi_hat, y_train, phi_hat,
-                    f"{method.upper()}({config.l})", config.bandwidth_scale,
-                )
+            model = fit_forecast_model(
+                method, fit.factors, y_train, phi_hat, config.bandwidth_scale
+            )
             x_test = draw.x[:, t_train:]
             f_test = estimated_factors_known_loadings(x_test, fit.loadings)
             pred = _predict_batch(model, f_test)

@@ -172,7 +172,7 @@ class TestSelect:
         selection = select_num_factors(panel.x, 5)
         fit = fit_factors(panel.x, max(selection.k_hat, 1))
         slices = sdr.slice_target(panel.y, 10)
-        kernel = sdr.dr_kernel(fit.factors, slices, "identity")
+        kernel = sdr.build_kernel("dr", fit.factors, slices, "identity")
         c_t = sdr.default_ct("DR", max(selection.k_hat, 1), panel.p, panel.t_len)
         dim = sdr.select_dimension(kernel, panel.t_len, 0.5, c_t)
         lines = (out / "k_criterion.csv").read_text().strip().splitlines()[1:]

@@ -5,9 +5,11 @@ from suffcast import (
     PanelData,
     RollingConfig,
     fit_additive,
+    fit_forecast_model,
     fit_pc_baseline,
     predict,
     rolling_evaluate,
+    standardize,
 )
 from suffcast import forecaster as fc
 
@@ -146,21 +148,21 @@ class TestPcBaseline:
         rng = np.random.default_rng(4)
         f = rng.standard_normal((40, 3))
         y = 1.5 + f @ np.array([2.0, -1.0, 0.5])
-        model = fit_pc_baseline(f, y, "linear")
+        model = fit_pc_baseline(f, y)
         assert model.intercept == pytest.approx(1.5, abs=1e-10)
         assert np.allclose(model.coefficients, [2.0, -1.0, 0.5], atol=1e-10)
 
     def test_two_point_line(self):
         f = np.array([[0.0], [1.0]])
         y = np.array([1.0, 3.0])
-        model = fit_pc_baseline(f, y, "linear")
+        model = fit_pc_baseline(f, y)
         assert predict(model, np.array([2.0])) == pytest.approx(5.0, abs=1e-10)
 
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(5)
         f = rng.standard_normal((25, 4))
         y = rng.standard_normal(25)
-        model = fit_pc_baseline(f, y, "linear")
+        model = fit_pc_baseline(f, y)
         design = np.column_stack([np.ones(25), f])
         beta = np.linalg.solve(design.T @ design, design.T @ y)
         assert model.intercept == pytest.approx(beta[0], rel=1e-10)
@@ -169,11 +171,13 @@ class TestPcBaseline:
     def test_rank_deficiency(self):
         f = np.ones((10, 2))
         with pytest.raises(ValueError, match="rank-deficient"):
-            fit_pc_baseline(f, np.zeros(10), "linear")
+            fit_pc_baseline(f, np.zeros(10))
 
     def test_additive_mode_tag(self):
         rng = np.random.default_rng(6)
-        model = fit_pc_baseline(rng.standard_normal((20, 2)), rng.standard_normal(20), "additive")
+        model = fit_forecast_model(
+            "nlpc", rng.standard_normal((20, 2)), rng.standard_normal(20), None, 1.0
+        )
         assert model.method == "NL-PC"
         assert model.kind == "additive"
 
@@ -213,7 +217,6 @@ class TestRollingEvaluate:
             model = ForecastModel(
                 kind="linear",
                 method="stub",
-                horizon=config.horizon,
                 intercept=float(targets_train.mean()),
                 coefficients=np.zeros(1),
             )
@@ -328,6 +331,55 @@ class TestRollingEvaluate:
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method"):
             RollingConfig(method="zzz")
+
+    def test_nlpc_honours_bandwidth_scale(self, monkeypatch):
+        models = []
+
+        def recording(x_win, targets_train, config):
+            out = fit_window_model(x_win, targets_train, config)
+            models.append(out[0])
+            return out
+
+        fit_window_model = fc._fit_window_model
+        monkeypatch.setattr(fc, "_fit_window_model", recording)
+        rng = np.random.default_rng(18)
+        panel = make_panel(rng.standard_normal((3, 50)), rng.standard_normal(50))
+        config = RollingConfig(window=25, method="nlpc", k=2, n_eval=3, bandwidth_scale=0.5)
+        rolling_evaluate(panel, config)
+        assert len(models) == 3
+        for model in models:
+            assert model.method == "NL-PC"
+            for smoother in model.smoothers:
+                assert smoother.bandwidth == 0.5 * fc.reference_bandwidth(smoother.train_x)
+
+    def test_window_standardized_like_standardize(self, monkeypatch):
+        windows = []
+
+        def recording(x_win, targets_train, config):
+            windows.append(x_win)
+            return fit_window_model(x_win, targets_train, config)
+
+        fit_window_model = fc._fit_window_model
+        monkeypatch.setattr(fc, "_fit_window_model", recording)
+        rng = np.random.default_rng(19)
+        x = rng.standard_normal((4, 45)) * rng.uniform(0.5, 3.0, (4, 1)) + 2.0
+        panel = make_panel(x, rng.standard_normal(45))
+        report = rolling_evaluate(panel, RollingConfig(window=20, method="pc", k=2, n_eval=5))
+        assert len(windows) == 5
+        for t, x_win in zip(report.origins, windows):
+            lo = t - 20 + 1
+            sub = make_panel(x[:, lo : t + 1], panel.y[lo : t + 1])
+            assert np.array_equal(x_win, standardize(sub)[0].x)
+
+    def test_flat_series_in_window_is_named(self):
+        rng = np.random.default_rng(20)
+        x = rng.standard_normal((3, 40))
+        x[1, 28:] = 4.0  # only series s1 is flat over the last window
+        panel = make_panel(x, rng.standard_normal(40))
+        with pytest.raises(
+            ValueError, match="forecast origin 39: zero-variance series over window: 's1'"
+        ):
+            rolling_evaluate(panel, RollingConfig(window=12, method="pc", k=1, n_eval=1))
 
 
 def test_save_eval_report(tmp_path):

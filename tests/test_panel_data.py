@@ -6,11 +6,11 @@ from suffcast import (
     DataError,
     PanelData,
     load_csv,
-    make_h_step_target,
     save_csv,
     standardize,
     unstandardize,
 )
+from suffcast.forecaster import RollingConfig, _forward_mean
 
 
 def write(tmp_path, text, name="panel.csv"):
@@ -125,28 +125,38 @@ class TestStandardize:
 
 
 class TestHStepTarget:
+    """The rolling evaluator's h-step target: ``out[t] = mean(y[t..t+h-1])``.
+
+    ``y[t]`` is already observed one period after column ``t``, so the window
+    starts at ``t`` itself.
+    """
+
     def test_one_step_is_shift(self):
-        assert np.array_equal(make_h_step_target([1.0, 2.0, 3.0, 4.0], 1), [2.0, 3.0, 4.0])
+        # the alignment has done the one-period shift: h=1 is y itself
+        y = np.array([1.0, 2.0, 3.0, 4.0])
+        assert np.array_equal(_forward_mean(y, 1), y)
 
     def test_two_step_average(self):
-        assert np.array_equal(make_h_step_target([1.0, 2.0, 3.0, 4.0], 2), [2.5, 3.5])
+        assert np.array_equal(_forward_mean(np.array([1.0, 2.0, 3.0, 4.0]), 2), [1.5, 2.5, 3.5])
 
     def test_horizon_too_large(self):
-        with pytest.raises(ValueError, match="too large"):
-            make_h_step_target([1.0, 2.0, 3.0], 3)
+        assert np.array_equal(_forward_mean(np.array([1.0, 2.0, 3.0]), 3), [2.0])
+        with pytest.raises(ValueError, match="larger than input"):
+            _forward_mean(np.array([1.0, 2.0, 3.0]), 4)
 
     def test_bad_horizon(self):
+        # a horizon below 1 is stopped by the rolling configuration
         with pytest.raises(ValueError, match=">= 1"):
-            make_h_step_target([1.0, 2.0, 3.0], 0)
+            RollingConfig(horizon=0)
 
     @settings(deadline=None, max_examples=30)
     @given(st.integers(0, 10_000), st.integers(1, 5))
     def test_windows_are_forward_means(self, seed, h):
         y = np.random.default_rng(seed).standard_normal(12)
-        out = make_h_step_target(y, h)
-        assert out.shape == (12 - h,)
+        out = _forward_mean(y, h)
+        assert out.shape == (12 - h + 1,)
         for t in range(len(out)):
-            assert np.isclose(out[t], y[t + 1 : t + 1 + h].mean(), rtol=1e-12)
+            assert np.isclose(out[t], y[t : t + h].mean(), rtol=1e-12)
 
 
 class TestPanelValidation:

@@ -4,19 +4,24 @@ from hypothesis import given, settings, strategies as st
 
 from suffcast import (
     KernelEstimate,
+    build_kernel,
     default_ct,
-    dr_kernel,
     dr_kernel_pairform,
-    ensemble_kernel,
     extract_directions,
     select_dimension,
-    sir_kernel,
     slice_target,
     subspace_r2,
-    tm_kernel,
 )
+from suffcast import sdr
+from suffcast._eigen import sym_eig_desc
 
 FOUR_POINT_F = np.array([[-2.0], [-1.0], [1.0], [2.0]])
+
+
+def kernel_of(m):
+    """A kernel estimate of a given symmetric matrix."""
+    vals, vecs = sym_eig_desc(m)
+    return KernelEstimate("DR", m, vals, vecs)
 
 
 class TestSliceTarget:
@@ -64,32 +69,32 @@ class TestSliceTarget:
 class TestSirKernel:
     def test_single_slice_vanishes(self):
         s = slice_target(FOUR_POINT_F[:, 0], 1)
-        assert sir_kernel(FOUR_POINT_F, s).matrix[0, 0] == 0.0
+        assert build_kernel("sir", FOUR_POINT_F, s).matrix[0, 0] == 0.0
 
     def test_monotone_link_hand_value(self):
         s = slice_target(FOUR_POINT_F[:, 0], 2)
-        assert sir_kernel(FOUR_POINT_F, s).matrix[0, 0] == pytest.approx(2.25, abs=1e-14)
+        assert build_kernel("sir", FOUR_POINT_F, s).matrix[0, 0] == pytest.approx(2.25, abs=1e-14)
 
     def test_symmetric_link_blindness_exact(self):
         s = slice_target(FOUR_POINT_F[:, 0] ** 2, 2)
-        assert sir_kernel(FOUR_POINT_F, s).matrix[0, 0] == 0.0
+        assert build_kernel("sir", FOUR_POINT_F, s).matrix[0, 0] == 0.0
 
 
 class TestDrKernel:
     def test_single_slice_pooled_vanishes(self):
         s = slice_target(FOUR_POINT_F[:, 0], 1)
-        assert dr_kernel(FOUR_POINT_F, s, "pooled").matrix[0, 0] == 0.0
+        assert build_kernel("dr", FOUR_POINT_F, s, "pooled").matrix[0, 0] == 0.0
         assert dr_kernel_pairform(FOUR_POINT_F, s, "pooled").matrix[0, 0] == 0.0
 
     def test_symmetric_link_hand_value(self):
         s = slice_target(FOUR_POINT_F[:, 0] ** 2, 2)
-        assert dr_kernel(FOUR_POINT_F, s, "pooled").matrix[0, 0] == pytest.approx(4.5)
+        assert build_kernel("dr", FOUR_POINT_F, s, "pooled").matrix[0, 0] == pytest.approx(4.5)
         assert dr_kernel_pairform(FOUR_POINT_F, s, "pooled").matrix[0, 0] == pytest.approx(4.5)
 
     def test_unknown_variance_mode(self):
         s = slice_target(FOUR_POINT_F[:, 0], 2)
         with pytest.raises(ValueError, match="variance_mode"):
-            dr_kernel(FOUR_POINT_F, s, "bogus")
+            build_kernel("dr", FOUR_POINT_F, s, "bogus")
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 10_000), st.integers(1, 5), st.integers(2, 10))
@@ -99,7 +104,7 @@ class TestDrKernel:
         f = rng.standard_normal((t_len, k))
         y = rng.standard_normal(t_len)
         s = slice_target(y, h)
-        a = dr_kernel(f, s, "pooled").matrix
+        a = build_kernel("dr", f, s, "pooled").matrix
         b = dr_kernel_pairform(f, s, "pooled").matrix
         scale = max(np.linalg.norm(a), 1e-12)
         assert np.linalg.norm(a - b) / scale < 1e-10
@@ -108,7 +113,7 @@ class TestDrKernel:
 class TestTmKernel:
     def test_symmetric_four_point_zero(self):
         s = slice_target(FOUR_POINT_F[:, 0] ** 2, 2)
-        assert tm_kernel(FOUR_POINT_F, s).matrix[0, 0] == pytest.approx(0.0, abs=1e-14)
+        assert build_kernel("tm", FOUR_POINT_F, s).matrix[0, 0] == pytest.approx(0.0, abs=1e-14)
 
     def test_scalar_formula_oracle(self):
         # K=1: entry is sum_h p_h (slice third central moment - global third moment)^2
@@ -122,7 +127,7 @@ class TestTmKernel:
         for h in range(2):
             d = g[s.labels == h]
             expected += (d.shape[0] / 6) * (np.mean((d - d.mean()) ** 3) - global3) ** 2
-        assert tm_kernel(f, s).matrix[0, 0] == pytest.approx(expected, rel=1e-12)
+        assert build_kernel("tm", f, s).matrix[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_brute_force_tensor_oracle(self):
         rng = np.random.default_rng(2)
@@ -131,14 +136,14 @@ class TestTmKernel:
         y = rng.standard_normal(t_len)
         s = slice_target(y, 2)
         assert np.allclose(
-            tm_kernel(f, s).matrix, brute_force_tm(f, s), rtol=1e-10, atol=1e-12
+            build_kernel("tm", f, s).matrix, brute_force_tm(f, s), rtol=1e-10, atol=1e-12
         )
 
     def test_slice_too_small(self):
         f = np.arange(3.0)[:, None]
         s = slice_target(np.arange(3.0), 3)
         with pytest.raises(ValueError, match="slice too small"):
-            tm_kernel(f, s)
+            build_kernel("tm", f, s)
 
 
 def brute_force_tm(f, slices):
@@ -164,28 +169,38 @@ def brute_force_tm(f, slices):
 
 
 class TestEnsembleKernel:
-    def test_degenerate_sides(self):
+    def test_degenerate_sides(self, monkeypatch):
+        # a zero side leaves the other side's matrix bit for bit
         rng = np.random.default_rng(3)
         f = rng.standard_normal((20, 2))
         s = slice_target(rng.standard_normal(20), 4)
-        dr = dr_kernel(f, s)
-        tm = tm_kernel(f, s)
-        zero = KernelEstimate(
-            method="TM", matrix=np.zeros((2, 2)), eigenvalues=np.zeros(2),
-            h_count=4, t_len=20,
-        )
-        assert np.array_equal(ensemble_kernel(dr, zero).matrix, dr.matrix)
-        zero_dr = KernelEstimate(
-            method="DR", matrix=np.zeros((2, 2)), eigenvalues=np.zeros(2),
-            h_count=4, t_len=20,
-        )
-        assert np.array_equal(ensemble_kernel(zero_dr, tm).matrix, tm.matrix)
+        dr = build_kernel("dr", f, s)
+        tm = build_kernel("tm", f, s)
+        with monkeypatch.context() as m:
+            m.setattr(sdr, "_tm_matrix", lambda g, slices: np.zeros((2, 2)))
+            assert np.array_equal(build_kernel("ens", f, s).matrix, dr.matrix)
+        with monkeypatch.context() as m:
+            m.setattr(sdr, "_dr_matrix", lambda g, slices, mode: np.zeros((2, 2)))
+            assert np.array_equal(build_kernel("ens", f, s).matrix, tm.matrix)
 
     def test_dimension_mismatch(self):
-        a = KernelEstimate("DR", np.zeros((2, 2)), np.zeros(2), 4, 20)
-        b = KernelEstimate("TM", np.zeros((3, 3)), np.zeros(3), 4, 20)
-        with pytest.raises(ValueError, match="dimensions differ"):
-            ensemble_kernel(a, b)
+        rng = np.random.default_rng(3)
+        f = rng.standard_normal((20, 2))
+        s = slice_target(rng.standard_normal(21), 4)
+        with pytest.raises(ValueError, match="factors cover T=20 but slices cover T=21"):
+            build_kernel("ens", f, s)
+
+    @pytest.mark.parametrize("mode", ["identity", "pooled"])
+    def test_sum_of_dr_and_tm_bit_for_bit(self, mode):
+        rng = np.random.default_rng(8)
+        f = rng.standard_normal((60, 4))
+        s = slice_target(f[:, 0] ** 2 + 0.3 * rng.standard_normal(60), 5)
+        ens = build_kernel("ens", f, s, mode)
+        assert ens.method == "DR+TM"
+        assert np.array_equal(
+            ens.matrix, build_kernel("dr", f, s, mode).matrix + build_kernel("tm", f, s).matrix
+        )
+        assert np.array_equal(ens.matrix, ens.matrix.T)
 
     def test_disjoint_signals_union(self):
         # coordinate 0 carries a variance signal (DR sees it, TM is blind:
@@ -204,9 +219,9 @@ class TestEnsembleKernel:
             ys.append(np.full(per, float(h)))
         f = np.vstack(blocks)
         s = slice_target(np.concatenate(ys), 4)
-        dr = dr_kernel(f, s, "pooled")
-        tm = tm_kernel(f, s)
-        ens = ensemble_kernel(dr, tm)
+        dr = build_kernel("dr", f, s, "pooled")
+        tm = build_kernel("tm", f, s)
+        ens = build_kernel("ens", f, s, "pooled")
         basis = np.eye(k)[:, :2]
         quality = {}
         for name, kern in (("dr", dr), ("tm", tm), ("ens", ens)):
@@ -220,16 +235,18 @@ class TestEnsembleKernel:
 
 class TestExtractDirections:
     def test_diagonal_kernel(self):
-        kern = KernelEstimate("DR", np.diag([3.0, 2.0, 1.0]), np.array([3.0, 2.0, 1.0]), 2, 10)
+        kern = kernel_of(np.diag([3.0, 2.0, 1.0]))
         phi = extract_directions(kern, 2)
         assert np.allclose(np.abs(phi), np.eye(3)[:, :2])
-        assert kern.directions is phi
+        # the leading eigenvectors, copied out of the frozen estimate
+        assert np.array_equal(phi, kern.eigenvectors[:, :2])
+        assert not np.shares_memory(phi, kern.eigenvectors)
 
     def test_full_dimension(self):
         rng = np.random.default_rng(4)
         m = rng.standard_normal((3, 3))
         m = m + m.T
-        kern = KernelEstimate("DR", m, np.linalg.eigvalsh(m)[::-1], 2, 10)
+        kern = kernel_of(m)
         phi = extract_directions(kern, 3)
         assert np.allclose(phi @ phi.T, np.eye(3), atol=1e-10)
 
@@ -237,7 +254,7 @@ class TestExtractDirections:
         rng = np.random.default_rng(5)
         m = rng.standard_normal((3, 3))
         m = (m + m.T) / 2
-        kern = KernelEstimate("DR", m, np.linalg.eigvalsh(m)[::-1], 2, 10)
+        kern = kernel_of(m)
         phi = extract_directions(kern, 3)
         # roots of det(M - lambda I) from explicit cubic coefficients
         tr = np.trace(m)
@@ -250,7 +267,7 @@ class TestExtractDirections:
             assert np.linalg.norm(m @ phi[:, j] - roots[j] * phi[:, j]) < 1e-8
 
     def test_l_out_of_range(self):
-        kern = KernelEstimate("DR", np.eye(2), np.ones(2), 2, 10)
+        kern = kernel_of(np.eye(2))
         with pytest.raises(ValueError, match="out of range"):
             extract_directions(kern, 3)
 
@@ -259,7 +276,7 @@ class TestSelectDimension:
     def kernel(self, eigenvalues, k=None):
         eigenvalues = np.asarray(eigenvalues, dtype=float)
         k = k or len(eigenvalues)
-        return KernelEstimate("DR", np.diag(eigenvalues), eigenvalues, 10, 500)
+        return KernelEstimate("DR", np.diag(eigenvalues), eigenvalues, np.eye(k))
 
     def test_clean_spectral_gap(self):
         kern = self.kernel([5.0, 4.0] + [0.0] * 6)
@@ -316,9 +333,9 @@ class TestKernelProperties:
         y = rng.standard_normal(t_len)
         q, _ = np.linalg.qr(rng.standard_normal((k, k)))
         s = slice_target(y, h)
-        for build in (sir_kernel, dr_kernel):
-            m = build(f, s).matrix
-            m_rot = build(f @ q.T, s).matrix
+        for method in ("sir", "dr"):
+            m = build_kernel(method, f, s).matrix
+            m_rot = build_kernel(method, f @ q.T, s).matrix
             assert np.linalg.norm(m_rot - q @ m @ q.T) <= 1e-10 * max(np.linalg.norm(m), 1.0)
 
     def test_signed_permutation_covariance_tm(self):
@@ -331,8 +348,8 @@ class TestKernelProperties:
         s = slice_target(rng.standard_normal(t_len), 4)
         perm = np.zeros((k, k))
         perm[0, 1], perm[1, 2], perm[2, 0] = 1.0, -1.0, 1.0
-        m = tm_kernel(f, s).matrix
-        m_rot = tm_kernel(f @ perm.T, s).matrix
+        m = build_kernel("tm", f, s).matrix
+        m_rot = build_kernel("tm", f @ perm.T, s).matrix
         assert np.linalg.norm(m_rot - perm @ m @ perm.T) <= 1e-10 * np.linalg.norm(m)
 
     @settings(deadline=None, max_examples=20)
@@ -343,12 +360,46 @@ class TestKernelProperties:
         y = rng.standard_normal(40)
         s = slice_target(y, 4)
         for mode in ("identity", "pooled"):
-            assert dr_kernel(f, s, mode).eigenvalues[-1] >= -1e-10
-        assert tm_kernel(f, s).eigenvalues[-1] >= -1e-10
+            assert build_kernel("dr", f, s, mode).eigenvalues[-1] >= -1e-10
+        assert build_kernel("tm", f, s).eigenvalues[-1] >= -1e-10
 
     def test_kernel_symmetry(self):
         rng = np.random.default_rng(7)
         f = rng.standard_normal((30, 4))
         s = slice_target(rng.standard_normal(30), 5)
-        for kern in (sir_kernel(f, s), dr_kernel(f, s), tm_kernel(f, s)):
+        for kern in (build_kernel("sir", f, s), build_kernel("dr", f, s), build_kernel("tm", f, s)):
             assert np.abs(kern.matrix - kern.matrix.T).max() < 1e-12
+
+
+class TestBuildKernel:
+    @pytest.mark.parametrize("method", sdr.KERNEL_METHODS)
+    def test_spectrum_is_that_of_the_matrix(self, method):
+        rng = np.random.default_rng(9)
+        f = rng.standard_normal((50, 3))
+        s = slice_target(rng.standard_normal(50), 5)
+        kern = build_kernel(method, f, s)
+        vals, vecs = sym_eig_desc(kern.matrix)
+        assert np.array_equal(kern.eigenvalues, vals)
+        assert np.array_equal(kern.eigenvectors, vecs)
+
+    @pytest.mark.parametrize("method", sdr.KERNEL_METHODS)
+    def test_one_eigendecomposition_per_kernel(self, method, monkeypatch):
+        seen = []
+
+        def recording(m):
+            seen.append(m.shape)
+            return sym_eig_desc(m)
+
+        monkeypatch.setattr(sdr, "sym_eig_desc", recording)
+        rng = np.random.default_rng(10)
+        f = rng.standard_normal((50, 3))
+        s = slice_target(rng.standard_normal(50), 5)
+        kern = build_kernel(method, f, s)
+        extract_directions(kern, 2)
+        select_dimension(kern, 50, 0.5, 1.0)
+        assert seen == [(3, 3)]
+
+    def test_unknown_method(self):
+        s = slice_target(FOUR_POINT_F[:, 0], 2)
+        with pytest.raises(ValueError, match="unknown kernel method 'pc'"):
+            build_kernel("pc", FOUR_POINT_F, s)
