@@ -1,10 +1,18 @@
 """Command-line entry point: simulate | forecast | select | factors.
 
-Each subcommand reads an optional JSON config file (flat key/value) whose
-entries are overridden by explicit command-line flags.  The fully resolved
-configuration is written next to the outputs, so every run is reproducible
-from that file alone.  Exit codes: 0 success, 2 usage or config error,
-3 data error, 4 numerical failure.
+Each option is a field of a config dataclass, which declares its name, type
+and default: ``simulate`` exposes :class:`DgpSpec` (``link`` as ``model``) and
+:class:`StudyConfig`, and ``forecast``, ``select`` and ``factors`` the
+:class:`RollingConfig` fields they use, next to string I/O keys.
+``_DEFAULT_OVERRIDES`` lists the two CLI defaults that differ from the field's.
+
+A subcommand reads an optional flat JSON config file, overridden by explicit
+flags.  Every value is checked against its field's type (``_CONVERTERS``) and
+then by the config dataclasses themselves; a wrong one exits 2 before anything
+is written.  The resolved configuration is written next to the outputs as
+``config_resolved.json``; passed back as ``--config`` to the same subcommand,
+it reproduces the run.  Exit codes:
+0 success, 2 usage or config error, 3 data error, 4 numerical failure.
 
 The default output directory is taken from the ``SUFFCAST_OUT_DIR``
 environment variable when set, else the current directory.
@@ -13,9 +21,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
+import typing
+from collections import Counter
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,13 +51,90 @@ class ConfigError(ValueError):
     pass
 
 
-def _default_out_dir() -> str:
-    return os.environ.get("SUFFCAST_OUT_DIR", ".")
+def _checked(v, ok: bool):
+    if not ok:
+        raise TypeError
+    return v
+
+
+# A converter takes a flag's text (text=True) or a decoded JSON value and
+# returns the typed value, or raises TypeError, ValueError or KeyError.
+def _to_int(v, text):
+    return int(v) if text else _checked(v, type(v) is int)
+
+
+def _to_float(v, text):
+    x = float(v) if text else float(_checked(v, type(v) in (int, float)))
+    return _checked(x, math.isfinite(x))
+
+
+def _to_str(v, text):
+    return _checked(v, isinstance(v, str))
+
+
+def _to_bool(v, text):
+    if text:
+        return {"0": False, "1": True}[v]
+    return bool(_checked(v, type(v) in (bool, int) and v in (0, 1)))
+
+
+def _to_names(v, text):
+    items = v.split(",") if isinstance(v, str) else v
+    _checked(items, isinstance(items, list) and all(isinstance(i, str) for i in items))
+    return tuple(i.strip() for i in items if i.strip())
+
+
+def _to_int_or_auto(v, text):
+    return v if v == "auto" else _to_int(v, text)
+
+
+#: field type -> (converter, what the type accepts)
+_CONVERTERS = {
+    int: (_to_int, "an integer"),
+    float: (_to_float, "a finite number"),
+    str: (_to_str, "a string"),
+    bool: (_to_bool, "0 or 1 (or JSON true/false)"),
+    tuple[str, ...]: (_to_names, "a comma list or a JSON list of strings"),
+    int | str: (_to_int_or_auto, 'an integer or "auto"'),
+}
+#: the CLI key of a field whose name differs
+_ALIASES = {"link": "model"}
+#: the only CLI defaults that differ from their field's default (jobs 0: all cores)
+_DEFAULT_OVERRIDES = {"simulate": {"jobs": 0}, "factors": {"k": "auto"}}
+#: I/O keys of the panel subcommands; None means required
+_PANEL_IO = {"input": None, "target_column": None, "delimiter": ","}
+
+
+def _key(field_name: str) -> str:
+    return _ALIASES.get(field_name, field_name)
+
+
+def _command_keys(command: str) -> dict:
+    """CLI key -> (type, default) for ``command``: input keys, fields, ``out_dir``."""
+    _, classes, names, panel = _COMMANDS[command]
+    keys = {key: (str, default) for key, default in (_PANEL_IO if panel else {}).items()}
+    for cls in classes:
+        hints = typing.get_type_hints(cls)
+        for f in fields(cls):
+            if hints[f.name] in _CONVERTERS and (names is None or f.name in names):
+                keys[_key(f.name)] = (hints[f.name], f.default)
+    for key, default in _DEFAULT_OVERRIDES.get(command, {}).items():
+        keys[key] = (keys[key][0], default)
+    keys["out_dir"] = (str, None)
+    return keys
+
+
+def _convert(key: str, typ, value, text: bool):
+    convert, accepts = _CONVERTERS[typ]
+    try:
+        return convert(value, text)
+    except (TypeError, ValueError, KeyError):
+        raise ConfigError(f"{key} must be {accepts}, got {value!r}") from None
 
 
 def _resolve_config(args: argparse.Namespace, keys: dict) -> dict:
-    """Merge defaults, the JSON config file and explicit CLI flags."""
-    config = {name: spec[1] for name, spec in keys.items()}
+    """Merge defaults, the JSON config file and explicit CLI flags, checking each value."""
+    config = {key: default for key, (_, default) in keys.items()}
     if args.config is not None:
         path = Path(args.config)
         if not path.exists():
@@ -54,130 +143,34 @@ def _resolve_config(args: argparse.Namespace, keys: dict) -> dict:
             loaded = json.loads(path.read_text())
         except json.JSONDecodeError as e:
             raise ConfigError(f"config file is not valid JSON: {e}") from e
+        if not isinstance(loaded, dict):
+            raise ConfigError("config file must hold a JSON object")
+        command = loaded.pop("command", args.command)
+        if command != args.command:
+            raise ConfigError(f"config file is for command {command!r}, not {args.command!r}")
         unknown = set(loaded) - set(keys)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        config.update(loaded)
-    for name in keys:
-        value = getattr(args, name, None)
+        for key, value in loaded.items():
+            config[key] = _convert(key, keys[key][0], value, text=False)
+    for key, (typ, _) in keys.items():
+        value = getattr(args, key)
         if value is not None:
-            config[name] = value
-    missing = [name for name, spec in keys.items() if spec[2] and config[name] is None]
+            config[key] = _convert(key, typ, value, text=True)
+    missing = [key for key in keys if key in _PANEL_IO and config[key] is None]
     if missing:
         raise ConfigError(f"missing required config keys: {missing}")
     return config
 
 
-def _write_resolved(config: dict, command: str, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {"command": command, **config}
-    (out_dir / "config_resolved.json").write_text(json.dumps(payload, indent=2) + "\n")
+def _fields_of(cls, config: dict) -> dict:
+    """The keyword arguments of ``cls`` that ``config`` sets."""
+    return {f.name: config[_key(f.name)] for f in fields(cls) if _key(f.name) in config}
 
 
-def _int_or_auto(value: str):
-    if value == "auto":
-        return value
-    return int(value)
-
-
-# key -> (type, default, required)
-_SIMULATE_KEYS = {
-    "model": (str, "I", False),
-    "p": (int, 100, False),
-    "t_len": (int, 500, False),
-    "k": (int, 6, False),
-    "n_reps": (int, 200, False),
-    "methods": (str, "sir,dr", False),
-    "metrics": (str, "directions", False),
-    "n_test": (int, 100, False),
-    "l": (int, 2, False),
-    "h_slices": (int, 10, False),
-    "variance_mode": (str, "identity", False),
-    "k_max": (int, 8, False),
-    "ct_multiplier": (float, 1.0, False),
-    "bandwidth_scale": (float, 0.1, False),
-    "fixed_loadings": (int, 1, False),
-    "sigma": (float, 0.2, False),
-    "seed": (int, 0, False),
-    "jobs": (int, 0, False),  # 0 means all available execution units
-    "out_dir": (str, None, False),
-}
-
-_FORECAST_KEYS = {
-    "input": (str, None, True),
-    "target_column": (str, None, True),
-    "delimiter": (str, ",", False),
-    "method": (str, "dr", False),
-    "k": (_int_or_auto, 8, False),
-    "l": (_int_or_auto, 1, False),
-    "h_slices": (int, 10, False),
-    "horizon": (int, 1, False),
-    "window": (int, 120, False),
-    "n_eval": (int, 240, False),
-    "variance_mode": (str, "identity", False),
-    "standardize": (int, 1, False),
-    "ct_multiplier": (float, 1.0, False),
-    "out_dir": (str, None, False),
-}
-
-_SELECT_KEYS = {
-    "input": (str, None, True),
-    "target_column": (str, None, True),
-    "delimiter": (str, ",", False),
-    "k_max": (int, 8, False),
-    "method": (str, "dr", False),
-    "h_slices": (int, 10, False),
-    "variance_mode": (str, "identity", False),
-    "c_censor": (float, 0.5, False),
-    "ct_multiplier": (float, 1.0, False),
-    "standardize": (int, 1, False),
-    "out_dir": (str, None, False),
-}
-
-_FACTORS_KEYS = {
-    "input": (str, None, True),
-    "target_column": (str, None, True),
-    "delimiter": (str, ",", False),
-    "k": (_int_or_auto, "auto", False),
-    "k_max": (int, 8, False),
-    "standardize": (int, 1, False),
-    "out_dir": (str, None, False),
-}
-
-
-def _add_key_flags(parser: argparse.ArgumentParser, keys: dict) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override file values")
-    for name, (typ, default, _required) in keys.items():
-        flag = "--" + name.replace("_", "-")
-        parser.add_argument(flag, type=typ, default=None, help=f"default: {default!r}")
-
-
-def cmd_simulate(config: dict, out_dir: Path) -> int:
-    methods = tuple(m.strip() for m in config["methods"].split(",") if m.strip())
-    metrics = tuple(m.strip() for m in config["metrics"].split(",") if m.strip())
-    jobs = config["jobs"] if config["jobs"] > 0 else (os.cpu_count() or 1)
-    spec = DgpSpec(
-        p=config["p"],
-        t_len=config["t_len"],
-        k=config["k"],
-        link=config["model"],
-        sigma=config["sigma"],
-        seed=config["seed"],
-        fixed_loadings=bool(config["fixed_loadings"]),
-    )
-    study = StudyConfig(
-        methods=methods,
-        metrics=metrics,
-        n_reps=config["n_reps"],
-        n_test=config["n_test"],
-        l=config["l"],
-        h_slices=config["h_slices"],
-        variance_mode=config["variance_mode"],
-        k_max=config["k_max"],
-        ct_multiplier=config["ct_multiplier"],
-        bandwidth_scale=config["bandwidth_scale"],
-        jobs=jobs,
-    )
+def cmd_simulate(config: dict, out_dir: Path, spec: DgpSpec, study: StudyConfig) -> int:
+    if study.jobs <= 0:
+        study = replace(study, jobs=os.cpu_count() or 1)
     started = time.time()
     result = monte_carlo_study(spec, study)
     save_study(result, out_dir, extra_metadata={"runtime_seconds": time.time() - started})
@@ -186,23 +179,15 @@ def cmd_simulate(config: dict, out_dir: Path) -> int:
             f"{row['method']} {row['metric']}: median={row['median']:.3g} "
             f"sd={row['sd']:.3g} n_ok={row['n_ok']} n_fail={row['n_fail']}"
         )
+    if result.failures:
+        # each failure message starts with its exception type
+        by_type = dict(Counter(message.split(":", 1)[0] for _, message in result.failures))
+        print(f"warning: n_failed={len(result.failures)} by error type {by_type}", file=sys.stderr)
     return EXIT_OK
 
 
-def cmd_forecast(config: dict, out_dir: Path) -> int:
+def cmd_forecast(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
     panel = load_csv(config["input"], config["target_column"], config["delimiter"])
-    rolling = RollingConfig(
-        window=config["window"],
-        horizon=config["horizon"],
-        method=config["method"],
-        k=config["k"],
-        l=config["l"],
-        h_slices=config["h_slices"],
-        n_eval=config["n_eval"],
-        variance_mode=config["variance_mode"],
-        standardize=bool(config["standardize"]),
-        ct_multiplier=config["ct_multiplier"],
-    )
     if panel.t_len < rolling.window + rolling.horizon:
         raise ConfigError(
             f"input too short: window + horizon = {rolling.window + rolling.horizon} "
@@ -218,19 +203,19 @@ def cmd_forecast(config: dict, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_select(config: dict, out_dir: Path) -> int:
-    if config["method"] not in SELECT_METHODS:
+def cmd_select(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
+    if rolling.method not in SELECT_METHODS:
         raise ConfigError(
-            f"unknown method {config['method']!r} for select; expected one of {SELECT_METHODS}"
+            f"unknown method {rolling.method!r} for select; expected one of {SELECT_METHODS}"
         )
     panel = load_csv(config["input"], config["target_column"], config["delimiter"])
-    if bool(config["standardize"]):
+    if rolling.standardize:
         panel, _ = standardize(panel)
-    selection, fit = select_and_fit_factors(panel.x, min(config["k_max"], panel.p, panel.t_len))
-    slices = sdr.slice_target(panel.y, config["h_slices"])
-    kernel = sdr.build_kernel(config["method"], fit.factors, slices, config["variance_mode"])
-    c_t = config["ct_multiplier"] * sdr.default_ct(kernel.method, fit.k, panel.p, panel.t_len)
-    dim = sdr.select_dimension(kernel, panel.t_len, config["c_censor"], c_t)
+    selection, fit = select_and_fit_factors(panel.x, min(rolling.k_max, panel.p, panel.t_len))
+    slices = sdr.slice_target(panel.y, rolling.h_slices)
+    kernel = sdr.build_kernel(rolling.method, fit.factors, slices, rolling.variance_mode)
+    c_t = rolling.ct_multiplier * sdr.default_ct(kernel.method, fit.k, panel.p, panel.t_len)
+    dim = sdr.select_dimension(kernel, panel.t_len, sdr.C_CENSOR, c_t)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["k,log_resid,penalty,criterion"]
@@ -250,24 +235,36 @@ def cmd_select(config: dict, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_factors(config: dict, out_dir: Path) -> int:
+def cmd_factors(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
     panel = load_csv(config["input"], config["target_column"], config["delimiter"])
-    if bool(config["standardize"]):
+    if rolling.standardize:
         panel, _ = standardize(panel)
-    if config["k"] == "auto":
-        _, fit = select_and_fit_factors(panel.x, min(config["k_max"], panel.p, panel.t_len))
+    if rolling.k == "auto":
+        _, fit = select_and_fit_factors(panel.x, min(rolling.k_max, panel.p, panel.t_len))
     else:
-        fit = fit_factors(panel.x, int(config["k"]))
+        fit = fit_factors(panel.x, rolling.k)
     save_factor_estimate(fit, out_dir)
     print(f"k={fit.k} eigenvalues={[float(f'{v:.3g}') for v in fit.eigenvalues]}")
     return EXIT_OK
 
 
+#: command -> (runner, config classes, exposed fields (None: all), reads a panel)
 _COMMANDS = {
-    "simulate": (_SIMULATE_KEYS, cmd_simulate),
-    "forecast": (_FORECAST_KEYS, cmd_forecast),
-    "select": (_SELECT_KEYS, cmd_select),
-    "factors": (_FACTORS_KEYS, cmd_factors),
+    "simulate": (cmd_simulate, (DgpSpec, StudyConfig), None, False),
+    "forecast": (
+        cmd_forecast,
+        (RollingConfig,),
+        ("window", "horizon", "method", "k", "l", "h_slices", "n_eval", "variance_mode",
+         "standardize", "ct_multiplier"),
+        True,
+    ),
+    "select": (
+        cmd_select,
+        (RollingConfig,),
+        ("k_max", "method", "h_slices", "variance_mode", "ct_multiplier", "standardize"),
+        True,
+    ),
+    "factors": (cmd_factors, (RollingConfig,), ("k", "k_max", "standardize"), True),
 }
 
 
@@ -278,38 +275,38 @@ def build_parser() -> argparse.ArgumentParser:
         "and order selection.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (keys, _fn) in _COMMANDS.items():
+    for name in _COMMANDS:
         p = sub.add_parser(name, help=f"run the {name} pipeline")
-        _add_key_flags(p, keys)
+        p.add_argument("--config", help="JSON config file; flags override file values")
+        for key, (_, default) in _command_keys(name).items():
+            p.add_argument("--" + key.replace("_", "-"), help=f"default: {default!r}")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    keys, fn = _COMMANDS[args.command]
+    args = build_parser().parse_args(argv)
+    runner, classes, _, _ = _COMMANDS[args.command]
     try:
-        config = _resolve_config(args, keys)
-        out_dir = Path(config["out_dir"] or _default_out_dir())
+        config = _resolve_config(args, _command_keys(args.command))
+        # the config dataclasses check their values before anything is written
+        built = [cls(**_fields_of(cls, config)) for cls in classes]
+        out_dir = Path(config["out_dir"] or os.environ.get("SUFFCAST_OUT_DIR", "."))
         config["out_dir"] = str(out_dir)
-        _write_resolved(config, args.command, out_dir)
-        return fn(config, out_dir)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        out_dir.mkdir(parents=True, exist_ok=True)
+        resolved = {"command": args.command, **config}
+        (out_dir / "config_resolved.json").write_text(json.dumps(resolved, indent=2) + "\n")
+        return runner(config, out_dir, *built)
+    except (DataError, FileNotFoundError) as e:
+        print(f"data error: {e}", file=sys.stderr)
+        return EXIT_DATA
     # LinAlgError subclasses ValueError, so it is caught first
     except (np.linalg.LinAlgError, FloatingPointError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
+    # ConfigError and the configs' own checks
     except (ValueError, TypeError) as e:
-        if isinstance(e, DataError):
-            print(f"data error: {e}", file=sys.stderr)
-            return EXIT_DATA
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
 
 
 if __name__ == "__main__":

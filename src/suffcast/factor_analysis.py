@@ -26,7 +26,6 @@ import csv
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -150,8 +149,6 @@ def bai_ng_penalty(p: int, t_len: int) -> float:
     return (p + t_len) / (p * t_len) * np.log(p * t_len / (p + t_len))
 
 
-_PENALTIES: dict[str, Callable[[int, int], float]] = {"bai-ng": bai_ng_penalty}
-
 #: residual sums of squares are floored here before taking logs, so that
 #: exactly-recovered panels yield a finite criterion
 RESIDUAL_FLOOR = 1e-300
@@ -165,53 +162,38 @@ class NumFactorsSelection:
     k_max: int
     log_resid: np.ndarray  # length k_max + 1, entry K is the log residual term
     penalties: np.ndarray  # length k_max + 1, entry K is K * g(p, T)
-    penalty: str = "bai-ng"
 
     @property
     def criterion(self) -> np.ndarray:
         return self.log_resid + self.penalties
 
 
-def _selection(
-    shape: tuple[int, int], vals: np.ndarray, k_max: int, penalty: str | Callable[[int, int], float]
-) -> NumFactorsSelection:
+def _selection(shape: tuple[int, int], vals: np.ndarray, k_max: int) -> NumFactorsSelection:
     """Factor-count criterion from the descending eigenvalues of a Gram matrix."""
     p, t_len = shape
-    if callable(penalty):
-        g = penalty(p, t_len)
-        tag = getattr(penalty, "__name__", "custom")
-    else:
-        try:
-            g = _PENALTIES[penalty](p, t_len)
-        except KeyError:
-            raise ValueError(f"unknown penalty tag {penalty!r}") from None
-        tag = penalty
     vals = np.where(vals > _rank_tol(vals, p, t_len), vals, 0.0)
     total = vals.sum()
     ss = total - np.concatenate(([0.0], np.cumsum(vals[:k_max])))
     ss = np.maximum(ss, RESIDUAL_FLOOR)
     log_resid = np.log(ss) - np.log(p * t_len)
-    penalties = g * np.arange(k_max + 1, dtype=float)
+    penalties = bai_ng_penalty(p, t_len) * np.arange(k_max + 1, dtype=float)
     k_hat = int(np.argmin(log_resid + penalties))
-    return NumFactorsSelection(
-        k_hat=k_hat, k_max=k_max, log_resid=log_resid, penalties=penalties, penalty=tag
-    )
+    return NumFactorsSelection(k_hat=k_hat, k_max=k_max, log_resid=log_resid, penalties=penalties)
 
 
-def select_num_factors(
-    x: np.ndarray, k_max: int, penalty: str | Callable[[int, int], float] = "bai-ng"
-) -> NumFactorsSelection:
+def select_num_factors(x: np.ndarray, k_max: int) -> NumFactorsSelection:
     """Choose the number of factors minimizing penalized log residual variance.
 
     Evaluates ``log((pT)^{-1} ||X - B_K F_K'||_F^2) + K g(p, T)`` for
-    ``K = 0..k_max`` (the ``K=0`` term is the log of the total mean square)
-    and returns the minimizer, ties broken toward smaller ``K``.  Eigenvalues
-    below numerical rank tolerance count as exact zeros so that noiseless
-    low-rank panels hit the residual floor at their true rank.
+    ``K = 0..k_max`` (the ``K=0`` term is the log of the total mean square),
+    ``g`` being :func:`bai_ng_penalty`, and returns the minimizer, ties broken
+    toward smaller ``K``.  Eigenvalues below numerical rank tolerance count as
+    exact zeros so that noiseless low-rank panels hit the residual floor at
+    their true rank.
     """
     x = _check_panel(x)
     _check_k("k_max", k_max, *x.shape)
-    return _selection(x.shape, _small_gram_eig(x)[0], k_max, penalty)
+    return _selection(x.shape, _small_gram_eig(x)[0], k_max)
 
 
 def select_and_fit_factors(
@@ -227,7 +209,7 @@ def select_and_fit_factors(
     if k is not None:
         _check_k("k", k, *x.shape)
     vals, vecs = _small_gram_eig(x)
-    selection = _selection(x.shape, vals, k_max, "bai-ng")
+    selection = _selection(x.shape, vals, k_max)
     k_fit = max(selection.k_hat, 1) if k is None else k
     return selection, _factors_from_eig(x, k_fit, vals, vecs)
 

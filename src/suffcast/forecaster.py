@@ -98,10 +98,6 @@ class ForecastModel:
     sweeps: int = 0
     converged: bool = True
 
-    @property
-    def n_indices(self) -> int:
-        return len(self.smoothers)
-
 
 def fit_additive(
     indices: np.ndarray,
@@ -116,8 +112,8 @@ def fit_additive(
     Targets are centered at their mean (the model intercept) and components
     are updated in turn until the fitted values move less than ``BACKFIT_TOL``
     or ``BACKFIT_MAX_SWEEPS`` is reached.  A zero-variance index column is
-    fixed at zero with a warning.  Default per-index bandwidth is the
-    normal-reference rule.
+    fixed at zero with a warning, and its bandwidth is not used.  Default
+    per-index bandwidth is the normal-reference rule.
     """
     indices = np.atleast_2d(np.asarray(indices, dtype=float))
     if indices.shape[0] == 1 and indices.shape[1] > 1:
@@ -132,12 +128,14 @@ def fit_additive(
         raise ValueError(f"targets have shape {targets.shape}, expected ({t_len},)")
     if not (np.all(np.isfinite(indices)) and np.all(np.isfinite(targets))):
         raise ValueError("non-finite inputs")
+    degenerate = np.ptp(indices, axis=0) == 0.0
     if bandwidths is not None:
         bandwidths = np.asarray(bandwidths, dtype=float)
         if bandwidths.shape != (n_idx,):
             raise ValueError(f"bandwidths have shape {bandwidths.shape}, expected ({n_idx},)")
-        if np.any(bandwidths <= 0):
-            raise ValueError("bandwidths must be strictly positive")
+        used = bandwidths[~degenerate]
+        if not np.all(np.isfinite(used) & (used > 0)):
+            raise ValueError("bandwidths must be finite and strictly positive")
 
     intercept = float(targets.mean())
     centered = targets - intercept
@@ -146,7 +144,7 @@ def fit_additive(
     bws = np.empty(n_idx)
     weight_mats: list[np.ndarray | None] = []
     for j in range(n_idx):
-        if np.ptp(indices[:, j]) == 0.0:
+        if degenerate[j]:
             warnings.warn(f"index {j} is degenerate (zero variance); component fixed at 0",
                           stacklevel=2)
             active[j] = False
@@ -214,6 +212,11 @@ def fit_pc_baseline(factors: np.ndarray, targets: np.ndarray) -> ForecastModel:
     )
 
 
+def _check_bandwidth_scale(scale: float) -> None:
+    if not 0.0 < scale < np.inf:
+        raise ValueError(f"bandwidth_scale must be finite and > 0, got {scale}")
+
+
 def fit_forecast_model(
     method: str,
     factors: np.ndarray,
@@ -234,13 +237,9 @@ def fit_forecast_model(
         indices, directions, name = factors, np.eye(factors.shape[1]), "NL-PC"
     else:
         indices, directions, name = factors @ phi, phi, f"{method.upper()}({phi.shape[1]})"
-    bandwidths = None
-    # at 1.0 fit_additive's own reference rule gives the same bandwidths and
-    # also fixes a zero-variance index at 0 instead of rejecting its bandwidth
-    if bandwidth_scale != 1.0:
-        bandwidths = bandwidth_scale * np.array(
-            [reference_bandwidth(indices[:, j]) for j in range(indices.shape[1])]
-        )
+    bandwidths = bandwidth_scale * np.array(
+        [reference_bandwidth(indices[:, j]) for j in range(indices.shape[1])]
+    )
     return fit_additive(indices, targets, bandwidths, directions=directions, method=name)
 
 
@@ -276,9 +275,7 @@ class RollingConfig:
     variance_mode: str = "identity"
     standardize: bool = True
     k_max: int = 8
-    c_censor: float = 0.5
     ct_multiplier: float = 1.0
-    benchmark: str = "window"  # "window" (training mean per origin) or "full"
     bandwidth_scale: float = 1.0
 
     def __post_init__(self):
@@ -288,8 +285,7 @@ class RollingConfig:
             raise ValueError("window too short")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.benchmark not in ("window", "full"):
-            raise ValueError(f"unknown benchmark {self.benchmark!r}")
+        _check_bandwidth_scale(self.bandwidth_scale)
 
 
 @dataclass(eq=False)
@@ -302,7 +298,7 @@ class EvalReport:
     origins: np.ndarray  # column indices of the forecast origins
     forecasts: np.ndarray
     realized: np.ndarray
-    benchmarks: np.ndarray  # per-origin benchmark means used in the R^2 denominator
+    benchmarks: np.ndarray  # per-origin training-window target means, the R^2 benchmark
     mse: float
     mse_pc: float
     rmse_vs_pc: float
@@ -349,7 +345,7 @@ def _fit_window_model(x_win, targets_train, config: RollingConfig):
             c_t = config.ct_multiplier * sdr.default_ct(
                 kernel.method, fit.k, x_win.shape[0], slices.t_len
             )
-            l_use = sdr.select_dimension(kernel, slices.t_len, config.c_censor, c_t).l_hat
+            l_use = sdr.select_dimension(kernel, slices.t_len, sdr.C_CENSOR, c_t).l_hat
         else:
             l_use = int(config.l)
         phi = sdr.extract_directions(kernel, l_use)
@@ -406,7 +402,7 @@ def rolling_evaluate(panel: PanelData, config: RollingConfig) -> EvalReport:
             else:
                 pc_model = fit_pc_baseline(fit.factors[: targets_train.shape[0]], targets_train)
                 baseline[i] = predict(pc_model, fit.factors[-1])
-            benchmarks[i] = targets_train.mean() if config.benchmark == "window" else aligned.mean()
+            benchmarks[i] = targets_train.mean()
             selected_k[i] = k_use
             selected_l[i] = l_use
         except Exception as e:

@@ -29,6 +29,9 @@ EIGENVALUE_POSITIVITY_THRESHOLD = 1e-12
 VARIANCE_MODES = ("identity", "pooled")
 #: the kernels :func:`build_kernel` builds, by method name
 KERNEL_METHODS = ("sir", "dr", "tm", "ens")
+#: share of the K kernel eigenvalues the dimension criterion reads (``c`` in
+#: ``K_c = round(c K)``); the value of every order-selection run
+C_CENSOR = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,7 +277,6 @@ class DimensionSelection:
 
     l_hat: int
     objective: np.ndarray  # entry i is the objective at l = i + 1
-    k_censored: int
     tau: int
     c_t: float
 
@@ -333,6 +335,4 @@ def select_dimension(
         w = terms[min(tau, l):].sum()
         objective[l - 1] = (t_len / 2.0) * w - c_t * l * (2 * k - l + 1) / 2.0
     l_hat = int(np.argmax(objective)) + 1
-    return DimensionSelection(
-        l_hat=l_hat, objective=objective, k_censored=k_c, tau=tau, c_t=float(c_t)
-    )
+    return DimensionSelection(l_hat=l_hat, objective=objective, tau=tau, c_t=float(c_t))

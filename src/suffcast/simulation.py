@@ -25,12 +25,18 @@ from .factor_analysis import (
     fit_factors,
     select_and_fit_factors,
 )
-from .forecaster import METHODS, _predict_batch, fit_forecast_model
+from .forecaster import METHODS, _check_bandwidth_scale, _predict_batch, fit_forecast_model
 
 LINKS = ("I", "II", "III", "IV")
 
 DEFAULT_PHI1 = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]) / np.sqrt(3.0)
 DEFAULT_PHI2 = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 3.0]) / np.sqrt(11.0)
+#: range of the study-level AR(1) coefficients of factors and errors
+AR_LOW, AR_HIGH = 0.2, 0.8
+#: range of the uniform loadings
+LOADING_LOW, LOADING_HIGH = -1.0, 2.0
+#: AR(1) steps drawn and discarded before the first kept period
+BURN_IN = 100
 
 
 def link_function(tag: str, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
@@ -50,20 +56,15 @@ def link_function(tag: str, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
 class DgpSpec:
     """Parameters of the synthetic data-generating process."""
 
-    p: int
-    t_len: int
+    p: int = 100
+    t_len: int = 500
     k: int = 6
     link: str = "I"
     sigma: float = 0.2
     seed: int = 0
     phi1: np.ndarray = field(default_factory=lambda: DEFAULT_PHI1.copy())
     phi2: np.ndarray = field(default_factory=lambda: DEFAULT_PHI2.copy())
-    ar_low: float = 0.2
-    ar_high: float = 0.8
-    loading_low: float = -1.0
-    loading_high: float = 2.0
     fixed_loadings: bool = True
-    burn_in: int = 100
 
     def __post_init__(self):
         object.__setattr__(self, "phi1", np.asarray(self.phi1, dtype=float))
@@ -75,14 +76,12 @@ class DgpSpec:
                 raise ValueError(f"{name} must have length k={self.k}")
             if abs(np.linalg.norm(phi) - 1.0) > 1e-8:
                 raise ValueError(f"{name} must have unit norm")
-        if not (-1.0 < self.ar_low <= self.ar_high < 1.0):
-            raise ValueError("AR coefficient range must lie inside (-1, 1)")
 
     def ar_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
         """Study-level AR coefficients, drawn once from the master seed."""
         rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(0,)))
-        alpha = rng.uniform(self.ar_low, self.ar_high, size=self.k)
-        rho = rng.uniform(self.ar_low, self.ar_high, size=self.p)
+        alpha = rng.uniform(AR_LOW, AR_HIGH, size=self.k)
+        rho = rng.uniform(AR_LOW, AR_HIGH, size=self.p)
         return alpha, rho
 
 
@@ -100,7 +99,7 @@ class SimDraw:
     replicate: int
 
 
-def _ar1_panel(coef: np.ndarray, shocks: np.ndarray, burn_in: int) -> np.ndarray:
+def _ar1_panel(coef: np.ndarray, shocks: np.ndarray) -> np.ndarray:
     """Run ``x_t = coef * x_{t-1} + e_t`` per column and drop the burn-in."""
     total = shocks.shape[0]
     out = np.empty_like(shocks)
@@ -108,7 +107,7 @@ def _ar1_panel(coef: np.ndarray, shocks: np.ndarray, burn_in: int) -> np.ndarray
     for t in range(total):
         prev = coef * prev + shocks[t]
         out[t] = prev
-    return out[burn_in:]
+    return out[BURN_IN:]
 
 
 def sample_dgp(spec: DgpSpec, replicate: int) -> SimDraw:
@@ -116,16 +115,16 @@ def sample_dgp(spec: DgpSpec, replicate: int) -> SimDraw:
     alpha, rho = spec.ar_coefficients()
     loading_key = (1, 0) if spec.fixed_loadings else (1, 1 + replicate)
     rng_b = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=loading_key))
-    b = rng_b.uniform(spec.loading_low, spec.loading_high, size=(spec.p, spec.k))
+    b = rng_b.uniform(LOADING_LOW, LOADING_HIGH, size=(spec.p, spec.k))
 
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(2, replicate)))
-    total = spec.burn_in + spec.t_len
+    total = BURN_IN + spec.t_len
     e = rng.standard_normal((total, spec.k))
     nu = rng.standard_normal((total, spec.p))
     eps = rng.standard_normal(spec.t_len)
 
-    factors = _ar1_panel(alpha, e, spec.burn_in)
-    u = _ar1_panel(rho, nu, spec.burn_in)
+    factors = _ar1_panel(alpha, e)
+    u = _ar1_panel(rho, nu)
     x = b @ factors.T + u.T
     v1 = factors @ spec.phi1
     v2 = factors @ spec.phi2
@@ -209,7 +208,6 @@ class StudyConfig:
     h_slices: int = 10
     variance_mode: str = "identity"
     k_max: int = 8
-    c_censor: float = 0.5
     ct_multiplier: float = 1.0
     jobs: int = 1
     #: bandwidth policy for the held-out forecast fits, as a fraction of the
@@ -227,6 +225,7 @@ class StudyConfig:
                 raise ValueError(f"unknown method {m!r}")
         if self.n_reps < 1:
             raise ValueError("n_reps must be >= 1")
+        _check_bandwidth_scale(self.bandwidth_scale)
 
 
 @dataclass(eq=False)
@@ -301,7 +300,7 @@ def _run_replicate(spec: DgpSpec, config: StudyConfig, replicate: int) -> dict:
                 kernel.method, spec.k, spec.p, t_train
             )
             out[(method, "l_selection")] = sdr.select_dimension(
-                kernel, t_train, config.c_censor, c_t
+                kernel, t_train, sdr.C_CENSOR, c_t
             ).l_hat
         if want_oos:
             model = fit_forecast_model(

@@ -1,9 +1,11 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from suffcast import PanelData, save_csv
+from suffcast import DgpSpec, PanelData, RollingConfig, StudyConfig, save_csv
+from suffcast import cli
 from suffcast.cli import main
 
 
@@ -86,7 +88,7 @@ class TestSimulate:
         cfg.write_text(json.dumps({"model": "I", "bogus_key": 1}))
         assert run(["simulate", "--config", cfg, "--out-dir", tmp_path / "x"]) == 2
 
-    def test_replication_failures_reported_not_fatal(self, tmp_path):
+    def test_replication_failures_reported_not_fatal(self, tmp_path, capsys):
         out = tmp_path / "fail"
         # h_slices larger than T makes every replication fail
         assert run([
@@ -95,6 +97,18 @@ class TestSimulate:
         ]) == 0
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["n_failed"] == 2
+        err = capsys.readouterr().err
+        assert "n_failed=2" in err
+        assert "'ValueError': 2" in err
+
+    def test_json_method_list_runs_like_the_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"methods": ["sir", "dr"]}))
+        args = ["simulate", "--p", 20, "--t-len", 40, "--n-reps", 2, "--seed", 3, "--jobs", 1]
+        assert run(args + ["--config", cfg, "--out-dir", tmp_path / "json"]) == 0
+        assert run(args + ["--methods", "sir,dr", "--out-dir", tmp_path / "flag"]) == 0
+        for name in ("study.csv", "replications.csv"):
+            assert (tmp_path / "json" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
 
 
 class TestForecast:
@@ -250,3 +264,166 @@ def test_out_dir_from_environment(tmp_path, monkeypatch):
         "factors", "--input", panel_path, "--target-column", "target", "--k", 2,
     ]) == 0
     assert (tmp_path / "envout" / "factors.csv").exists()
+
+
+PANEL_IO = {"input", "target_column", "delimiter", "out_dir"}
+#: command -> (config classes, exposed fields or None for all, I/O keys)
+EXPOSED = {
+    "simulate": ((DgpSpec, StudyConfig), None, {"out_dir"}),
+    "forecast": (
+        (RollingConfig,),
+        {"window", "horizon", "method", "k", "l", "h_slices", "n_eval", "variance_mode",
+         "standardize", "ct_multiplier"},
+        PANEL_IO,
+    ),
+    "select": (
+        (RollingConfig,),
+        {"k_max", "method", "h_slices", "variance_mode", "ct_multiplier", "standardize"},
+        PANEL_IO,
+    ),
+    "factors": ((RollingConfig,), {"k", "k_max", "standardize"}, PANEL_IO),
+}
+LIBRARY_ONLY = {"phi1", "phi2"}
+OVERRIDES = {("simulate", "jobs"): 0, ("factors", "k"): "auto"}
+
+
+def resolve(argv):
+    """The resolved config of ``argv`` without running the command."""
+    args = cli.build_parser().parse_args([str(a) for a in argv])
+    return cli._resolve_config(args, cli._command_keys(args.command))
+
+
+def subcommand_keys(command):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    return {a.dest for a in sub.choices[command]._actions} - {"help", "config"}
+
+
+class TestDerivedKeys:
+    @pytest.mark.parametrize("command", sorted(EXPOSED))
+    def test_keys_and_defaults_come_from_the_fields(self, command):
+        classes, names, io_keys = EXPOSED[command]
+        exposed = {
+            ("model" if f.name == "link" else f.name): f.default
+            for cls in classes
+            for f in fields(cls)
+            if f.name not in LIBRARY_ONLY and (names is None or f.name in names)
+        }
+        assert subcommand_keys(command) == set(exposed) | io_keys
+        io = ["--input", "panel.csv", "--target-column", "y"] if "input" in io_keys else []
+        config = resolve([command, *io])
+        for key, default in exposed.items():
+            assert config[key] == OVERRIDES.get((command, key), default), key
+
+    def test_benchmark_flags_keep_their_values(self):
+        config = resolve([
+            "simulate", "--model", "IV", "--p", 100, "--t-len", 500, "--n-test", 100,
+            "--methods", "sir,dr,tm,ens", "--metrics", "directions,k_selection",
+            "--jobs", 1, "--n-reps", 25, "--seed", 420, "--out-dir", "o",
+        ])
+        assert (config["model"], config["p"], config["t_len"], config["n_test"]) == ("IV", 100, 500, 100)
+        assert config["methods"] == ("sir", "dr", "tm", "ens")
+        assert config["metrics"] == ("directions", "k_selection")
+        assert (config["jobs"], config["n_reps"], config["seed"], config["out_dir"]) == (1, 25, 420, "o")
+        config = resolve([
+            "forecast", "--input", "p.csv", "--target-column", "target", "--window", 120,
+            "--n-eval", 240, "--horizon", 6, "--method", "ens", "--k", "auto", "--l", "auto",
+        ])
+        assert (config["window"], config["n_eval"], config["horizon"]) == (120, 240, 6)
+        assert (config["method"], config["k"], config["l"]) == ("ens", "auto", "auto")
+        config = resolve(["forecast", "--input", "p.csv", "--target-column", "t", "--k", 8, "--l", 1])
+        assert (config["k"], config["l"]) == (8, 1)
+
+
+class TestConfigBoundary:
+    @pytest.mark.parametrize(
+        "command,values",
+        [
+            ("simulate", {"p": "20"}),
+            ("simulate", {"fixed_loadings": "0"}),
+            ("factors", {"standardize": "0"}),
+        ],
+    )
+    def test_wrong_json_type_exits_2_before_writing(self, tmp_path, capsys, command, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        out = tmp_path / "out"
+        panel = write_factor_panel(tmp_path, t_len=150, p=15, k=2, seed=5)
+        io = ["--input", panel, "--target-column", "target"] if command == "factors" else []
+        assert run([command, *io, "--config", cfg, "--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {next(iter(values))} must be" in err
+        assert "Traceback" not in err
+        assert not (out / "config_resolved.json").exists()
+
+    @pytest.mark.parametrize(
+        "command,flags,config,message",
+        [
+            ("simulate", ["--metrics", "bogus"], None, "unknown metrics"),
+            ("simulate", ["--bandwidth-scale", "nan"], None, "bandwidth_scale must be"),
+            ("simulate", ["--bandwidth-scale", "0"], None, "bandwidth_scale must be"),
+            ("simulate", [], '{"bandwidth_scale": NaN}', "bandwidth_scale must be"),
+            ("forecast", ["--window", "5"], None, "window too short"),
+            ("select", ["--method", "bogus"], None, "unknown method"),
+        ],
+    )
+    def test_out_of_range_value_exits_2_before_writing(
+        self, tmp_path, capsys, command, flags, config, message
+    ):
+        out = tmp_path / "out"
+        args = [command, *flags, "--out-dir", out]
+        if command != "simulate":
+            args += ["--input", tmp_path / "unread.csv", "--target-column", "target"]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(config)
+            args += ["--config", tmp_path / "cfg.json"]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not (out / "config_resolved.json").exists()
+
+    def test_standardize_flag_0_matches_json_false(self, tmp_path):
+        panel = write_factor_panel(tmp_path, t_len=150, p=15, k=2, seed=5)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"standardize": False}))
+        args = ["factors", "--input", panel, "--target-column", "target", "--k", 2]
+        assert run(args + ["--standardize", 0, "--out-dir", tmp_path / "flag"]) == 0
+        assert run(args + ["--config", cfg, "--out-dir", tmp_path / "json"]) == 0
+        assert run(args + ["--out-dir", tmp_path / "std"]) == 0
+        flag = (tmp_path / "flag" / "factors.csv").read_bytes()
+        assert flag == (tmp_path / "json" / "factors.csv").read_bytes()
+        assert flag != (tmp_path / "std" / "factors.csv").read_bytes()
+
+    def test_resolved_config_of_another_command_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "forecast"}))
+        assert run(["simulate", "--config", cfg, "--out-dir", tmp_path / "x"]) == 2
+        assert "for command 'forecast'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(EXPOSED))
+    def test_rerun_from_resolved_config_is_byte_identical(self, tmp_path, command):
+        panel = write_factor_panel(tmp_path, t_len=150, p=15, k=2, seed=8, link="curved")
+        panel_args = ["--input", panel, "--target-column", "target"]
+        args = {
+            "simulate": ["--p", 20, "--t-len", 40, "--n-reps", 2, "--methods", "sir,dr,pc",
+                         "--metrics", "oos,l_selection", "--jobs", 1, "--seed", 4],
+            "forecast": [*panel_args, "--method", "dr", "--k", "auto", "--l", "auto",
+                         "--window", 100, "--n-eval", 5, "--standardize", 0],
+            "select": [*panel_args, "--method", "tm", "--k-max", 4],
+            "factors": [*panel_args, "--k", "auto", "--k-max", 5],
+        }[command]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run([command, *args, "--out-dir", first]) == 0
+        resolved = first / "config_resolved.json"
+        assert run([command, "--config", resolved, "--out-dir", second]) == 0
+        for path in sorted(first.iterdir()):
+            if path.name == "metadata.json":  # holds the run time
+                a, b = (json.loads((d / path.name).read_text()) for d in (first, second))
+                del a["runtime_seconds"], b["runtime_seconds"]
+                assert a == b
+            elif path.name == "config_resolved.json":
+                a, b = (json.loads((d / path.name).read_text()) for d in (first, second))
+                assert a == {**b, "out_dir": str(first)}
+            else:
+                assert path.read_bytes() == (second / path.name).read_bytes(), path.name

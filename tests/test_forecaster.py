@@ -68,6 +68,8 @@ class TestFitAdditive:
             fit_additive(np.array([[np.inf], [0.0], [1.0]]), np.zeros(3))
         with pytest.raises(ValueError, match="strictly positive"):
             fit_additive(np.zeros((4, 1)) + np.arange(4)[:, None], np.zeros(4), [0.0])
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            fit_additive(np.zeros((4, 1)) + np.arange(4)[:, None], np.zeros(4), [np.nan])
 
 
 def _reference_exponents(train_x, query_x, bandwidth):
@@ -180,6 +182,16 @@ class TestPcBaseline:
         )
         assert model.method == "NL-PC"
         assert model.kind == "additive"
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    def test_constant_factor_fixed_at_zero_at_any_scale(self, scale):
+        # the constant column's scaled reference bandwidth is 0 and goes unused
+        rng = np.random.default_rng(19)
+        f = np.column_stack([rng.standard_normal(30), np.ones(30)])
+        with pytest.warns(UserWarning, match="degenerate"):
+            model = fit_forecast_model("nlpc", f, np.sin(f[:, 0]), None, scale)
+        assert not model.smoothers[1].active
+        assert model.smoothers[0].bandwidth == scale * fc.reference_bandwidth(f[:, 0])
 
 
 def make_panel(x, y):
@@ -395,3 +407,13 @@ def test_save_eval_report(tmp_path):
     assert summary["backfit_not_converged"] == 0
     lines = (tmp_path / "origins.csv").read_text().strip().splitlines()
     assert len(lines) == 5  # header + 4 origins
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+def test_configs_reject_bad_bandwidth_scale(scale):
+    from suffcast import StudyConfig
+
+    with pytest.raises(ValueError, match="bandwidth_scale must be finite and > 0"):
+        RollingConfig(bandwidth_scale=scale)
+    with pytest.raises(ValueError, match="bandwidth_scale must be finite and > 0"):
+        StudyConfig(bandwidth_scale=scale)
