@@ -3,20 +3,15 @@
 from .panel_data import (
     DataError,
     PanelData,
-    StandardizationRecord,
     load_csv,
-    save_csv,
     standardize,
-    unstandardize,
 )
 from .factor_analysis import (
     FactorEstimate,
     NumFactorsSelection,
     estimated_factors_known_loadings,
     fit_factors,
-    residuals,
     select_and_fit_factors,
-    select_num_factors,
 )
 from .sdr import (
     DimensionSelection,
@@ -24,7 +19,6 @@ from .sdr import (
     SliceAssignment,
     build_kernel,
     default_ct,
-    dr_kernel_pairform,
     extract_directions,
     select_dimension,
     slice_target,
@@ -55,24 +49,18 @@ __version__ = "0.1.0"
 __all__ = [
     "DataError",
     "PanelData",
-    "StandardizationRecord",
     "load_csv",
-    "save_csv",
     "standardize",
-    "unstandardize",
     "FactorEstimate",
     "NumFactorsSelection",
     "fit_factors",
     "estimated_factors_known_loadings",
-    "select_num_factors",
     "select_and_fit_factors",
-    "residuals",
     "SliceAssignment",
     "KernelEstimate",
     "DimensionSelection",
     "slice_target",
     "build_kernel",
-    "dr_kernel_pairform",
     "extract_directions",
     "select_dimension",
     "default_ct",

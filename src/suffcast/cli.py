@@ -204,13 +204,9 @@ def cmd_forecast(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
 
 
 def cmd_select(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
-    if rolling.method not in SELECT_METHODS:
-        raise ConfigError(
-            f"unknown method {rolling.method!r} for select; expected one of {SELECT_METHODS}"
-        )
     panel = load_csv(config["input"], config["target_column"], config["delimiter"])
     if rolling.standardize:
-        panel, _ = standardize(panel)
+        panel = standardize(panel)
     selection, fit = select_and_fit_factors(panel.x, min(rolling.k_max, panel.p, panel.t_len))
     slices = sdr.slice_target(panel.y, rolling.h_slices)
     kernel = sdr.build_kernel(rolling.method, fit.factors, slices, rolling.variance_mode)
@@ -238,7 +234,7 @@ def cmd_select(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
 def cmd_factors(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
     panel = load_csv(config["input"], config["target_column"], config["delimiter"])
     if rolling.standardize:
-        panel, _ = standardize(panel)
+        panel = standardize(panel)
     if rolling.k == "auto":
         _, fit = select_and_fit_factors(panel.x, min(rolling.k_max, panel.p, panel.t_len))
     else:
@@ -290,6 +286,10 @@ def main(argv=None) -> int:
         config = _resolve_config(args, _command_keys(args.command))
         # the config dataclasses check their values before anything is written
         built = [cls(**_fields_of(cls, config)) for cls in classes]
+        if args.command == "select" and built[0].method not in SELECT_METHODS:
+            raise ConfigError(
+                f"unknown method {built[0].method!r} for select; expected one of {SELECT_METHODS}"
+            )
         out_dir = Path(config["out_dir"] or os.environ.get("SUFFCAST_OUT_DIR", "."))
         config["out_dir"] = str(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -135,15 +135,6 @@ def estimated_factors_known_loadings(x: np.ndarray, b: np.ndarray) -> np.ndarray
     return np.linalg.solve(b.T @ b, b.T @ x).T
 
 
-def residuals(x: np.ndarray, fit: FactorEstimate) -> np.ndarray:
-    """Return ``x - B F'`` for a fitted factor model."""
-    x = np.asarray(x, dtype=float)
-    p, t_len = fit.loadings.shape[0], fit.factors.shape[0]
-    if x.shape != (p, t_len):
-        raise ValueError(f"x has shape {x.shape}, fit expects ({p}, {t_len})")
-    return x - fit.loadings @ fit.factors.T
-
-
 def bai_ng_penalty(p: int, t_len: int) -> float:
     """Penalty per factor: ``(p+T)/(pT) * log(pT/(p+T))``."""
     return (p + t_len) / (p * t_len) * np.log(p * t_len / (p + t_len))
@@ -181,28 +172,18 @@ def _selection(shape: tuple[int, int], vals: np.ndarray, k_max: int) -> NumFacto
     return NumFactorsSelection(k_hat=k_hat, k_max=k_max, log_resid=log_resid, penalties=penalties)
 
 
-def select_num_factors(x: np.ndarray, k_max: int) -> NumFactorsSelection:
-    """Choose the number of factors minimizing penalized log residual variance.
-
-    Evaluates ``log((pT)^{-1} ||X - B_K F_K'||_F^2) + K g(p, T)`` for
-    ``K = 0..k_max`` (the ``K=0`` term is the log of the total mean square),
-    ``g`` being :func:`bai_ng_penalty`, and returns the minimizer, ties broken
-    toward smaller ``K``.  Eigenvalues below numerical rank tolerance count as
-    exact zeros so that noiseless low-rank panels hit the residual floor at
-    their true rank.
-    """
-    x = _check_panel(x)
-    _check_k("k_max", k_max, *x.shape)
-    return _selection(x.shape, _small_gram_eig(x)[0], k_max)
-
-
 def select_and_fit_factors(
     x: np.ndarray, k_max: int, k: int | None = None
 ) -> tuple[NumFactorsSelection, FactorEstimate]:
     """Select the factor count and fit factors from one Gram eigendecomposition.
 
-    Returns ``(select_num_factors(x, k_max), fit_factors(x, k))`` bit for bit;
-    ``k`` defaults to the selected count, at least 1.
+    The selected count minimizes ``log((pT)^{-1} ||X - B_K F_K'||_F^2) + K g(p, T)``
+    over ``K = 0..k_max`` (the ``K=0`` term is the log of the total mean
+    square), ``g`` being :func:`bai_ng_penalty`, ties broken toward smaller
+    ``K``.  Eigenvalues below numerical rank tolerance count as exact zeros,
+    so noiseless low-rank panels hit the residual floor at their true rank.
+    The fit is ``fit_factors(x, k)`` bit for bit; ``k`` defaults to the
+    selected count, at least 1.
     """
     x = _check_panel(x)
     _check_k("k_max", k_max, *x.shape)

@@ -217,6 +217,20 @@ def _check_bandwidth_scale(scale: float) -> None:
         raise ValueError(f"bandwidth_scale must be finite and > 0, got {scale}")
 
 
+def _check_count(name: str, value, auto: bool = False) -> None:
+    """A count must be an integer >= 1, or ``"auto"`` where ``auto`` allows it."""
+    if auto and value == "auto":
+        return
+    if isinstance(value, str) or value < 1:
+        allowed = ' or "auto"' if auto else ""
+        raise ValueError(f"{name} must be >= 1{allowed}, got {value!r}")
+
+
+def _check_variance_mode(mode: str) -> None:
+    if mode not in sdr.VARIANCE_MODES:
+        raise ValueError(f"unknown variance_mode {mode!r}; expected one of {sdr.VARIANCE_MODES}")
+
+
 def fit_forecast_model(
     method: str,
     factors: np.ndarray,
@@ -285,6 +299,11 @@ class RollingConfig:
             raise ValueError("window too short")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        for name in ("n_eval", "h_slices", "k_max"):
+            _check_count(name, getattr(self, name))
+        _check_count("k", self.k, auto=True)
+        _check_count("l", self.l, auto=True)
+        _check_variance_mode(self.variance_mode)
         _check_bandwidth_scale(self.bandwidth_scale)
 
 
@@ -392,7 +411,7 @@ def rolling_evaluate(panel: PanelData, config: RollingConfig) -> EvalReport:
             lo = t - t_w + 1
             x_win = panel.x[:, lo : t + 1]
             if config.standardize:
-                x_win, _, _ = _standardize_array(x_win, 0, t_w, panel.series_names)
+                x_win = _standardize_array(x_win, panel.series_names)
             targets_train = aligned[lo : t - h + 1]
             model, fit, k_use, l_use = _fit_window_model(x_win, targets_train, config)
             not_converged += not model.converged

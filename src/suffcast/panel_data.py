@@ -11,9 +11,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import csv
-import io
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -73,31 +72,6 @@ class PanelData:
     @property
     def t_len(self) -> int:
         return self.x.shape[1]
-
-    def equals(self, other: "PanelData") -> bool:
-        return (
-            np.array_equal(self.x, other.x)
-            and np.array_equal(self.y, other.y)
-            and self.series_names == other.series_names
-            and self.time_labels == other.time_labels
-            and self.target_name == other.target_name
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class StandardizationRecord:
-    """Per-series mean and sample standard deviation over a stated window."""
-
-    means: np.ndarray
-    sds: np.ndarray
-    window: tuple[int, int]
-    series_names: tuple[str, ...] = field(default=())
-
-    def __post_init__(self):
-        object.__setattr__(self, "means", np.asarray(self.means, dtype=float))
-        object.__setattr__(self, "sds", np.asarray(self.sds, dtype=float))
-        if np.any(self.sds <= 0):
-            raise ValueError("standard deviations must be strictly positive")
 
 
 def load_csv(
@@ -179,75 +153,23 @@ def load_csv(
     )
 
 
-def save_csv(panel: PanelData, path: str | Path, delimiter: str = ",", time_name: str = "date") -> None:
-    """Write a panel in the same format ``load_csv`` reads, round-trip exact.
+def _standardize_array(x: np.ndarray, series_names) -> np.ndarray:
+    """Scale each row of ``x`` to mean 0 and sample sd 1.
 
-    Floats are written with ``repr`` so reading the file back reproduces the
-    panel bit-exactly.
+    A flat series is a ``ValueError`` naming it.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
-    writer.writerow([time_name, *panel.series_names, panel.target_name])
-    for t in range(panel.t_len):
-        writer.writerow(
-            [panel.time_labels[t]]
-            + [repr(float(v)) for v in panel.x[:, t]]
-            + [repr(float(panel.y[t]))]
-        )
-    Path(path).write_text(buf.getvalue())
-
-
-def _standardize_array(
-    x: np.ndarray, start: int, stop: int, series_names
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scale each row of ``x`` by the mean and sample sd of columns ``start:stop``.
-
-    Returns ``(z, means, sds)``; a series that is flat over the window is a
-    ``ValueError`` naming it.
-    """
-    sub = x[:, start:stop]
-    means = sub.mean(axis=1)
-    sds = sub.std(axis=1, ddof=1)
+    means = x.mean(axis=1)
+    sds = x.std(axis=1, ddof=1)
     flat = np.nonzero(sds == 0)[0]
     if flat.size:
         raise ValueError(f"zero-variance series over window: {series_names[flat[0]]!r}")
-    return (x - means[:, None]) / sds[:, None], means, sds
+    return (x - means[:, None]) / sds[:, None]
 
 
-def standardize(
-    panel: PanelData, window: tuple[int, int] | None = None
-) -> tuple[PanelData, StandardizationRecord]:
-    """Standardize every series to mean 0, sample sd 1 over a column window.
-
-    Values outside the window are transformed with the same window statistics.
-    ``window`` is a half-open column range ``(start, stop)``; ``None`` uses
-    all columns.
-    """
-    start, stop = window if window is not None else (0, panel.t_len)
-    if not (0 <= start < stop <= panel.t_len):
-        raise ValueError(f"empty or out-of-range window {(start, stop)}")
-    if stop - start < 2:
-        raise ValueError("window must contain at least 2 time points")
-    z, means, sds = _standardize_array(panel.x, start, stop, panel.series_names)
-    record = StandardizationRecord(
-        means=means, sds=sds, window=(start, stop), series_names=panel.series_names
-    )
-    out = PanelData(
-        x=z,
-        series_names=panel.series_names,
-        time_labels=panel.time_labels,
-        y=panel.y,
-        target_name=panel.target_name,
-        n_dropped=panel.n_dropped,
-    )
-    return out, record
-
-
-def unstandardize(panel: PanelData, record: StandardizationRecord) -> PanelData:
-    """Invert ``standardize`` using the stored per-series statistics."""
-    x = panel.x * record.sds[:, None] + record.means[:, None]
+def standardize(panel: PanelData) -> PanelData:
+    """Standardize every series to mean 0 and sample sd 1 over all columns."""
     return PanelData(
-        x=x,
+        x=_standardize_array(panel.x, panel.series_names),
         series_names=panel.series_names,
         time_labels=panel.time_labels,
         y=panel.y,

@@ -41,7 +41,6 @@ class SliceAssignment:
     h_count: int
     labels: np.ndarray  # length T, values in 0..H-1
     counts: np.ndarray  # length H, each >= 1
-    boundaries: np.ndarray  # length H + 1, empirical slice boundaries
 
     @property
     def t_len(self) -> int:
@@ -73,12 +72,7 @@ def slice_target(y, h_count: int) -> SliceAssignment:
     counts[:rem] += 1
     labels = np.empty(t_len, dtype=int)
     labels[order] = np.repeat(np.arange(h_count), counts)
-    sorted_y = y[order]
-    edges = np.cumsum(counts)
-    boundaries = np.empty(h_count + 1)
-    boundaries[0] = sorted_y[0] - 1.0
-    boundaries[1:] = sorted_y[edges - 1]
-    return SliceAssignment(h_count=h_count, labels=labels, counts=counts, boundaries=boundaries)
+    return SliceAssignment(h_count=h_count, labels=labels, counts=counts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,37 +163,6 @@ def _dr_matrix(g: np.ndarray, slices: SliceAssignment, variance_mode: str) -> np
     c = (means.T * p_hat) @ means
     c_scalar = float(np.einsum("h,hi,hi->", p_hat, means, means))
     return _symmetrized(term1 + 2.0 * c @ c + 2.0 * c_scalar * c)
-
-
-def dr_kernel_pairform(
-    factors: np.ndarray, slices: SliceAssignment, variance_mode: str = "identity"
-) -> KernelEstimate:
-    """Brute-force double sum over slice pairs; oracle for the DR kernel.
-
-    Accumulates ``sum_{h,g} p_h p_g M_{h,g}^2`` with
-    ``M_{h,g} = 2V - S_h - S_g + m_h m_g' + m_g m_h'``.  In pooled mode this
-    equals ``build_kernel("dr", ...)`` exactly: global centering makes
-    ``sum_h p_h m_h = 0`` and pooling makes ``sum_h p_h (V - S_h) = 0``, so
-    every cross term cancels.
-    """
-    g = _centered(factors)
-    _check_slices(g, slices)
-    k = g.shape[1]
-    means, seconds = _slice_stats(g, slices)
-    p_hat = slices.proportions
-    v = _variance_matrix(variance_mode, p_hat, seconds, k)
-    m = np.zeros((k, k))
-    for h in range(slices.h_count):
-        for j in range(slices.h_count):
-            m_hg = (
-                2.0 * v
-                - seconds[h]
-                - seconds[j]
-                + np.outer(means[h], means[j])
-                + np.outer(means[j], means[h])
-            )
-            m += p_hat[h] * p_hat[j] * (m_hg @ m_hg)
-    return _estimate("DR", _symmetrized(m))
 
 
 def _distinct_row_indices(k: int) -> tuple[np.ndarray, np.ndarray]:

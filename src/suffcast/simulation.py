@@ -25,7 +25,14 @@ from .factor_analysis import (
     fit_factors,
     select_and_fit_factors,
 )
-from .forecaster import METHODS, _check_bandwidth_scale, _predict_batch, fit_forecast_model
+from .forecaster import (
+    METHODS,
+    _check_bandwidth_scale,
+    _check_count,
+    _check_variance_mode,
+    _predict_batch,
+    fit_forecast_model,
+)
 
 LINKS = ("I", "II", "III", "IV")
 
@@ -71,6 +78,9 @@ class DgpSpec:
         object.__setattr__(self, "phi2", np.asarray(self.phi2, dtype=float))
         if self.link not in LINKS:
             raise ValueError(f"unknown link tag {self.link!r}")
+        _check_count("p", self.p)
+        if not self.sigma >= 0:
+            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         for name, phi in (("phi1", self.phi1), ("phi2", self.phi2)):
             if phi.shape != (self.k,):
                 raise ValueError(f"{name} must have length k={self.k}")
@@ -94,9 +104,6 @@ class SimDraw:
     factors: np.ndarray  # T x K true factors
     loadings: np.ndarray  # p x K true loadings
     phi: np.ndarray  # K x 2 true directions
-    alpha: np.ndarray
-    rho: np.ndarray
-    replicate: int
 
 
 def _ar1_panel(coef: np.ndarray, shocks: np.ndarray) -> np.ndarray:
@@ -135,20 +142,18 @@ def sample_dgp(spec: DgpSpec, replicate: int) -> SimDraw:
         factors=factors,
         loadings=b,
         phi=np.column_stack([spec.phi1, spec.phi2]),
-        alpha=alpha,
-        rho=rho,
-        replicate=replicate,
     )
 
 
-def identifiability_rotation(f: np.ndarray, b: np.ndarray):
+def identifiability_rotation(f: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Rotation aligning true factors and loadings with the estimation basis.
 
-    Returns ``(H, F H', B H^{-1})`` where ``H`` makes the rotated factors
-    satisfy ``(FH')'(FH') / T = I`` and the rotated loadings have a diagonal
-    Gram matrix with descending entries.  Column order and signs follow the
-    same conventions as :func:`suffcast.factor_analysis.fit_factors`, so on a
-    noiseless panel the fitted factors coincide with ``F H'``.
+    Returns the ``K x K`` matrix ``H`` that makes the rotated factors ``F H'``
+    satisfy ``(FH')'(FH') / T = I`` and gives the rotated loadings
+    ``B H^{-1}`` a diagonal Gram matrix with descending entries.  Column order
+    and signs follow the same conventions as
+    :func:`suffcast.factor_analysis.fit_factors`, so on a noiseless panel the
+    fitted factors coincide with ``F H'``.
     """
     f = np.asarray(f, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -172,10 +177,7 @@ def identifiability_rotation(f: np.ndarray, b: np.ndarray):
     anchors = np.abs(f_rot).argmax(axis=0)
     signs = np.sign(f_rot[anchors, np.arange(k)])
     signs[signs == 0] = 1.0
-    h = signs[:, None] * h
-    f_rot = f_rot * signs
-    b_rot = np.linalg.solve(h.T, b.T).T
-    return h, f_rot, b_rot
+    return signs[:, None] * h
 
 
 def subspace_r2(phi_hat: np.ndarray, true_span: np.ndarray) -> float:
@@ -223,8 +225,9 @@ class StudyConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
-        if self.n_reps < 1:
-            raise ValueError("n_reps must be >= 1")
+        for name in ("n_reps", "n_test", "l", "h_slices", "k_max"):
+            _check_count(name, getattr(self, name))
+        _check_variance_mode(self.variance_mode)
         _check_bandwidth_scale(self.bandwidth_scale)
 
 
@@ -282,7 +285,7 @@ def _run_replicate(spec: DgpSpec, config: StudyConfig, replicate: int) -> dict:
 
     slices = sdr.slice_target(y_train, config.h_slices)
     if "directions" in config.metrics:
-        h_id, _, _ = identifiability_rotation(draw.factors[:t_train], draw.loadings)
+        h_id = identifiability_rotation(draw.factors[:t_train], draw.loadings)
         basis, _ = np.linalg.qr(np.linalg.solve(h_id.T, draw.phi))
 
     for method in config.methods:

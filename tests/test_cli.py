@@ -4,9 +4,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from suffcast import DgpSpec, PanelData, RollingConfig, StudyConfig, save_csv
+from suffcast import DgpSpec, PanelData, RollingConfig, StudyConfig
 from suffcast import cli
 from suffcast.cli import main
+from test_panel_data import save_csv
 
 
 def run(args):
@@ -173,7 +174,7 @@ class TestSelect:
         assert summary["l_hat"] == 2
 
     def test_objective_csv_matches_library_bit_exactly(self, tmp_path):
-        from suffcast import load_csv, standardize, fit_factors, select_num_factors
+        from suffcast import load_csv, standardize, fit_factors, select_and_fit_factors
         from suffcast import sdr
 
         panel_path = write_factor_panel(tmp_path, t_len=200, p=20, k=2, seed=4)
@@ -182,8 +183,8 @@ class TestSelect:
             "select", "--input", panel_path, "--target-column", "target",
             "--k-max", 5, "--out-dir", out,
         ]) == 0
-        panel, _ = standardize(load_csv(panel_path, "target"))
-        selection = select_num_factors(panel.x, 5)
+        panel = standardize(load_csv(panel_path, "target"))
+        selection, _ = select_and_fit_factors(panel.x, 5)
         fit = fit_factors(panel.x, max(selection.k_hat, 1))
         slices = sdr.slice_target(panel.y, 10)
         kernel = sdr.build_kernel("dr", fit.factors, slices, "identity")
@@ -225,7 +226,7 @@ class TestFactors:
             "factors", "--input", panel_path, "--target-column", "target",
             "--k", 2, "--out-dir", out,
         ]) == 0
-        panel, _ = standardize(load_csv(panel_path, "target"))
+        panel = standardize(load_csv(panel_path, "target"))
         fit = fit_factors(panel.x, 2)
         dumped = np.loadtxt(out / "factors.csv", delimiter=",")
         assert np.array_equal(dumped, fit.factors)
@@ -365,6 +366,24 @@ class TestConfigBoundary:
             ("simulate", [], '{"bandwidth_scale": NaN}', "bandwidth_scale must be"),
             ("forecast", ["--window", "5"], None, "window too short"),
             ("select", ["--method", "bogus"], None, "unknown method"),
+            ("select", ["--method", "pc"], None, "unknown method"),
+            ("forecast", ["--n-eval", "0"], None, "n_eval must be >= 1"),
+            ("forecast", ["--n-eval", "-3"], None, "n_eval must be >= 1"),
+            ("forecast", ["--h-slices", "0"], None, "h_slices must be >= 1"),
+            ("forecast", ["--k", "0"], None, 'k must be >= 1 or "auto"'),
+            ("forecast", ["--l", "0"], None, 'l must be >= 1 or "auto"'),
+            ("forecast", ["--variance-mode", "bogus"], None, "unknown variance_mode"),
+            ("select", ["--k-max", "0"], None, "k_max must be >= 1"),
+            ("simulate", ["--n-reps", "3", "--l", "0"], None, "l must be >= 1"),
+            ("simulate", ["--n-reps", "3", "--h-slices", "0"], None, "h_slices must be >= 1"),
+            ("simulate", ["--n-reps", "3", "--variance-mode", "bogus"], None,
+             "unknown variance_mode"),
+            ("simulate", ["--n-reps", "3", "--k-max", "0", "--metrics", "k_selection"], None,
+             "k_max must be >= 1"),
+            ("simulate", ["--n-reps", "3", "--p", "0"], None, "p must be >= 1"),
+            ("simulate", ["--n-reps", "3", "--n-test", "0", "--metrics", "oos"], None,
+             "n_test must be >= 1"),
+            ("simulate", ["--n-reps", "3", "--sigma", "-1"], None, "sigma must be >= 0"),
         ],
     )
     def test_out_of_range_value_exits_2_before_writing(

@@ -2,15 +2,22 @@ import numpy as np
 import pytest
 
 from suffcast import (
+    FactorEstimate,
     estimated_factors_known_loadings,
     fit_factors,
-    residuals,
     select_and_fit_factors,
-    select_num_factors,
 )
 from suffcast import factor_analysis
 from suffcast._eigen import sym_eig_desc
 from suffcast.factor_analysis import bai_ng_penalty, save_factor_estimate
+
+
+def residuals(x: np.ndarray, fit: FactorEstimate) -> np.ndarray:
+    """Return ``x - B F'`` for a fitted factor model."""
+    p, t_len = fit.loadings.shape[0], fit.factors.shape[0]
+    if x.shape != (p, t_len):
+        raise ValueError(f"x has shape {x.shape}, fit expects ({p}, {t_len})")
+    return x - fit.loadings @ fit.factors.T
 
 
 def random_panel(p, t_len, seed=0):
@@ -206,7 +213,7 @@ class TestSelectNumFactors:
     def test_noiseless_rank3(self):
         rng = np.random.default_rng(12)
         x = rng.standard_normal((50, 3)) @ rng.standard_normal((3, 60))
-        sel = select_num_factors(x, 8)
+        sel = select_and_fit_factors(x, 8)[0]
         assert sel.k_hat == 3
         # residual floor: the log-residual term is flat beyond the true rank
         assert np.allclose(sel.log_resid[3:], sel.log_resid[3])
@@ -215,15 +222,14 @@ class TestSelectNumFactors:
         # observed frequency over 100 seeds; pure noise should almost never
         # admit a factor at p = T = 200
         hits = sum(
-            select_num_factors(np.random.default_rng(s).standard_normal((200, 200)), 8).k_hat
-            == 0
+            select_and_fit_factors(random_panel(200, 200, seed=s), 8)[0].k_hat == 0
             for s in range(100)
         )
         assert hits >= 95, f"K=0 chosen in only {hits}/100 noise panels"
 
     def test_criterion_matches_direct_residual_oracle(self):
         x = random_panel(20, 25, seed=13)
-        sel = select_num_factors(x, 5)
+        sel = select_and_fit_factors(x, 5)[0]
         for k in range(1, 6):
             fit = fit_factors(x, k)
             direct = np.log(np.linalg.norm(residuals(x, fit)) ** 2 / x.size)
@@ -236,7 +242,8 @@ class TestSelectNumFactors:
     def test_select_and_fit_matches_separate_calls(self, p, t_len, k):
         x = random_panel(p, t_len, seed=23)
         sel, fit = select_and_fit_factors(x, 5, k)
-        alone = select_num_factors(x, 5)
+        # the selection does not depend on the fitted count
+        alone = select_and_fit_factors(x, 5)[0]
         assert sel.k_hat == alone.k_hat
         assert np.array_equal(sel.criterion, alone.criterion)
         ref = fit_factors(x, max(alone.k_hat, 1) if k is None else k)
@@ -245,7 +252,7 @@ class TestSelectNumFactors:
 
     def test_k_max_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            select_num_factors(random_panel(5, 8), 6)
+            select_and_fit_factors(random_panel(5, 8), 6)
 
 
 def test_save_factor_estimate_round_trip(tmp_path):

@@ -381,7 +381,7 @@ class TestRollingEvaluate:
         for t, x_win in zip(report.origins, windows):
             lo = t - 20 + 1
             sub = make_panel(x[:, lo : t + 1], panel.y[lo : t + 1])
-            assert np.array_equal(x_win, standardize(sub)[0].x)
+            assert np.array_equal(x_win, standardize(sub).x)
 
     def test_flat_series_in_window_is_named(self):
         rng = np.random.default_rng(20)

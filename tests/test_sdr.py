@@ -6,7 +6,6 @@ from suffcast import (
     KernelEstimate,
     build_kernel,
     default_ct,
-    dr_kernel_pairform,
     extract_directions,
     select_dimension,
     slice_target,
@@ -52,12 +51,12 @@ class TestSliceTarget:
         assert s.counts.sum() == 10
 
     def test_boundaries_consistent_without_ties(self):
+        # slices are contiguous in y: slice h ends at or below where h+1 starts
         rng = np.random.default_rng(0)
         y = rng.standard_normal(23)
         s = slice_target(y, 4)
-        for i, value in enumerate(y):
-            lab = s.labels[i]
-            assert s.boundaries[lab] < value <= s.boundaries[lab + 1]
+        for h in range(3):
+            assert y[s.labels == h].max() <= y[s.labels == h + 1].min()
 
     def test_errors(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -84,12 +83,12 @@ class TestDrKernel:
     def test_single_slice_pooled_vanishes(self):
         s = slice_target(FOUR_POINT_F[:, 0], 1)
         assert build_kernel("dr", FOUR_POINT_F, s, "pooled").matrix[0, 0] == 0.0
-        assert dr_kernel_pairform(FOUR_POINT_F, s, "pooled").matrix[0, 0] == 0.0
+        assert dr_kernel_pairform(FOUR_POINT_F, s, "pooled")[0, 0] == 0.0
 
     def test_symmetric_link_hand_value(self):
         s = slice_target(FOUR_POINT_F[:, 0] ** 2, 2)
         assert build_kernel("dr", FOUR_POINT_F, s, "pooled").matrix[0, 0] == pytest.approx(4.5)
-        assert dr_kernel_pairform(FOUR_POINT_F, s, "pooled").matrix[0, 0] == pytest.approx(4.5)
+        assert dr_kernel_pairform(FOUR_POINT_F, s, "pooled")[0, 0] == pytest.approx(4.5)
 
     def test_unknown_variance_mode(self):
         s = slice_target(FOUR_POINT_F[:, 0], 2)
@@ -105,7 +104,7 @@ class TestDrKernel:
         y = rng.standard_normal(t_len)
         s = slice_target(y, h)
         a = build_kernel("dr", f, s, "pooled").matrix
-        b = dr_kernel_pairform(f, s, "pooled").matrix
+        b = dr_kernel_pairform(f, s, "pooled")
         scale = max(np.linalg.norm(a), 1e-12)
         assert np.linalg.norm(a - b) / scale < 1e-10
 
@@ -144,6 +143,37 @@ class TestTmKernel:
         s = slice_target(np.arange(3.0), 3)
         with pytest.raises(ValueError, match="slice too small"):
             build_kernel("tm", f, s)
+
+
+def dr_kernel_pairform(f, slices, variance_mode="identity"):
+    """Double sum over slice pairs of the DR kernel, from loop-built slice moments.
+
+    Accumulates ``sum_{h,g} p_h p_g M_{h,g}^2`` with
+    ``M_{h,g} = 2V - S_h - S_g + m_h m_g' + m_g m_h'``, where ``m_h`` and
+    ``S_h`` are the slice mean and second moment of the centered factors and
+    ``V`` is the identity or the pooled second moment.  In pooled mode this
+    equals ``build_kernel("dr", ...)``: global centering makes
+    ``sum_h p_h m_h = 0`` and pooling makes ``sum_h p_h (V - S_h) = 0``, so
+    every cross term cancels.
+    """
+    t_len, k = f.shape
+    g = f - f.mean(axis=0)
+    p_hat, means, seconds = [], [], []
+    for h in range(slices.h_count):
+        rows = [g[t] for t in range(t_len) if slices.labels[t] == h]
+        p_hat.append(len(rows) / t_len)
+        means.append(sum(rows) / len(rows))
+        seconds.append(sum(np.outer(r, r) for r in rows) / len(rows))
+    if variance_mode == "pooled":
+        v = sum(p * s for p, s in zip(p_hat, seconds))
+    else:
+        v = np.eye(k)
+    out = np.zeros((k, k))
+    for p_h, m_h, s_h in zip(p_hat, means, seconds):
+        for p_g, m_g, s_g in zip(p_hat, means, seconds):
+            m_hg = 2.0 * v - s_h - s_g + np.outer(m_h, m_g) + np.outer(m_g, m_h)
+            out += p_h * p_g * (m_hg @ m_hg)
+    return out
 
 
 def brute_force_tm(f, slices):

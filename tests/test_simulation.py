@@ -60,10 +60,24 @@ class TestSampleDgp:
         assert 0.1 < u.std() < 5.0
         assert draw.x.shape == (15, 40)
 
-    def test_ar_coefficients_fixed_across_replicates(self):
+    def test_ar_coefficients_fixed_across_replicates(self, monkeypatch):
+        # every replicate draws with the study-level coefficients of the spec
         spec = DgpSpec(p=12, t_len=20, seed=8)
-        assert np.array_equal(sample_dgp(spec, 0).alpha, sample_dgp(spec, 5).alpha)
-        assert np.array_equal(sample_dgp(spec, 0).rho, sample_dgp(spec, 5).rho)
+        alpha, rho = spec.ar_coefficients()
+        used = []
+        ar_coefficients = DgpSpec.ar_coefficients
+
+        def recording(self):
+            used.append(ar_coefficients(self))
+            return used[-1]
+
+        monkeypatch.setattr(DgpSpec, "ar_coefficients", recording)
+        sample_dgp(spec, 0)
+        sample_dgp(spec, 5)
+        assert len(used) == 2
+        for a, r in used:
+            assert np.array_equal(a, alpha)
+            assert np.array_equal(r, rho)
 
     def test_loadings_fixed_flag(self):
         fixed = DgpSpec(p=12, t_len=20, seed=9, fixed_loadings=True)
@@ -76,11 +90,12 @@ class TestSampleDgp:
     def test_stationary_variance_oracle(self):
         spec = DgpSpec(p=8, t_len=50_000, seed=10)
         draw = sample_dgp(spec, 0)
-        target = 1.0 / (1.0 - draw.alpha**2)
+        alpha, _ = spec.ar_coefficients()
+        target = 1.0 / (1.0 - alpha**2)
         sample = draw.factors.var(axis=0)
         assert np.all(np.abs(sample / target - 1.0) < 0.05)
         # mean within 5 standard errors of zero
-        se = np.sqrt(target / (1 - draw.alpha) ** 2 / 50_000)
+        se = np.sqrt(target / (1 - alpha) ** 2 / 50_000)
         assert np.all(np.abs(draw.factors.mean(axis=0)) < 5 * se)
 
     def test_unit_norm_phi_required(self):
@@ -97,7 +112,7 @@ class TestIdentifiabilityRotation:
         b = rng.standard_normal((p, k))
         _, e = sym_eig_desc(b.T @ b)
         b = b @ e
-        h, f_rot, _ = identifiability_rotation(f, b)
+        h = identifiability_rotation(f, b)
         assert np.allclose(np.abs(h), np.eye(k), atol=1e-8)
 
     def test_scaled_factors(self):
@@ -108,7 +123,7 @@ class TestIdentifiabilityRotation:
         b = rng.standard_normal((p, k))
         _, e = sym_eig_desc(b.T @ b)
         b = b @ e
-        h, _, _ = identifiability_rotation(2.0 * f, b)
+        h = identifiability_rotation(2.0 * f, b)
         assert np.allclose(np.abs(h), 0.5 * np.eye(k), atol=1e-8)
 
     def test_constraints_on_random_input(self):
@@ -116,13 +131,15 @@ class TestIdentifiabilityRotation:
         t_len, k, p = 45, 4, 14
         f = rng.standard_normal((t_len, k)) @ rng.standard_normal((k, k))
         b = rng.standard_normal((p, k))
-        h, f_rot, b_rot = identifiability_rotation(f, b)
+        h = identifiability_rotation(f, b)
+        f_rot = f @ h.T
+        b_rot = np.linalg.solve(h.T, b.T).T
         assert np.abs(f_rot.T @ f_rot / t_len - np.eye(k)).max() < 1e-8
         gram = b_rot.T @ b_rot
         assert np.abs(gram - np.diag(np.diag(gram))).max() < 1e-8
         assert np.all(np.diff(np.diag(gram)) <= 1e-10)
-        assert np.allclose(f_rot, f @ h.T)
-        assert np.allclose(b_rot @ h, b)  # B = B_rot H, so B_rot f_rot = B f
+        # the rotation leaves the common component unchanged
+        assert np.allclose(b_rot @ f_rot.T, b @ f.T)
 
     def test_matches_fitted_factors_on_noiseless_panel(self):
         rng = np.random.default_rng(14)
@@ -131,8 +148,8 @@ class TestIdentifiabilityRotation:
         from suffcast import fit_factors
 
         fit = fit_factors(b @ f.T, 3)
-        _, f_rot, _ = identifiability_rotation(f, b)
-        assert np.allclose(fit.factors, f_rot, atol=1e-8)
+        h = identifiability_rotation(f, b)
+        assert np.allclose(fit.factors, f @ h.T, atol=1e-8)
 
     def test_rank_deficiency(self):
         f = np.ones((20, 2))
