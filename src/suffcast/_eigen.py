@@ -26,16 +26,11 @@ def sym_eig_desc(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.lexsort((anchors, -vals))
     vals = vals[order]
     vecs = vecs[:, order]
-    anchors = anchors[order]
-    signs = np.sign(vecs[anchors, np.arange(vecs.shape[1])])
-    signs[signs == 0] = 1.0
-    return vals, vecs * signs
+    return vals, vecs * column_signs(vecs)
 
 
-def fix_column_signs(m: np.ndarray) -> np.ndarray:
-    """Flip columns so every column's largest-magnitude entry is nonnegative."""
-    m = np.asarray(m, dtype=float)
-    anchors = np.abs(m).argmax(axis=0)
-    signs = np.sign(m[anchors, np.arange(m.shape[1])])
+def column_signs(m: np.ndarray) -> np.ndarray:
+    """Per column, the sign (+1 or -1) that makes its largest-magnitude entry nonnegative."""
+    signs = np.sign(m[np.abs(m).argmax(axis=0), np.arange(m.shape[1])])
     signs[signs == 0] = 1.0
-    return m * signs
+    return signs

@@ -7,11 +7,15 @@ and default: ``simulate`` exposes :class:`DgpSpec` (``link`` as ``model``) and
 ``_DEFAULT_OVERRIDES`` lists the two CLI defaults that differ from the field's.
 
 A subcommand reads an optional flat JSON config file, overridden by explicit
-flags.  Every value is checked against its field's type (``_CONVERTERS``) and
-then by the config dataclasses themselves; a wrong one exits 2 before anything
-is written.  The resolved configuration is written next to the outputs as
+flags.  Every value is checked against its field's type (``_CONVERTERS``),
+then by the config dataclasses themselves and by the command's cross-field
+check in ``_COMMANDS``; a wrong one exits 2 before anything is written.  The
+resolved configuration is written next to the outputs as
 ``config_resolved.json``; passed back as ``--config`` to the same subcommand,
-it reproduces the run.  Exit codes:
+it reproduces the run.  This module is the only one that writes files: the
+library returns results, and each command writes its outputs through
+``_write_csv`` (floats as ``repr(float(v))``) and ``_write_json`` (indent 2
+and a final newline).  Exit codes:
 0 success, 2 usage or config error, 3 data error, 4 numerical failure.
 
 The default output directory is taken from the ``SUFFCAST_OUT_DIR``
@@ -20,6 +24,7 @@ environment variable when set, else the current directory.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -27,16 +32,16 @@ import sys
 import time
 import typing
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import sdr
-from .factor_analysis import fit_factors, save_factor_estimate, select_and_fit_factors
-from .forecaster import RollingConfig, rolling_evaluate, save_eval_report
+from . import __version__, sdr
+from .factor_analysis import fit_factors, select_and_fit_factors
+from .forecaster import RollingConfig, rolling_evaluate
 from .panel_data import DataError, load_csv, standardize
-from .simulation import DgpSpec, StudyConfig, monte_carlo_study, save_study
+from .simulation import DgpSpec, StudyConfig, monte_carlo_study
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -111,7 +116,7 @@ def _key(field_name: str) -> str:
 
 def _command_keys(command: str) -> dict:
     """CLI key -> (type, default) for ``command``: input keys, fields, ``out_dir``."""
-    _, classes, names, panel = _COMMANDS[command]
+    _, classes, names, panel, _ = _COMMANDS[command]
     keys = {key: (str, default) for key, default in (_PANEL_IO if panel else {}).items()}
     for cls in classes:
         hints = typing.get_type_hints(cls)
@@ -168,13 +173,60 @@ def _fields_of(cls, config: dict) -> dict:
     return {f.name: config[_key(f.name)] for f in fields(cls) if _key(f.name) in config}
 
 
+def _write_csv(path: Path, rows, header=None) -> None:
+    """Write ``rows`` as CSV: floats as ``repr(float(v))``, other cells as written."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if header is not None:
+            writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
+            )
+
+
+def _write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, indent=2) + "\n")
+
+
 def cmd_simulate(config: dict, out_dir: Path, spec: DgpSpec, study: StudyConfig) -> int:
     if study.jobs <= 0:
         study = replace(study, jobs=os.cpu_count() or 1)
     started = time.time()
     result = monte_carlo_study(spec, study)
-    save_study(result, out_dir, extra_metadata={"runtime_seconds": time.time() - started})
-    for row in result.summary_rows():
+    runtime = time.time() - started
+    rows = result.summary_rows()
+    _write_csv(
+        out_dir / "study.csv",
+        [(spec.link, spec.p, spec.t_len, *row.values()) for row in rows],
+        ["link", "p", "t_len", "method", "metric", "median", "sd", "n_ok", "n_fail"],
+    )
+    _write_csv(
+        out_dir / "replications.csv",
+        [
+            (r, method, metric, v)
+            for (method, metric), vals in sorted(result.values.items())
+            for r, v in enumerate(vals)
+        ],
+        ["replicate", "method", "metric", "value"],
+    )
+    metadata = {
+        "suffcast_version": __version__,
+        "numpy_version": np.__version__,
+        "seed": spec.seed,
+        "link": spec.link,
+        "p": spec.p,
+        "t_len": spec.t_len,
+        "k": spec.k,
+        "n_reps": study.n_reps,
+        "methods": list(study.methods),
+        "metrics": list(study.metrics),
+        "n_failed": len(result.failures),
+        "failures": [{"replicate": r, "error": msg} for r, msg in result.failures],
+        "runtime_seconds": runtime,
+    }
+    _write_json(out_dir / "metadata.json", metadata)
+    for row in rows:
         print(
             f"{row['method']} {row['metric']}: median={row['median']:.3g} "
             f"sd={row['sd']:.3g} n_ok={row['n_ok']} n_fail={row['n_fail']}"
@@ -194,9 +246,27 @@ def cmd_forecast(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
             f"columns needed, panel has {panel.t_len}"
         )
     report = rolling_evaluate(panel, rolling)
-    save_eval_report(report, out_dir, rolling)
+    _write_csv(
+        out_dir / "origins.csv",
+        zip(report.origins, report.forecasts, report.realized, report.benchmarks,
+            report.selected_k, report.selected_l),
+        ["origin", "forecast", "realized", "benchmark", "selected_k", "selected_l"],
+    )
+    summary = {
+        "method": rolling.method,
+        "horizon": rolling.horizon,
+        "window": rolling.window,
+        "n_eval": report.n_eval,
+        "mse": report.mse,
+        "mse_pc": report.mse_pc,
+        "rmse_vs_pc": report.rmse_vs_pc,
+        "r2_oos": report.r2_oos,
+        "backfit_not_converged": report.backfit_not_converged,
+        "config": asdict(rolling),
+    }
+    _write_json(out_dir / "summary.json", summary)
     print(
-        f"method={report.method} h={report.horizon} window={report.window} "
+        f"method={rolling.method} h={rolling.horizon} window={rolling.window} "
         f"n={report.n_eval} mse={report.mse:.3g} rmse_pc={report.rmse_vs_pc:.3g} "
         f"r2={report.r2_oos:.3g}"
     )
@@ -207,26 +277,22 @@ def cmd_select(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
     panel = load_csv(config["input"], config["target_column"], config["delimiter"])
     if rolling.standardize:
         panel = standardize(panel)
-    selection, fit = select_and_fit_factors(panel.x, min(rolling.k_max, panel.p, panel.t_len))
+    selection, fit = select_and_fit_factors(panel.x, rolling.k_max)
     slices = sdr.slice_target(panel.y, rolling.h_slices)
     kernel = sdr.build_kernel(rolling.method, fit.factors, slices, rolling.variance_mode)
     c_t = rolling.ct_multiplier * sdr.default_ct(kernel.method, fit.k, panel.p, panel.t_len)
     dim = sdr.select_dimension(kernel, panel.t_len, sdr.C_CENSOR, c_t)
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    lines = ["k,log_resid,penalty,criterion"]
-    for k in range(selection.k_max + 1):
-        lines.append(
-            f"{k},{float(selection.log_resid[k])!r},{float(selection.penalties[k])!r},"
-            f"{float(selection.criterion[k])!r}"
-        )
-    (out_dir / "k_criterion.csv").write_text("\n".join(lines) + "\n")
-    lines = ["l,objective"]
-    for i, g in enumerate(dim.objective):
-        lines.append(f"{i + 1},{float(g)!r}")
-    (out_dir / "l_objective.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(
+        out_dir / "k_criterion.csv",
+        zip(range(selection.k_max + 1), selection.log_resid, selection.penalties,
+            selection.criterion),
+        ["k", "log_resid", "penalty", "criterion"],
+    )
+    _write_csv(
+        out_dir / "l_objective.csv", enumerate(dim.objective, start=1), ["l", "objective"]
+    )
     summary = {"k_hat": selection.k_hat, "l_hat": dim.l_hat, "tau": dim.tau, "c_t": dim.c_t}
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    _write_json(out_dir / "summary.json", summary)
     print(f"k_hat={selection.k_hat} l_hat={dim.l_hat}")
     return EXIT_OK
 
@@ -236,31 +302,50 @@ def cmd_factors(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
     if rolling.standardize:
         panel = standardize(panel)
     if rolling.k == "auto":
-        _, fit = select_and_fit_factors(panel.x, min(rolling.k_max, panel.p, panel.t_len))
+        _, fit = select_and_fit_factors(panel.x, rolling.k_max)
     else:
         fit = fit_factors(panel.x, rolling.k)
-    save_factor_estimate(fit, out_dir)
+    _write_csv(out_dir / "loadings.csv", fit.loadings)
+    _write_csv(out_dir / "factors.csv", fit.factors)
+    _write_csv(out_dir / "eigenvalues.csv", fit.eigenvalues[:, None])
     print(f"k={fit.k} eigenvalues={[float(f'{v:.3g}') for v in fit.eigenvalues]}")
     return EXIT_OK
 
 
-#: command -> (runner, config classes, exposed fields (None: all), reads a panel)
+def _check_simulate(spec: DgpSpec, study: StudyConfig) -> None:
+    if study.l > spec.k:
+        raise ConfigError(f"l={study.l} must be <= k={spec.k}")
+    if study.h_slices > spec.t_len:
+        raise ConfigError(f"h_slices={study.h_slices} must be <= t_len={spec.t_len}")
+
+
+def _check_select(rolling: RollingConfig) -> None:
+    if rolling.method not in SELECT_METHODS:
+        raise ConfigError(
+            f"unknown method {rolling.method!r} for select; expected one of {SELECT_METHODS}"
+        )
+
+
+#: command -> (runner, config classes, exposed fields (None: all), reads a panel,
+#: cross-field check of the built configs)
 _COMMANDS = {
-    "simulate": (cmd_simulate, (DgpSpec, StudyConfig), None, False),
+    "simulate": (cmd_simulate, (DgpSpec, StudyConfig), None, False, _check_simulate),
     "forecast": (
         cmd_forecast,
         (RollingConfig,),
         ("window", "horizon", "method", "k", "l", "h_slices", "n_eval", "variance_mode",
          "standardize", "ct_multiplier"),
         True,
+        None,
     ),
     "select": (
         cmd_select,
         (RollingConfig,),
         ("k_max", "method", "h_slices", "variance_mode", "ct_multiplier", "standardize"),
         True,
+        _check_select,
     ),
-    "factors": (cmd_factors, (RollingConfig,), ("k", "k_max", "standardize"), True),
+    "factors": (cmd_factors, (RollingConfig,), ("k", "k_max", "standardize"), True, None),
 }
 
 
@@ -281,20 +366,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    runner, classes, _, _ = _COMMANDS[args.command]
+    runner, classes, _, _, check = _COMMANDS[args.command]
     try:
         config = _resolve_config(args, _command_keys(args.command))
         # the config dataclasses check their values before anything is written
         built = [cls(**_fields_of(cls, config)) for cls in classes]
-        if args.command == "select" and built[0].method not in SELECT_METHODS:
-            raise ConfigError(
-                f"unknown method {built[0].method!r} for select; expected one of {SELECT_METHODS}"
-            )
+        if check is not None:
+            check(*built)
         out_dir = Path(config["out_dir"] or os.environ.get("SUFFCAST_OUT_DIR", "."))
         config["out_dir"] = str(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        resolved = {"command": args.command, **config}
-        (out_dir / "config_resolved.json").write_text(json.dumps(resolved, indent=2) + "\n")
+        _write_json(out_dir / "config_resolved.json", {"command": args.command, **config})
         return runner(config, out_dir, *built)
     except (DataError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)

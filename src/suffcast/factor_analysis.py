@@ -22,14 +22,11 @@ criterion and the fitted factors.
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from ._eigen import fix_column_signs, sym_eig_desc
+from ._eigen import column_signs, sym_eig_desc
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +87,8 @@ def _factors_from_eig(x: np.ndarray, k: int, vals: np.ndarray, vecs: np.ndarray)
     p, t_len = x.shape
     if p < t_len and vals[k - 1] > _rank_tol(vals, p, t_len):
         mapped = x.T @ vecs[:, :k]
-        factors = fix_column_signs(np.sqrt(t_len) * mapped / np.linalg.norm(mapped, axis=0))
+        factors = np.sqrt(t_len) * mapped / np.linalg.norm(mapped, axis=0)
+        factors *= column_signs(factors)
         # exact eigenvalue ties: order by the factor column's anchor index,
         # as sym_eig_desc orders the eigenvectors of X'X
         anchors = np.abs(factors).argmax(axis=0)
@@ -150,7 +148,7 @@ class NumFactorsSelection:
     """Result of the factor-count criterion: chosen order and its trace."""
 
     k_hat: int
-    k_max: int
+    k_max: int  # largest K considered: min(k_max, min(p, T) - 1)
     log_resid: np.ndarray  # length k_max + 1, entry K is the log residual term
     penalties: np.ndarray  # length k_max + 1, entry K is K * g(p, T)
 
@@ -178,35 +176,21 @@ def select_and_fit_factors(
     """Select the factor count and fit factors from one Gram eigendecomposition.
 
     The selected count minimizes ``log((pT)^{-1} ||X - B_K F_K'||_F^2) + K g(p, T)``
-    over ``K = 0..k_max`` (the ``K=0`` term is the log of the total mean
-    square), ``g`` being :func:`bai_ng_penalty`, ties broken toward smaller
+    over ``K = 0..min(k_max, min(p, T) - 1)`` (the ``K=0`` term is the log of
+    the total mean square; at ``K = min(p, T)`` the residual is zero up to
+    rounding), ``g`` being :func:`bai_ng_penalty`, ties broken toward smaller
     ``K``.  Eigenvalues below numerical rank tolerance count as exact zeros,
     so noiseless low-rank panels hit the residual floor at their true rank.
     The fit is ``fit_factors(x, k)`` bit for bit; ``k`` defaults to the
     selected count, at least 1.
     """
     x = _check_panel(x)
-    _check_k("k_max", k_max, *x.shape)
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
     if k is not None:
         _check_k("k", k, *x.shape)
     vals, vecs = _small_gram_eig(x)
-    selection = _selection(x.shape, vals, k_max)
+    selection = _selection(x.shape, vals, min(k_max, min(x.shape) - 1))
     k_fit = max(selection.k_hat, 1) if k is None else k
     return selection, _factors_from_eig(x, k_fit, vals, vecs)
 
-
-def save_factor_estimate(fit: FactorEstimate, out_dir: str | Path) -> None:
-    """Dump a factor estimate as CSV matrices for inspection and golden tests."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_matrix(out / "loadings.csv", fit.loadings)
-    _write_matrix(out / "factors.csv", fit.factors)
-    _write_matrix(out / "eigenvalues.csv", fit.eigenvalues[:, None])
-
-
-def _write_matrix(path: Path, m: np.ndarray) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in np.atleast_2d(m):
-        writer.writerow([repr(float(v)) for v in row])
-    path.write_text(buf.getvalue())

@@ -9,12 +9,8 @@ against a linear principal-components baseline fit on identical windows.
 """
 from __future__ import annotations
 
-import csv
-import io
-import json
 import warnings
-from dataclasses import dataclass, field, asdict
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -303,6 +299,8 @@ class RollingConfig:
             _check_count(name, getattr(self, name))
         _check_count("k", self.k, auto=True)
         _check_count("l", self.l, auto=True)
+        if "auto" not in (self.k, self.l) and self.l > self.k:
+            raise ValueError(f"l={self.l} must be <= k={self.k}")
         _check_variance_mode(self.variance_mode)
         _check_bandwidth_scale(self.bandwidth_scale)
 
@@ -311,16 +309,13 @@ class RollingConfig:
 class EvalReport:
     """Per-origin forecasts plus the aggregate accuracy measures."""
 
-    method: str
-    horizon: int
-    window: int
     origins: np.ndarray  # column indices of the forecast origins
     forecasts: np.ndarray
     realized: np.ndarray
     benchmarks: np.ndarray  # per-origin training-window target means, the R^2 benchmark
     mse: float
     mse_pc: float
-    rmse_vs_pc: float
+    rmse_vs_pc: float  # mse / mse_pc, the MSE ratio to the PC baseline
     r2_oos: float
     selected_k: np.ndarray
     selected_l: np.ndarray
@@ -351,7 +346,7 @@ def _fit_window_model(x_win, targets_train, config: RollingConfig):
     ``len(targets_train)`` columns are the training times.
     """
     if config.k == "auto":
-        _, fit = select_and_fit_factors(x_win, min(config.k_max, min(x_win.shape) - 1))
+        _, fit = select_and_fit_factors(x_win, config.k_max)
     else:
         fit = fit_factors(x_win, int(config.k))
     train_factors = fit.factors[: targets_train.shape[0]]
@@ -380,7 +375,8 @@ def rolling_evaluate(panel: PanelData, config: RollingConfig) -> EvalReport:
     At each origin ``t`` the pipeline sees only columns up to ``t`` and target
     values observed by time ``t``; the realized value ``mean(y[t..t+h-1])``
     is used for scoring only.  A linear principal-components baseline is fit
-    on identical windows, so its relative RMSE is exactly one.
+    on identical windows; ``rmse_vs_pc`` is the ratio ``mse / mse_pc`` of the
+    two mean squared errors, exactly one for the baseline itself.
     """
     t_w, h = config.window, config.horizon
     t_len = panel.t_len
@@ -438,9 +434,6 @@ def rolling_evaluate(panel: PanelData, config: RollingConfig) -> EvalReport:
     denom = float(np.sum((realized - benchmarks) ** 2))
     r2 = 1.0 - float(np.sum(err**2)) / denom if denom > 0 else float("-inf")
     return EvalReport(
-        method=config.method,
-        horizon=h,
-        window=t_w,
         origins=origins,
         forecasts=forecasts,
         realized=realized,
@@ -454,37 +447,3 @@ def rolling_evaluate(panel: PanelData, config: RollingConfig) -> EvalReport:
         backfit_not_converged=not_converged,
     )
 
-
-def save_eval_report(report: EvalReport, out_dir: str | Path, config: RollingConfig | None = None) -> None:
-    """Write per-origin forecasts as CSV and the aggregate summary as JSON."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["origin", "forecast", "realized", "benchmark", "selected_k", "selected_l"])
-    for i in range(report.n_eval):
-        writer.writerow(
-            [
-                int(report.origins[i]),
-                repr(float(report.forecasts[i])),
-                repr(float(report.realized[i])),
-                repr(float(report.benchmarks[i])),
-                int(report.selected_k[i]),
-                int(report.selected_l[i]),
-            ]
-        )
-    (out / "origins.csv").write_text(buf.getvalue())
-    summary = {
-        "method": report.method,
-        "horizon": report.horizon,
-        "window": report.window,
-        "n_eval": report.n_eval,
-        "mse": report.mse,
-        "mse_pc": report.mse_pc,
-        "rmse_vs_pc": report.rmse_vs_pc,
-        "r2_oos": report.r2_oos,
-        "backfit_not_converged": report.backfit_not_converged,
-    }
-    if config is not None:
-        summary["config"] = asdict(config)
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")

@@ -9,17 +9,13 @@ and replications can run in parallel.
 """
 from __future__ import annotations
 
-import csv
-import io
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
 from . import sdr
-from ._eigen import sym_eig_desc
+from ._eigen import column_signs, sym_eig_desc
 from .factor_analysis import (
     estimated_factors_known_loadings,
     fit_factors,
@@ -86,6 +82,8 @@ class DgpSpec:
                 raise ValueError(f"{name} must have length k={self.k}")
             if abs(np.linalg.norm(phi) - 1.0) > 1e-8:
                 raise ValueError(f"{name} must have unit norm")
+        if self.k > min(self.p, self.t_len):
+            raise ValueError(f"k={self.k} out of range 1..min(p={self.p}, T={self.t_len})")
 
     def ar_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
         """Study-level AR coefficients, drawn once from the master seed."""
@@ -171,13 +169,8 @@ def identifiability_rotation(f: np.ndarray, b: np.ndarray) -> np.ndarray:
     w = root @ (b.T @ b) @ root
     _, e = sym_eig_desc(w)
     h = e.T @ inv_root
-    f_rot = f @ h.T
-    # sign convention applied to the rotated factor columns, matching the
-    # fitted factors' convention
-    anchors = np.abs(f_rot).argmax(axis=0)
-    signs = np.sign(f_rot[anchors, np.arange(k)])
-    signs[signs == 0] = 1.0
-    return signs[:, None] * h
+    # the fitted factors' sign convention, applied to the rotated factor columns
+    return column_signs(f @ h.T)[:, None] * h
 
 
 def subspace_r2(phi_hat: np.ndarray, true_span: np.ndarray) -> float:
@@ -235,8 +228,6 @@ class StudyConfig:
 class StudyResult:
     """Per-replication metric values plus summary rows."""
 
-    spec: DgpSpec
-    config: StudyConfig
     values: dict  # (method, metric) -> array of per-replication values
     failures: list  # (replicate, message)
 
@@ -249,9 +240,6 @@ class StudyResult:
             sd = float(np.std(ok, ddof=1)) if ok.size > 1 else 0.0
             rows.append(
                 {
-                    "link": self.spec.link,
-                    "p": self.spec.p,
-                    "t_len": self.spec.t_len,
                     "method": method,
                     "metric": metric,
                     "median": median,
@@ -357,59 +345,5 @@ def monte_carlo_study(spec: DgpSpec, config: StudyConfig) -> StudyResult:
         )
         for key in keys
     }
-    return StudyResult(spec=spec, config=config, values=values, failures=failures)
+    return StudyResult(values=values, failures=failures)
 
-
-def save_study(result: StudyResult, out_dir: str | Path, extra_metadata: dict | None = None) -> None:
-    """Write the summary table, per-replication values and metadata."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "study.csv").write_text(study_csv(result))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["replicate", "method", "metric", "value"])
-    for (method, metric), vals in sorted(result.values.items()):
-        for r, v in enumerate(vals):
-            writer.writerow([r, method, metric, repr(float(v))])
-    (out / "replications.csv").write_text(buf.getvalue())
-    from . import __version__
-
-    metadata = {
-        "suffcast_version": __version__,
-        "numpy_version": np.__version__,
-        "seed": result.spec.seed,
-        "link": result.spec.link,
-        "p": result.spec.p,
-        "t_len": result.spec.t_len,
-        "k": result.spec.k,
-        "n_reps": result.config.n_reps,
-        "methods": list(result.config.methods),
-        "metrics": list(result.config.metrics),
-        "n_failed": len(result.failures),
-        "failures": [{"replicate": r, "error": msg} for r, msg in result.failures],
-    }
-    if extra_metadata:
-        metadata.update(extra_metadata)
-    (out / "metadata.json").write_text(json.dumps(metadata, indent=2) + "\n")
-
-
-def study_csv(result: StudyResult) -> str:
-    """Summary table as CSV text (full-precision numbers)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["link", "p", "t_len", "method", "metric", "median", "sd", "n_ok", "n_fail"])
-    for row in result.summary_rows():
-        writer.writerow(
-            [
-                row["link"],
-                row["p"],
-                row["t_len"],
-                row["method"],
-                row["metric"],
-                repr(row["median"]),
-                repr(row["sd"]),
-                row["n_ok"],
-                row["n_fail"],
-            ]
-        )
-    return buf.getvalue()

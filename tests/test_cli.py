@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import fields
 
@@ -91,10 +92,10 @@ class TestSimulate:
 
     def test_replication_failures_reported_not_fatal(self, tmp_path, capsys):
         out = tmp_path / "fail"
-        # h_slices larger than T makes every replication fail
+        # one observation per slice makes every TM kernel fail
         assert run([
-            "simulate", "--p", 20, "--t-len", 30, "--n-reps", 2, "--h-slices", 31,
-            "--methods", "dr", "--seed", 0, "--jobs", 1, "--out-dir", out,
+            "simulate", "--p", 20, "--t-len", 30, "--n-reps", 2, "--h-slices", 30,
+            "--methods", "tm", "--seed", 0, "--jobs", 1, "--out-dir", out,
         ]) == 0
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["n_failed"] == 2
@@ -110,6 +111,25 @@ class TestSimulate:
         assert run(args + ["--methods", "sir,dr", "--out-dir", tmp_path / "flag"]) == 0
         for name in ("study.csv", "replications.csv"):
             assert (tmp_path / "json" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
+
+    def test_replications_csv_parses_back_to_the_library_values(self, tmp_path):
+        from suffcast import monte_carlo_study
+
+        out = tmp_path / "reps"
+        assert run([
+            "simulate", "--p", 20, "--t-len", 40, "--n-reps", 3, "--methods", "sir,dr,pc",
+            "--metrics", "directions,oos", "--seed", 5, "--jobs", 1, "--out-dir", out,
+        ]) == 0
+        spec = DgpSpec(p=20, t_len=40, seed=5)
+        config = StudyConfig(methods=("sir", "dr", "pc"), metrics=("directions", "oos"), n_reps=3)
+        expected = monte_carlo_study(spec, config).values
+        parsed = {}
+        with open(out / "replications.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                parsed.setdefault((row["method"], row["metric"]), []).append(float(row["value"]))
+        assert parsed.keys() == expected.keys()
+        for key, values in expected.items():
+            assert np.array_equal(parsed[key], values, equal_nan=True), key
 
 
 class TestForecast:
@@ -137,6 +157,30 @@ class TestForecast:
         l_col = header.index("selected_l")
         selected = {int(line.split(",")[l_col]) for line in lines[1:]}
         assert all(l >= 1 for l in selected)
+
+    def test_origins_csv_parses_back_to_the_report(self, tmp_path):
+        from suffcast import load_csv, rolling_evaluate
+
+        panel = write_factor_panel(tmp_path, link="curved")
+        out = tmp_path / "dr"
+        assert run([
+            "forecast", "--input", panel, "--target-column", "target",
+            "--method", "dr", "--k", "auto", "--l", "auto", "--window", 120,
+            "--n-eval", 15, "--out-dir", out,
+        ]) == 0
+        config = RollingConfig(window=120, method="dr", k="auto", l="auto", n_eval=15)
+        report = rolling_evaluate(load_csv(panel, "target"), config)
+        with open(out / "origins.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for column, expected, parse in (
+            ("origin", report.origins, int),
+            ("forecast", report.forecasts, float),
+            ("realized", report.realized, float),
+            ("benchmark", report.benchmarks, float),
+            ("selected_k", report.selected_k, int),
+            ("selected_l", report.selected_l, int),
+        ):
+            assert np.array_equal([parse(row[column]) for row in rows], expected), column
 
     def test_truncated_input_exits_2(self, tmp_path):
         panel = write_factor_panel(tmp_path, t_len=60)
@@ -203,6 +247,24 @@ class TestSelect:
         l_table = np.loadtxt(out / "l_objective.csv", delimiter=",", skiprows=1, ndmin=2)
         assert np.array_equal(l_table[:, 1], dim.objective)
 
+    def test_factor_count_stops_below_min_p_t(self, tmp_path):
+        # at K = p the residual is zero up to rounding, so its criterion would
+        # always win; select, factors and forecast all stop at p - 1
+        panel = write_factor_panel(tmp_path, t_len=200, p=5, k=3, seed=9)
+        io = ["--input", panel, "--target-column", "target"]
+        assert run(["select", *io, "--out-dir", tmp_path / "sel"]) == 0
+        k_rows = (tmp_path / "sel" / "k_criterion.csv").read_text().strip().splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in k_rows] == [0, 1, 2, 3, 4]
+        k_hat = json.loads((tmp_path / "sel" / "summary.json").read_text())["k_hat"]
+        assert run(["factors", *io, "--out-dir", tmp_path / "fac"]) == 0
+        eigenvalues = np.loadtxt(tmp_path / "fac" / "eigenvalues.csv", delimiter=",", ndmin=1)
+        assert eigenvalues.shape == (max(k_hat, 1),)
+        assert run([
+            "forecast", *io, "--k", "auto", "--window", 199, "--n-eval", 1,
+            "--method", "pc", "--out-dir", tmp_path / "fc",
+        ]) == 0
+        origin = (tmp_path / "fc" / "origins.csv").read_text().strip().splitlines()[1]
+        assert int(origin.split(",")[4]) <= 4
 
     @pytest.mark.parametrize("method", ["bogus", "pc"])
     def test_unknown_method_exits_2(self, tmp_path, method, capsys):
@@ -384,6 +446,13 @@ class TestConfigBoundary:
             ("simulate", ["--n-reps", "3", "--n-test", "0", "--metrics", "oos"], None,
              "n_test must be >= 1"),
             ("simulate", ["--n-reps", "3", "--sigma", "-1"], None, "sigma must be >= 0"),
+            ("simulate", ["--n-reps", "2", "--p", "30", "--t-len", "60", "--l", "7"], None,
+             "l=7 must be <= k=6"),
+            ("simulate", ["--n-reps", "2", "--p", "20", "--t-len", "5"], None,
+             "k=6 out of range 1..min(p=20, T=5)"),
+            ("simulate", ["--n-reps", "2", "--p", "30", "--t-len", "60", "--h-slices", "80"],
+             None, "h_slices=80 must be <= t_len=60"),
+            ("forecast", ["--k", "2", "--l", "5", "--n-eval", "3"], None, "l=5 must be <= k=2"),
         ],
     )
     def test_out_of_range_value_exits_2_before_writing(

@@ -9,7 +9,7 @@ from suffcast import (
 )
 from suffcast import factor_analysis
 from suffcast._eigen import sym_eig_desc
-from suffcast.factor_analysis import bai_ng_penalty, save_factor_estimate
+from suffcast.factor_analysis import bai_ng_penalty
 
 
 def residuals(x: np.ndarray, fit: FactorEstimate) -> np.ndarray:
@@ -251,13 +251,34 @@ class TestSelectNumFactors:
         assert np.array_equal(fit.eigenvalues, ref.eigenvalues)
 
     def test_k_max_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            select_and_fit_factors(random_panel(5, 8), 6)
+        with pytest.raises(ValueError, match="k_max must be >= 1"):
+            select_and_fit_factors(random_panel(5, 8), 0)
+        # K = min(p, T) leaves a zero residual, so the candidates stop one below it
+        for k_max in (4, 6, 100):
+            selection, _ = select_and_fit_factors(random_panel(5, 8), k_max)
+            assert selection.k_max == 4
+            assert selection.log_resid.shape == (5,)
+            assert selection.k_hat <= 4
 
 
 def test_save_factor_estimate_round_trip(tmp_path):
-    fit = fit_factors(random_panel(6, 10, seed=14), 2)
-    save_factor_estimate(fit, tmp_path)
+    from suffcast import PanelData
+    from suffcast.cli import main
+    from test_panel_data import save_csv
+
+    x = random_panel(6, 10, seed=14)
+    panel = PanelData(
+        x=x,
+        series_names=tuple(f"s{i}" for i in range(6)),
+        time_labels=tuple(f"t{i:02d}" for i in range(10)),
+        y=np.zeros(10),
+    )
+    save_csv(panel, tmp_path / "panel.csv")
+    assert main([
+        "factors", "--input", str(tmp_path / "panel.csv"), "--target-column", "target",
+        "--k", "2", "--standardize", "0", "--out-dir", str(tmp_path),
+    ]) == 0
+    fit = fit_factors(x, 2)
     loadings = np.loadtxt(tmp_path / "loadings.csv", delimiter=",")
     factors = np.loadtxt(tmp_path / "factors.csv", delimiter=",")
     eigenvalues = np.loadtxt(tmp_path / "eigenvalues.csv", delimiter=",")

@@ -395,12 +395,17 @@ class TestRollingEvaluate:
 
 
 def test_save_eval_report(tmp_path):
-    panel = linear_panel()
-    config = RollingConfig(window=30, horizon=1, method="pc", k=2, n_eval=4)
-    report = rolling_evaluate(panel, config)
-    fc.save_eval_report(report, tmp_path, config)
     import json
 
+    from suffcast.cli import main
+    from test_panel_data import save_csv
+
+    save_csv(linear_panel(), tmp_path / "panel.csv")
+    assert main([
+        "forecast", "--input", str(tmp_path / "panel.csv"), "--target-column", "target",
+        "--window", "30", "--horizon", "1", "--method", "pc", "--k", "2", "--n-eval", "4",
+        "--out-dir", str(tmp_path),
+    ]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["rmse_vs_pc"] == 1.0
     assert summary["n_eval"] == 4
