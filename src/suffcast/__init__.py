@@ -10,7 +10,6 @@ from .factor_analysis import (
     FactorEstimate,
     NumFactorsSelection,
     estimated_factors_known_loadings,
-    fit_factors,
     select_and_fit_factors,
 )
 from .sdr import (
@@ -18,7 +17,6 @@ from .sdr import (
     KernelEstimate,
     SliceAssignment,
     build_kernel,
-    default_ct,
     extract_directions,
     select_dimension,
     slice_target,
@@ -53,7 +51,6 @@ __all__ = [
     "standardize",
     "FactorEstimate",
     "NumFactorsSelection",
-    "fit_factors",
     "estimated_factors_known_loadings",
     "select_and_fit_factors",
     "SliceAssignment",
@@ -63,7 +60,6 @@ __all__ = [
     "build_kernel",
     "extract_directions",
     "select_dimension",
-    "default_ct",
     "ForecastModel",
     "EvalReport",
     "RollingConfig",

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, sdr
-from .factor_analysis import fit_factors, select_and_fit_factors
+from .factor_analysis import select_and_fit_factors
 from .forecaster import RollingConfig, rolling_evaluate
 from .panel_data import DataError, load_csv, standardize
 from .simulation import DgpSpec, StudyConfig, monte_carlo_study
@@ -240,11 +240,6 @@ def cmd_simulate(config: dict, out_dir: Path, spec: DgpSpec, study: StudyConfig)
 
 def cmd_forecast(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
     panel = load_csv(config["input"], config["target_column"], config["delimiter"])
-    if panel.t_len < rolling.window + rolling.horizon:
-        raise ConfigError(
-            f"input too short: window + horizon = {rolling.window + rolling.horizon} "
-            f"columns needed, panel has {panel.t_len}"
-        )
     report = rolling_evaluate(panel, rolling)
     _write_csv(
         out_dir / "origins.csv",
@@ -267,7 +262,7 @@ def cmd_forecast(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
     _write_json(out_dir / "summary.json", summary)
     print(
         f"method={rolling.method} h={rolling.horizon} window={rolling.window} "
-        f"n={report.n_eval} mse={report.mse:.3g} rmse_pc={report.rmse_vs_pc:.3g} "
+        f"n={report.n_eval} mse={report.mse:.3g} mse_ratio_pc={report.rmse_vs_pc:.3g} "
         f"r2={report.r2_oos:.3g}"
     )
     return EXIT_OK
@@ -280,8 +275,7 @@ def cmd_select(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
     selection, fit = select_and_fit_factors(panel.x, rolling.k_max)
     slices = sdr.slice_target(panel.y, rolling.h_slices)
     kernel = sdr.build_kernel(rolling.method, fit.factors, slices, rolling.variance_mode)
-    c_t = rolling.ct_multiplier * sdr.default_ct(kernel.method, fit.k, panel.p, panel.t_len)
-    dim = sdr.select_dimension(kernel, panel.t_len, sdr.C_CENSOR, c_t)
+    dim = sdr.select_dimension(kernel, panel.p, panel.t_len, rolling.ct_multiplier)
     _write_csv(
         out_dir / "k_criterion.csv",
         zip(range(selection.k_max + 1), selection.log_resid, selection.penalties,
@@ -301,10 +295,7 @@ def cmd_factors(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
     panel = load_csv(config["input"], config["target_column"], config["delimiter"])
     if rolling.standardize:
         panel = standardize(panel)
-    if rolling.k == "auto":
-        _, fit = select_and_fit_factors(panel.x, rolling.k_max)
-    else:
-        fit = fit_factors(panel.x, rolling.k)
+    _, fit = select_and_fit_factors(panel.x, rolling.k_max, rolling.k)
     _write_csv(out_dir / "loadings.csv", fit.loadings)
     _write_csv(out_dir / "factors.csv", fit.factors)
     _write_csv(out_dir / "eigenvalues.csv", fit.eigenvalues[:, None])
@@ -317,6 +308,17 @@ def _check_simulate(spec: DgpSpec, study: StudyConfig) -> None:
         raise ConfigError(f"l={study.l} must be <= k={spec.k}")
     if study.h_slices > spec.t_len:
         raise ConfigError(f"h_slices={study.h_slices} must be <= t_len={spec.t_len}")
+
+
+def _check_forecast(rolling: RollingConfig) -> None:
+    # select and factors read h_slices and k without a window, so these
+    # bounds are not RollingConfig's
+    n_train = rolling.window - rolling.horizon
+    if rolling.h_slices > n_train:
+        raise ConfigError(f"h_slices={rolling.h_slices} must be <= window - horizon = {n_train}")
+    # the PC baseline fit on every window needs T > K
+    if rolling.k != "auto" and rolling.k >= n_train:
+        raise ConfigError(f"k={rolling.k} must be < window - horizon = {n_train}")
 
 
 def _check_select(rolling: RollingConfig) -> None:
@@ -336,7 +338,7 @@ _COMMANDS = {
         ("window", "horizon", "method", "k", "l", "h_slices", "n_eval", "variance_mode",
          "standardize", "ct_multiplier"),
         True,
-        None,
+        _check_forecast,
     ),
     "select": (
         cmd_select,

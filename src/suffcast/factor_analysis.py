@@ -16,9 +16,10 @@ low-rank one) the fit falls back to ``X'X``, whose null-space eigenvectors
 complete the factor basis.
 
 The number of factors is selected by penalized log residual variance, computed
-from the eigenvalues of the same smaller Gram matrix;
-:func:`select_and_fit_factors` shares one eigendecomposition between the
-criterion and the fitted factors.
+from the eigenvalues of the same smaller Gram matrix.
+:func:`select_and_fit_factors` is the one factor fit: it shares one
+eigendecomposition between the criterion and the fitted factors, whether the
+count is fixed or ``"auto"``.
 """
 from __future__ import annotations
 
@@ -102,23 +103,6 @@ def _factors_from_eig(x: np.ndarray, k: int, vals: np.ndarray, vecs: np.ndarray)
     return FactorEstimate(loadings=loadings, factors=factors, eigenvalues=eigenvalues)
 
 
-def _check_k(name: str, k: int, p: int, t_len: int) -> None:
-    if not 1 <= k <= min(p, t_len):
-        raise ValueError(f"{name}={k} out of range 1..min(p={p}, T={t_len})")
-
-
-def fit_factors(x: np.ndarray, k: int) -> FactorEstimate:
-    """Fit a rank-``k`` factor model to the ``p x T`` matrix ``x``.
-
-    The factor columns are sign-fixed (largest-magnitude entry nonnegative)
-    and ordered by descending eigenvalue, ties broken by the first index of
-    each factor column's largest entry.
-    """
-    x = _check_panel(x)
-    _check_k("k", k, *x.shape)
-    return _factors_from_eig(x, k, *_small_gram_eig(x))
-
-
 def estimated_factors_known_loadings(x: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Recover factor values by least squares given known loadings.
 
@@ -171,7 +155,7 @@ def _selection(shape: tuple[int, int], vals: np.ndarray, k_max: int) -> NumFacto
 
 
 def select_and_fit_factors(
-    x: np.ndarray, k_max: int, k: int | None = None
+    x: np.ndarray, k_max: int, k: int | str = "auto"
 ) -> tuple[NumFactorsSelection, FactorEstimate]:
     """Select the factor count and fit factors from one Gram eigendecomposition.
 
@@ -181,16 +165,19 @@ def select_and_fit_factors(
     rounding), ``g`` being :func:`bai_ng_penalty`, ties broken toward smaller
     ``K``.  Eigenvalues below numerical rank tolerance count as exact zeros,
     so noiseless low-rank panels hit the residual floor at their true rank.
-    The fit is ``fit_factors(x, k)`` bit for bit; ``k`` defaults to the
-    selected count, at least 1.
+
+    The fit has ``k`` factors, or with ``k="auto"`` the selected count, at
+    least 1.  Its factor columns are sign-fixed (largest-magnitude entry
+    nonnegative) and ordered by descending eigenvalue, ties broken by the
+    first index of each factor column's largest entry.
     """
     x = _check_panel(x)
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if k is not None:
-        _check_k("k", k, *x.shape)
+    p, t_len = x.shape
+    if k != "auto" and not 1 <= k <= min(p, t_len):
+        raise ValueError(f"k={k} out of range 1..min(p={p}, T={t_len})")
     vals, vecs = _small_gram_eig(x)
     selection = _selection(x.shape, vals, min(k_max, min(x.shape) - 1))
-    k_fit = max(selection.k_hat, 1) if k is None else k
+    k_fit = max(selection.k_hat, 1) if k == "auto" else k
     return selection, _factors_from_eig(x, k_fit, vals, vecs)
-

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sdr
-from .factor_analysis import fit_factors, select_and_fit_factors
+from .factor_analysis import select_and_fit_factors
 from .panel_data import PanelData, _standardize_array
 
 BACKFIT_TOL = 1e-8
@@ -86,7 +86,6 @@ class ForecastModel:
     """
 
     kind: str  # "additive" | "linear"
-    method: str
     intercept: float
     directions: np.ndarray | None = None
     smoothers: list[_Smoother] = field(default_factory=list)
@@ -98,22 +97,21 @@ class ForecastModel:
 def fit_additive(
     indices: np.ndarray,
     targets: np.ndarray,
-    bandwidths=None,
-    *,
-    directions: np.ndarray | None = None,
-    method: str = "additive",
+    bandwidths: np.ndarray,
+    directions: np.ndarray,
 ) -> ForecastModel:
-    """Backfit univariate kernel smoothers on the columns of ``indices``.
+    """Backfit univariate kernel smoothers on the columns of the ``T x L`` ``indices``.
 
-    Targets are centered at their mean (the model intercept) and components
-    are updated in turn until the fitted values move less than ``BACKFIT_TOL``
-    or ``BACKFIT_MAX_SWEEPS`` is reached.  A zero-variance index column is
-    fixed at zero with a warning, and its bandwidth is not used.  Default
-    per-index bandwidth is the normal-reference rule.
+    ``bandwidths`` holds one bandwidth per index and ``directions`` is the
+    ``K x L`` map from a factor vector to the indices.  Targets are centered
+    at their mean (the model intercept) and components are updated in turn
+    until the fitted values move less than ``BACKFIT_TOL`` or
+    ``BACKFIT_MAX_SWEEPS`` is reached.  A zero-variance index column is fixed
+    at zero with a warning, and its bandwidth is not used.
     """
-    indices = np.atleast_2d(np.asarray(indices, dtype=float))
-    if indices.shape[0] == 1 and indices.shape[1] > 1:
-        indices = indices.T
+    indices = np.asarray(indices, dtype=float)
+    if indices.ndim != 2:
+        raise ValueError("indices must be T x L")
     targets = np.asarray(targets, dtype=float)
     t_len, n_idx = indices.shape
     if t_len < 3:
@@ -125,30 +123,26 @@ def fit_additive(
     if not (np.all(np.isfinite(indices)) and np.all(np.isfinite(targets))):
         raise ValueError("non-finite inputs")
     degenerate = np.ptp(indices, axis=0) == 0.0
-    if bandwidths is not None:
-        bandwidths = np.asarray(bandwidths, dtype=float)
-        if bandwidths.shape != (n_idx,):
-            raise ValueError(f"bandwidths have shape {bandwidths.shape}, expected ({n_idx},)")
-        used = bandwidths[~degenerate]
-        if not np.all(np.isfinite(used) & (used > 0)):
-            raise ValueError("bandwidths must be finite and strictly positive")
+    bandwidths = np.asarray(bandwidths, dtype=float)
+    if bandwidths.shape != (n_idx,):
+        raise ValueError(f"bandwidths have shape {bandwidths.shape}, expected ({n_idx},)")
+    used = bandwidths[~degenerate]
+    if not np.all(np.isfinite(used) & (used > 0)):
+        raise ValueError("bandwidths must be finite and strictly positive")
 
     intercept = float(targets.mean())
     centered = targets - intercept
 
     active = np.ones(n_idx, dtype=bool)
-    bws = np.empty(n_idx)
     weight_mats: list[np.ndarray | None] = []
     for j in range(n_idx):
         if degenerate[j]:
             warnings.warn(f"index {j} is degenerate (zero variance); component fixed at 0",
                           stacklevel=2)
             active[j] = False
-            bws[j] = np.nan
             weight_mats.append(None)
             continue
-        bws[j] = bandwidths[j] if bandwidths is not None else reference_bandwidth(indices[:, j])
-        weight_mats.append(_nw_weights(indices[:, j], indices[:, j], bws[j]))
+        weight_mats.append(_nw_weights(indices[:, j], indices[:, j], bandwidths[j]))
 
     fitted = np.zeros((n_idx, t_len))
     total_prev = np.zeros(t_len)
@@ -169,15 +163,12 @@ def fit_additive(
     for j in range(n_idx):
         if active[j]:
             partial = centered - (total - fitted[j])
-            smoothers.append(_Smoother(indices[:, j].copy(), partial, float(bws[j])))
+            smoothers.append(_Smoother(indices[:, j].copy(), partial, float(bandwidths[j])))
         else:
             smoothers.append(_Smoother(indices[:, j].copy(), np.zeros(t_len), 1.0, active=False))
 
-    if directions is None:
-        directions = np.eye(n_idx)
     return ForecastModel(
         kind="additive",
-        method=method,
         intercept=intercept,
         directions=np.asarray(directions, dtype=float),
         smoothers=smoothers,
@@ -200,12 +191,7 @@ def fit_pc_baseline(factors: np.ndarray, targets: np.ndarray) -> ForecastModel:
     if np.linalg.matrix_rank(design) < k + 1:
         raise ValueError("rank-deficient design in linear baseline")
     beta, *_ = np.linalg.lstsq(design, targets, rcond=None)
-    return ForecastModel(
-        kind="linear",
-        method="PC",
-        intercept=float(beta[0]),
-        coefficients=beta[1:],
-    )
+    return ForecastModel(kind="linear", intercept=float(beta[0]), coefficients=beta[1:])
 
 
 def _check_bandwidth_scale(scale: float) -> None:
@@ -237,24 +223,27 @@ def fit_forecast_model(
     """Fit the forecast rule ``method`` names on training factors.
 
     ``"pc"`` is the linear baseline on every factor, ``"nlpc"`` the additive
-    fit on every factor, and a kernel method the additive fit on the indices
-    ``factors @ phi``, named ``"{METHOD}({l})"``.  Every additive fit smooths
+    fit on every factor (identity directions), and a kernel method the
+    additive fit on the indices ``factors @ phi``.  Every additive fit smooths
     index ``j`` with ``bandwidth_scale`` times its normal-reference bandwidth.
     """
     if method == "pc":
         return fit_pc_baseline(factors, targets)
     if method == "nlpc":
-        indices, directions, name = factors, np.eye(factors.shape[1]), "NL-PC"
+        indices, directions = factors, np.eye(factors.shape[1])
     else:
-        indices, directions, name = factors @ phi, phi, f"{method.upper()}({phi.shape[1]})"
+        indices, directions = factors @ phi, phi
     bandwidths = bandwidth_scale * np.array(
         [reference_bandwidth(indices[:, j]) for j in range(indices.shape[1])]
     )
-    return fit_additive(indices, targets, bandwidths, directions=directions, method=name)
+    return fit_additive(indices, targets, bandwidths, directions)
 
 
-def _predict_batch(model: ForecastModel, f_new: np.ndarray) -> np.ndarray:
-    f_new = np.atleast_2d(np.asarray(f_new, dtype=float))
+def predict(model: ForecastModel, f_new: np.ndarray) -> np.ndarray:
+    """Evaluate the fitted forecast rule at each row of the ``n x K`` ``f_new``."""
+    f_new = np.asarray(f_new, dtype=float)
+    if f_new.ndim != 2:
+        raise ValueError("f_new must be n x K")
     if not np.all(np.isfinite(f_new)):
         raise ValueError("non-finite input to predict")
     if model.kind == "linear":
@@ -264,11 +253,6 @@ def _predict_batch(model: ForecastModel, f_new: np.ndarray) -> np.ndarray:
     for j, smoother in enumerate(model.smoothers):
         out += smoother(idx[:, j])
     return out
-
-
-def predict(model: ForecastModel, f_new) -> float:
-    """Evaluate the fitted forecast rule at one length-``K`` input vector."""
-    return float(_predict_batch(model, np.asarray(f_new, dtype=float)[None, :])[0])
 
 
 @dataclass(frozen=True)
@@ -291,16 +275,21 @@ class RollingConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.window < 10:
-            raise ValueError("window too short")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        if self.window - self.horizon < 10:
+            raise ValueError(
+                f"window too short: window - horizon = {self.window - self.horizon} "
+                "leaves fewer than 10 training points"
+            )
         for name in ("n_eval", "h_slices", "k_max"):
             _check_count(name, getattr(self, name))
         _check_count("k", self.k, auto=True)
         _check_count("l", self.l, auto=True)
-        if "auto" not in (self.k, self.l) and self.l > self.k:
-            raise ValueError(f"l={self.l} must be <= k={self.k}")
+        # with k="auto" the fitted K is at most k_max
+        bound, name = (self.k_max, "k_max") if self.k == "auto" else (self.k, "k")
+        if self.l != "auto" and self.l > bound:
+            raise ValueError(f"l={self.l} must be <= {name}={bound}")
         _check_variance_mode(self.variance_mode)
         _check_bandwidth_scale(self.bandwidth_scale)
 
@@ -345,10 +334,7 @@ def _fit_window_model(x_win, targets_train, config: RollingConfig):
     requested); the last column is the forecast origin and the first
     ``len(targets_train)`` columns are the training times.
     """
-    if config.k == "auto":
-        _, fit = select_and_fit_factors(x_win, config.k_max)
-    else:
-        fit = fit_factors(x_win, int(config.k))
+    _, fit = select_and_fit_factors(x_win, config.k_max, config.k)
     train_factors = fit.factors[: targets_train.shape[0]]
     if config.method not in sdr.KERNEL_METHODS:
         phi, l_use = None, (fit.k if config.method == "nlpc" else 0)
@@ -356,17 +342,16 @@ def _fit_window_model(x_win, targets_train, config: RollingConfig):
         slices = sdr.slice_target(targets_train, config.h_slices)
         kernel = sdr.build_kernel(config.method, train_factors, slices, config.variance_mode)
         if config.l == "auto":
-            c_t = config.ct_multiplier * sdr.default_ct(
-                kernel.method, fit.k, x_win.shape[0], slices.t_len
-            )
-            l_use = sdr.select_dimension(kernel, slices.t_len, sdr.C_CENSOR, c_t).l_hat
+            l_use = sdr.select_dimension(
+                kernel, x_win.shape[0], slices.t_len, config.ct_multiplier
+            ).l_hat
         else:
-            l_use = int(config.l)
+            l_use = config.l
         phi = sdr.extract_directions(kernel, l_use)
     model = fit_forecast_model(
         config.method, train_factors, targets_train, phi, config.bandwidth_scale
     )
-    return model, fit, fit.k, l_use
+    return model, fit, l_use
 
 
 def rolling_evaluate(panel: PanelData, config: RollingConfig) -> EvalReport:
@@ -391,8 +376,6 @@ def rolling_evaluate(panel: PanelData, config: RollingConfig) -> EvalReport:
     origins = np.arange(first, last + 1)
     if config.n_eval < len(origins):
         origins = origins[-config.n_eval :]
-    if t_w - h < 10:
-        raise ValueError("window leaves too few training points for the horizon")
 
     forecasts = np.empty(origins.shape[0])
     baseline = np.empty(origins.shape[0])
@@ -409,16 +392,17 @@ def rolling_evaluate(panel: PanelData, config: RollingConfig) -> EvalReport:
             if config.standardize:
                 x_win = _standardize_array(x_win, panel.series_names)
             targets_train = aligned[lo : t - h + 1]
-            model, fit, k_use, l_use = _fit_window_model(x_win, targets_train, config)
+            model, fit, l_use = _fit_window_model(x_win, targets_train, config)
             not_converged += not model.converged
-            forecasts[i] = predict(model, fit.factors[-1])
+            f_origin = fit.factors[-1:]
+            forecasts[i] = predict(model, f_origin)[0]
             if config.method == "pc":
                 baseline[i] = forecasts[i]
             else:
                 pc_model = fit_pc_baseline(fit.factors[: targets_train.shape[0]], targets_train)
-                baseline[i] = predict(pc_model, fit.factors[-1])
+                baseline[i] = predict(pc_model, f_origin)[0]
             benchmarks[i] = targets_train.mean()
-            selected_k[i] = k_use
+            selected_k[i] = fit.k
             selected_l[i] = l_use
         except Exception as e:
             # prefix the origin in place: rebuilding the exception would

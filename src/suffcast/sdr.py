@@ -79,6 +79,7 @@ def slice_target(y, h_count: int) -> SliceAssignment:
 class KernelEstimate:
     """A symmetric candidate matrix with its spectrum, from one eigendecomposition.
 
+    ``method`` is the ``KERNEL_METHODS`` name the matrix was built by.
     ``eigenvalues`` descend and ``eigenvectors`` holds the matching unit
     columns, per the package eigen conventions.
     """
@@ -125,11 +126,6 @@ def _slice_stats(g: np.ndarray, slices: SliceAssignment):
 def _symmetrized(m: np.ndarray) -> np.ndarray:
     """``(M + M')/2``: exactly symmetric, whatever rounding built ``M``."""
     return (m + m.T) / 2.0
-
-
-def _estimate(method: str, m: np.ndarray) -> KernelEstimate:
-    vals, vecs = sym_eig_desc(m)
-    return KernelEstimate(method=method, matrix=m, eigenvalues=vals, eigenvectors=vecs)
 
 
 def _sir_matrix(g: np.ndarray, slices: SliceAssignment) -> np.ndarray:
@@ -215,15 +211,18 @@ def build_kernel(
     g = _centered(factors)
     _check_slices(g, slices)
     if method == "sir":
-        return _estimate("SIR", _sir_matrix(g, slices))
-    if method == "dr":
-        return _estimate("DR", _dr_matrix(g, slices, variance_mode))
-    if method == "tm":
-        return _estimate("TM", _tm_matrix(g, slices))
-    if method == "ens":
+        m = _sir_matrix(g, slices)
+    elif method == "dr":
+        m = _dr_matrix(g, slices, variance_mode)
+    elif method == "tm":
+        m = _tm_matrix(g, slices)
+    elif method == "ens":
         # both sides are symmetrized, so their sum is exactly symmetric
-        return _estimate("DR+TM", _dr_matrix(g, slices, variance_mode) + _tm_matrix(g, slices))
-    raise ValueError(f"unknown kernel method {method!r}; expected one of {KERNEL_METHODS}")
+        m = _dr_matrix(g, slices, variance_mode) + _tm_matrix(g, slices)
+    else:
+        raise ValueError(f"unknown kernel method {method!r}; expected one of {KERNEL_METHODS}")
+    vals, vecs = sym_eig_desc(m)
+    return KernelEstimate(method=method, matrix=m, eigenvalues=vals, eigenvectors=vecs)
 
 
 def extract_directions(kernel: KernelEstimate, l: int) -> np.ndarray:
@@ -245,51 +244,51 @@ class DimensionSelection:
 
 
 #: multiplicative calibration of the dimension-selection penalty.  The raw
-#: rate-based candidate (see :func:`default_ct`) overshoots at desk-scale
+#: rate-based candidate (see :func:`_default_ct`) overshoots at desk-scale
 #: sizes where K^3/p is not yet small, collapsing every selection to l=1;
 #: 0.1 was calibrated once on synthetic studies and sits in the middle of
 #: the range that recovers the true dimension.
 CT_CALIBRATION = 0.1
 
 
-def default_ct(method: str, k: int, p: int, t_len: int) -> float:
-    """Default scale of the dimension-selection penalty for a kernel method.
+def _default_ct(method: str, k: int, p: int, t_len: int) -> float:
+    """Scale of the dimension-selection penalty for a kernel method.
 
     The rate-based candidate is ``sqrt(K/p) T + sqrt(T)`` for SIR and DR;
-    the third-moment variants pay an extra ``sqrt(K)`` on the sampling term:
-    ``sqrt(K/p) T + sqrt(K T)``.  The returned value is the candidate times
-    ``CT_CALIBRATION``.
+    the third-moment kernels (TM and the ensemble) pay an extra ``sqrt(K)``
+    on the sampling term: ``sqrt(K/p) T + sqrt(K T)``.  The returned value is
+    the candidate times ``CT_CALIBRATION``.
     """
-    method = method.upper()
     base = math.sqrt(k / p) * t_len
-    if method in ("SIR", "DR"):
+    if method in ("sir", "dr"):
         return CT_CALIBRATION * (base + math.sqrt(t_len))
-    if method in ("TM", "DR+TM", "ENS"):
+    if method in ("tm", "ens"):
         return CT_CALIBRATION * (base + math.sqrt(k * t_len))
-    raise ValueError(f"unknown method {method!r}")
+    raise ValueError(f"unknown kernel method {method!r}; expected one of {KERNEL_METHODS}")
 
 
 def select_dimension(
-    kernel: KernelEstimate, t_len: int, c_censor: float, c_t: float
+    kernel: KernelEstimate, p: int, t_len: int, ct_multiplier: float
 ) -> DimensionSelection:
     """Pick the index count maximizing the spectral objective.
 
-    For eigenvalues ``lam_1 >= ... >= lam_K`` and candidate ``l`` in
-    ``1..K_c`` (``K_c`` the nearest integer to ``c_censor * K``),
+    For a kernel of ``K`` factors estimated on a panel of ``p`` series and
+    ``t_len`` observations, with eigenvalues ``lam_1 >= ... >= lam_K`` and
+    candidate ``l`` in ``1..K_c`` (``K_c`` the nearest integer to
+    ``C_CENSOR * K``),
 
         G(l) = (T/2) sum_{i=1+min(tau,l)}^{K_c} [log(lam_i + 1) - lam_i]
                - c_t * l (2K - l + 1) / 2,
 
-    where ``tau`` counts eigenvalues above the positivity threshold.  Ties
-    are broken toward smaller ``l``.  The objective is intentionally not
-    scale-free; the per-``l`` values are exposed for inspection.
+    where ``tau`` counts eigenvalues above the positivity threshold and
+    ``c_t`` is ``ct_multiplier`` times the kernel method's default penalty
+    scale (:func:`_default_ct`).  Ties are broken toward smaller ``l``.  The
+    objective is intentionally not scale-free; the per-``l`` values are
+    exposed for inspection.
     """
-    if not 0.0 < c_censor < 1.0:
-        raise ValueError(f"c_censor must lie in (0, 1), got {c_censor}")
     k = kernel.k
-    k_c = int(math.floor(c_censor * k + 0.5))
-    if k_c < 1:
-        raise ValueError(f"censored range is empty: round({c_censor} * {k}) < 1")
+    c_t = ct_multiplier * _default_ct(kernel.method, k, p, t_len)
+    k_c = int(math.floor(C_CENSOR * k + 0.5))
     lam = kernel.eigenvalues
     tau = int(np.sum(lam > EIGENVALUE_POSITIVITY_THRESHOLD))
     terms = np.log(lam[:k_c] + 1.0) - lam[:k_c]

@@ -16,18 +16,14 @@ import numpy as np
 
 from . import sdr
 from ._eigen import column_signs, sym_eig_desc
-from .factor_analysis import (
-    estimated_factors_known_loadings,
-    fit_factors,
-    select_and_fit_factors,
-)
+from .factor_analysis import estimated_factors_known_loadings, select_and_fit_factors
 from .forecaster import (
     METHODS,
     _check_bandwidth_scale,
     _check_count,
     _check_variance_mode,
-    _predict_batch,
     fit_forecast_model,
+    predict,
 )
 
 LINKS = ("I", "II", "III", "IV")
@@ -149,9 +145,9 @@ def identifiability_rotation(f: np.ndarray, b: np.ndarray) -> np.ndarray:
     Returns the ``K x K`` matrix ``H`` that makes the rotated factors ``F H'``
     satisfy ``(FH')'(FH') / T = I`` and gives the rotated loadings
     ``B H^{-1}`` a diagonal Gram matrix with descending entries.  Column order
-    and signs follow the same conventions as
-    :func:`suffcast.factor_analysis.fit_factors`, so on a noiseless panel the
-    fitted factors coincide with ``F H'``.
+    and signs follow the same conventions as the factor fit
+    :func:`suffcast.factor_analysis.select_and_fit_factors`, so on a noiseless
+    panel the fitted factors coincide with ``F H'``.
     """
     f = np.asarray(f, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -261,14 +257,11 @@ def _run_replicate(spec: DgpSpec, config: StudyConfig, replicate: int) -> dict:
     y_train = draw.y[:t_train]
     out: dict = {}
 
-    need_fit = bool(set(config.metrics) & {"directions", "oos", "l_selection"})
+    # one Gram eigendecomposition serves the criterion and the true-K fit
+    sel, fit = select_and_fit_factors(x_train, config.k_max, spec.k)
     if "k_selection" in config.metrics:
-        # one Gram eigendecomposition serves the criterion and the true-K fit
-        sel, fit = select_and_fit_factors(x_train, config.k_max, spec.k)
         out[("factors", "k_selection")] = sel.k_hat
-    elif need_fit:
-        fit = fit_factors(x_train, spec.k)
-    if not need_fit:
+    if not set(config.metrics) - {"k_selection"}:  # no per-method metric
         return out
 
     slices = sdr.slice_target(y_train, config.h_slices)
@@ -287,11 +280,8 @@ def _run_replicate(spec: DgpSpec, config: StudyConfig, replicate: int) -> dict:
             if config.l >= 2:
                 out[(method, "r2_phi2")] = subspace_r2(phi_hat[:, 1], basis)
         if "l_selection" in config.metrics and kernel is not None:
-            c_t = config.ct_multiplier * sdr.default_ct(
-                kernel.method, spec.k, spec.p, t_train
-            )
             out[(method, "l_selection")] = sdr.select_dimension(
-                kernel, t_train, sdr.C_CENSOR, c_t
+                kernel, spec.p, t_train, config.ct_multiplier
             ).l_hat
         if want_oos:
             model = fit_forecast_model(
@@ -299,7 +289,7 @@ def _run_replicate(spec: DgpSpec, config: StudyConfig, replicate: int) -> dict:
             )
             x_test = draw.x[:, t_train:]
             f_test = estimated_factors_known_loadings(x_test, fit.loadings)
-            pred = _predict_batch(model, f_test)
+            pred = predict(model, f_test)
             y_test = draw.y[t_train:]
             denom = float(np.sum((y_test - y_train.mean()) ** 2))
             out[(method, "r2_oos")] = 1.0 - float(np.sum((y_test - pred) ** 2)) / denom
@@ -308,12 +298,13 @@ def _run_replicate(spec: DgpSpec, config: StudyConfig, replicate: int) -> dict:
     return out
 
 
-def _run_replicate_guarded(args):
+def _run_replicate_guarded(args) -> tuple[dict | None, str | None]:
+    """``(cells, None)`` for a replicate that ran, ``(None, "Type: message")`` for one that failed."""
     spec, config, r = args
     try:
-        return _run_replicate(spec, config, r)
+        return _run_replicate(spec, config, r), None
     except Exception as e:
-        return ("__error__", f"{type(e).__name__}: {e}")
+        return None, f"{type(e).__name__}: {e}"
 
 
 def monte_carlo_study(spec: DgpSpec, config: StudyConfig) -> StudyResult:
@@ -329,13 +320,8 @@ def monte_carlo_study(spec: DgpSpec, config: StudyConfig) -> StudyResult:
             raw = list(pool.map(_run_replicate_guarded, args, chunksize=8))
     else:
         raw = [_run_replicate_guarded(a) for a in args]
-    results: list[dict | None] = [None] * config.n_reps
-    failures: list[tuple[int, str]] = []
-    for r, res in enumerate(raw):
-        if isinstance(res, tuple) and len(res) == 2 and res[0] == "__error__":
-            failures.append((r, res[1]))
-        else:
-            results[r] = res
+    results = [cells for cells, _ in raw]
+    failures = [(r, error) for r, (_, error) in enumerate(raw) if error is not None]
 
     keys = sorted({key for res in results if res for key in res})
     values = {

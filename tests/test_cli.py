@@ -182,12 +182,28 @@ class TestForecast:
         ):
             assert np.array_equal([parse(row[column]) for row in rows], expected), column
 
-    def test_truncated_input_exits_2(self, tmp_path):
+    def test_truncated_input_exits_2(self, tmp_path, capsys):
         panel = write_factor_panel(tmp_path, t_len=60)
         assert run([
             "forecast", "--input", panel, "--target-column", "target",
             "--method", "pc", "--k", 3, "--window", 120, "--out-dir", tmp_path / "x",
         ]) == 2
+        assert "insufficient data: need at least window + horizon = 121 columns, panel has 60" in (
+            capsys.readouterr().err
+        )
+
+    def test_stdout_mse_ratio_matches_summary(self, tmp_path, capsys):
+        panel = write_factor_panel(tmp_path, link="curved")
+        out = tmp_path / "dr"
+        assert run([
+            "forecast", "--input", panel, "--target-column", "target",
+            "--method", "dr", "--k", 3, "--l", 1, "--window", 120, "--n-eval", 10,
+            "--out-dir", out,
+        ]) == 0
+        fields = dict(item.split("=") for item in capsys.readouterr().out.split())
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["rmse_vs_pc"] != 1.0
+        assert fields["mse_ratio_pc"] == f"{summary['rmse_vs_pc']:.3g}"
 
     def test_missing_file_exits_3(self, tmp_path):
         assert run([
@@ -218,7 +234,7 @@ class TestSelect:
         assert summary["l_hat"] == 2
 
     def test_objective_csv_matches_library_bit_exactly(self, tmp_path):
-        from suffcast import load_csv, standardize, fit_factors, select_and_fit_factors
+        from suffcast import load_csv, standardize, select_and_fit_factors
         from suffcast import sdr
 
         panel_path = write_factor_panel(tmp_path, t_len=200, p=20, k=2, seed=4)
@@ -228,12 +244,15 @@ class TestSelect:
             "--k-max", 5, "--out-dir", out,
         ]) == 0
         panel = standardize(load_csv(panel_path, "target"))
-        selection, _ = select_and_fit_factors(panel.x, 5)
-        fit = fit_factors(panel.x, max(selection.k_hat, 1))
+        selection, fit = select_and_fit_factors(panel.x, 5)
+        k = max(selection.k_hat, 1)
         slices = sdr.slice_target(panel.y, 10)
         kernel = sdr.build_kernel("dr", fit.factors, slices, "identity")
-        c_t = sdr.default_ct("DR", max(selection.k_hat, 1), panel.p, panel.t_len)
-        dim = sdr.select_dimension(kernel, panel.t_len, 0.5, c_t)
+        dim = sdr.select_dimension(kernel, panel.p, panel.t_len, 1.0)
+        # the penalty scale written out: CT_CALIBRATION (sqrt(K/p) T + sqrt(T))
+        c_t = sdr.CT_CALIBRATION * (np.sqrt(k / panel.p) * panel.t_len + np.sqrt(panel.t_len))
+        assert dim.c_t == pytest.approx(c_t, rel=1e-12)
+        assert json.loads((out / "summary.json").read_text())["c_t"] == dim.c_t
         lines = (out / "k_criterion.csv").read_text().strip().splitlines()[1:]
         for k, line in enumerate(lines):
             cells = line.split(",")
@@ -280,7 +299,7 @@ class TestSelect:
 
 class TestFactors:
     def test_dump_matches_library(self, tmp_path):
-        from suffcast import load_csv, standardize, fit_factors
+        from suffcast import load_csv, standardize, select_and_fit_factors
 
         panel_path = write_factor_panel(tmp_path, t_len=150, p=15, k=2, seed=5)
         out = tmp_path / "fac"
@@ -289,7 +308,7 @@ class TestFactors:
             "--k", 2, "--out-dir", out,
         ]) == 0
         panel = standardize(load_csv(panel_path, "target"))
-        fit = fit_factors(panel.x, 2)
+        _, fit = select_and_fit_factors(panel.x, 1, 2)
         dumped = np.loadtxt(out / "factors.csv", delimiter=",")
         assert np.array_equal(dumped, fit.factors)
 
@@ -453,6 +472,13 @@ class TestConfigBoundary:
             ("simulate", ["--n-reps", "2", "--p", "30", "--t-len", "60", "--h-slices", "80"],
              None, "h_slices=80 must be <= t_len=60"),
             ("forecast", ["--k", "2", "--l", "5", "--n-eval", "3"], None, "l=5 must be <= k=2"),
+            ("forecast", ["--window", "15", "--horizon", "6"], None,
+             "window too short: window - horizon = 9"),
+            ("forecast", ["--k", "auto", "--l", "9"], None, "l=9 must be <= k_max=8"),
+            ("forecast", ["--h-slices", "150"], None,
+             "h_slices=150 must be <= window - horizon = 119"),
+            ("forecast", ["--k", "115", "--horizon", "6"], None,
+             "k=115 must be < window - horizon = 114"),
         ],
     )
     def test_out_of_range_value_exits_2_before_writing(

@@ -4,7 +4,6 @@ import pytest
 from suffcast import (
     FactorEstimate,
     estimated_factors_known_loadings,
-    fit_factors,
     select_and_fit_factors,
 )
 from suffcast import factor_analysis
@@ -18,6 +17,11 @@ def residuals(x: np.ndarray, fit: FactorEstimate) -> np.ndarray:
     if x.shape != (p, t_len):
         raise ValueError(f"x has shape {x.shape}, fit expects ({p}, {t_len})")
     return x - fit.loadings @ fit.factors.T
+
+
+def fit_k(x, k):
+    """The rank-``k`` factor fit."""
+    return select_and_fit_factors(x, 1, k)[1]
 
 
 def random_panel(p, t_len, seed=0):
@@ -64,7 +68,7 @@ class TestFitFactors:
         f = rng.standard_normal(8)
         f = f / np.sqrt((f**2).mean())  # T^-1 f'f = 1
         x = np.outer(b, f)
-        fit = fit_factors(x, 1)
+        fit = fit_k(x, 1)
         # span match: fitted factor is +-f
         cos = abs(fit.factors[:, 0] @ f) / (np.linalg.norm(fit.factors) * np.linalg.norm(f))
         assert cos == pytest.approx(1.0, abs=1e-12)
@@ -72,12 +76,12 @@ class TestFitFactors:
 
     def test_full_rank_reconstruction(self):
         x = random_panel(5, 8, seed=2)
-        fit = fit_factors(x, 5)
+        fit = fit_k(x, 5)
         assert np.allclose(fit.loadings @ fit.factors.T, x, atol=1e-10)
 
     def test_residual_matches_svd_oracle(self):
         x = random_panel(5, 8, seed=3)
-        fit = fit_factors(x, 2)
+        fit = fit_k(x, 2)
         tail = np.linalg.svd(x, compute_uv=False)[2:]
         assert np.linalg.norm(residuals(x, fit)) ** 2 == pytest.approx(
             (tail**2).sum(), rel=1e-10
@@ -85,7 +89,7 @@ class TestFitFactors:
 
     def test_invariants(self):
         x = random_panel(12, 30, seed=4)
-        fit = fit_factors(x, 4)
+        fit = fit_k(x, 4)
         t_len = 30
         assert np.allclose(fit.factors.T @ fit.factors / t_len, np.eye(4), atol=1e-10)
         gram = fit.loadings.T @ fit.loadings
@@ -102,7 +106,7 @@ class TestFitFactors:
 
     @pytest.mark.parametrize("x, k", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
     def test_matches_tt_gram_oracle(self, x, k):
-        fit = fit_factors(x, k)
+        fit = fit_k(x, k)
         factors, eigenvalues = tt_oracle(x, k)
         p, t_len = x.shape
         if p >= t_len:  # this route is the oracle
@@ -133,31 +137,31 @@ class TestFitFactors:
             return sym_eig_desc(m)
 
         monkeypatch.setattr(factor_analysis, "sym_eig_desc", recording)
-        fit_factors(x, k)
+        fit_k(x, k)
         assert seen == shapes
 
     def test_monotone_residual_in_k(self):
         x = random_panel(10, 14, seed=5)
-        norms = [np.linalg.norm(residuals(x, fit_factors(x, k))) for k in range(1, 11)]
+        norms = [np.linalg.norm(residuals(x, fit_k(x, k))) for k in range(1, 11)]
         assert all(a >= b - 1e-10 for a, b in zip(norms, norms[1:]))
 
     def test_sign_flip_of_panel_keeps_spans(self):
         x = random_panel(9, 12, seed=6)
-        f1 = fit_factors(x, 3).factors
-        f2 = fit_factors(-x, 3).factors
+        f1 = fit_k(x, 3).factors
+        f2 = fit_k(-x, 3).factors
         # X'X is unchanged, so the factor span (and here the factors) agree
         assert np.allclose(f1 @ (f1.T @ f2) / 12, f2, atol=1e-8)
 
     def test_bad_k(self):
         x = random_panel(4, 6)
         with pytest.raises(ValueError, match="out of range"):
-            fit_factors(x, 5)
+            fit_k(x, 5)
 
     def test_non_finite(self):
         x = random_panel(4, 6)
         x[1, 1] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            fit_factors(x, 2)
+            fit_k(x, 2)
 
 
 class TestKnownLoadings:
@@ -192,19 +196,19 @@ class TestResiduals:
     def test_noiseless_zero(self):
         rng = np.random.default_rng(10)
         x = rng.standard_normal((8, 3)) @ rng.standard_normal((3, 11))
-        fit = fit_factors(x, 3)
+        fit = fit_k(x, 3)
         assert np.abs(residuals(x, fit)).max() < 1e-10
 
     def test_rank_one_frobenius_oracle(self):
         x = random_panel(6, 9, seed=11)
-        fit = fit_factors(x, 1)
+        fit = fit_k(x, 1)
         tail = np.linalg.svd(x, compute_uv=False)[1:]
         assert np.linalg.norm(residuals(x, fit)) == pytest.approx(
             np.sqrt((tail**2).sum()), rel=1e-10
         )
 
     def test_dimension_mismatch(self):
-        fit = fit_factors(random_panel(5, 8), 2)
+        fit = fit_k(random_panel(5, 8), 2)
         with pytest.raises(ValueError, match="shape"):
             residuals(random_panel(5, 9), fit)
 
@@ -231,7 +235,7 @@ class TestSelectNumFactors:
         x = random_panel(20, 25, seed=13)
         sel = select_and_fit_factors(x, 5)[0]
         for k in range(1, 6):
-            fit = fit_factors(x, k)
+            fit = fit_k(x, k)
             direct = np.log(np.linalg.norm(residuals(x, fit)) ** 2 / x.size)
             assert sel.log_resid[k] == pytest.approx(direct, rel=1e-8)
         assert sel.log_resid[0] == pytest.approx(np.log((x**2).sum() / x.size), rel=1e-12)
@@ -241,12 +245,13 @@ class TestSelectNumFactors:
     @pytest.mark.parametrize("k", [None, 2])
     def test_select_and_fit_matches_separate_calls(self, p, t_len, k):
         x = random_panel(p, t_len, seed=23)
-        sel, fit = select_and_fit_factors(x, 5, k)
+        # None: k left at its default, "auto"
+        sel, fit = select_and_fit_factors(x, 5, *([] if k is None else [k]))
         # the selection does not depend on the fitted count
         alone = select_and_fit_factors(x, 5)[0]
         assert sel.k_hat == alone.k_hat
         assert np.array_equal(sel.criterion, alone.criterion)
-        ref = fit_factors(x, max(alone.k_hat, 1) if k is None else k)
+        ref = fit_k(x, max(alone.k_hat, 1) if k is None else k)
         assert np.array_equal(fit.factors, ref.factors)
         assert np.array_equal(fit.eigenvalues, ref.eigenvalues)
 
@@ -278,7 +283,7 @@ def test_save_factor_estimate_round_trip(tmp_path):
         "factors", "--input", str(tmp_path / "panel.csv"), "--target-column", "target",
         "--k", "2", "--standardize", "0", "--out-dir", str(tmp_path),
     ]) == 0
-    fit = fit_factors(x, 2)
+    fit = fit_k(x, 2)
     loadings = np.loadtxt(tmp_path / "loadings.csv", delimiter=",")
     factors = np.loadtxt(tmp_path / "factors.csv", delimiter=",")
     eigenvalues = np.loadtxt(tmp_path / "eigenvalues.csv", delimiter=",")

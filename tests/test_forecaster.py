@@ -14,62 +14,71 @@ from suffcast import (
 from suffcast import forecaster as fc
 
 
+def nlpc_fit(indices, targets):
+    """The additive fit on every column, at the normal-reference bandwidths."""
+    return fit_forecast_model("nlpc", indices, targets, None, 1.0)
+
+
 class TestFitAdditive:
     def test_constant_targets(self):
         rng = np.random.default_rng(0)
-        model = fit_additive(rng.standard_normal((10, 2)), np.full(10, 3.5))
-        for _ in range(5):
-            assert predict(model, rng.standard_normal(2)) == pytest.approx(3.5, abs=1e-12)
+        model = nlpc_fit(rng.standard_normal((10, 2)), np.full(10, 3.5))
+        assert np.allclose(predict(model, rng.standard_normal((5, 2))), 3.5, rtol=0, atol=1e-12)
 
     def test_interpolation_limit(self):
         # bandwidth -> 0: prediction at a training point returns its target
         x = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([5.0, -1.0, 2.0, 7.0])
-        model = fit_additive(x, y, np.array([1e-4]))
-        for i in range(4):
-            assert predict(model, x[i]) == pytest.approx(y[i], abs=1e-10)
+        model = fit_additive(x, y, np.array([1e-4]), np.eye(1))
+        assert np.allclose(predict(model, x), y, rtol=0, atol=1e-10)
 
     def test_hand_computed_gaussian_weights(self):
         model = fit_additive(
-            np.array([[0.0], [1.0], [2.0]]), np.array([0.0, 1.0, 0.0]), np.array([1.0])
+            np.array([[0.0], [1.0], [2.0]]), np.array([0.0, 1.0, 0.0]), np.array([1.0]), np.eye(1)
         )
         expected = 1.0 / (1.0 + 2.0 * np.exp(-0.5))
-        assert predict(model, np.array([1.0])) == pytest.approx(expected, rel=1e-12)
+        assert predict(model, np.array([[1.0]]))[0] == pytest.approx(expected, rel=1e-12)
 
     def test_degenerate_index_warns_and_contributes_zero(self):
         rng = np.random.default_rng(1)
         idx = np.column_stack([rng.standard_normal(12), np.ones(12)])
         y = idx[:, 0] + 2.0
         with pytest.warns(UserWarning, match="degenerate"):
-            model = fit_additive(idx, y)
+            model = nlpc_fit(idx, y)
         assert not model.smoothers[1].active
-        assert np.isfinite(predict(model, np.array([0.3, 1.0])))
+        assert np.isfinite(predict(model, np.array([[0.3, 1.0]]))).all()
 
     def test_finite_far_outside_training_range(self):
         rng = np.random.default_rng(2)
-        model = fit_additive(rng.standard_normal((20, 2)), rng.standard_normal(20))
-        assert np.isfinite(predict(model, np.array([1e6, -1e6])))
+        model = nlpc_fit(rng.standard_normal((20, 2)), rng.standard_normal(20))
+        assert np.isfinite(predict(model, np.array([[1e6, -1e6]]))).all()
 
     def test_reports_capped_backfit(self, monkeypatch):
         rng = np.random.default_rng(15)
         idx = rng.standard_normal((60, 2))
         y = np.sin(idx[:, 0]) + idx[:, 1] ** 2
-        model = fit_additive(idx, y)
+        model = nlpc_fit(idx, y)
         assert model.converged and 1 < model.sweeps < fc.BACKFIT_MAX_SWEEPS
         monkeypatch.setattr(fc, "BACKFIT_MAX_SWEEPS", 1)
-        capped = fit_additive(idx, y)
+        capped = nlpc_fit(idx, y)
         assert capped.sweeps == 1
         assert not capped.converged
 
     def test_input_checks(self):
+        one, ramp = np.ones(1), np.zeros((4, 1)) + np.arange(4)[:, None]
+        with pytest.raises(ValueError, match="T x L"):
+            fit_additive(np.arange(5.0), np.zeros(5), one, np.eye(1))
+        # a 1 x n input is one observation of n indices, not transposed
         with pytest.raises(ValueError, match="at least 3"):
-            fit_additive(np.zeros((2, 1)), np.zeros(2))
+            fit_additive(np.arange(5.0)[None, :], np.zeros(1), np.ones(5), np.eye(5))
+        with pytest.raises(ValueError, match="at least 3"):
+            fit_additive(np.zeros((2, 1)), np.zeros(2), one, np.eye(1))
         with pytest.raises(ValueError, match="non-finite"):
-            fit_additive(np.array([[np.inf], [0.0], [1.0]]), np.zeros(3))
+            fit_additive(np.array([[np.inf], [0.0], [1.0]]), np.zeros(3), one, np.eye(1))
         with pytest.raises(ValueError, match="strictly positive"):
-            fit_additive(np.zeros((4, 1)) + np.arange(4)[:, None], np.zeros(4), [0.0])
+            fit_additive(ramp, np.zeros(4), [0.0], np.eye(1))
         with pytest.raises(ValueError, match="finite and strictly positive"):
-            fit_additive(np.zeros((4, 1)) + np.arange(4)[:, None], np.zeros(4), [np.nan])
+            fit_additive(ramp, np.zeros(4), [np.nan], np.eye(1))
 
 
 def _reference_exponents(train_x, query_x, bandwidth):
@@ -111,7 +120,7 @@ class TestWeightFloor:
 
     def test_backfit_matches_reference_weights(self, narrow):
         idx, y, bws = narrow
-        model = fit_additive(idx, y, bws)
+        model = fit_additive(idx, y, bws, np.eye(2))
         mats = [_reference_weights(idx[:, j], idx[:, j], bws[j]) for j in range(2)]
         centered = y - y.mean()
         fitted = np.zeros((2, 500))
@@ -131,17 +140,19 @@ class TestWeightFloor:
 
 class TestPredict:
     def test_intercept_only_when_smoothers_flat(self):
-        model = fit_additive(np.arange(6.0)[:, None], np.full(6, 2.0))
-        assert predict(model, np.array([9.9])) == pytest.approx(2.0, abs=1e-12)
+        model = nlpc_fit(np.arange(6.0)[:, None], np.full(6, 2.0))
+        assert predict(model, np.array([[9.9]]))[0] == pytest.approx(2.0, abs=1e-12)
+        with pytest.raises(ValueError, match="n x K"):
+            predict(model, np.array([9.9]))
 
     def test_projection_through_directions(self):
         # direction (1, 0): second factor coordinate is ignored
         rng = np.random.default_rng(3)
         f = rng.standard_normal((30, 2))
         y = np.sin(f[:, 0])
-        model = fit_additive(f[:, :1], y, directions=np.array([[1.0], [0.0]]))
-        a = predict(model, np.array([0.5, -3.0]))
-        b = predict(model, np.array([0.5, 4.0]))
+        bws = np.array([fc.reference_bandwidth(f[:, 0])])
+        model = fit_additive(f[:, :1], y, bws, np.array([[1.0], [0.0]]))
+        a, b = predict(model, np.array([[0.5, -3.0], [0.5, 4.0]]))
         assert a == b
 
 
@@ -158,7 +169,7 @@ class TestPcBaseline:
         f = np.array([[0.0], [1.0]])
         y = np.array([1.0, 3.0])
         model = fit_pc_baseline(f, y)
-        assert predict(model, np.array([2.0])) == pytest.approx(5.0, abs=1e-10)
+        assert predict(model, np.array([[2.0]]))[0] == pytest.approx(5.0, abs=1e-10)
 
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(5)
@@ -180,8 +191,8 @@ class TestPcBaseline:
         model = fit_forecast_model(
             "nlpc", rng.standard_normal((20, 2)), rng.standard_normal(20), None, 1.0
         )
-        assert model.method == "NL-PC"
         assert model.kind == "additive"
+        assert np.array_equal(model.directions, np.eye(2))
 
     @pytest.mark.parametrize("scale", [1.0, 0.5])
     def test_constant_factor_fixed_at_zero_at_any_scale(self, scale):
@@ -222,17 +233,14 @@ class TestRollingEvaluate:
 
     def test_mean_forecast_stub_scores_zero(self, monkeypatch):
         # a stub that always forecasts the training-window mean has R^2 = 0
-        from suffcast.factor_analysis import fit_factors
+        from suffcast.factor_analysis import select_and_fit_factors
         from suffcast.forecaster import ForecastModel
 
         def stub(x_win, targets_train, config):
             model = ForecastModel(
-                kind="linear",
-                method="stub",
-                intercept=float(targets_train.mean()),
-                coefficients=np.zeros(1),
+                kind="linear", intercept=float(targets_train.mean()), coefficients=np.zeros(1)
             )
-            return model, fit_factors(x_win, 1), 1, 0
+            return model, select_and_fit_factors(x_win, 1, 1)[1], 0
 
         monkeypatch.setattr(fc, "_fit_window_model", stub)
         rng = np.random.default_rng(8)
@@ -360,7 +368,8 @@ class TestRollingEvaluate:
         rolling_evaluate(panel, config)
         assert len(models) == 3
         for model in models:
-            assert model.method == "NL-PC"
+            assert model.kind == "additive"
+            assert np.array_equal(model.directions, np.eye(2))
             for smoother in model.smoothers:
                 assert smoother.bandwidth == 0.5 * fc.reference_bandwidth(smoother.train_x)
 

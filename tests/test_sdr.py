@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from suffcast import (
     KernelEstimate,
     build_kernel,
-    default_ct,
     extract_directions,
     select_dimension,
     slice_target,
@@ -20,7 +19,7 @@ FOUR_POINT_F = np.array([[-2.0], [-1.0], [1.0], [2.0]])
 def kernel_of(m):
     """A kernel estimate of a given symmetric matrix."""
     vals, vecs = sym_eig_desc(m)
-    return KernelEstimate("DR", m, vals, vecs)
+    return KernelEstimate("dr", m, vals, vecs)
 
 
 class TestSliceTarget:
@@ -226,7 +225,7 @@ class TestEnsembleKernel:
         f = rng.standard_normal((60, 4))
         s = slice_target(f[:, 0] ** 2 + 0.3 * rng.standard_normal(60), 5)
         ens = build_kernel("ens", f, s, mode)
-        assert ens.method == "DR+TM"
+        assert ens.method == "ens"
         assert np.array_equal(
             ens.matrix, build_kernel("dr", f, s, mode).matrix + build_kernel("tm", f, s).matrix
         )
@@ -302,29 +301,40 @@ class TestExtractDirections:
             extract_directions(kern, 3)
 
 
+def literal_ct(method, k, p, t_len, ct_multiplier=1.0):
+    """The penalty scale ``c_t`` of the ``select_dimension`` docstring, written out."""
+    sampling = np.sqrt(t_len) if method in ("sir", "dr") else np.sqrt(k * t_len)
+    return ct_multiplier * sdr.CT_CALIBRATION * (np.sqrt(k / p) * t_len + sampling)
+
+
 class TestSelectDimension:
-    def kernel(self, eigenvalues, k=None):
+    def kernel(self, eigenvalues, k=None, method="dr"):
         eigenvalues = np.asarray(eigenvalues, dtype=float)
         k = k or len(eigenvalues)
-        return KernelEstimate("DR", np.diag(eigenvalues), eigenvalues, np.eye(k))
+        return KernelEstimate(method, np.diag(eigenvalues), eigenvalues, np.eye(k))
 
     def test_clean_spectral_gap(self):
         kern = self.kernel([5.0, 4.0] + [0.0] * 6)
-        assert select_dimension(kern, 500, 0.5, 1.0).l_hat == 2
+        sel = select_dimension(kern, 100, 500, 1.0)
+        assert sel.c_t == pytest.approx(literal_ct("dr", 8, 100, 500), rel=1e-12)
+        assert sel.l_hat == 2
 
     def test_degenerate_kernel_returns_one(self):
         kern = self.kernel([0.0] * 8)
-        sel = select_dimension(kern, 500, 0.5, 1.0)
+        sel = select_dimension(kern, 100, 500, 1.0)
+        assert sel.c_t == pytest.approx(literal_ct("dr", 8, 100, 500), rel=1e-12)
         assert sel.l_hat == 1
         assert sel.tau == 0
 
     def test_objective_matches_formula_literally(self):
         lam = np.array([3.0, 1.5, 0.4, 0.1, 0.0, 0.0])
         kern = self.kernel(lam)
-        t_len, c_t = 200, 7.0
-        sel = select_dimension(kern, t_len, 0.5, c_t)
+        p, t_len = 50, 200
+        sel = select_dimension(kern, p, t_len, 3.0)
         k, k_c = 6, 3
         tau = 4
+        c_t = literal_ct("dr", k, p, t_len, 3.0)
+        assert sel.c_t == pytest.approx(c_t, rel=1e-12)
         for l in range(1, k_c + 1):
             w = sum(np.log(lam[i] + 1) - lam[i] for i in range(min(tau, l), k_c))
             expected = (t_len / 2) * w - c_t * l * (2 * k - l + 1) / 2
@@ -332,25 +342,24 @@ class TestSelectDimension:
 
     def test_scale_awareness(self):
         # the objective is deliberately not scale-free
-        a = select_dimension(self.kernel([5.0, 4.0, 0.3, 0.0, 0.0, 0.0]), 500, 0.5, 40.0)
-        b = select_dimension(self.kernel([0.05, 0.04, 0.003, 0.0, 0.0, 0.0]), 500, 0.5, 40.0)
+        a = select_dimension(self.kernel([5.0, 4.0, 0.3, 0.0, 0.0, 0.0]), 100, 500, 1.0)
+        b = select_dimension(self.kernel([0.05, 0.04, 0.003, 0.0, 0.0, 0.0]), 100, 500, 1.0)
+        assert a.c_t == b.c_t == pytest.approx(literal_ct("dr", 6, 100, 500), rel=1e-12)
         assert a.l_hat != b.l_hat
 
-    def test_censoring_bounds(self):
-        with pytest.raises(ValueError, match="c_censor"):
-            select_dimension(self.kernel([1.0, 0.5]), 100, 1.5, 1.0)
-        with pytest.raises(ValueError, match="censored range"):
-            select_dimension(self.kernel([1.0, 0.5]), 100, 0.1, 1.0)
-
     def test_default_ct_formulas(self):
-        from suffcast.sdr import CT_CALIBRATION
-
         k, p, t = 6, 100, 500
         base = np.sqrt(k / p) * t
-        assert default_ct("DR", k, p, t) == pytest.approx(CT_CALIBRATION * (base + np.sqrt(t)))
-        assert default_ct("DR+TM", k, p, t) == pytest.approx(
-            CT_CALIBRATION * (base + np.sqrt(k * t))
-        )
+        for method, sampling in (
+            ("sir", np.sqrt(t)), ("dr", np.sqrt(t)), ("tm", np.sqrt(k * t)), ("ens", np.sqrt(k * t))
+        ):
+            kern = self.kernel([1.0] * k, method=method)
+            for multiplier in (1.0, 2.5):
+                assert select_dimension(kern, p, t, multiplier).c_t == pytest.approx(
+                    multiplier * sdr.CT_CALIBRATION * (base + sampling), rel=1e-12
+                )
+        with pytest.raises(ValueError, match="unknown kernel method 'DR'"):
+            select_dimension(self.kernel([1.0] * k, method="DR"), p, t, 1.0)
 
 
 class TestKernelProperties:
@@ -426,7 +435,7 @@ class TestBuildKernel:
         s = slice_target(rng.standard_normal(50), 5)
         kern = build_kernel(method, f, s)
         extract_directions(kern, 2)
-        select_dimension(kern, 50, 0.5, 1.0)
+        select_dimension(kern, 20, 50, 1.0)
         assert seen == [(3, 3)]
 
     def test_unknown_method(self):

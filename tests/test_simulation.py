@@ -146,9 +146,9 @@ class TestIdentifiabilityRotation:
         rng = np.random.default_rng(14)
         f = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 3))
         b = rng.standard_normal((10, 3))
-        from suffcast import fit_factors
+        from suffcast import select_and_fit_factors
 
-        fit = fit_factors(b @ f.T, 3)
+        _, fit = select_and_fit_factors(b @ f.T, 1, 3)
         h = identifiability_rotation(f, b)
         assert np.allclose(fit.factors, f @ h.T, atol=1e-8)
 
@@ -223,6 +223,7 @@ class TestMonteCarloStudy:
         result = monte_carlo_study(spec, config)
         assert len(result.failures) == 3
         assert result.failures[0][0] == 0
+        assert result.failures[0][1].startswith("ValueError: h_count=21 exceeds")
 
     def test_oos_metric_produces_values(self):
         spec = DgpSpec(p=30, t_len=80, seed=21)
