@@ -190,7 +190,7 @@ def _write_json(path: Path, obj) -> None:
 
 
 def cmd_simulate(config: dict, out_dir: Path, spec: DgpSpec, study: StudyConfig) -> int:
-    if study.jobs <= 0:
+    if study.jobs == 0:
         study = replace(study, jobs=os.cpu_count() or 1)
     started = time.time()
     result = monte_carlo_study(spec, study)
@@ -274,8 +274,8 @@ def cmd_select(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
         panel = standardize(panel)
     selection, fit = select_and_fit_factors(panel.x, rolling.k_max)
     slices = sdr.slice_target(panel.y, rolling.h_slices)
-    kernel = sdr.build_kernel(rolling.method, fit.factors, slices, rolling.variance_mode)
-    dim = sdr.select_dimension(kernel, panel.p, panel.t_len, rolling.ct_multiplier)
+    kernel = sdr.build_kernel(rolling.method, fit.factors, slices)
+    dim = sdr.select_dimension(kernel, panel.p, panel.t_len)
     _write_csv(
         out_dir / "k_criterion.csv",
         zip(range(selection.k_max + 1), selection.log_resid, selection.penalties,
@@ -335,15 +335,14 @@ _COMMANDS = {
     "forecast": (
         cmd_forecast,
         (RollingConfig,),
-        ("window", "horizon", "method", "k", "l", "h_slices", "n_eval", "variance_mode",
-         "standardize", "ct_multiplier"),
+        ("window", "horizon", "method", "k", "l", "h_slices", "n_eval", "standardize"),
         True,
         _check_forecast,
     ),
     "select": (
         cmd_select,
         (RollingConfig,),
-        ("k_max", "method", "h_slices", "variance_mode", "ct_multiplier", "standardize"),
+        ("k_max", "method", "h_slices", "standardize"),
         True,
         _check_select,
     ),

@@ -188,15 +188,10 @@ def fit_pc_baseline(factors: np.ndarray, targets: np.ndarray) -> ForecastModel:
     if t_len <= k:
         raise ValueError(f"linear baseline needs T > K, got T={t_len}, K={k}")
     design = np.column_stack([np.ones(t_len), factors])
-    if np.linalg.matrix_rank(design) < k + 1:
+    beta, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
+    if rank < k + 1:
         raise ValueError("rank-deficient design in linear baseline")
-    beta, *_ = np.linalg.lstsq(design, targets, rcond=None)
     return ForecastModel(kind="linear", intercept=float(beta[0]), coefficients=beta[1:])
-
-
-def _check_bandwidth_scale(scale: float) -> None:
-    if not 0.0 < scale < np.inf:
-        raise ValueError(f"bandwidth_scale must be finite and > 0, got {scale}")
 
 
 def _check_count(name: str, value, auto: bool = False) -> None:
@@ -206,11 +201,6 @@ def _check_count(name: str, value, auto: bool = False) -> None:
     if isinstance(value, str) or value < 1:
         allowed = ' or "auto"' if auto else ""
         raise ValueError(f"{name} must be >= 1{allowed}, got {value!r}")
-
-
-def _check_variance_mode(mode: str) -> None:
-    if mode not in sdr.VARIANCE_MODES:
-        raise ValueError(f"unknown variance_mode {mode!r}; expected one of {sdr.VARIANCE_MODES}")
 
 
 def fit_forecast_model(
@@ -266,11 +256,8 @@ class RollingConfig:
     l: int | str = 1  # index count for SDR methods, or "auto"
     h_slices: int = 10
     n_eval: int = 240
-    variance_mode: str = "identity"
     standardize: bool = True
     k_max: int = 8
-    ct_multiplier: float = 1.0
-    bandwidth_scale: float = 1.0
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -290,8 +277,6 @@ class RollingConfig:
         bound, name = (self.k_max, "k_max") if self.k == "auto" else (self.k, "k")
         if self.l != "auto" and self.l > bound:
             raise ValueError(f"l={self.l} must be <= {name}={bound}")
-        _check_variance_mode(self.variance_mode)
-        _check_bandwidth_scale(self.bandwidth_scale)
 
 
 @dataclass(eq=False)
@@ -332,7 +317,9 @@ def _fit_window_model(x_win, targets_train, config: RollingConfig):
 
     ``x_win`` holds the window's predictor columns (already standardized if
     requested); the last column is the forecast origin and the first
-    ``len(targets_train)`` columns are the training times.
+    ``len(targets_train)`` columns are the training times.  An integer ``l``
+    above the window's factor count is capped at that count, and the index
+    count used is returned.  Smoothers use the normal-reference bandwidth.
     """
     _, fit = select_and_fit_factors(x_win, config.k_max, config.k)
     train_factors = fit.factors[: targets_train.shape[0]]
@@ -340,17 +327,14 @@ def _fit_window_model(x_win, targets_train, config: RollingConfig):
         phi, l_use = None, (fit.k if config.method == "nlpc" else 0)
     else:
         slices = sdr.slice_target(targets_train, config.h_slices)
-        kernel = sdr.build_kernel(config.method, train_factors, slices, config.variance_mode)
+        kernel = sdr.build_kernel(config.method, train_factors, slices)
         if config.l == "auto":
-            l_use = sdr.select_dimension(
-                kernel, x_win.shape[0], slices.t_len, config.ct_multiplier
-            ).l_hat
+            l_use = sdr.select_dimension(kernel, x_win.shape[0], slices.t_len).l_hat
         else:
-            l_use = config.l
+            # with k="auto" the selected K can fall below l
+            l_use = min(config.l, fit.k)
         phi = sdr.extract_directions(kernel, l_use)
-    model = fit_forecast_model(
-        config.method, train_factors, targets_train, phi, config.bandwidth_scale
-    )
+    model = fit_forecast_model(config.method, train_factors, targets_train, phi, 1.0)
     return model, fit, l_use
 
 

@@ -161,13 +161,6 @@ def _dr_matrix(g: np.ndarray, slices: SliceAssignment, variance_mode: str) -> np
     return _symmetrized(term1 + 2.0 * c @ c + 2.0 * c_scalar * c)
 
 
-def _distinct_row_indices(k: int) -> tuple[np.ndarray, np.ndarray]:
-    pairs = [(i, j) for i in range(k) for j in range(i, k)]
-    rows = np.array([i for i, _ in pairs], dtype=int)
-    cols = np.array([j for _, j in pairs], dtype=int)
-    return rows, cols
-
-
 def _tm_matrix(g: np.ndarray, slices: SliceAssignment) -> np.ndarray:
     """Inverse third-moment kernel with the global third-moment correction.
 
@@ -182,7 +175,7 @@ def _tm_matrix(g: np.ndarray, slices: SliceAssignment) -> np.ndarray:
     if np.any(slices.counts < 2):
         raise ValueError("slice too small: third moments need >= 2 observations per slice")
     k = g.shape[1]
-    rows, cols = _distinct_row_indices(k)
+    rows, cols = np.triu_indices(k)
     global3 = np.einsum("ti,tj,tk->ijk", g, g, g) / g.shape[0]
     p_hat = slices.proportions
     m = np.zeros((k, k))
@@ -206,7 +199,9 @@ def build_kernel(
     ``"sir"``, ``"dr"`` and ``"tm"`` build the SIR, DR and TM kernels of the
     globally centered factors; ``"ens"`` is the sum of the DR and TM kernels,
     exhaustive under weaker conditions than either.  ``variance_mode`` is the
-    DR variance estimate and is not used by SIR or TM.
+    DR variance estimate, not used by SIR or TM: ``"identity"``, exact for PC
+    factors normalized to ``F'F/T = I`` and the one every pipeline run uses,
+    or ``"pooled"``, the pooled slice second moment of the pair-form reference.
     """
     g = _centered(factors)
     _check_slices(g, slices)
@@ -267,9 +262,7 @@ def _default_ct(method: str, k: int, p: int, t_len: int) -> float:
     raise ValueError(f"unknown kernel method {method!r}; expected one of {KERNEL_METHODS}")
 
 
-def select_dimension(
-    kernel: KernelEstimate, p: int, t_len: int, ct_multiplier: float
-) -> DimensionSelection:
+def select_dimension(kernel: KernelEstimate, p: int, t_len: int) -> DimensionSelection:
     """Pick the index count maximizing the spectral objective.
 
     For a kernel of ``K`` factors estimated on a panel of ``p`` series and
@@ -281,13 +274,13 @@ def select_dimension(
                - c_t * l (2K - l + 1) / 2,
 
     where ``tau`` counts eigenvalues above the positivity threshold and
-    ``c_t`` is ``ct_multiplier`` times the kernel method's default penalty
-    scale (:func:`_default_ct`).  Ties are broken toward smaller ``l``.  The
-    objective is intentionally not scale-free; the per-``l`` values are
-    exposed for inspection.
+    ``c_t`` is the kernel method's penalty scale (:func:`_default_ct`), which
+    no caller sets.  Ties are broken toward smaller ``l``.  The objective is
+    intentionally not scale-free; the per-``l`` values are exposed for
+    inspection.
     """
     k = kernel.k
-    c_t = ct_multiplier * _default_ct(kernel.method, k, p, t_len)
+    c_t = _default_ct(kernel.method, k, p, t_len)
     k_c = int(math.floor(C_CENSOR * k + 0.5))
     lam = kernel.eigenvalues
     tau = int(np.sum(lam > EIGENVALUE_POSITIVITY_THRESHOLD))

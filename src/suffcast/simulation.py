@@ -9,6 +9,7 @@ and replications can run in parallel.
 """
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -17,14 +18,7 @@ import numpy as np
 from . import sdr
 from ._eigen import column_signs, sym_eig_desc
 from .factor_analysis import estimated_factors_known_loadings, select_and_fit_factors
-from .forecaster import (
-    METHODS,
-    _check_bandwidth_scale,
-    _check_count,
-    _check_variance_mode,
-    fit_forecast_model,
-    predict,
-)
+from .forecaster import METHODS, _check_count, fit_forecast_model, predict
 
 LINKS = ("I", "II", "III", "IV")
 
@@ -36,6 +30,12 @@ AR_LOW, AR_HIGH = 0.2, 0.8
 LOADING_LOW, LOADING_HIGH = -1.0, 2.0
 #: AR(1) steps drawn and discarded before the first kept period
 BURN_IN = 100
+#: bandwidth of the held-out forecast fits, as a fraction of the
+#: normal-reference rule.  The held-out studies emulate a flexible smoother;
+#: 0.1 reproduces the published accuracy ordering.
+OOS_BANDWIDTH_SCALE = 0.1
+#: replicates per task sent to a worker process
+CHUNK_SIZE = 8
 
 
 def link_function(tag: str, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
@@ -197,14 +197,8 @@ class StudyConfig:
     n_test: int = 100
     l: int = 2
     h_slices: int = 10
-    variance_mode: str = "identity"
     k_max: int = 8
-    ct_multiplier: float = 1.0
-    jobs: int = 1
-    #: bandwidth policy for the held-out forecast fits, as a fraction of the
-    #: normal-reference rule.  The held-out studies emulate a flexible
-    #: smoother; 0.1 reproduces the published accuracy ordering.
-    bandwidth_scale: float = 0.1
+    jobs: int = 1  # worker processes; the CLI turns 0 into one per core
 
     def __post_init__(self):
         known = {"directions", "oos", "k_selection", "l_selection"}
@@ -216,8 +210,8 @@ class StudyConfig:
                 raise ValueError(f"unknown method {m!r}")
         for name in ("n_reps", "n_test", "l", "h_slices", "k_max"):
             _check_count(name, getattr(self, name))
-        _check_variance_mode(self.variance_mode)
-        _check_bandwidth_scale(self.bandwidth_scale)
+        if self.jobs < 0:
+            raise ValueError(f"jobs must be >= 0, got {self.jobs}")
 
 
 @dataclass(eq=False)
@@ -273,20 +267,16 @@ def _run_replicate(spec: DgpSpec, config: StudyConfig, replicate: int) -> dict:
         kernel = None
         phi_hat = None
         if method in sdr.KERNEL_METHODS:
-            kernel = sdr.build_kernel(method, fit.factors, slices, config.variance_mode)
+            kernel = sdr.build_kernel(method, fit.factors, slices)
             phi_hat = sdr.extract_directions(kernel, config.l)
         if "directions" in config.metrics and phi_hat is not None:
             out[(method, "r2_phi1")] = subspace_r2(phi_hat[:, 0], basis)
             if config.l >= 2:
                 out[(method, "r2_phi2")] = subspace_r2(phi_hat[:, 1], basis)
         if "l_selection" in config.metrics and kernel is not None:
-            out[(method, "l_selection")] = sdr.select_dimension(
-                kernel, spec.p, t_train, config.ct_multiplier
-            ).l_hat
+            out[(method, "l_selection")] = sdr.select_dimension(kernel, spec.p, t_train).l_hat
         if want_oos:
-            model = fit_forecast_model(
-                method, fit.factors, y_train, phi_hat, config.bandwidth_scale
-            )
+            model = fit_forecast_model(method, fit.factors, y_train, phi_hat, OOS_BANDWIDTH_SCALE)
             x_test = draw.x[:, t_train:]
             f_test = estimated_factors_known_loadings(x_test, fit.loadings)
             pred = predict(model, f_test)
@@ -315,9 +305,11 @@ def monte_carlo_study(spec: DgpSpec, config: StudyConfig) -> StudyResult:
     than silently dropped.  Results do not depend on ``config.jobs``.
     """
     args = [(spec, config, r) for r in range(config.n_reps)]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            raw = list(pool.map(_run_replicate_guarded, args, chunksize=8))
+    # the pool forks all its workers at the first submit; more than one per chunk would idle
+    workers = min(config.jobs, math.ceil(config.n_reps / CHUNK_SIZE))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            raw = list(pool.map(_run_replicate_guarded, args, chunksize=CHUNK_SIZE))
     else:
         raw = [_run_replicate_guarded(a) for a in args]
     results = [cells for cells, _ in raw]

@@ -12,7 +12,11 @@ from test_panel_data import save_csv
 
 
 def run(args):
-    return main([str(a) for a in args])
+    """``main``'s exit code, also when argparse exits on an unknown flag."""
+    try:
+        return main([str(a) for a in args])
+    except SystemExit as e:
+        return e.code
 
 
 def write_factor_panel(tmp_path, t_len=260, p=12, k=3, seed=0, link="linear"):
@@ -247,8 +251,8 @@ class TestSelect:
         selection, fit = select_and_fit_factors(panel.x, 5)
         k = max(selection.k_hat, 1)
         slices = sdr.slice_target(panel.y, 10)
-        kernel = sdr.build_kernel("dr", fit.factors, slices, "identity")
-        dim = sdr.select_dimension(kernel, panel.p, panel.t_len, 1.0)
+        kernel = sdr.build_kernel("dr", fit.factors, slices)
+        dim = sdr.select_dimension(kernel, panel.p, panel.t_len)
         # the penalty scale written out: CT_CALIBRATION (sqrt(K/p) T + sqrt(T))
         c_t = sdr.CT_CALIBRATION * (np.sqrt(k / panel.p) * panel.t_len + np.sqrt(panel.t_len))
         assert dim.c_t == pytest.approx(c_t, rel=1e-12)
@@ -354,13 +358,12 @@ EXPOSED = {
     "simulate": ((DgpSpec, StudyConfig), None, {"out_dir"}),
     "forecast": (
         (RollingConfig,),
-        {"window", "horizon", "method", "k", "l", "h_slices", "n_eval", "variance_mode",
-         "standardize", "ct_multiplier"},
+        {"window", "horizon", "method", "k", "l", "h_slices", "n_eval", "standardize"},
         PANEL_IO,
     ),
     "select": (
         (RollingConfig,),
-        {"k_max", "method", "h_slices", "variance_mode", "ct_multiplier", "standardize"},
+        {"k_max", "method", "h_slices", "standardize"},
         PANEL_IO,
     ),
     "factors": ((RollingConfig,), {"k", "k_max", "standardize"}, PANEL_IO),
@@ -442,9 +445,13 @@ class TestConfigBoundary:
         "command,flags,config,message",
         [
             ("simulate", ["--metrics", "bogus"], None, "unknown metrics"),
-            ("simulate", ["--bandwidth-scale", "nan"], None, "bandwidth_scale must be"),
-            ("simulate", ["--bandwidth-scale", "0"], None, "bandwidth_scale must be"),
-            ("simulate", [], '{"bandwidth_scale": NaN}', "bandwidth_scale must be"),
+            # the estimator constants are no keys: flags and JSON keys naming them exit 2
+            ("simulate", ["--ct-multiplier", "1"], None,
+             "unrecognized arguments: --ct-multiplier 1"),
+            ("simulate", ["--bandwidth-scale", "0.1"], None,
+             "unrecognized arguments: --bandwidth-scale 0.1"),
+            ("simulate", [], '{"variance_mode": "identity"}',
+             "unknown config keys: ['variance_mode']"),
             ("forecast", ["--window", "5"], None, "window too short"),
             ("select", ["--method", "bogus"], None, "unknown method"),
             ("select", ["--method", "pc"], None, "unknown method"),
@@ -453,12 +460,13 @@ class TestConfigBoundary:
             ("forecast", ["--h-slices", "0"], None, "h_slices must be >= 1"),
             ("forecast", ["--k", "0"], None, 'k must be >= 1 or "auto"'),
             ("forecast", ["--l", "0"], None, 'l must be >= 1 or "auto"'),
-            ("forecast", ["--variance-mode", "bogus"], None, "unknown variance_mode"),
+            ("forecast", ["--variance-mode", "identity"], None,
+             "unrecognized arguments: --variance-mode identity"),
             ("select", ["--k-max", "0"], None, "k_max must be >= 1"),
             ("simulate", ["--n-reps", "3", "--l", "0"], None, "l must be >= 1"),
             ("simulate", ["--n-reps", "3", "--h-slices", "0"], None, "h_slices must be >= 1"),
-            ("simulate", ["--n-reps", "3", "--variance-mode", "bogus"], None,
-             "unknown variance_mode"),
+            ("simulate", ["--n-reps", "3", "--ct-multiplier", "-1"], None,
+             "unrecognized arguments: --ct-multiplier -1"),
             ("simulate", ["--n-reps", "3", "--k-max", "0", "--metrics", "k_selection"], None,
              "k_max must be >= 1"),
             ("simulate", ["--n-reps", "3", "--p", "0"], None, "p must be >= 1"),
@@ -479,6 +487,7 @@ class TestConfigBoundary:
              "h_slices=150 must be <= window - horizon = 119"),
             ("forecast", ["--k", "115", "--horizon", "6"], None,
              "k=115 must be < window - horizon = 114"),
+            ("simulate", ["--jobs", "-1"], None, "jobs must be >= 0, got -1"),
         ],
     )
     def test_out_of_range_value_exits_2_before_writing(

@@ -364,14 +364,26 @@ class TestRollingEvaluate:
         monkeypatch.setattr(fc, "_fit_window_model", recording)
         rng = np.random.default_rng(18)
         panel = make_panel(rng.standard_normal((3, 50)), rng.standard_normal(50))
-        config = RollingConfig(window=25, method="nlpc", k=2, n_eval=3, bandwidth_scale=0.5)
-        rolling_evaluate(panel, config)
+        rolling_evaluate(panel, RollingConfig(window=25, method="nlpc", k=2, n_eval=3))
         assert len(models) == 3
         for model in models:
             assert model.kind == "additive"
             assert np.array_equal(model.directions, np.eye(2))
             for smoother in model.smoothers:
-                assert smoother.bandwidth == 0.5 * fc.reference_bandwidth(smoother.train_x)
+                assert smoother.bandwidth == 1.0 * fc.reference_bandwidth(smoother.train_x)
+
+    def test_integer_l_capped_at_selected_k(self):
+        # one strong factor: with k="auto" the selected K falls below l=3
+        rng = np.random.default_rng(21)
+        f = rng.standard_normal(80)
+        x = rng.uniform(1.0, 2.0, (30, 1)) * f + 0.3 * rng.standard_normal((30, 80))
+        panel = make_panel(x, f + 0.1 * rng.standard_normal(80))
+        config = RollingConfig(
+            window=50, method="dr", k="auto", l=3, k_max=4, h_slices=5, n_eval=4
+        )
+        report = rolling_evaluate(panel, config)
+        assert np.all(report.selected_k < 3)
+        assert np.array_equal(report.selected_l, report.selected_k)
 
     def test_window_standardized_like_standardize(self, monkeypatch):
         windows = []
@@ -422,12 +434,3 @@ def test_save_eval_report(tmp_path):
     lines = (tmp_path / "origins.csv").read_text().strip().splitlines()
     assert len(lines) == 5  # header + 4 origins
 
-
-@pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
-def test_configs_reject_bad_bandwidth_scale(scale):
-    from suffcast import StudyConfig
-
-    with pytest.raises(ValueError, match="bandwidth_scale must be finite and > 0"):
-        RollingConfig(bandwidth_scale=scale)
-    with pytest.raises(ValueError, match="bandwidth_scale must be finite and > 0"):
-        StudyConfig(bandwidth_scale=scale)

@@ -301,10 +301,10 @@ class TestExtractDirections:
             extract_directions(kern, 3)
 
 
-def literal_ct(method, k, p, t_len, ct_multiplier=1.0):
+def literal_ct(method, k, p, t_len):
     """The penalty scale ``c_t`` of the ``select_dimension`` docstring, written out."""
     sampling = np.sqrt(t_len) if method in ("sir", "dr") else np.sqrt(k * t_len)
-    return ct_multiplier * sdr.CT_CALIBRATION * (np.sqrt(k / p) * t_len + sampling)
+    return sdr.CT_CALIBRATION * (np.sqrt(k / p) * t_len + sampling)
 
 
 class TestSelectDimension:
@@ -315,13 +315,13 @@ class TestSelectDimension:
 
     def test_clean_spectral_gap(self):
         kern = self.kernel([5.0, 4.0] + [0.0] * 6)
-        sel = select_dimension(kern, 100, 500, 1.0)
+        sel = select_dimension(kern, 100, 500)
         assert sel.c_t == pytest.approx(literal_ct("dr", 8, 100, 500), rel=1e-12)
         assert sel.l_hat == 2
 
     def test_degenerate_kernel_returns_one(self):
         kern = self.kernel([0.0] * 8)
-        sel = select_dimension(kern, 100, 500, 1.0)
+        sel = select_dimension(kern, 100, 500)
         assert sel.c_t == pytest.approx(literal_ct("dr", 8, 100, 500), rel=1e-12)
         assert sel.l_hat == 1
         assert sel.tau == 0
@@ -330,10 +330,10 @@ class TestSelectDimension:
         lam = np.array([3.0, 1.5, 0.4, 0.1, 0.0, 0.0])
         kern = self.kernel(lam)
         p, t_len = 50, 200
-        sel = select_dimension(kern, p, t_len, 3.0)
+        sel = select_dimension(kern, p, t_len)
         k, k_c = 6, 3
         tau = 4
-        c_t = literal_ct("dr", k, p, t_len, 3.0)
+        c_t = literal_ct("dr", k, p, t_len)
         assert sel.c_t == pytest.approx(c_t, rel=1e-12)
         for l in range(1, k_c + 1):
             w = sum(np.log(lam[i] + 1) - lam[i] for i in range(min(tau, l), k_c))
@@ -342,8 +342,8 @@ class TestSelectDimension:
 
     def test_scale_awareness(self):
         # the objective is deliberately not scale-free
-        a = select_dimension(self.kernel([5.0, 4.0, 0.3, 0.0, 0.0, 0.0]), 100, 500, 1.0)
-        b = select_dimension(self.kernel([0.05, 0.04, 0.003, 0.0, 0.0, 0.0]), 100, 500, 1.0)
+        a = select_dimension(self.kernel([5.0, 4.0, 0.3, 0.0, 0.0, 0.0]), 100, 500)
+        b = select_dimension(self.kernel([0.05, 0.04, 0.003, 0.0, 0.0, 0.0]), 100, 500)
         assert a.c_t == b.c_t == pytest.approx(literal_ct("dr", 6, 100, 500), rel=1e-12)
         assert a.l_hat != b.l_hat
 
@@ -354,12 +354,11 @@ class TestSelectDimension:
             ("sir", np.sqrt(t)), ("dr", np.sqrt(t)), ("tm", np.sqrt(k * t)), ("ens", np.sqrt(k * t))
         ):
             kern = self.kernel([1.0] * k, method=method)
-            for multiplier in (1.0, 2.5):
-                assert select_dimension(kern, p, t, multiplier).c_t == pytest.approx(
-                    multiplier * sdr.CT_CALIBRATION * (base + sampling), rel=1e-12
-                )
+            assert select_dimension(kern, p, t).c_t == pytest.approx(
+                sdr.CT_CALIBRATION * (base + sampling), rel=1e-12
+            )
         with pytest.raises(ValueError, match="unknown kernel method 'DR'"):
-            select_dimension(self.kernel([1.0] * k, method="DR"), p, t, 1.0)
+            select_dimension(self.kernel([1.0] * k, method="DR"), p, t)
 
 
 class TestKernelProperties:
@@ -435,7 +434,7 @@ class TestBuildKernel:
         s = slice_target(rng.standard_normal(50), 5)
         kern = build_kernel(method, f, s)
         extract_directions(kern, 2)
-        select_dimension(kern, 20, 50, 1.0)
+        select_dimension(kern, 20, 50)
         assert seen == [(3, 3)]
 
     def test_unknown_method(self):

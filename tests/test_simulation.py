@@ -9,7 +9,7 @@ from suffcast import (
     sample_dgp,
     subspace_r2,
 )
-from suffcast import cli
+from suffcast import cli, simulation
 from suffcast.simulation import link_function
 from suffcast._eigen import sym_eig_desc
 
@@ -210,11 +210,42 @@ class TestMonteCarloStudy:
 
     def test_parallel_matches_serial(self):
         spec = DgpSpec(p=20, t_len=50, seed=19)
-        base = dict(methods=("dr",), metrics=("directions",), n_reps=4, h_slices=5)
+        # two chunks of CHUNK_SIZE replicates, so two workers start
+        base = dict(methods=("dr",), metrics=("directions",), n_reps=9, h_slices=5)
         serial = monte_carlo_study(spec, StudyConfig(**base, jobs=1))
         parallel = monte_carlo_study(spec, StudyConfig(**base, jobs=2))
         for key in serial.values:
             assert np.array_equal(serial.values[key], parallel.values[key])
+
+    @pytest.mark.parametrize(
+        "jobs,n_reps,workers", [(4, 9, 2), (2, 17, 2), (3, 8, None), (0, 9, None)]
+    )
+    def test_pool_never_larger_than_its_chunks(self, monkeypatch, jobs, n_reps, workers):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                assert chunksize == simulation.CHUNK_SIZE
+                return map(fn, items)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialPool)
+        spec = DgpSpec(p=20, t_len=50, seed=19)
+        config = StudyConfig(
+            methods=("dr",), metrics=("directions",), n_reps=n_reps, h_slices=5, jobs=jobs
+        )
+        result = monte_carlo_study(spec, config)
+        assert started == ([] if workers is None else [workers])
+        assert not result.failures
+        assert result.values[("dr", "r2_phi1")].shape == (n_reps,)
 
     def test_failures_recorded_not_dropped(self):
         # h_slices > usable training length makes every replication fail
