@@ -17,6 +17,7 @@ from .sdr import (
     KernelEstimate,
     SliceAssignment,
     build_kernel,
+    build_kernels,
     extract_directions,
     select_dimension,
     slice_target,
@@ -58,6 +59,7 @@ __all__ = [
     "DimensionSelection",
     "slice_target",
     "build_kernel",
+    "build_kernels",
     "extract_directions",
     "select_dimension",
     "ForecastModel",

@@ -303,11 +303,20 @@ def cmd_factors(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
     return EXIT_OK
 
 
+def _check_third_moment_slices(methods, h_slices: int, t_len: int, what: str) -> None:
+    # the TM kernel, alone or in the ensemble, needs >= 2 observations per slice
+    if {"tm", "ens"} & set(methods) and 2 * h_slices > t_len:
+        raise ConfigError(
+            f"h_slices={h_slices} must be <= {what} / 2 = {t_len // 2} for tm and ens"
+        )
+
+
 def _check_simulate(spec: DgpSpec, study: StudyConfig) -> None:
     if study.l > spec.k:
         raise ConfigError(f"l={study.l} must be <= k={spec.k}")
     if study.h_slices > spec.t_len:
         raise ConfigError(f"h_slices={study.h_slices} must be <= t_len={spec.t_len}")
+    _check_third_moment_slices(study.methods, study.h_slices, spec.t_len, "t_len")
 
 
 def _check_forecast(rolling: RollingConfig) -> None:
@@ -316,6 +325,9 @@ def _check_forecast(rolling: RollingConfig) -> None:
     n_train = rolling.window - rolling.horizon
     if rolling.h_slices > n_train:
         raise ConfigError(f"h_slices={rolling.h_slices} must be <= window - horizon = {n_train}")
+    _check_third_moment_slices(
+        (rolling.method,), rolling.h_slices, n_train, "(window - horizon)"
+    )
     # the PC baseline fit on every window needs T > K
     if rolling.k != "auto" and rolling.k >= n_train:
         raise ConfigError(f"k={rolling.k} must be < window - horizon = {n_train}")

@@ -27,7 +27,7 @@ from ._eigen import sym_eig_desc
 EIGENVALUE_POSITIVITY_THRESHOLD = 1e-12
 
 VARIANCE_MODES = ("identity", "pooled")
-#: the kernels :func:`build_kernel` builds, by method name
+#: the kernels :func:`build_kernels` builds, by method name
 KERNEL_METHODS = ("sir", "dr", "tm", "ens")
 #: share of the K kernel eigenvalues the dimension criterion reads (``c`` in
 #: ``K_c = round(c K)``); the value of every order-selection run
@@ -128,9 +128,8 @@ def _symmetrized(m: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
-def _sir_matrix(g: np.ndarray, slices: SliceAssignment) -> np.ndarray:
+def _sir_matrix(means: np.ndarray, slices: SliceAssignment) -> np.ndarray:
     """First-inverse-moment kernel: ``sum_h p_h m_h m_h'`` over slice means."""
-    means, _ = _slice_stats(g, slices)
     return _symmetrized((means.T * slices.proportions) @ means)
 
 
@@ -142,7 +141,9 @@ def _variance_matrix(mode: str, p_hat: np.ndarray, seconds: np.ndarray, k: int) 
     raise ValueError(f"unknown variance_mode {mode!r}; expected one of {VARIANCE_MODES}")
 
 
-def _dr_matrix(g: np.ndarray, slices: SliceAssignment, variance_mode: str) -> np.ndarray:
+def _dr_matrix(
+    means: np.ndarray, seconds: np.ndarray, slices: SliceAssignment, variance_mode: str
+) -> np.ndarray:
     """Directional-regression kernel from slice means and second moments.
 
     With slice means ``m_h``, slice second moments ``S_h`` and the variance
@@ -151,9 +152,8 @@ def _dr_matrix(g: np.ndarray, slices: SliceAssignment, variance_mode: str) -> np
         M = 2 sum_h p_h (V - S_h)^2 + 2 (sum_h p_h m_h m_h')^2
             + 2 (sum_h p_h m_h'm_h) (sum_h p_h m_h m_h').
     """
-    means, seconds = _slice_stats(g, slices)
     p_hat = slices.proportions
-    v = _variance_matrix(variance_mode, p_hat, seconds, g.shape[1])
+    v = _variance_matrix(variance_mode, p_hat, seconds, means.shape[1])
     a = v[None, :, :] - seconds
     term1 = 2.0 * np.einsum("h,hij,hjk->ik", p_hat, a, a)
     c = (means.T * p_hat) @ means
@@ -161,13 +161,22 @@ def _dr_matrix(g: np.ndarray, slices: SliceAssignment, variance_mode: str) -> np
     return _symmetrized(term1 + 2.0 * c @ c + 2.0 * c_scalar * c)
 
 
+def _pair_third_moments(d: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Rows ``(i, j)`` of the third-moment array ``mean_t d_ti d_tj d_tk``, pair by pair."""
+    return (d[:, rows] * d[:, cols]).T @ d / d.shape[0]
+
+
 def _tm_matrix(g: np.ndarray, slices: SliceAssignment) -> np.ndarray:
     """Inverse third-moment kernel with the global third-moment correction.
 
-    For each slice the within-slice-centered third-moment array is computed,
-    the global third-moment array of the centered factors is subtracted, and
-    the ``K(K+1)/2`` distinct rows (one per unordered index pair, unweighted)
-    are kept as ``mu_h``.  The kernel is ``sum_h p_h mu_h' mu_h``.
+    Only the ``K(K+1)/2`` distinct index pairs ``i <= j`` (``np.triu_indices``
+    order, unweighted) of a third-moment array are needed, so the ``K^3``
+    array is never formed: with ``P`` the ``T x K(K+1)/2`` matrix of pair
+    products ``d_ti d_tj``, the kept rows are the one matrix product
+    ``P'd / T``.  For each slice, ``mu_h`` is that product on the
+    within-slice-centered factors minus the same product on the globally
+    centered ones (the global third-moment correction).  The kernel is
+    ``sum_h p_h mu_h' mu_h``.
 
     Requires at least 2 observations per slice; 3 or more are recommended for
     a meaningful third moment.
@@ -176,25 +185,30 @@ def _tm_matrix(g: np.ndarray, slices: SliceAssignment) -> np.ndarray:
         raise ValueError("slice too small: third moments need >= 2 observations per slice")
     k = g.shape[1]
     rows, cols = np.triu_indices(k)
-    global3 = np.einsum("ti,tj,tk->ijk", g, g, g) / g.shape[0]
+    global3 = _pair_third_moments(g, rows, cols)
     p_hat = slices.proportions
     m = np.zeros((k, k))
     for h in range(slices.h_count):
         d = g[slices.labels == h]
-        d = d - d.mean(axis=0)
-        mu3 = np.einsum("ti,tj,tk->ijk", d, d, d) / d.shape[0]
-        mu = (mu3 - global3)[rows, cols, :]
+        mu = _pair_third_moments(d - d.mean(axis=0), rows, cols) - global3
         m += p_hat[h] * mu.T @ mu
     return _symmetrized(m)
 
 
-def build_kernel(
-    method: str,
+def build_kernels(
+    methods,
     factors: np.ndarray,
     slices: SliceAssignment,
     variance_mode: str = "identity",
-) -> KernelEstimate:
-    """Build one of the ``KERNEL_METHODS`` kernels and eigendecompose it once.
+) -> dict[str, KernelEstimate]:
+    """Build the ``KERNEL_METHODS`` kernels named in ``methods``, each eigendecomposed once.
+
+    Returns one :class:`KernelEstimate` per method, keyed by name.  The
+    factors are centered and checked once, the slice means and second moments
+    are computed once for SIR and DR, and each base matrix (SIR, DR, TM) is
+    built at most once: ``"ens"`` is the sum of the very DR and TM matrices
+    returned for ``"dr"`` and ``"tm"``, so asking for all three builds no more
+    matrices than asking for ``"ens"`` alone.
 
     ``"sir"``, ``"dr"`` and ``"tm"`` build the SIR, DR and TM kernels of the
     globally centered factors; ``"ens"`` is the sum of the DR and TM kernels,
@@ -203,21 +217,41 @@ def build_kernel(
     factors normalized to ``F'F/T = I`` and the one every pipeline run uses,
     or ``"pooled"``, the pooled slice second moment of the pair-form reference.
     """
+    for method in methods:
+        if method not in KERNEL_METHODS:
+            raise ValueError(f"unknown kernel method {method!r}; expected one of {KERNEL_METHODS}")
+    wanted = set(methods)
     g = _centered(factors)
     _check_slices(g, slices)
-    if method == "sir":
-        m = _sir_matrix(g, slices)
-    elif method == "dr":
-        m = _dr_matrix(g, slices, variance_mode)
-    elif method == "tm":
-        m = _tm_matrix(g, slices)
-    elif method == "ens":
+    matrices = {}
+    if wanted & {"sir", "dr", "ens"}:
+        means, seconds = _slice_stats(g, slices)
+        if "sir" in wanted:
+            matrices["sir"] = _sir_matrix(means, slices)
+        if wanted & {"dr", "ens"}:
+            matrices["dr"] = _dr_matrix(means, seconds, slices, variance_mode)
+    if wanted & {"tm", "ens"}:
+        matrices["tm"] = _tm_matrix(g, slices)
+    if "ens" in wanted:
         # both sides are symmetrized, so their sum is exactly symmetric
-        m = _dr_matrix(g, slices, variance_mode) + _tm_matrix(g, slices)
-    else:
-        raise ValueError(f"unknown kernel method {method!r}; expected one of {KERNEL_METHODS}")
-    vals, vecs = sym_eig_desc(m)
-    return KernelEstimate(method=method, matrix=m, eigenvalues=vals, eigenvectors=vecs)
+        matrices["ens"] = matrices["dr"] + matrices["tm"]
+    kernels = {}
+    for method in methods:
+        vals, vecs = sym_eig_desc(matrices[method])
+        kernels[method] = KernelEstimate(
+            method=method, matrix=matrices[method], eigenvalues=vals, eigenvectors=vecs
+        )
+    return kernels
+
+
+def build_kernel(
+    method: str,
+    factors: np.ndarray,
+    slices: SliceAssignment,
+    variance_mode: str = "identity",
+) -> KernelEstimate:
+    """Build one of the ``KERNEL_METHODS`` kernels: :func:`build_kernels` for one method."""
+    return build_kernels([method], factors, slices, variance_mode)[method]
 
 
 def extract_directions(kernel: KernelEstimate, l: int) -> np.ndarray:

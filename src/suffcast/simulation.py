@@ -101,13 +101,16 @@ class SimDraw:
 
 
 def _ar1_panel(coef: np.ndarray, shocks: np.ndarray) -> np.ndarray:
-    """Run ``x_t = coef * x_{t-1} + e_t`` per column and drop the burn-in."""
-    total = shocks.shape[0]
-    out = np.empty_like(shocks)
-    prev = np.zeros(shocks.shape[1])
-    for t in range(total):
-        prev = coef * prev + shocks[t]
-        out[t] = prev
+    """Run ``x_t = coef * x_{t-1} + e_t`` per column and drop the burn-in.
+
+    The recursion starts from ``x_{-1} = 0`` and updates the rows of a copy of
+    the shocks in place, one numpy call per step for all columns at once.
+    """
+    out = shocks.copy()
+    step = np.empty(shocks.shape[1])
+    for t in range(1, out.shape[0]):
+        np.multiply(coef, out[t - 1], out=step)
+        out[t] += step
     return out[BURN_IN:]
 
 
@@ -124,8 +127,10 @@ def sample_dgp(spec: DgpSpec, replicate: int) -> SimDraw:
     nu = rng.standard_normal((total, spec.p))
     eps = rng.standard_normal(spec.t_len)
 
-    factors = _ar1_panel(alpha, e)
-    u = _ar1_panel(rho, nu)
+    # one pass over the factor and error columns together
+    panel = _ar1_panel(np.concatenate([alpha, rho]), np.hstack([e, nu]))
+    factors = np.ascontiguousarray(panel[:, : spec.k])
+    u = panel[:, spec.k :]
     x = b @ factors.T + u.T
     v1 = factors @ spec.phi1
     v2 = factors @ spec.phi2
@@ -181,7 +186,8 @@ def subspace_r2(phi_hat: np.ndarray, true_span: np.ndarray) -> float:
     if norm == 0:
         raise ValueError("zero direction vector")
     gram = true_span.T @ true_span
-    if not np.allclose(gram, np.eye(true_span.shape[1]), atol=1e-8):
+    # written so that a NaN entry fails the check too
+    if not np.max(np.abs(gram - np.eye(true_span.shape[1]))) <= 1e-8:
         raise ValueError("true_span columns are not orthonormal")
     u = phi_hat / norm
     return float(np.clip(np.sum((true_span.T @ u) ** 2), 0.0, 1.0))
@@ -208,6 +214,18 @@ class StudyConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
+        # k_selection comes from the factor fit, not from a method
+        producers = {
+            "directions": sdr.KERNEL_METHODS,
+            "l_selection": sdr.KERNEL_METHODS,
+            "oos": METHODS,
+        }
+        for metric in self.metrics:
+            if metric in producers and not set(self.methods) & set(producers[metric]):
+                raise ValueError(
+                    f"metric {metric!r} needs one of the methods {producers[metric]}, "
+                    f"got {self.methods}"
+                )
         for name in ("n_reps", "n_test", "l", "h_slices", "k_max"):
             _check_count(name, getattr(self, name))
         if self.jobs < 0:
@@ -263,12 +281,16 @@ def _run_replicate(spec: DgpSpec, config: StudyConfig, replicate: int) -> dict:
         h_id = identifiability_rotation(draw.factors[:t_train], draw.loadings)
         basis, _ = np.linalg.qr(np.linalg.solve(h_id.T, draw.phi))
 
+    if want_oos:
+        f_test = estimated_factors_known_loadings(draw.x[:, t_train:], fit.loadings)
+        y_test = draw.y[t_train:]
+        denom = float(np.sum((y_test - y_train.mean()) ** 2))
+    kernels = sdr.build_kernels(
+        [m for m in config.methods if m in sdr.KERNEL_METHODS], fit.factors, slices
+    )
     for method in config.methods:
-        kernel = None
-        phi_hat = None
-        if method in sdr.KERNEL_METHODS:
-            kernel = sdr.build_kernel(method, fit.factors, slices)
-            phi_hat = sdr.extract_directions(kernel, config.l)
+        kernel = kernels.get(method)
+        phi_hat = None if kernel is None else sdr.extract_directions(kernel, config.l)
         if "directions" in config.metrics and phi_hat is not None:
             out[(method, "r2_phi1")] = subspace_r2(phi_hat[:, 0], basis)
             if config.l >= 2:
@@ -277,11 +299,7 @@ def _run_replicate(spec: DgpSpec, config: StudyConfig, replicate: int) -> dict:
             out[(method, "l_selection")] = sdr.select_dimension(kernel, spec.p, t_train).l_hat
         if want_oos:
             model = fit_forecast_model(method, fit.factors, y_train, phi_hat, OOS_BANDWIDTH_SCALE)
-            x_test = draw.x[:, t_train:]
-            f_test = estimated_factors_known_loadings(x_test, fit.loadings)
             pred = predict(model, f_test)
-            y_test = draw.y[t_train:]
-            denom = float(np.sum((y_test - y_train.mean()) ** 2))
             out[(method, "r2_oos")] = 1.0 - float(np.sum((y_test - pred) ** 2)) / denom
             if model.kind == "additive":
                 out[(method, "backfit_sweeps")] = model.sweeps

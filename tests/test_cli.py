@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from suffcast import DgpSpec, PanelData, RollingConfig, StudyConfig
-from suffcast import cli
+from suffcast import cli, simulation
 from suffcast.cli import main
 from test_panel_data import save_csv
 
@@ -94,11 +94,17 @@ class TestSimulate:
         cfg.write_text(json.dumps({"model": "I", "bogus_key": 1}))
         assert run(["simulate", "--config", cfg, "--out-dir", tmp_path / "x"]) == 2
 
-    def test_replication_failures_reported_not_fatal(self, tmp_path, capsys):
+    def test_replication_failures_reported_not_fatal(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "fail"
-        # one observation per slice makes every TM kernel fail
+
+        # a degenerate draw fails its replicate at run time; the config
+        # checks cannot see it coming
+        def degenerate(f, b):
+            raise ValueError("rank-deficient factors: F'F is singular")
+
+        monkeypatch.setattr(simulation, "identifiability_rotation", degenerate)
         assert run([
-            "simulate", "--p", 20, "--t-len", 30, "--n-reps", 2, "--h-slices", 30,
+            "simulate", "--p", 20, "--t-len", 30, "--n-reps", 2, "--h-slices", 5,
             "--methods", "tm", "--seed", 0, "--jobs", 1, "--out-dir", out,
         ]) == 0
         meta = json.loads((out / "metadata.json").read_text())
@@ -106,6 +112,16 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "n_failed=2" in err
         assert "'ValueError': 2" in err
+
+    @pytest.mark.parametrize("methods", ["tm", "ens"])
+    def test_two_observations_per_slice_run(self, tmp_path, methods):
+        # h_slices = t_len / 2 is the largest slice count third moments allow
+        out = tmp_path / methods
+        assert run([
+            "simulate", "--p", 20, "--t-len", 30, "--n-reps", 2, "--h-slices", 15,
+            "--methods", methods, "--seed", 0, "--jobs", 1, "--out-dir", out,
+        ]) == 0
+        assert json.loads((out / "metadata.json").read_text())["n_failed"] == 0
 
     def test_json_method_list_runs_like_the_flag(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -488,6 +504,26 @@ class TestConfigBoundary:
             ("forecast", ["--k", "115", "--horizon", "6"], None,
              "k=115 must be < window - horizon = 114"),
             ("simulate", ["--jobs", "-1"], None, "jobs must be >= 0, got -1"),
+            # third moments need >= 2 observations per slice
+            ("simulate", ["--n-reps", "3", "--p", "30", "--t-len", "60", "--methods", "tm",
+                          "--h-slices", "40"], None,
+             "h_slices=40 must be <= t_len / 2 = 30 for tm and ens"),
+            ("simulate", ["--n-reps", "3", "--p", "30", "--t-len", "61", "--methods", "sir,ens",
+                          "--h-slices", "31"], None,
+             "h_slices=31 must be <= t_len / 2 = 30 for tm and ens"),
+            ("forecast", ["--method", "tm", "--k", "4", "--l", "1", "--window", "40",
+                          "--h-slices", "30", "--n-eval", "5"], None,
+             "h_slices=30 must be <= (window - horizon) / 2 = 19 for tm and ens"),
+            ("forecast", ["--method", "ens", "--window", "41", "--horizon", "2",
+                          "--h-slices", "20"], None,
+             "h_slices=20 must be <= (window - horizon) / 2 = 19 for tm and ens"),
+            # a metric no requested method produces
+            ("simulate", ["--methods", "pc", "--metrics", "directions"], None,
+             "metric 'directions' needs one of the methods"),
+            ("simulate", ["--methods", "pc,nlpc", "--metrics", "k_selection,l_selection"], None,
+             "metric 'l_selection' needs one of the methods"),
+            ("simulate", [], '{"methods": [], "metrics": ["oos"]}',
+             "metric 'oos' needs one of the methods"),
         ],
     )
     def test_out_of_range_value_exits_2_before_writing(

@@ -137,6 +137,16 @@ class TestTmKernel:
             build_kernel("tm", f, s).matrix, brute_force_tm(f, s), rtol=1e-10, atol=1e-12
         )
 
+    def test_distinct_pair_products_match_brute_force_at_k6(self):
+        # the pair-product GEMM sums in another order than the per-entry
+        # means of the oracle, so agreement is to rounding, not bit for bit
+        rng = np.random.default_rng(5)
+        f = rng.standard_normal((120, 6)) ** 2
+        s = slice_target(f[:, 0] - f[:, 3] + 0.2 * rng.standard_normal(120), 8)
+        fast = build_kernel("tm", f, s).matrix
+        oracle = brute_force_tm(f, s)
+        assert np.linalg.norm(fast - oracle) / np.linalg.norm(oracle) < 1e-12
+
     def test_slice_too_small(self):
         f = np.arange(3.0)[:, None]
         s = slice_target(np.arange(3.0), 3)
@@ -197,6 +207,24 @@ def brute_force_tm(f, slices):
     return out
 
 
+class TestBuildKernels:
+    @pytest.mark.parametrize("mode", ["identity", "pooled"])
+    def test_each_kernel_matches_its_single_method_call(self, mode):
+        rng = np.random.default_rng(9)
+        f = rng.standard_normal((60, 4))
+        s = slice_target(f[:, 0] * f[:, 1] + 0.3 * rng.standard_normal(60), 6)
+        kernels = sdr.build_kernels(["sir", "dr", "tm", "ens"], f, s, mode)
+        assert list(kernels) == ["sir", "dr", "tm", "ens"]
+        for method, kern in kernels.items():
+            alone = build_kernel(method, f, s, mode)
+            assert kern.method == method
+            for name in ("matrix", "eigenvalues", "eigenvectors"):
+                assert np.array_equal(getattr(kern, name), getattr(alone, name)), (method, name)
+        assert np.array_equal(
+            kernels["ens"].matrix, kernels["dr"].matrix + kernels["tm"].matrix
+        )
+
+
 class TestEnsembleKernel:
     def test_degenerate_sides(self, monkeypatch):
         # a zero side leaves the other side's matrix bit for bit
@@ -209,7 +237,7 @@ class TestEnsembleKernel:
             m.setattr(sdr, "_tm_matrix", lambda g, slices: np.zeros((2, 2)))
             assert np.array_equal(build_kernel("ens", f, s).matrix, dr.matrix)
         with monkeypatch.context() as m:
-            m.setattr(sdr, "_dr_matrix", lambda g, slices, mode: np.zeros((2, 2)))
+            m.setattr(sdr, "_dr_matrix", lambda means, seconds, slices, mode: np.zeros((2, 2)))
             assert np.array_equal(build_kernel("ens", f, s).matrix, tm.matrix)
 
     def test_dimension_mismatch(self):

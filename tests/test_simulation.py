@@ -9,7 +9,7 @@ from suffcast import (
     sample_dgp,
     subspace_r2,
 )
-from suffcast import cli, simulation
+from suffcast import cli, sdr, simulation
 from suffcast.simulation import link_function
 from suffcast._eigen import sym_eig_desc
 
@@ -33,7 +33,30 @@ class TestLinks:
             link_function("V", np.zeros(1), np.zeros(1))
 
 
+def ar1_loop(coef, shocks):
+    """The AR(1) recursion of one panel, from zero, one Python step per period."""
+    out = np.empty_like(shocks)
+    prev = np.zeros(shocks.shape[1])
+    for t in range(shocks.shape[0]):
+        prev = coef * prev + shocks[t]
+        out[t] = prev
+    return out[simulation.BURN_IN :]
+
+
 class TestSampleDgp:
+    def test_one_ar1_pass_matches_a_loop_per_panel(self):
+        # factors and errors from one pass over their joined columns, bit for
+        # bit as from a separate loop over each, with the same shock draws
+        spec = DgpSpec(p=30, t_len=80, link="IV", seed=23)
+        draw = sample_dgp(spec, 4)
+        alpha, rho = spec.ar_coefficients()
+        rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(2, 4)))
+        total = simulation.BURN_IN + spec.t_len
+        factors = ar1_loop(alpha, rng.standard_normal((total, spec.k)))
+        u = ar1_loop(rho, rng.standard_normal((total, spec.p)))
+        assert np.array_equal(draw.factors, factors)
+        assert np.array_equal(draw.x, draw.loadings @ factors.T + u.T)
+
     def test_deterministic(self):
         spec = DgpSpec(p=20, t_len=30, seed=5)
         a = sample_dgp(spec, 3)
@@ -177,6 +200,19 @@ class TestSubspaceR2:
         with pytest.raises(ValueError, match="zero direction"):
             subspace_r2(np.zeros(3), np.eye(3)[:, :1])
 
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            [[1.0, 0.0], [0.0, 1.001], [0.0, 0.0]],
+            [[1.0, 0.0], [0.0, 1.0 + 1e-6], [0.0, 0.0]],
+            [[1.0, 1e-6], [0.0, 1.0], [0.0, 0.0]],
+            [[1.0, 0.0], [0.0, np.nan], [0.0, 0.0]],
+        ],
+    )
+    def test_rejects_a_basis_that_is_not_orthonormal(self, basis):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            subspace_r2(np.array([1.0, 0.0, 0.0]), np.array(basis))
+
     def test_sign_flip_invariance(self):
         # coordinate sign flips applied to both the direction and the basis
         # leave the metric unchanged
@@ -288,6 +324,34 @@ class TestMonteCarloStudy:
         result = monte_carlo_study(spec, config)
         assert ("factors", "k_selection") in result.values
         assert ("dr", "l_selection") in result.values
+
+    def test_each_kernel_matrix_built_once_per_replicate(self, monkeypatch):
+        calls = {}
+        for name in ("_dr_matrix", "_tm_matrix"):
+
+            def counting(*args, _name=name, _built=getattr(sdr, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _built(*args)
+
+            monkeypatch.setattr(sdr, name, counting)
+        spec = DgpSpec(p=30, t_len=80, link="IV", seed=24)
+        config = StudyConfig(
+            methods=("dr", "tm", "ens"), metrics=("directions", "l_selection"), h_slices=5
+        )
+        cells = simulation._run_replicate(spec, config, 0)
+        assert calls == {"_dr_matrix": 1, "_tm_matrix": 1}
+        assert {method for method, _ in cells} == {"dr", "tm", "ens"}
+
+    @pytest.mark.parametrize(
+        "methods,metrics",
+        [
+            ((), ("k_selection",)),
+            (("pc",), ("oos", "k_selection")),
+            (("sir", "pc"), ("directions",)),
+        ],
+    )
+    def test_metrics_some_method_produces_accepted(self, methods, metrics):
+        StudyConfig(methods=methods, metrics=metrics)
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError, match="unknown metrics"):
