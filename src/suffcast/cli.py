@@ -9,13 +9,15 @@ and default: ``simulate`` exposes :class:`DgpSpec` (``link`` as ``model``) and
 A subcommand reads an optional flat JSON config file, overridden by explicit
 flags.  Every value is checked against its field's type (``_CONVERTERS``),
 then by the config dataclasses themselves and by the command's cross-field
-check in ``_COMMANDS``; a wrong one exits 2 before anything is written.  The
-resolved configuration is written next to the outputs as
-``config_resolved.json``; passed back as ``--config`` to the same subcommand,
-it reproduces the run.  This module is the only one that writes files: the
-library returns results, and each command writes its outputs through
-``_write_csv`` (floats as ``repr(float(v))``) and ``_write_json`` (indent 2
-and a final newline).  Exit codes:
+check in ``_COMMANDS``; a wrong one exits 2 before anything is written.  Every
+command computes before it writes, the output directory is made by its first
+write, and the resolved configuration is written next to the outputs as
+``config_resolved.json`` once the command succeeded, so an error raised at
+any point of a run leaves nothing behind.  Passed back as ``--config`` to the
+same subcommand, the resolved file reproduces the run.  This module is the
+only one that writes files: the library returns results, and each command
+writes its outputs through ``_write_csv`` (floats as ``repr(float(v))``) and
+``_write_json`` (indent 2 and a final newline).  Exit codes:
 0 success, 2 usage or config error, 3 data error, 4 numerical failure.
 
 The default output directory is taken from the ``SUFFCAST_OUT_DIR``
@@ -175,6 +177,7 @@ def _fields_of(cls, config: dict) -> dict:
 
 def _write_csv(path: Path, rows, header=None) -> None:
     """Write ``rows`` as CSV: floats as ``repr(float(v))``, other cells as written."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         if header is not None:
@@ -186,6 +189,7 @@ def _write_csv(path: Path, rows, header=None) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(obj, indent=2) + "\n")
 
 
@@ -317,6 +321,9 @@ def _check_simulate(spec: DgpSpec, study: StudyConfig) -> None:
     if study.h_slices > spec.t_len:
         raise ConfigError(f"h_slices={study.h_slices} must be <= t_len={spec.t_len}")
     _check_third_moment_slices(study.methods, study.h_slices, spec.t_len, "t_len")
+    # the PC baseline of the oos metric needs T > K
+    if "pc" in study.methods and "oos" in study.metrics and spec.t_len <= spec.k:
+        raise ConfigError(f"t_len={spec.t_len} must be > k={spec.k} for pc with the oos metric")
 
 
 def _check_forecast(rolling: RollingConfig) -> None:
@@ -388,9 +395,10 @@ def main(argv=None) -> int:
             check(*built)
         out_dir = Path(config["out_dir"] or os.environ.get("SUFFCAST_OUT_DIR", "."))
         config["out_dir"] = str(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        code = runner(config, out_dir, *built)
+        # written only once the run succeeded, so that it always reproduces one
         _write_json(out_dir / "config_resolved.json", {"command": args.command, **config})
-        return runner(config, out_dir, *built)
+        return code
     except (DataError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA

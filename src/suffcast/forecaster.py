@@ -9,6 +9,7 @@ against a linear principal-components baseline fit on identical windows.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -20,8 +21,10 @@ from .panel_data import PanelData, _standardize_array
 
 BACKFIT_TOL = 1e-8
 BACKFIT_MAX_SWEEPS = 100
-#: shifted Gaussian exponents below this give a weight of exactly 0
-NW_EXPONENT_FLOOR = -700.0
+#: sorted query rows that share one stored window of banded weights
+NW_BLOCK_ROWS = 64
+#: weights stay one dense matrix when a band would skip fewer weights per row
+NW_MIN_SKIPPED_PER_ROW = 300
 
 METHODS = sdr.KERNEL_METHODS + ("pc", "nlpc")
 
@@ -32,17 +35,28 @@ def reference_bandwidth(values: np.ndarray) -> float:
     return 1.06 * float(np.std(values, ddof=1)) * t_len ** (-0.2)
 
 
-def _nw_weights(train_x: np.ndarray, query_x: np.ndarray, bandwidth: float) -> np.ndarray:
-    """Row-normalized Gaussian weights of each query point over the training points.
+def _nw_exponent_floor(m: int) -> float:
+    """Shifted Gaussian exponents below this give a weight of exactly 0, for ``m`` training points.
+
+    The floor is ``-(53 ln 2 + ln m)``, rounded down by one ulp so that
+    ``m * exp(floor) <= 2**-53`` holds in floating point too: the ``m``
+    weights below it sum to under ``2**-53`` of a row's largest weight, 1, so
+    dropping them cannot move a row sum by half an ulp.  It is -42.95 at
+    ``m = 500``.  The floor also keeps numpy's ``exp`` off its subnormal path.
+    """
+    return math.nextafter(-(53.0 * math.log(2.0) + math.log(m)), -math.inf)
+
+
+def _nw_weights(
+    train_x: np.ndarray, query_x: np.ndarray, bandwidth: float, floor: float
+) -> np.ndarray:
+    """Dense row-normalized Gaussian weights of each query point over the training points.
 
     Exponents are shifted by their row maximum before exponentiation, so
     queries far outside the training range keep finite weights concentrated
-    on the nearest observations.  Shifted exponents below
-    ``NW_EXPONENT_FLOOR`` give a weight of exactly 0 (they are below 1e-304,
-    against a largest weight of 1 in each row).  Without the floor, numpy's
-    ``exp`` leaves its vectorized path for inputs below about -708, and the
-    subnormal weights it returns slow every BLAS product with the weight
-    matrix several-fold.  The array is built and normalized in place.
+    on the nearest observations.  Shifted exponents below ``floor`` (see
+    :func:`_nw_exponent_floor`) give a weight of exactly 0.  The array is
+    built and normalized in place.
     """
     # squaring before scaling gives the bits of -0.5 * d * d, as scaling by
     # -0.5 is exact
@@ -51,8 +65,8 @@ def _nw_weights(train_x: np.ndarray, query_x: np.ndarray, bandwidth: float) -> n
     e *= e
     e *= -0.5
     e -= e.max(axis=1, keepdims=True)
-    keep = e >= NW_EXPONENT_FLOOR
-    np.maximum(e, NW_EXPONENT_FLOOR, out=e)
+    keep = e >= floor
+    np.maximum(e, floor, out=e)
     np.exp(e, out=e)
     e *= keep
     e /= e.sum(axis=1, keepdims=True)
@@ -60,19 +74,113 @@ def _nw_weights(train_x: np.ndarray, query_x: np.ndarray, bandwidth: float) -> n
 
 
 @dataclass(eq=False)
+class _BandedWeights:
+    """Gaussian weights stored only inside each block's window of sorted training points.
+
+    Query rows are taken in sorted order, ``NW_BLOCK_ROWS`` at a time.  Block
+    ``(r0, r1, c0, c1, w)`` holds the :func:`_nw_weights` of sorted query rows
+    ``r0:r1`` over sorted training points ``c0:c1``, a window that holds every
+    weight of those rows above the floor.  ``self @ v`` gathers ``v`` in
+    sorted training order, multiplies block by block and scatters the result
+    back to the query order.
+    """
+
+    train_order: np.ndarray
+    query_order: np.ndarray
+    blocks: list[tuple[int, int, int, int, np.ndarray]]
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        v_sorted = v[self.train_order]
+        out_sorted = np.empty(self.query_order.shape[0])
+        for r0, r1, c0, c1, w in self.blocks:
+            out_sorted[r0:r1] = w @ v_sorted[c0:c1]
+        out = np.empty_like(out_sorted)
+        out[self.query_order] = out_sorted
+        return out
+
+
+def _train_order(train_x: np.ndarray, span: float, bandwidth: float) -> np.ndarray | None:
+    """The sort order of ``train_x`` for banded weights, or None where they stay dense.
+
+    A query at a training point keeps the points within ``reach =
+    sqrt(2 |floor|)`` bandwidths, so a band skips about
+    ``m (1 - 2 reach / span)`` of each row's ``m`` weights, where ``span`` is
+    the range of ``train_x``.  Below ``NW_MIN_SKIPPED_PER_ROW`` the banded
+    operator's gather, scatter and per-block loop cost more than the skipped
+    multiply-adds save: timing a build and 30 or 100 products at m = 300-500
+    put the crossover at 250-320 skipped weights per row, and the dense
+    matrix was faster at every bandwidth for m <= 250.
+    """
+    m = train_x.shape[0]
+    reach = bandwidth * math.sqrt(-2.0 * _nw_exponent_floor(m))
+    if m * (1.0 - 2.0 * reach / span) < NW_MIN_SKIPPED_PER_ROW:
+        return None
+    return np.argsort(train_x, kind="stable")
+
+
+def _nw_operator(
+    train_x: np.ndarray,
+    train_order: np.ndarray | None,
+    bandwidth: float,
+    query_x: np.ndarray | None = None,
+) -> np.ndarray | _BandedWeights:
+    """The weights of ``query_x`` (default: the training points) over ``train_x``, for ``@``.
+
+    ``train_order`` is :func:`_train_order`'s.  Where it is None, or there
+    are fewer queries than one block, the weights are the dense
+    :func:`_nw_weights` matrix (for 64 queries over 500 points at the study's
+    bandwidth the two took about the same time).  Otherwise they are :class:`_BandedWeights`:
+    a query at ``d`` bandwidths from its nearest training point keeps exactly
+    the points within ``sqrt(d**2 + 2 |floor|)`` bandwidths, so each block's
+    window is the union of its rows' reaches (widened by a relative 1e-9
+    against rounding; points in it below the floor are still 0).
+    """
+    m = train_x.shape[0]
+    floor = _nw_exponent_floor(m)
+    queries = train_x if query_x is None else query_x
+    n = queries.shape[0]
+    if train_order is None or n < NW_BLOCK_ROWS:
+        return _nw_weights(train_x, queries, bandwidth, floor)
+    x_sorted = train_x[train_order]
+    query_order = train_order if query_x is None else np.argsort(query_x, kind="stable")
+    q_sorted = queries[query_order]
+    pos = np.searchsorted(x_sorted, q_sorted)
+    gap = np.minimum(
+        np.abs(q_sorted - x_sorted[np.maximum(pos - 1, 0)]),
+        np.abs(x_sorted[np.minimum(pos, m - 1)] - q_sorted),
+    ) / bandwidth
+    reach = bandwidth * (1.0 + 1e-9) * np.sqrt(gap * gap - 2.0 * floor)
+    r0 = np.arange(0, n, NW_BLOCK_ROWS)
+    r1 = np.append(r0[1:], n)
+    c0 = np.minimum.reduceat(np.searchsorted(x_sorted, q_sorted - reach, "left"), r0)
+    c1 = np.maximum.reduceat(np.searchsorted(x_sorted, q_sorted + reach, "right"), r0)
+    blocks = [
+        (a, b, c, d, _nw_weights(x_sorted[c:d], q_sorted[a:b], bandwidth, floor))
+        for a, b, c, d in zip(r0.tolist(), r1.tolist(), c0.tolist(), c1.tolist())
+    ]
+    return _BandedWeights(train_order, query_order, blocks)
+
+
+@dataclass(eq=False)
 class _Smoother:
-    """State of one fitted univariate component."""
+    """State of one fitted univariate component.
+
+    ``order`` sorts ``train_x`` for banded weights (None: dense weights).
+    """
 
     train_x: np.ndarray
     partial_residuals: np.ndarray
     bandwidth: float
+    order: np.ndarray | None = None
     active: bool = True
 
     def __call__(self, query_x: np.ndarray) -> np.ndarray:
         if not self.active:
             return np.zeros_like(query_x, dtype=float)
-        w = _nw_weights(self.train_x, np.asarray(query_x, dtype=float), self.bandwidth)
-        return w @ self.partial_residuals
+        weights = _nw_operator(
+            self.train_x, self.order, self.bandwidth, np.asarray(query_x, dtype=float)
+        )
+        return weights @ self.partial_residuals
 
 
 @dataclass(eq=False)
@@ -106,8 +214,11 @@ def fit_additive(
     ``K x L`` map from a factor vector to the indices.  Targets are centered
     at their mean (the model intercept) and components are updated in turn
     until the fitted values move less than ``BACKFIT_TOL`` or
-    ``BACKFIT_MAX_SWEEPS`` is reached.  A zero-variance index column is fixed
-    at zero with a warning, and its bandwidth is not used.
+    ``BACKFIT_MAX_SWEEPS`` is reached.  Each index's weights are built once
+    (:func:`_nw_operator`): banded over its sorted points where the band
+    skips enough weights to pay for itself (:func:`_train_order`), else
+    dense; the sort order is kept on the smoother, so predictions reuse it.  A zero-variance index column
+    is fixed at zero with a warning, and its bandwidth is not used.
     """
     indices = np.asarray(indices, dtype=float)
     if indices.ndim != 2:
@@ -122,7 +233,8 @@ def fit_additive(
         raise ValueError(f"targets have shape {targets.shape}, expected ({t_len},)")
     if not (np.all(np.isfinite(indices)) and np.all(np.isfinite(targets))):
         raise ValueError("non-finite inputs")
-    degenerate = np.ptp(indices, axis=0) == 0.0
+    spans = np.ptp(indices, axis=0)
+    degenerate = spans == 0.0
     bandwidths = np.asarray(bandwidths, dtype=float)
     if bandwidths.shape != (n_idx,):
         raise ValueError(f"bandwidths have shape {bandwidths.shape}, expected ({n_idx},)")
@@ -133,16 +245,18 @@ def fit_additive(
     intercept = float(targets.mean())
     centered = targets - intercept
 
-    active = np.ones(n_idx, dtype=bool)
-    weight_mats: list[np.ndarray | None] = []
+    active = ~degenerate
+    orders: list[np.ndarray | None] = []
+    weights: list[np.ndarray | _BandedWeights | None] = []
     for j in range(n_idx):
         if degenerate[j]:
             warnings.warn(f"index {j} is degenerate (zero variance); component fixed at 0",
                           stacklevel=2)
-            active[j] = False
-            weight_mats.append(None)
+            orders.append(None)
+            weights.append(None)
             continue
-        weight_mats.append(_nw_weights(indices[:, j], indices[:, j], bandwidths[j]))
+        orders.append(_train_order(indices[:, j], spans[j], bandwidths[j]))
+        weights.append(_nw_operator(indices[:, j], orders[j], bandwidths[j]))
 
     fitted = np.zeros((n_idx, t_len))
     total_prev = np.zeros(t_len)
@@ -153,7 +267,7 @@ def fit_additive(
             if not active[j]:
                 continue
             partial = centered - (fitted.sum(axis=0) - fitted[j])
-            fitted[j] = weight_mats[j] @ partial
+            fitted[j] = weights[j] @ partial
         total = fitted.sum(axis=0)
         converged = bool(np.max(np.abs(total - total_prev)) < BACKFIT_TOL)
         total_prev = total
@@ -163,7 +277,9 @@ def fit_additive(
     for j in range(n_idx):
         if active[j]:
             partial = centered - (total - fitted[j])
-            smoothers.append(_Smoother(indices[:, j].copy(), partial, float(bandwidths[j])))
+            smoothers.append(
+                _Smoother(indices[:, j].copy(), partial, float(bandwidths[j]), orders[j])
+            )
         else:
             smoothers.append(_Smoother(indices[:, j].copy(), np.zeros(t_len), 1.0, active=False))
 
@@ -354,7 +470,7 @@ def rolling_evaluate(panel: PanelData, config: RollingConfig) -> EvalReport:
     last = t_len - h
     if last < first:
         raise ValueError(
-            f"insufficient data: need at least window + horizon = {t_w + h} columns, "
+            f"insufficient data: need at least window + horizon - 1 = {t_w + h - 1} columns, "
             f"panel has {t_len}"
         )
     origins = np.arange(first, last + 1)

@@ -208,9 +208,30 @@ class TestForecast:
             "forecast", "--input", panel, "--target-column", "target",
             "--method", "pc", "--k", 3, "--window", 120, "--out-dir", tmp_path / "x",
         ]) == 2
-        assert "insufficient data: need at least window + horizon = 121 columns, panel has 60" in (
+        assert (
+            "insufficient data: need at least window + horizon - 1 = 120 columns, panel has 60"
+            in capsys.readouterr().err
+        )
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("horizon", [1, 3])
+    def test_shortest_panel_has_one_origin(self, tmp_path, capsys, horizon):
+        # the last origin T - h reaches the first, window - 1, at T = window + h - 1
+        args = ["forecast", "--target-column", "target", "--method", "pc", "--k", 3,
+                "--window", 40, "--horizon", horizon]
+        short = tmp_path / "short"
+        short.mkdir()
+        panel = write_factor_panel(short, t_len=40 + horizon - 2)
+        assert run([*args, "--input", panel, "--out-dir", short / "out"]) == 2
+        assert f"need at least window + horizon - 1 = {39 + horizon} columns" in (
             capsys.readouterr().err
         )
+        assert not (short / "out").exists()
+        panel = write_factor_panel(tmp_path, t_len=40 + horizon - 1)
+        assert run([*args, "--input", panel, "--out-dir", tmp_path / "out"]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["n_eval"] == 1
+        assert (tmp_path / "out" / "config_resolved.json").exists()
 
     def test_stdout_mse_ratio_matches_summary(self, tmp_path, capsys):
         panel = write_factor_panel(tmp_path, link="curved")
@@ -233,6 +254,27 @@ class TestForecast:
 
 
 class TestSelect:
+    @pytest.mark.parametrize(
+        "method,h_slices,message",
+        [
+            ("tm", 31, "slice too small: third moments need >= 2 observations per slice"),
+            ("ens", 31, "slice too small: third moments need >= 2 observations per slice"),
+            ("sir", 61, "h_count=61 exceeds number of observations 60"),
+        ],
+    )
+    def test_slices_beyond_the_panel_exit_2_with_nothing_written(
+        self, tmp_path, capsys, method, h_slices, message
+    ):
+        panel = write_factor_panel(tmp_path, t_len=60)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run([
+            "select", "--input", panel, "--target-column", "target", "--method", method,
+            "--h-slices", h_slices, "--out-dir", out,
+        ]) == 2
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_rank3_panel(self, tmp_path):
         panel = write_noiseless_rank3_panel(tmp_path)
         out = tmp_path / "sel"
@@ -524,6 +566,10 @@ class TestConfigBoundary:
              "metric 'l_selection' needs one of the methods"),
             ("simulate", [], '{"methods": [], "metrics": ["oos"]}',
              "metric 'oos' needs one of the methods"),
+            # the PC baseline of the oos metric needs T > K
+            ("simulate", ["--p", "20", "--t-len", "6", "--h-slices", "3", "--methods", "pc",
+                          "--metrics", "oos", "--n-test", "5", "--n-reps", "2", "--jobs", "1"],
+             None, "t_len=6 must be > k=6 for pc with the oos metric"),
         ],
     )
     def test_out_of_range_value_exits_2_before_writing(

@@ -1,5 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from suffcast import (
     PanelData,
@@ -106,9 +109,12 @@ class TestWeightFloor:
     def test_weights_match_formula_above_floor_and_are_zero_below(self, narrow):
         idx, _, bws = narrow
         x, h = idx[:, 0], bws[0]
-        w = fc._nw_weights(x, x, h)
+        floor = fc._nw_exponent_floor(500)
+        w = fc._nw_weights(x, x, h, floor)
         ref = _reference_weights(x, x, h)
-        floored = _reference_exponents(x, x, h) < fc.NW_EXPONENT_FLOOR
+        floored = _reference_exponents(x, x, h) < floor
+        # the floored weights together cannot move a row sum by half an ulp
+        assert 500 * np.exp(floor) <= 2.0**-53
         # the fixture reaches both numpy's underflow range and the subnormals
         assert floored.mean() > 0.3
         assert np.any((ref > 0) & (ref < np.finfo(float).tiny))
@@ -116,7 +122,7 @@ class TestWeightFloor:
         assert np.allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         assert np.array_equal(w[~floored], ref[~floored])
         assert np.all(w[floored] == 0.0)
-        assert np.all(ref[floored] < np.exp(fc.NW_EXPONENT_FLOOR))
+        assert np.all(ref[floored] < np.exp(floor))
 
     def test_backfit_matches_reference_weights(self, narrow):
         idx, y, bws = narrow
@@ -133,9 +139,94 @@ class TestWeightFloor:
                 break
             total_prev = total
         assert model.sweeps == sweep
+        # the banded products sum in sorted order, so bits may differ
         for j in range(2):
             expected = centered - (total - fitted[j])
-            assert np.array_equal(model.smoothers[j].partial_residuals, expected)
+            assert np.allclose(model.smoothers[j].partial_residuals, expected, rtol=0, atol=1e-12)
+
+
+def _floored_reference_weights(train_x, query_x, bandwidth, floor):
+    """The dense weights with every shifted exponent below ``floor`` set to 0."""
+    e = _reference_exponents(train_x, query_x, bandwidth)
+    w = np.where(e >= floor, np.exp(np.maximum(e, floor)), 0.0)
+    return w / w.sum(axis=1, keepdims=True)
+
+
+class TestBandedWeights:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(3, 600),
+        scale=st.floats(0.02, 2.0),
+        tied=st.booleans(),
+        queries=st.sampled_from(["train", "one", "many"]),
+        far=st.booleans(),
+        block=st.integers(1, 80),
+    )
+    def test_banded_product_matches_dense(self, seed, m, scale, tied, queries, far, block):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(m)
+        if tied:  # few distinct values: duplicates and ties at window edges
+            x = np.round(x, 1)
+        if np.ptp(x) == 0.0:
+            return
+        h = scale * fc.reference_bandwidth(x)
+        q = {"train": None, "one": rng.normal(0.0, 2.0, 1),
+             "many": rng.normal(0.0, 2.0, m + int(rng.integers(1, 50)))}[queries]
+        if far and q is not None:
+            q[0] = 1e6
+            if q.shape[0] > 1:
+                q[-1] = -1e6
+        # the operator is banded whatever the block size and bandwidth
+        n = m if q is None else q.shape[0]
+        with mock.patch.object(fc, "NW_BLOCK_ROWS", min(block, n)):
+            op = fc._nw_operator(x, np.argsort(x, kind="stable"), h, q)
+        assert isinstance(op, fc._BandedWeights)
+        dense = fc._nw_weights(x, x if q is None else q, h, fc._nw_exponent_floor(m))
+        v = rng.standard_normal(m)
+        assert np.allclose(op @ v, dense @ v, rtol=0, atol=1e-12)
+        assert np.allclose(op @ np.ones(m), 1.0, rtol=0, atol=1e-12)
+
+    def test_wide_band_is_the_dense_floored_matrix(self):
+        # the rolling evaluator's bandwidth (scale 1) on a 119-point window
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal(119)
+        h = fc.reference_bandwidth(x)
+        floor = fc._nw_exponent_floor(119)
+        assert fc._train_order(x, np.ptp(x), h) is None
+        for q in (None, rng.normal(0.0, 2.0, 1), rng.normal(0.0, 2.0, 200)):
+            w = fc._nw_operator(x, None, h, q)
+            expected = _floored_reference_weights(x, x if q is None else q, h, floor)
+            assert isinstance(w, np.ndarray)
+            assert np.array_equal(w, expected)
+        # the floor is reached, so it is the new floor that is checked
+        assert np.any(_reference_exponents(x, x, h) < floor)
+
+    @pytest.mark.parametrize(
+        "m,scale,banded",
+        [(119, 1.0, False), (250, 0.05, False), (500, 0.1, True), (500, 1.0, False)],
+    )
+    def test_banded_only_where_the_band_skips_enough(self, m, scale, banded):
+        # the rolling window (119 points) and small samples stay dense at any
+        # bandwidth; the study's held-out fit (0.1x, T = 500) is banded
+        x = np.random.default_rng(19).standard_normal(m)
+        h = scale * fc.reference_bandwidth(x)
+        reach = h * np.sqrt(-2.0 * fc._nw_exponent_floor(m))
+        skipped = m * (1.0 - 2.0 * reach / np.ptp(x))
+        assert (skipped >= fc.NW_MIN_SKIPPED_PER_ROW) == banded
+        order = fc._train_order(x, np.ptp(x), h)
+        assert (order is not None) == banded
+        if banded:
+            assert np.array_equal(order, np.argsort(x, kind="stable"))
+
+    def test_narrow_band_stores_a_fraction_of_the_matrix(self):
+        # the study's held-out bandwidth (scale 0.1) at T = 500
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal(500)
+        h = 0.1 * fc.reference_bandwidth(x)
+        op = fc._nw_operator(x, fc._train_order(x, np.ptp(x), h), h)
+        stored = sum(w.size for *_, w in op.blocks)
+        assert stored < 0.4 * 500 * 500
 
 
 class TestPredict:
