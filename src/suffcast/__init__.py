@@ -4,7 +4,6 @@ from .panel_data import (
     DataError,
     PanelData,
     load_csv,
-    standardize,
 )
 from .factor_analysis import (
     FactorEstimate,
@@ -49,7 +48,6 @@ __all__ = [
     "DataError",
     "PanelData",
     "load_csv",
-    "standardize",
     "FactorEstimate",
     "NumFactorsSelection",
     "estimated_factors_known_loadings",

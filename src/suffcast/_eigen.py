@@ -19,14 +19,16 @@ def sym_eig_desc(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     m = np.asarray(m, dtype=float)
     vals, vecs = np.linalg.eigh(m)
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
+    # reversed views; the reordering below makes the one copy
+    vals = vals[::-1]
+    vecs = vecs[:, ::-1]
     anchors = np.abs(vecs).argmax(axis=0)
     # lexsort: primary key descending eigenvalue, tie-break by anchor index
     order = np.lexsort((anchors, -vals))
     vals = vals[order]
     vecs = vecs[:, order]
-    return vals, vecs * column_signs(vecs)
+    vecs *= column_signs(vecs)
+    return vals, vecs
 
 
 def column_signs(m: np.ndarray) -> np.ndarray:

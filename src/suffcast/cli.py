@@ -42,7 +42,7 @@ import numpy as np
 from . import __version__, sdr
 from .factor_analysis import select_and_fit_factors
 from .forecaster import RollingConfig, rolling_evaluate
-from .panel_data import DataError, load_csv, standardize
+from .panel_data import DataError, _standardize_array, load_csv
 from .simulation import DgpSpec, StudyConfig, monte_carlo_study
 
 EXIT_OK = 0
@@ -274,9 +274,8 @@ def cmd_forecast(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
 
 def cmd_select(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
     panel = load_csv(config["input"], config["target_column"], config["delimiter"])
-    if rolling.standardize:
-        panel = standardize(panel)
-    selection, fit = select_and_fit_factors(panel.x, rolling.k_max)
+    x = _standardize_array(panel.x, panel.series_names) if rolling.standardize else panel.x
+    selection, fit = select_and_fit_factors(x, rolling.k_max)
     slices = sdr.slice_target(panel.y, rolling.h_slices)
     kernel = sdr.build_kernel(rolling.method, fit.factors, slices)
     dim = sdr.select_dimension(kernel, panel.p, panel.t_len)
@@ -297,9 +296,8 @@ def cmd_select(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
 
 def cmd_factors(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
     panel = load_csv(config["input"], config["target_column"], config["delimiter"])
-    if rolling.standardize:
-        panel = standardize(panel)
-    _, fit = select_and_fit_factors(panel.x, rolling.k_max, rolling.k)
+    x = _standardize_array(panel.x, panel.series_names) if rolling.standardize else panel.x
+    _, fit = select_and_fit_factors(x, rolling.k_max, rolling.k)
     _write_csv(out_dir / "loadings.csv", fit.loadings)
     _write_csv(out_dir / "factors.csv", fit.factors)
     _write_csv(out_dir / "eigenvalues.csv", fit.eigenvalues[:, None])

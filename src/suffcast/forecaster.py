@@ -48,27 +48,46 @@ def _nw_exponent_floor(m: int) -> float:
 
 
 def _nw_weights(
-    train_x: np.ndarray, query_x: np.ndarray, bandwidth: float, floor: float
+    train_x: np.ndarray,
+    query_x: np.ndarray,
+    bandwidth: float,
+    floor: float,
+    queries_are_train: bool = False,
 ) -> np.ndarray:
     """Dense row-normalized Gaussian weights of each query point over the training points.
 
     Exponents are shifted by their row maximum before exponentiation, so
     queries far outside the training range keep finite weights concentrated
-    on the nearest observations.  Shifted exponents below ``floor`` (see
-    :func:`_nw_exponent_floor`) give a weight of exactly 0.  The array is
-    built and normalized in place.
+    on the nearest observations.  With ``queries_are_train`` each query is a
+    training point, so its row maximum is its own -0 exponent and the shift,
+    which would change no bit, is skipped.  Shifted exponents below ``floor``
+    (see :func:`_nw_exponent_floor`) give a weight of exactly 0.  A row whose
+    every squared scaled distance overflows (a query about 1e154 bandwidths
+    out) weighs the training points at its least distance equally, the
+    Gaussian limit; as those distances all round alike there, that is the
+    row of a query just short of the overflow.  The array is built and
+    normalized in place.
     """
     # squaring before scaling gives the bits of -0.5 * d * d, as scaling by
-    # -0.5 is exact
-    e = query_x[:, None] - train_x[None, :]
-    e /= bandwidth
-    e *= e
+    # -0.5 is exact; an overflow gives an exponent of -inf
+    with np.errstate(over="ignore"):
+        e = query_x[:, None] - train_x[None, :]
+        e /= bandwidth
+        e *= e
     e *= -0.5
-    e -= e.max(axis=1, keepdims=True)
+    if not queries_are_train:
+        top = e.max(axis=1, keepdims=True)
+        far = np.flatnonzero(top == -np.inf)
+        top[far] = 0.0
+        e -= top
     keep = e >= floor
     np.maximum(e, floor, out=e)
     np.exp(e, out=e)
     e *= keep
+    if not queries_are_train and far.size:
+        with np.errstate(over="ignore"):
+            d = np.abs(query_x[far, None] - train_x[None, :])
+        e[far] = d == d.min(axis=1, keepdims=True)
     e /= e.sum(axis=1, keepdims=True)
     return e
 
@@ -139,23 +158,27 @@ def _nw_operator(
     floor = _nw_exponent_floor(m)
     queries = train_x if query_x is None else query_x
     n = queries.shape[0]
+    at_train = query_x is None
     if train_order is None or n < NW_BLOCK_ROWS:
-        return _nw_weights(train_x, queries, bandwidth, floor)
+        return _nw_weights(train_x, queries, bandwidth, floor, at_train)
     x_sorted = train_x[train_order]
-    query_order = train_order if query_x is None else np.argsort(query_x, kind="stable")
+    query_order = train_order if at_train else np.argsort(query_x, kind="stable")
     q_sorted = queries[query_order]
     pos = np.searchsorted(x_sorted, q_sorted)
-    gap = np.minimum(
-        np.abs(q_sorted - x_sorted[np.maximum(pos - 1, 0)]),
-        np.abs(x_sorted[np.minimum(pos, m - 1)] - q_sorted),
-    ) / bandwidth
-    reach = bandwidth * (1.0 + 1e-9) * np.sqrt(gap * gap - 2.0 * floor)
+    # a query too far out for these squares has an infinite reach: all points
+    with np.errstate(over="ignore"):
+        gap = np.minimum(
+            np.abs(q_sorted - x_sorted[np.maximum(pos - 1, 0)]),
+            np.abs(x_sorted[np.minimum(pos, m - 1)] - q_sorted),
+        ) / bandwidth
+        reach = bandwidth * (1.0 + 1e-9) * np.sqrt(gap * gap - 2.0 * floor)
     r0 = np.arange(0, n, NW_BLOCK_ROWS)
     r1 = np.append(r0[1:], n)
     c0 = np.minimum.reduceat(np.searchsorted(x_sorted, q_sorted - reach, "left"), r0)
     c1 = np.maximum.reduceat(np.searchsorted(x_sorted, q_sorted + reach, "right"), r0)
+    # each training point lies in its own block's window
     blocks = [
-        (a, b, c, d, _nw_weights(x_sorted[c:d], q_sorted[a:b], bandwidth, floor))
+        (a, b, c, d, _nw_weights(x_sorted[c:d], q_sorted[a:b], bandwidth, floor, at_train))
         for a, b, c, d in zip(r0.tolist(), r1.tolist(), c0.tolist(), c1.tolist())
     ]
     return _BandedWeights(train_order, query_order, blocks)
@@ -258,25 +281,34 @@ def fit_additive(
         orders.append(_train_order(indices[:, j], spans[j], bandwidths[j]))
         weights.append(_nw_operator(indices[:, j], orders[j], bandwidths[j]))
 
+    # one sweep updates each active component in turn from the residual of
+    # the others, ``centered - (sum(fitted) - fitted[j])``, into its own row
     fitted = np.zeros((n_idx, t_len))
+    components = [(fitted[j], weights[j]) for j in range(n_idx) if active[j]]
+    total = np.empty(t_len)
     total_prev = np.zeros(t_len)
+    partial = np.empty(t_len)
     sweeps, converged = 0, False
     while sweeps < BACKFIT_MAX_SWEEPS and not converged:
         sweeps += 1
-        for j in range(n_idx):
-            if not active[j]:
-                continue
-            partial = centered - (fitted.sum(axis=0) - fitted[j])
-            fitted[j] = weights[j] @ partial
-        total = fitted.sum(axis=0)
-        converged = bool(np.max(np.abs(total - total_prev)) < BACKFIT_TOL)
-        total_prev = total
+        for row, w in components:
+            np.add.reduce(fitted, axis=0, out=total)
+            np.subtract(total, row, out=partial)
+            np.subtract(centered, partial, out=partial)
+            if isinstance(w, _BandedWeights):
+                row[:] = w @ partial
+            else:
+                np.matmul(w, partial, out=row)
+        np.add.reduce(fitted, axis=0, out=total)
+        # the change of the total, in the previous total's buffer
+        np.subtract(total, total_prev, out=total_prev)
+        converged = bool(np.abs(total_prev, out=total_prev).max() < BACKFIT_TOL)
+        total, total_prev = total_prev, total
 
     smoothers = []
-    total = fitted.sum(axis=0)
     for j in range(n_idx):
         if active[j]:
-            partial = centered - (total - fitted[j])
+            partial = centered - (total_prev - fitted[j])
             smoothers.append(
                 _Smoother(indices[:, j].copy(), partial, float(bandwidths[j]), orders[j])
             )

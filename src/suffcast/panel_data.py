@@ -84,7 +84,8 @@ def load_csv(
     Rows with any missing or unparseable value (in the series or the target)
     are dropped; the drop count is reported on ``PanelData.n_dropped`` and in
     a warning.  The target column is excluded from the predictor matrix, so a
-    series is never used to predict itself.
+    series is never used to predict itself; header names must be unique, so a
+    second copy of the target cannot stay behind as a series.
     """
     path = Path(path)
     if not path.exists():
@@ -98,17 +99,72 @@ def load_csv(
         rows = list(reader)
     if len(header) < 3:
         raise DataError(f"{path}: need a time column, a target column and at least one series")
-    column_names = [h.strip() for h in header[1:]]
+    names = [h.strip() for h in header]
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise DataError(f"{path}: repeated column name {name!r}; names must be unique")
+        seen.add(name)
+    column_names = names[1:]
     if target_column not in column_names:
         raise DataError(f"{path}: target column not found: {target_column!r}")
     target_idx = column_names.index(target_column)
 
+    table = _parse_table(rows, len(header))
+    if table is not None:
+        labels = [row[0].strip() for row in rows]
+        dropped: list[str] = []
+    else:
+        labels, table, dropped = _parse_cells(rows, column_names)
+
+    if dropped:
+        warnings.warn(
+            f"{path}: dropped {len(dropped)} row(s); first: {dropped[0]}", stacklevel=2
+        )
+    if len(labels) < 2:
+        raise DataError(f"{path}: fewer than 2 usable time points after dropping rows")
+
+    y = table[:, target_idx]
+    x = np.delete(table, target_idx, axis=1).T
+    series_names = tuple(n for k, n in enumerate(column_names) if k != target_idx)
+    return PanelData(
+        x=x,
+        series_names=series_names,
+        time_labels=tuple(labels),
+        y=y,
+        target_name=target_column,
+        n_dropped=len(dropped),
+    )
+
+
+def _parse_table(rows: list[list[str]], n_cells: int) -> np.ndarray | None:
+    """All value cells as one float table, or None if any row needs :func:`_parse_cells`.
+
+    numpy converts each string as Python's ``float`` does, so where every
+    row has ``n_cells`` cells and every value parses to a finite number this
+    is the table :func:`_parse_cells` builds, bit for bit, in one call.
+    """
+    if any(len(row) != n_cells for row in rows):
+        return None
+    try:
+        table = np.array([row[1:] for row in rows], dtype=float)
+    except ValueError:
+        return None
+    return table if np.isfinite(table).all() else None
+
+
+def _parse_cells(rows: list[list[str]], column_names: list[str]):
+    """Parse ``rows`` cell by cell, dropping each row with a bad cell.
+
+    Returns the kept rows' time labels, their value table and one message
+    per dropped row, naming its first bad cell.
+    """
     labels: list[str] = []
     values: list[list[float]] = []
     dropped: list[str] = []
     for i, row in enumerate(rows):
-        if len(row) != len(header):
-            dropped.append(f"row {i + 2}: expected {len(header)} cells, got {len(row)}")
+        if len(row) != len(column_names) + 1:
+            dropped.append(f"row {i + 2}: expected {len(column_names) + 1} cells, got {len(row)}")
             continue
         parsed = []
         bad = None
@@ -131,48 +187,23 @@ def load_csv(
             continue
         labels.append(row[0].strip())
         values.append(parsed)
-
-    if dropped:
-        warnings.warn(
-            f"{path}: dropped {len(dropped)} row(s); first: {dropped[0]}", stacklevel=2
-        )
-    if len(values) < 2:
-        raise DataError(f"{path}: fewer than 2 usable time points after dropping rows")
-
-    table = np.asarray(values, dtype=float)
-    y = table[:, target_idx]
-    x = np.delete(table, target_idx, axis=1).T
-    series_names = tuple(n for k, n in enumerate(column_names) if k != target_idx)
-    return PanelData(
-        x=x,
-        series_names=series_names,
-        time_labels=tuple(labels),
-        y=y,
-        target_name=target_column,
-        n_dropped=len(dropped),
-    )
+    return labels, np.asarray(values, dtype=float), dropped
 
 
 def _standardize_array(x: np.ndarray, series_names) -> np.ndarray:
     """Scale each row of ``x`` to mean 0 and sample sd 1.
 
-    A flat series is a ``ValueError`` naming it.
+    The rows are centered once; the centered array gives the sample sd by
+    the ufunc sequence of ``std(ddof=1)`` and is then scaled in place, so the
+    result is ``(x - mean) / std(ddof=1)`` bit for bit.  A flat series is a
+    ``ValueError`` naming it.
     """
-    means = x.mean(axis=1)
-    sds = x.std(axis=1, ddof=1)
-    flat = np.nonzero(sds == 0)[0]
+    centered = x - x.mean(axis=1, keepdims=True)
+    sds = np.add.reduce(centered * centered, axis=1, keepdims=True)
+    sds /= x.shape[1] - 1
+    np.sqrt(sds, out=sds)
+    flat = np.nonzero(sds[:, 0] == 0)[0]
     if flat.size:
         raise ValueError(f"zero-variance series over window: {series_names[flat[0]]!r}")
-    return (x - means[:, None]) / sds[:, None]
-
-
-def standardize(panel: PanelData) -> PanelData:
-    """Standardize every series to mean 0 and sample sd 1 over all columns."""
-    return PanelData(
-        x=_standardize_array(panel.x, panel.series_names),
-        series_names=panel.series_names,
-        time_labels=panel.time_labels,
-        y=panel.y,
-        target_name=panel.target_name,
-        n_dropped=panel.n_dropped,
-    )
+    centered /= sds
+    return centered

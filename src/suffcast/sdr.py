@@ -110,14 +110,24 @@ def _check_slices(factors: np.ndarray, slices: SliceAssignment) -> None:
         raise ValueError("empty slice")
 
 
-def _slice_stats(g: np.ndarray, slices: SliceAssignment):
-    """Slice means and second moments of centered factors."""
-    k = g.shape[1]
-    h = slices.h_count
-    means = np.zeros((h, k))
-    seconds = np.zeros((h, k, k))
-    for i in range(h):
-        rows = g[slices.labels == i]
+def _slice_rows(g: np.ndarray, slices: SliceAssignment) -> list[np.ndarray]:
+    """Per slice, the rows of ``g`` in that slice, in time order.
+
+    One stable sort of the labels puts each slice's rows together in their
+    original order, so slice ``h`` is a contiguous view equal to
+    ``g[slices.labels == h]``.
+    """
+    grouped = g[np.argsort(slices.labels, kind="stable")]
+    ends = np.cumsum(slices.counts).tolist()
+    return [grouped[a:b] for a, b in zip([0, *ends], ends)]
+
+
+def _slice_stats(blocks: list[np.ndarray]):
+    """Slice means and second moments of centered factors, from :func:`_slice_rows`."""
+    k = blocks[0].shape[1]
+    means = np.zeros((len(blocks), k))
+    seconds = np.zeros((len(blocks), k, k))
+    for i, rows in enumerate(blocks):
         means[i] = rows.mean(axis=0)
         seconds[i] = rows.T @ rows / rows.shape[0]
     return means, seconds
@@ -166,14 +176,15 @@ def _pair_third_moments(d: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np
     return (d[:, rows] * d[:, cols]).T @ d / d.shape[0]
 
 
-def _tm_matrix(g: np.ndarray, slices: SliceAssignment) -> np.ndarray:
+def _tm_matrix(g: np.ndarray, slices: SliceAssignment, blocks: list[np.ndarray]) -> np.ndarray:
     """Inverse third-moment kernel with the global third-moment correction.
 
     Only the ``K(K+1)/2`` distinct index pairs ``i <= j`` (``np.triu_indices``
     order, unweighted) of a third-moment array are needed, so the ``K^3``
     array is never formed: with ``P`` the ``T x K(K+1)/2`` matrix of pair
     products ``d_ti d_tj``, the kept rows are the one matrix product
-    ``P'd / T``.  For each slice, ``mu_h`` is that product on the
+    ``P'd / T``.  For each slice (its rows of ``g`` are ``blocks[h]``, see
+    :func:`_slice_rows`), ``mu_h`` is that product on the
     within-slice-centered factors minus the same product on the globally
     centered ones (the global third-moment correction).  The kernel is
     ``sum_h p_h mu_h' mu_h``.
@@ -188,8 +199,7 @@ def _tm_matrix(g: np.ndarray, slices: SliceAssignment) -> np.ndarray:
     global3 = _pair_third_moments(g, rows, cols)
     p_hat = slices.proportions
     m = np.zeros((k, k))
-    for h in range(slices.h_count):
-        d = g[slices.labels == h]
+    for h, d in enumerate(blocks):
         mu = _pair_third_moments(d - d.mean(axis=0), rows, cols) - global3
         m += p_hat[h] * mu.T @ mu
     return _symmetrized(m)
@@ -204,11 +214,11 @@ def build_kernels(
     """Build the ``KERNEL_METHODS`` kernels named in ``methods``, each eigendecomposed once.
 
     Returns one :class:`KernelEstimate` per method, keyed by name.  The
-    factors are centered and checked once, the slice means and second moments
-    are computed once for SIR and DR, and each base matrix (SIR, DR, TM) is
-    built at most once: ``"ens"`` is the sum of the very DR and TM matrices
-    returned for ``"dr"`` and ``"tm"``, so asking for all three builds no more
-    matrices than asking for ``"ens"`` alone.
+    factors are centered, checked and split into slices once, the slice means
+    and second moments are computed once for SIR and DR, and each base matrix
+    (SIR, DR, TM) is built at most once: ``"ens"`` is the sum of the very DR
+    and TM matrices returned for ``"dr"`` and ``"tm"``, so asking for all
+    three builds no more matrices than asking for ``"ens"`` alone.
 
     ``"sir"``, ``"dr"`` and ``"tm"`` build the SIR, DR and TM kernels of the
     globally centered factors; ``"ens"`` is the sum of the DR and TM kernels,
@@ -223,15 +233,16 @@ def build_kernels(
     wanted = set(methods)
     g = _centered(factors)
     _check_slices(g, slices)
+    blocks = _slice_rows(g, slices)
     matrices = {}
     if wanted & {"sir", "dr", "ens"}:
-        means, seconds = _slice_stats(g, slices)
+        means, seconds = _slice_stats(blocks)
         if "sir" in wanted:
             matrices["sir"] = _sir_matrix(means, slices)
         if wanted & {"dr", "ens"}:
             matrices["dr"] = _dr_matrix(means, seconds, slices, variance_mode)
     if wanted & {"tm", "ens"}:
-        matrices["tm"] = _tm_matrix(g, slices)
+        matrices["tm"] = _tm_matrix(g, slices, blocks)
     if "ens" in wanted:
         # both sides are symmetrized, so their sum is exactly symmetric
         matrices["ens"] = matrices["dr"] + matrices["tm"]

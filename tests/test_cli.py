@@ -252,6 +252,18 @@ class TestForecast:
             "--out-dir", tmp_path / "x",
         ]) == 3
 
+    def test_repeated_target_column_exits_3_with_nothing_written(self, tmp_path, capsys):
+        # a second "target" column would be kept as a series equal to y
+        panel = tmp_path / "twice.csv"
+        rows = [f"t{t:03d},{t % 7}.5,{t % 5}.25,{t % 5}.25" for t in range(60)]
+        panel.write_text("\n".join(["date,a,target,target", *rows]) + "\n")
+        assert run([
+            "forecast", "--input", panel, "--target-column", "target", "--method", "pc",
+            "--k", 1, "--window", 30, "--out-dir", tmp_path / "x",
+        ]) == 3
+        assert "repeated column name 'target'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestSelect:
     @pytest.mark.parametrize(
@@ -296,8 +308,9 @@ class TestSelect:
         assert summary["l_hat"] == 2
 
     def test_objective_csv_matches_library_bit_exactly(self, tmp_path):
-        from suffcast import load_csv, standardize, select_and_fit_factors
+        from suffcast import load_csv, select_and_fit_factors
         from suffcast import sdr
+        from suffcast.panel_data import _standardize_array
 
         panel_path = write_factor_panel(tmp_path, t_len=200, p=20, k=2, seed=4)
         out = tmp_path / "sel3"
@@ -305,8 +318,8 @@ class TestSelect:
             "select", "--input", panel_path, "--target-column", "target",
             "--k-max", 5, "--out-dir", out,
         ]) == 0
-        panel = standardize(load_csv(panel_path, "target"))
-        selection, fit = select_and_fit_factors(panel.x, 5)
+        panel = load_csv(panel_path, "target")
+        selection, fit = select_and_fit_factors(_standardize_array(panel.x, panel.series_names), 5)
         k = max(selection.k_hat, 1)
         slices = sdr.slice_target(panel.y, 10)
         kernel = sdr.build_kernel("dr", fit.factors, slices)
@@ -361,7 +374,8 @@ class TestSelect:
 
 class TestFactors:
     def test_dump_matches_library(self, tmp_path):
-        from suffcast import load_csv, standardize, select_and_fit_factors
+        from suffcast import load_csv, select_and_fit_factors
+        from suffcast.panel_data import _standardize_array
 
         panel_path = write_factor_panel(tmp_path, t_len=150, p=15, k=2, seed=5)
         out = tmp_path / "fac"
@@ -369,8 +383,8 @@ class TestFactors:
             "factors", "--input", panel_path, "--target-column", "target",
             "--k", 2, "--out-dir", out,
         ]) == 0
-        panel = standardize(load_csv(panel_path, "target"))
-        _, fit = select_and_fit_factors(panel.x, 1, 2)
+        panel = load_csv(panel_path, "target")
+        _, fit = select_and_fit_factors(_standardize_array(panel.x, panel.series_names), 1, 2)
         dumped = np.loadtxt(out / "factors.csv", delimiter=",")
         assert np.array_equal(dumped, fit.factors)
 

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,6 @@ from suffcast import (
     fit_pc_baseline,
     predict,
     rolling_evaluate,
-    standardize,
 )
 from suffcast import forecaster as fc
 
@@ -227,6 +227,141 @@ class TestBandedWeights:
         op = fc._nw_operator(x, fc._train_order(x, np.ptp(x), h), h)
         stored = sum(w.size for *_, w in op.blocks)
         assert stored < 0.4 * 500 * 500
+
+
+def _reference_backfit(model, indices, targets, bandwidths):
+    """The backfitting sweeps written out: every sum recomputed from the fitted rows.
+
+    Uses the fit's own weight operators, so its sweep count and partial
+    residuals must equal the model's bit for bit.
+    """
+    t_len, n_idx = indices.shape
+    mats = [
+        fc._nw_operator(indices[:, j], model.smoothers[j].order, bandwidths[j])
+        for j in range(n_idx)
+    ]
+    centered = targets - targets.mean()
+    fitted = np.zeros((n_idx, t_len))
+    total_prev = np.zeros(t_len)
+    for sweep in range(1, fc.BACKFIT_MAX_SWEEPS + 1):
+        for j in range(n_idx):
+            fitted[j] = mats[j] @ (centered - (fitted.sum(axis=0) - fitted[j]))
+        total = fitted.sum(axis=0)
+        if np.max(np.abs(total - total_prev)) < fc.BACKFIT_TOL:
+            break
+        total_prev = total
+    return sweep, [centered - (total - fitted[j]) for j in range(n_idx)]
+
+
+class TestSweepExactness:
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_dense_eight_component_fit_is_the_reference_sweep(self, seed):
+        # the rolling evaluator's nlpc fit: 8 factors on a 119-point window
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal((119, 8))
+        y = np.sin(f[:, 0]) + 0.5 * f[:, 1] * f[:, 2] + 0.3 * rng.standard_normal(119)
+        bws = np.array([fc.reference_bandwidth(f[:, j]) for j in range(8)])
+        model = fit_additive(f, y, bws, np.eye(8))
+        assert all(s.order is None for s in model.smoothers)
+        sweeps, partials = _reference_backfit(model, f, y, bws)
+        assert model.sweeps == sweeps > 2
+        for smoother, expected in zip(model.smoothers, partials):
+            assert np.array_equal(smoother.partial_residuals, expected)
+
+    def test_banded_two_component_fit_is_the_reference_sweep(self):
+        # the study's held-out fit: 0.1x the reference bandwidth at T = 500
+        rng = np.random.default_rng(24)
+        idx = rng.standard_normal((500, 2))
+        y = 0.4 * idx[:, 0] ** 2 + np.sin(idx[:, 1]) + 0.2 * rng.standard_normal(500)
+        bws = 0.1 * np.array([fc.reference_bandwidth(idx[:, j]) for j in range(2)])
+        model = fit_additive(idx, y, bws, np.eye(2))
+        assert all(s.order is not None for s in model.smoothers)
+        sweeps, partials = _reference_backfit(model, idx, y, bws)
+        assert model.sweeps == sweeps > 2
+        for smoother, expected in zip(model.smoothers, partials):
+            assert np.array_equal(smoother.partial_residuals, expected)
+
+    def test_degenerate_component_keeps_the_reference_sums(self):
+        # the fixed-at-zero row still takes part in every sum
+        rng = np.random.default_rng(25)
+        f = rng.standard_normal((60, 3))
+        f[:, 1] = 2.0
+        y = np.cos(f[:, 0]) + f[:, 2] + 0.1 * rng.standard_normal(60)
+        bws = np.array([fc.reference_bandwidth(f[:, 0]), 1.0, fc.reference_bandwidth(f[:, 2])])
+        with pytest.warns(UserWarning, match="index 1 is degenerate"):
+            model = fit_additive(f, y, bws, np.eye(3))
+        centered = y - y.mean()
+        active = [0, 2]
+        mats = {j: fc._nw_operator(f[:, j], None, bws[j]) for j in active}
+        fitted = np.zeros((3, 60))
+        total_prev = np.zeros(60)
+        for sweep in range(1, fc.BACKFIT_MAX_SWEEPS + 1):
+            for j in active:
+                fitted[j] = mats[j] @ (centered - (fitted.sum(axis=0) - fitted[j]))
+            total = fitted.sum(axis=0)
+            if np.max(np.abs(total - total_prev)) < fc.BACKFIT_TOL:
+                break
+            total_prev = total
+        assert model.sweeps == sweep
+        for j in active:
+            expected = centered - (total - fitted[j])
+            assert np.array_equal(model.smoothers[j].partial_residuals, expected)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 300), st.floats(0.05, 2.0), st.booleans())
+    def test_training_weights_skip_a_shift_that_changes_no_bit(self, seed, m, scale, tied):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(m)
+        if tied:  # duplicates put several -0 exponents in a row
+            x = np.round(x, 1)
+        if np.ptp(x) == 0.0:
+            return
+        h = scale * fc.reference_bandwidth(x)
+        floor = fc._nw_exponent_floor(m)
+        skipped = fc._nw_weights(x, x, h, floor, queries_are_train=True)
+        shifted = fc._nw_weights(x, x, h, floor)
+        assert skipped.tobytes() == shifted.tobytes()
+
+
+class TestFarQueries:
+    """Queries so far out that every squared scaled distance overflows."""
+
+    def test_prediction_past_the_overflow_is_the_one_short_of_it(self):
+        rng = np.random.default_rng(26)
+        f = rng.standard_normal((20, 2))
+        model = nlpc_fit(f, f[:, 0] ** 2 + 0.1 * rng.standard_normal(20))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            near, far = predict(model, np.array([[1e150, 0.0], [1e200, 0.0]]))
+            below, above = predict(model, np.array([[-1e150, 0.0], [-1e300, 0.0]]))
+        assert np.isfinite(far) and far == near
+        assert np.isfinite(above) and above == below
+
+    def test_far_row_weighs_the_nearest_points_alone(self):
+        # points spread widely enough that the distances from 1e200 differ
+        x = np.array([-1e199, 0.0, 5e199, 6e199])
+        floor = fc._nw_exponent_floor(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = fc._nw_weights(x, np.array([1e200, -1e200, 0.5]), 1.0, floor)
+        assert np.array_equal(w[0], [0.0, 0.0, 0.0, 1.0])
+        assert np.array_equal(w[1], [1.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(w[2], [0.0, 1.0, 0.0, 0.0])
+
+    def test_banded_operator_keeps_far_rows_finite(self):
+        rng = np.random.default_rng(27)
+        x = rng.standard_normal(500)
+        h = 0.1 * fc.reference_bandwidth(x)
+        order = fc._train_order(x, np.ptp(x), h)
+        assert order is not None
+        q = rng.normal(0.0, 1.0, 100)
+        q[[0, 1]] = 1e150, 1e200
+        v = rng.standard_normal(500)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = fc._nw_operator(x, order, h, q) @ v
+        assert np.all(np.isfinite(out))
+        assert out[1] == pytest.approx(out[0], rel=0, abs=1e-12)
 
 
 class TestPredict:
@@ -491,9 +626,9 @@ class TestRollingEvaluate:
         report = rolling_evaluate(panel, RollingConfig(window=20, method="pc", k=2, n_eval=5))
         assert len(windows) == 5
         for t, x_win in zip(report.origins, windows):
-            lo = t - 20 + 1
-            sub = make_panel(x[:, lo : t + 1], panel.y[lo : t + 1])
-            assert np.array_equal(x_win, standardize(sub).x)
+            sub = x[:, t - 20 + 1 : t + 1]
+            expected = (sub - sub.mean(axis=1)[:, None]) / sub.std(axis=1, ddof=1)[:, None]
+            assert np.array_equal(x_win, expected)
 
     def test_flat_series_in_window_is_named(self):
         rng = np.random.default_rng(20)

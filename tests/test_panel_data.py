@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from suffcast import DataError, PanelData, load_csv, standardize
+from suffcast import DataError, PanelData, load_csv
+from suffcast import panel_data
 from suffcast.forecaster import RollingConfig, _forward_mean
 from suffcast.panel_data import _standardize_array
 
@@ -104,25 +105,118 @@ class TestLoadCsv:
         assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "out2.csv").read_bytes()
 
 
-class TestStandardize:
-    def panel(self, values):
-        values = np.atleast_2d(np.asarray(values, dtype=float))
-        t = values.shape[1]
-        return PanelData(
-            x=values,
-            series_names=tuple(f"s{i}" for i in range(values.shape[0])),
-            time_labels=tuple(f"t{i:03d}" for i in range(t)),
-            y=np.zeros(t),
+def identical_panels(a: PanelData, b: PanelData) -> bool:
+    """Same names, labels, drop count and the same bits in the same layout."""
+    return (
+        same_panel(a, b)
+        and a.n_dropped == b.n_dropped
+        and a.x.tobytes("A") == b.x.tobytes("A")
+        and a.x.strides == b.x.strides
+        and a.y.tobytes() == b.y.tobytes()
+    )
+
+
+def load_both_ways(monkeypatch, path, target_column="b"):
+    """``load_csv`` on the one-call table parse and on the cell-by-cell parse."""
+
+    def no_cells(*args):
+        raise AssertionError("the table parse was expected to hold")
+
+    with monkeypatch.context() as m:
+        m.setattr(panel_data, "_parse_cells", no_cells)
+        fast = load_csv(path, target_column)
+    with monkeypatch.context() as m:
+        m.setattr(panel_data, "_parse_table", lambda rows, n_cells: None)
+        cells = load_csv(path, target_column)
+    return fast, cells
+
+
+class TestTableParse:
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.lists(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+            min_size=2,
+            max_size=12,
+        ),
+        st.sampled_from(["", " ", "\t"]),
+    )
+    def test_table_parse_is_the_cell_parse_bit_for_bit(self, tmp_path_factory, rows, pad):
+        # every float written with repr, including -0.0, subnormals and the extremes
+        lines = ["date,a,b,c"] + [
+            f"t{t:03d}," + ",".join(pad + repr(v) + pad for v in row)
+            for t, row in enumerate(rows)
+        ]
+        path = tmp_path_factory.mktemp("table") / "panel.csv"
+        path.write_text("\n".join(lines) + "\n")
+        fast, cells = load_both_ways(pytest.MonkeyPatch(), path)
+        assert identical_panels(fast, cells)
+        assert fast.n_dropped == 0
+
+    def test_bad_rows_fall_back_to_the_cell_parse(self, tmp_path, monkeypatch):
+        text = (
+            "date,a,b\n"
+            "2001-01,1.0,10.0\n"
+            "2001-02,NA,11.0\n"
+            "2001-03,3.0,12.0\n"
+            "2001-04,4.0,nan\n"
+            "2001-05,5.0,14.0\n"
+            "2001-06,oops,15.0\n"
+            "2001-07,7.0\n"
+            "2001-08,8.0,18.0\n"
         )
+        path = write(tmp_path, text)
+        with pytest.warns(UserWarning) as record:
+            panel = load_csv(path, target_column="b")
+        assert [str(w.message) for w in record] == [
+            f"{path}: dropped 4 row(s); first: row 3, column 'a': missing value"
+        ]
+        assert panel.n_dropped == 4
+        assert panel.time_labels == ("2001-01", "2001-03", "2001-05", "2001-08")
+        assert np.array_equal(panel.x, [[1.0, 3.0, 5.0, 8.0]])
+        assert np.array_equal(panel.y, [10.0, 12.0, 14.0, 18.0])
+        # each bad row alone is named by its own message
+        for bad, message in [
+            ("2001-02,NA,11.0", "row 3, column 'a': missing value"),
+            ("2001-02,2.0,nan", "row 3, column 'b': missing value"),
+            ("2001-02,inf,11.0", "row 3, column 'a': non-finite value"),
+            ("2001-02,oops,11.0", "row 3, column 'a': unparseable cell 'oops'"),
+            ("2001-02,2.0", "row 3: expected 3 cells, got 2"),
+        ]:
+            one = write(tmp_path, CSV_SIMPLE.replace("2001-02,2.0,11.0", bad), "one.csv")
+            with pytest.warns(UserWarning, match="dropped 1 row") as record:
+                panel = load_csv(one, target_column="b")
+            assert str(record[0].message).endswith("first: " + message)
+            assert panel.n_dropped == 1
+            assert "2001-02" not in panel.time_labels
+
+    @pytest.mark.parametrize(
+        "header,name",
+        [("date,a,b,b", "b"), ("date,a,a,b", "a"), ("date, a ,a,b", "a"), ("b,a,b", "b")],
+    )
+    def test_repeated_column_name_rejected(self, tmp_path, header, name):
+        # with two "b" columns the second would stay a series equal to y
+        text = header + "\n" + "".join(
+            f"t{t}," + ",".join(["1.0"] + ["2.0"] * (header.count(",") - 1)) + "\n"
+            for t in range(3)
+        )
+        with pytest.raises(DataError, match=f"repeated column name {name!r}"):
+            load_csv(write(tmp_path, text), target_column="b")
+
+
+class TestStandardize:
+    def standardize(self, values):
+        x = np.atleast_2d(np.asarray(values, dtype=float))
+        return _standardize_array(x, tuple(f"s{i}" for i in range(x.shape[0])))
 
     def test_full_window(self):
         # mean 4, sample sd 2
-        out = standardize(self.panel([2.0, 4.0, 6.0]))
-        assert np.array_equal(out.x, [[-1.0, 0.0, 1.0]])
+        out = self.standardize([2.0, 4.0, 6.0])
+        assert np.array_equal(out, [[-1.0, 0.0, 1.0]])
 
     def test_constant_series_rejected(self):
         with pytest.raises(ValueError, match="zero-variance series.*'s0'"):
-            standardize(self.panel([5.0, 5.0, 5.0]))
+            self.standardize([5.0, 5.0, 5.0])
 
     def test_partial_window(self):
         # a rolling window is standardized by its own statistics: columns 0:2
@@ -134,20 +228,18 @@ class TestStandardize:
 
     def test_round_trip(self):
         rng = np.random.default_rng(3)
-        panel = self.panel(rng.standard_normal((4, 9)) * 5 + 2)
-        out = standardize(panel)
-        assert np.allclose(out.x.mean(axis=1), 0.0, atol=1e-12)
-        assert np.allclose(out.x.std(axis=1, ddof=1), 1.0, rtol=1e-12)
+        out = self.standardize(rng.standard_normal((4, 9)) * 5 + 2)
+        assert np.allclose(out.mean(axis=1), 0.0, atol=1e-12)
+        assert np.allclose(out.std(axis=1, ddof=1), 1.0, rtol=1e-12)
 
     @settings(deadline=None, max_examples=30)
     @given(st.integers(0, 10_000))
     def test_round_trip_property(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((3, 8)) * rng.uniform(0.1, 10) + rng.uniform(-5, 5)
-        panel = self.panel(x)
-        out = standardize(panel)
-        assert np.allclose(out.x.mean(axis=1), 0.0, atol=1e-12)
-        assert np.allclose(out.x.std(axis=1, ddof=1), 1.0, rtol=1e-12)
+        out = self.standardize(x)
+        assert np.allclose(out.mean(axis=1), 0.0, atol=1e-12)
+        assert np.allclose(out.std(axis=1, ddof=1), 1.0, rtol=1e-12)
 
 
 class TestHStepTarget:

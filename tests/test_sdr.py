@@ -225,6 +225,66 @@ class TestBuildKernels:
         )
 
 
+def masked_kernel_matrices(f, slices):
+    """SIR, DR and TM matrices with each slice's rows taken by a boolean mask.
+
+    The per-slice statistics are summed exactly as the kernels sum them, so
+    the kernels built from the sorted slice views must match bit for bit.
+    """
+    g = f - f.mean(axis=0)
+    k = g.shape[1]
+    means = np.zeros((slices.h_count, k))
+    seconds = np.zeros((slices.h_count, k, k))
+    pair_rows, pair_cols = np.triu_indices(k)
+    global3 = sdr._pair_third_moments(g, pair_rows, pair_cols)
+    tm = np.zeros((k, k))
+    for h in range(slices.h_count):
+        rows = g[slices.labels == h]
+        means[h] = rows.mean(axis=0)
+        seconds[h] = rows.T @ rows / rows.shape[0]
+        centered = rows - rows.mean(axis=0)
+        mu = sdr._pair_third_moments(centered, pair_rows, pair_cols) - global3
+        tm += slices.proportions[h] * mu.T @ mu
+    return {
+        "sir": sdr._sir_matrix(means, slices),
+        "dr": sdr._dr_matrix(means, seconds, slices, "identity"),
+        "tm": (tm + tm.T) / 2.0,
+    }
+
+
+class TestSortedSlicing:
+    """One stable sort of the labels gives each slice's rows as a contiguous view."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(2, 40))
+    def test_slice_rows_are_the_masked_rows(self, seed, h_count, extra):
+        rng = np.random.default_rng(seed)
+        # random labels, every slice non-empty, many rows sharing a label
+        labels = rng.permutation(
+            np.concatenate([np.arange(h_count), rng.integers(0, h_count, extra)])
+        )
+        slices = sdr.SliceAssignment(h_count, labels, np.bincount(labels, minlength=h_count))
+        g = rng.standard_normal((labels.shape[0], 3))
+        blocks = sdr._slice_rows(g, slices)
+        assert len(blocks) == h_count
+        for h, rows in enumerate(blocks):
+            assert np.array_equal(rows, g[labels == h])
+            assert rows.base is blocks[0].base is not None
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.booleans())
+    def test_kernels_match_masked_slices_bit_for_bit(self, seed, h_count, tied):
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal((7 * h_count + int(rng.integers(0, 7)), 4))
+        y = f[:, 0] * f[:, 1] + 0.3 * rng.standard_normal(f.shape[0])
+        if tied:  # targets with ties: equal values are sliced in time order
+            y = np.round(y)
+        slices = slice_target(y, h_count)
+        kernels = sdr.build_kernels(["sir", "dr", "tm"], f, slices)
+        for method, expected in masked_kernel_matrices(f, slices).items():
+            assert np.array_equal(kernels[method].matrix, expected), method
+
+
 class TestEnsembleKernel:
     def test_degenerate_sides(self, monkeypatch):
         # a zero side leaves the other side's matrix bit for bit
@@ -234,7 +294,7 @@ class TestEnsembleKernel:
         dr = build_kernel("dr", f, s)
         tm = build_kernel("tm", f, s)
         with monkeypatch.context() as m:
-            m.setattr(sdr, "_tm_matrix", lambda g, slices: np.zeros((2, 2)))
+            m.setattr(sdr, "_tm_matrix", lambda g, slices, blocks: np.zeros((2, 2)))
             assert np.array_equal(build_kernel("ens", f, s).matrix, dr.matrix)
         with monkeypatch.context() as m:
             m.setattr(sdr, "_dr_matrix", lambda means, seconds, slices, mode: np.zeros((2, 2)))
