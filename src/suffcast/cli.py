@@ -50,9 +50,6 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-#: kernels `select` can build; the index count is chosen on their spectrum
-SELECT_METHODS = sdr.KERNEL_METHODS
-
 
 class ConfigError(ValueError):
     pass
@@ -150,6 +147,8 @@ def _resolve_config(args: argparse.Namespace, keys: dict) -> dict:
             loaded = json.loads(path.read_text())
         except json.JSONDecodeError as e:
             raise ConfigError(f"config file is not valid JSON: {e}") from e
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError(f"cannot read config file {path}: {e}") from e
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         command = loaded.pop("command", args.command)
@@ -261,6 +260,7 @@ def cmd_forecast(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
         "rmse_vs_pc": report.rmse_vs_pc,
         "r2_oos": report.r2_oos,
         "backfit_not_converged": report.backfit_not_converged,
+        "n_dropped": panel.n_dropped,
         "config": asdict(rolling),
     }
     _write_json(out_dir / "summary.json", summary)
@@ -288,7 +288,13 @@ def cmd_select(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
     _write_csv(
         out_dir / "l_objective.csv", enumerate(dim.objective, start=1), ["l", "objective"]
     )
-    summary = {"k_hat": selection.k_hat, "l_hat": dim.l_hat, "tau": dim.tau, "c_t": dim.c_t}
+    summary = {
+        "k_hat": selection.k_hat,
+        "l_hat": dim.l_hat,
+        "tau": dim.tau,
+        "c_t": dim.c_t,
+        "n_dropped": panel.n_dropped,
+    }
     _write_json(out_dir / "summary.json", summary)
     print(f"k_hat={selection.k_hat} l_hat={dim.l_hat}")
     return EXIT_OK
@@ -307,9 +313,10 @@ def cmd_factors(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
 
 def _check_third_moment_slices(methods, h_slices: int, t_len: int, what: str) -> None:
     # the TM kernel, alone or in the ensemble, needs >= 2 observations per slice
-    if {"tm", "ens"} & set(methods) and 2 * h_slices > t_len:
+    third = sdr.THIRD_MOMENT_METHODS
+    if set(methods).intersection(third) and 2 * h_slices > t_len:
         raise ConfigError(
-            f"h_slices={h_slices} must be <= {what} / 2 = {t_len // 2} for tm and ens"
+            f"h_slices={h_slices} must be <= {what} / 2 = {t_len // 2} for {' and '.join(third)}"
         )
 
 
@@ -339,9 +346,10 @@ def _check_forecast(rolling: RollingConfig) -> None:
 
 
 def _check_select(rolling: RollingConfig) -> None:
-    if rolling.method not in SELECT_METHODS:
+    # select chooses the index count on a kernel's spectrum
+    if rolling.method not in sdr.KERNEL_METHODS:
         raise ConfigError(
-            f"unknown method {rolling.method!r} for select; expected one of {SELECT_METHODS}"
+            f"unknown method {rolling.method!r} for select; expected one of {sdr.KERNEL_METHODS}"
         )
 
 

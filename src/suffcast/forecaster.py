@@ -21,9 +21,10 @@ from .panel_data import PanelData, _standardize_array
 
 BACKFIT_TOL = 1e-8
 BACKFIT_MAX_SWEEPS = 100
-#: sorted query rows that share one stored window of banded weights
+#: query rows whose dense weights are built at once, and sorted training
+#: points that share one stored window of banded fit weights
 NW_BLOCK_ROWS = 64
-#: weights stay one dense matrix when a band would skip fewer weights per row
+#: fit weights stay one dense matrix when a band would skip fewer weights per row
 NW_MIN_SKIPPED_PER_ROW = 300
 
 METHODS = sdr.KERNEL_METHODS + ("pc", "nlpc")
@@ -94,126 +95,95 @@ def _nw_weights(
 
 @dataclass(eq=False)
 class _BandedWeights:
-    """Gaussian weights stored only inside each block's window of sorted training points.
+    """Gaussian weights of the training points over themselves, stored only inside windows.
 
-    Query rows are taken in sorted order, ``NW_BLOCK_ROWS`` at a time.  Block
-    ``(r0, r1, c0, c1, w)`` holds the :func:`_nw_weights` of sorted query rows
-    ``r0:r1`` over sorted training points ``c0:c1``, a window that holds every
-    weight of those rows above the floor.  ``self @ v`` gathers ``v`` in
-    sorted training order, multiplies block by block and scatters the result
-    back to the query order.
+    Rows are taken in sorted order, ``NW_BLOCK_ROWS`` at a time.  Block
+    ``(r0, r1, c0, c1, w)`` holds the :func:`_nw_weights` of sorted points
+    ``r0:r1`` over sorted points ``c0:c1``, a window that holds every weight
+    of those rows above the floor.  ``self @ v`` gathers ``v`` in sorted
+    order, multiplies block by block and scatters the result back.
     """
 
-    train_order: np.ndarray
-    query_order: np.ndarray
+    order: np.ndarray
     blocks: list[tuple[int, int, int, int, np.ndarray]]
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        v_sorted = v[self.train_order]
-        out_sorted = np.empty(self.query_order.shape[0])
+        v_sorted = v[self.order]
+        out_sorted = np.empty(self.order.shape[0])
         for r0, r1, c0, c1, w in self.blocks:
             out_sorted[r0:r1] = w @ v_sorted[c0:c1]
         out = np.empty_like(out_sorted)
-        out[self.query_order] = out_sorted
+        out[self.order] = out_sorted
         return out
 
 
-def _train_order(train_x: np.ndarray, span: float, bandwidth: float) -> np.ndarray | None:
-    """The sort order of ``train_x`` for banded weights, or None where they stay dense.
-
-    A query at a training point keeps the points within ``reach =
-    sqrt(2 |floor|)`` bandwidths, so a band skips about
-    ``m (1 - 2 reach / span)`` of each row's ``m`` weights, where ``span`` is
-    the range of ``train_x``.  Below ``NW_MIN_SKIPPED_PER_ROW`` the banded
-    operator's gather, scatter and per-block loop cost more than the skipped
-    multiply-adds save: timing a build and 30 or 100 products at m = 300-500
-    put the crossover at 250-320 skipped weights per row, and the dense
-    matrix was faster at every bandwidth for m <= 250.
-    """
-    m = train_x.shape[0]
-    reach = bandwidth * math.sqrt(-2.0 * _nw_exponent_floor(m))
-    if m * (1.0 - 2.0 * reach / span) < NW_MIN_SKIPPED_PER_ROW:
-        return None
-    return np.argsort(train_x, kind="stable")
-
-
-def _nw_operator(
-    train_x: np.ndarray,
-    train_order: np.ndarray | None,
-    bandwidth: float,
-    query_x: np.ndarray | None = None,
+def _fit_weights(
+    train_x: np.ndarray, span: float, bandwidth: float
 ) -> np.ndarray | _BandedWeights:
-    """The weights of ``query_x`` (default: the training points) over ``train_x``, for ``@``.
+    """The weights of the training points over themselves, for the backfitting sweeps' ``@``.
 
-    ``train_order`` is :func:`_train_order`'s.  Where it is None, or there
-    are fewer queries than one block, the weights are the dense
-    :func:`_nw_weights` matrix (for 64 queries over 500 points at the study's
-    bandwidth the two took about the same time).  Otherwise they are :class:`_BandedWeights`:
-    a query at ``d`` bandwidths from its nearest training point keeps exactly
-    the points within ``sqrt(d**2 + 2 |floor|)`` bandwidths, so each block's
-    window is the union of its rows' reaches (widened by a relative 1e-9
-    against rounding; points in it below the floor are still 0).
+    A training point keeps the points within ``reach = sqrt(2 |floor|)``
+    bandwidths of it, so a band over the sorted points skips about
+    ``m (1 - 2 reach / span)`` of each row's ``m`` weights, where ``span`` is
+    the range of ``train_x``.  Below ``NW_MIN_SKIPPED_PER_ROW`` the weights
+    are the dense :func:`_nw_weights` matrix, as the band's gather, scatter
+    and per-block loop cost more than the skipped multiply-adds save: timed
+    crossovers were 250-320 skipped weights per row at m = 300-500, dense was
+    faster at every bandwidth for m <= 250, and banding the rolling
+    evaluator's windows cost about 12% of its throughput.  Otherwise they are
+    :class:`_BandedWeights`.  Every row has the same reach, widened by a
+    relative 1e-9 against rounding (points in it below the floor are still
+    0), so a block's window runs from its first point's reach to its last's.
     """
     m = train_x.shape[0]
     floor = _nw_exponent_floor(m)
-    queries = train_x if query_x is None else query_x
-    n = queries.shape[0]
-    at_train = query_x is None
-    if train_order is None or n < NW_BLOCK_ROWS:
-        return _nw_weights(train_x, queries, bandwidth, floor, at_train)
-    x_sorted = train_x[train_order]
-    query_order = train_order if at_train else np.argsort(query_x, kind="stable")
-    q_sorted = queries[query_order]
-    pos = np.searchsorted(x_sorted, q_sorted)
-    # a query too far out for these squares has an infinite reach: all points
-    with np.errstate(over="ignore"):
-        gap = np.minimum(
-            np.abs(q_sorted - x_sorted[np.maximum(pos - 1, 0)]),
-            np.abs(x_sorted[np.minimum(pos, m - 1)] - q_sorted),
-        ) / bandwidth
-        reach = bandwidth * (1.0 + 1e-9) * np.sqrt(gap * gap - 2.0 * floor)
-    r0 = np.arange(0, n, NW_BLOCK_ROWS)
-    r1 = np.append(r0[1:], n)
-    c0 = np.minimum.reduceat(np.searchsorted(x_sorted, q_sorted - reach, "left"), r0)
-    c1 = np.maximum.reduceat(np.searchsorted(x_sorted, q_sorted + reach, "right"), r0)
-    # each training point lies in its own block's window
-    blocks = [
-        (a, b, c, d, _nw_weights(x_sorted[c:d], q_sorted[a:b], bandwidth, floor, at_train))
-        for a, b, c, d in zip(r0.tolist(), r1.tolist(), c0.tolist(), c1.tolist())
-    ]
-    return _BandedWeights(train_order, query_order, blocks)
+    if m * (1.0 - 2.0 * bandwidth * math.sqrt(-2.0 * floor) / span) < NW_MIN_SKIPPED_PER_ROW:
+        return _nw_weights(train_x, train_x, bandwidth, floor, queries_are_train=True)
+    order = np.argsort(train_x, kind="stable")
+    x_sorted = train_x[order]
+    reach = bandwidth * (1.0 + 1e-9) * math.sqrt(-2.0 * floor)
+    blocks = []
+    for r0 in range(0, m, NW_BLOCK_ROWS):
+        r1 = min(r0 + NW_BLOCK_ROWS, m)
+        c0 = int(np.searchsorted(x_sorted, x_sorted[r0] - reach, "left"))
+        c1 = int(np.searchsorted(x_sorted, x_sorted[r1 - 1] + reach, "right"))
+        w = _nw_weights(x_sorted[c0:c1], x_sorted[r0:r1], bandwidth, floor, True)
+        blocks.append((r0, r1, c0, c1, w))
+    return _BandedWeights(order, blocks)
 
 
 @dataclass(eq=False)
 class _Smoother:
-    """State of one fitted univariate component.
+    """One fitted univariate component, ``s(x) = sum_i w_i(x) partial_residuals[i]``.
 
-    ``order`` sorts ``train_x`` for banded weights (None: dense weights).
+    Predictions build dense :func:`_nw_weights` rows ``NW_BLOCK_ROWS`` queries
+    at a time, so their memory stays at ``NW_BLOCK_ROWS x m``.
     """
 
     train_x: np.ndarray
     partial_residuals: np.ndarray
     bandwidth: float
-    order: np.ndarray | None = None
-    active: bool = True
 
     def __call__(self, query_x: np.ndarray) -> np.ndarray:
-        if not self.active:
-            return np.zeros_like(query_x, dtype=float)
-        weights = _nw_operator(
-            self.train_x, self.order, self.bandwidth, np.asarray(query_x, dtype=float)
-        )
-        return weights @ self.partial_residuals
+        query_x = np.asarray(query_x, dtype=float)
+        floor = _nw_exponent_floor(self.train_x.shape[0])
+        out = np.empty(query_x.shape[0])
+        for r0 in range(0, query_x.shape[0], NW_BLOCK_ROWS):
+            rows = slice(r0, r0 + NW_BLOCK_ROWS)
+            w = _nw_weights(self.train_x, query_x[rows], self.bandwidth, floor)
+            out[rows] = w @ self.partial_residuals
+        return out
 
 
 @dataclass(eq=False)
 class ForecastModel:
     """A fitted forecast rule: either additive-in-indices or linear.
 
-    ``directions`` maps a length-``K`` factor vector to the ``L`` fitted
-    indices; for models fit directly on raw inputs it is the identity.
-    Additive models record how many backfitting sweeps ran and whether the
-    fitted values settled within ``BACKFIT_TOL`` before ``BACKFIT_MAX_SWEEPS``.
+    ``directions`` maps a length-``K`` factor vector to the fitted indices,
+    one per smoother; for models fit directly on raw inputs it is the
+    identity.  Additive models record how many backfitting sweeps ran and
+    whether the fitted values settled within ``BACKFIT_TOL`` before
+    ``BACKFIT_MAX_SWEEPS``.
     """
 
     kind: str  # "additive" | "linear"
@@ -237,11 +207,10 @@ def fit_additive(
     ``K x L`` map from a factor vector to the indices.  Targets are centered
     at their mean (the model intercept) and components are updated in turn
     until the fitted values move less than ``BACKFIT_TOL`` or
-    ``BACKFIT_MAX_SWEEPS`` is reached.  Each index's weights are built once
-    (:func:`_nw_operator`): banded over its sorted points where the band
-    skips enough weights to pay for itself (:func:`_train_order`), else
-    dense; the sort order is kept on the smoother, so predictions reuse it.  A zero-variance index column
-    is fixed at zero with a warning, and its bandwidth is not used.
+    ``BACKFIT_MAX_SWEEPS`` is reached.  Each index's weights are built once,
+    by :func:`_fit_weights`.  A zero-variance index column is dropped from
+    the model, with its direction and a warning, and its bandwidth is not
+    used.
     """
     indices = np.asarray(indices, dtype=float)
     if indices.ndim != 2:
@@ -257,41 +226,32 @@ def fit_additive(
     if not (np.all(np.isfinite(indices)) and np.all(np.isfinite(targets))):
         raise ValueError("non-finite inputs")
     spans = np.ptp(indices, axis=0)
-    degenerate = spans == 0.0
+    keep = spans != 0.0
     bandwidths = np.asarray(bandwidths, dtype=float)
     if bandwidths.shape != (n_idx,):
         raise ValueError(f"bandwidths have shape {bandwidths.shape}, expected ({n_idx},)")
-    used = bandwidths[~degenerate]
+    used = bandwidths[keep]
     if not np.all(np.isfinite(used) & (used > 0)):
         raise ValueError("bandwidths must be finite and strictly positive")
+    for j in np.flatnonzero(~keep):
+        warnings.warn(f"index {j} is degenerate (zero variance); component fixed at 0",
+                      stacklevel=2)
 
     intercept = float(targets.mean())
     centered = targets - intercept
+    cols = np.flatnonzero(keep)
+    weights = [_fit_weights(indices[:, j], spans[j], bandwidths[j]) for j in cols]
 
-    active = ~degenerate
-    orders: list[np.ndarray | None] = []
-    weights: list[np.ndarray | _BandedWeights | None] = []
-    for j in range(n_idx):
-        if degenerate[j]:
-            warnings.warn(f"index {j} is degenerate (zero variance); component fixed at 0",
-                          stacklevel=2)
-            orders.append(None)
-            weights.append(None)
-            continue
-        orders.append(_train_order(indices[:, j], spans[j], bandwidths[j]))
-        weights.append(_nw_operator(indices[:, j], orders[j], bandwidths[j]))
-
-    # one sweep updates each active component in turn from the residual of
-    # the others, ``centered - (sum(fitted) - fitted[j])``, into its own row
-    fitted = np.zeros((n_idx, t_len))
-    components = [(fitted[j], weights[j]) for j in range(n_idx) if active[j]]
+    # one sweep updates each component in turn from the residual of the
+    # others, ``centered - (sum(fitted) - fitted[j])``, into its own row
+    fitted = np.zeros((cols.size, t_len))
     total = np.empty(t_len)
     total_prev = np.zeros(t_len)
     partial = np.empty(t_len)
     sweeps, converged = 0, False
     while sweeps < BACKFIT_MAX_SWEEPS and not converged:
         sweeps += 1
-        for row, w in components:
+        for row, w in zip(fitted, weights):
             np.add.reduce(fitted, axis=0, out=total)
             np.subtract(total, row, out=partial)
             np.subtract(centered, partial, out=partial)
@@ -305,20 +265,16 @@ def fit_additive(
         converged = bool(np.abs(total_prev, out=total_prev).max() < BACKFIT_TOL)
         total, total_prev = total_prev, total
 
-    smoothers = []
-    for j in range(n_idx):
-        if active[j]:
-            partial = centered - (total_prev - fitted[j])
-            smoothers.append(
-                _Smoother(indices[:, j].copy(), partial, float(bandwidths[j]), orders[j])
-            )
-        else:
-            smoothers.append(_Smoother(indices[:, j].copy(), np.zeros(t_len), 1.0, active=False))
-
+    smoothers = [
+        _Smoother(indices[:, j].copy(), centered - (total_prev - row), float(bandwidths[j]))
+        for j, row in zip(cols, fitted)
+    ]
     return ForecastModel(
         kind="additive",
         intercept=intercept,
-        directions=np.asarray(directions, dtype=float),
+        # a C-ordered copy: boolean column indexing gives an F-ordered one,
+        # and ``predict``'s ``f_new @ directions`` would round differently
+        directions=np.compress(keep, np.asarray(directions, dtype=float), axis=1),
         smoothers=smoothers,
         sweeps=sweeps,
         converged=converged,

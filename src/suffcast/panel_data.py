@@ -63,7 +63,7 @@ class PanelData:
             raise ValueError("y contains missing or non-finite values")
         for a, b in zip(self.time_labels, self.time_labels[1:]):
             if not a < b:
-                raise ValueError(f"time labels not strictly increasing at {a!r} >= {b!r}")
+                raise DataError(f"time labels not strictly increasing at {a!r} >= {b!r}")
 
     @property
     def p(self) -> int:
@@ -85,18 +85,21 @@ def load_csv(
     are dropped; the drop count is reported on ``PanelData.n_dropped`` and in
     a warning.  The target column is excluded from the predictor matrix, so a
     series is never used to predict itself; header names must be unique, so a
-    second copy of the target cannot stay behind as a series.
+    second copy of the target cannot stay behind as a series.  A file that
+    cannot be read or decoded raises :class:`DataError`.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, header row required") from None
-        rows = list(reader)
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            header = next(reader, None)
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataError(f"{path}: cannot read the file: {e}") from e
+    if header is None:
+        raise DataError(f"{path}: empty file, header row required")
     if len(header) < 3:
         raise DataError(f"{path}: need a time column, a target column and at least one series")
     names = [h.strip() for h in header]

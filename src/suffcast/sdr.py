@@ -29,6 +29,8 @@ EIGENVALUE_POSITIVITY_THRESHOLD = 1e-12
 VARIANCE_MODES = ("identity", "pooled")
 #: the kernels :func:`build_kernels` builds, by method name
 KERNEL_METHODS = ("sir", "dr", "tm", "ens")
+#: the kernels built on the TM matrix, alone or in the ensemble
+THIRD_MOMENT_METHODS = ("tm", "ens")
 #: share of the K kernel eigenvalues the dimension criterion reads (``c`` in
 #: ``K_c = round(c K)``); the value of every order-selection run
 C_CENSOR = 0.5
@@ -241,7 +243,7 @@ def build_kernels(
             matrices["sir"] = _sir_matrix(means, slices)
         if wanted & {"dr", "ens"}:
             matrices["dr"] = _dr_matrix(means, seconds, slices, variance_mode)
-    if wanted & {"tm", "ens"}:
+    if wanted.intersection(THIRD_MOMENT_METHODS):
         matrices["tm"] = _tm_matrix(g, slices, blocks)
     if "ens" in wanted:
         # both sides are symmetrized, so their sum is exactly symmetric
@@ -302,7 +304,7 @@ def _default_ct(method: str, k: int, p: int, t_len: int) -> float:
     base = math.sqrt(k / p) * t_len
     if method in ("sir", "dr"):
         return CT_CALIBRATION * (base + math.sqrt(t_len))
-    if method in ("tm", "ens"):
+    if method in THIRD_MOMENT_METHODS:
         return CT_CALIBRATION * (base + math.sqrt(k * t_len))
     raise ValueError(f"unknown kernel method {method!r}; expected one of {KERNEL_METHODS}")
 

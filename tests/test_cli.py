@@ -265,6 +265,68 @@ class TestForecast:
         assert not (tmp_path / "x").exists()
 
 
+def write_unreadable(tmp_path, case):
+    """The ``(panel, config)`` paths of one case; ``config`` is None unless it is the bad one."""
+    rows = [f"{2000 + t // 12}-{t % 12 + 1:02d},{t % 7}.5,{t % 5}.25" for t in range(30)]
+    if case == "unsorted-labels":
+        rows[0], rows[1] = rows[1], rows[0]
+    elif case == "repeated-labels":
+        rows[2] = rows[1]
+    panel = tmp_path / "panel.csv"
+    panel.write_text("\n".join(["date,a,target", *rows]) + "\n")
+    if case == "non-utf8-byte":
+        panel.write_bytes(panel.read_bytes().replace(b"date", b"d\xffte"))
+    elif case == "input-directory":
+        panel = tmp_path / "dir.csv"
+        panel.mkdir()
+    config = None
+    if case == "config-directory":
+        config = tmp_path / "cfg.json"
+        config.mkdir()
+    return panel, config
+
+
+@pytest.mark.parametrize(
+    "case,code",
+    [
+        ("unsorted-labels", 3),
+        ("repeated-labels", 3),
+        ("input-directory", 3),
+        ("non-utf8-byte", 3),
+        ("config-directory", 2),
+    ],
+)
+def test_unreadable_input_exits_with_its_code(tmp_path, capsys, case, code):
+    panel, config = write_unreadable(tmp_path, case)
+    args = ["factors", "--input", panel, "--target-column", "target", "--k", 1,
+            "--out-dir", tmp_path / "out"]
+    if config is not None:
+        args += ["--config", config]
+    assert run(args) == code
+    err = capsys.readouterr().err
+    assert err.startswith({3: "data error: ", 2: "error: "}[code])
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_dropped_rows_counted_in_the_summaries(tmp_path):
+    panel = write_factor_panel(tmp_path, t_len=150, p=6, seed=3)
+    lines = panel.read_text().splitlines()
+    cells = lines[40].split(",")
+    cells[2] = "NA"
+    lines[40] = ",".join(cells)
+    panel.write_text("\n".join(lines) + "\n")
+    io = ["--input", panel, "--target-column", "target"]
+    with pytest.warns(UserWarning, match="dropped 1 row"):
+        assert run(["forecast", *io, "--method", "pc", "--k", 3, "--window", 120,
+                    "--n-eval", 3, "--out-dir", tmp_path / "forecast"]) == 0
+    with pytest.warns(UserWarning, match="dropped 1 row"):
+        assert run(["select", *io, "--k-max", 4, "--out-dir", tmp_path / "select"]) == 0
+    for command in ("forecast", "select"):
+        summary = json.loads((tmp_path / command / "summary.json").read_text())
+        assert summary["n_dropped"] == 1
+
+
 class TestSelect:
     @pytest.mark.parametrize(
         "method,h_slices,message",

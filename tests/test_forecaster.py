@@ -48,8 +48,27 @@ class TestFitAdditive:
         y = idx[:, 0] + 2.0
         with pytest.warns(UserWarning, match="degenerate"):
             model = nlpc_fit(idx, y)
-        assert not model.smoothers[1].active
+        assert len(model.smoothers) == 1
+        assert np.array_equal(model.directions, [[1.0], [0.0]])
         assert np.isfinite(predict(model, np.array([[0.3, 1.0]]))).all()
+
+    def test_degenerate_column_leaves_the_model(self):
+        rng = np.random.default_rng(28)
+        directions = np.linalg.qr(rng.standard_normal((4, 3)))[0].copy()
+        idx = rng.standard_normal((80, 3))
+        idx[:, 1] = -0.7
+        y = np.sin(idx[:, 0]) + idx[:, 2] ** 2 + 0.1 * rng.standard_normal(80)
+        bws = np.array([0.4, 0.0, 0.5])
+        with pytest.warns(UserWarning, match="index 1 is degenerate"):
+            model = fit_additive(idx, y, bws, directions)
+        kept = [0, 2]
+        alone = fit_additive(idx[:, kept], y, bws[kept], directions[:, kept].copy())
+        assert len(model.smoothers) == 2
+        assert np.array_equal(model.directions, directions[:, kept])
+        assert model.directions.flags["C_CONTIGUOUS"]
+        assert model.sweeps == alone.sweeps
+        f_new = rng.standard_normal((70, 4))
+        assert predict(model, f_new).tobytes() == predict(alone, f_new).tobytes()
 
     def test_finite_far_outside_training_range(self):
         rng = np.random.default_rng(2)
@@ -159,11 +178,9 @@ class TestBandedWeights:
         m=st.integers(3, 600),
         scale=st.floats(0.02, 2.0),
         tied=st.booleans(),
-        queries=st.sampled_from(["train", "one", "many"]),
-        far=st.booleans(),
         block=st.integers(1, 80),
     )
-    def test_banded_product_matches_dense(self, seed, m, scale, tied, queries, far, block):
+    def test_banded_product_matches_dense(self, seed, m, scale, tied, block):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(m)
         if tied:  # few distinct values: duplicates and ties at window edges
@@ -171,21 +188,15 @@ class TestBandedWeights:
         if np.ptp(x) == 0.0:
             return
         h = scale * fc.reference_bandwidth(x)
-        q = {"train": None, "one": rng.normal(0.0, 2.0, 1),
-             "many": rng.normal(0.0, 2.0, m + int(rng.integers(1, 50)))}[queries]
-        if far and q is not None:
-            q[0] = 1e6
-            if q.shape[0] > 1:
-                q[-1] = -1e6
-        # the operator is banded whatever the block size and bandwidth
-        n = m if q is None else q.shape[0]
-        with mock.patch.object(fc, "NW_BLOCK_ROWS", min(block, n)):
-            op = fc._nw_operator(x, np.argsort(x, kind="stable"), h, q)
-        assert isinstance(op, fc._BandedWeights)
-        dense = fc._nw_weights(x, x if q is None else q, h, fc._nw_exponent_floor(m))
+        # the fit weights are banded whatever the block size and bandwidth
+        with mock.patch.object(fc, "NW_MIN_SKIPPED_PER_ROW", -np.inf), \
+                mock.patch.object(fc, "NW_BLOCK_ROWS", block):
+            w = fc._fit_weights(x, np.ptp(x), h)
+        assert isinstance(w, fc._BandedWeights)
+        dense = fc._nw_weights(x, x, h, fc._nw_exponent_floor(m))
         v = rng.standard_normal(m)
-        assert np.allclose(op @ v, dense @ v, rtol=0, atol=1e-12)
-        assert np.allclose(op @ np.ones(m), 1.0, rtol=0, atol=1e-12)
+        assert np.allclose(w @ v, dense @ v, rtol=0, atol=1e-12)
+        assert np.allclose(w @ np.ones(m), 1.0, rtol=0, atol=1e-12)
 
     def test_wide_band_is_the_dense_floored_matrix(self):
         # the rolling evaluator's bandwidth (scale 1) on a 119-point window
@@ -193,12 +204,13 @@ class TestBandedWeights:
         x = rng.standard_normal(119)
         h = fc.reference_bandwidth(x)
         floor = fc._nw_exponent_floor(119)
-        assert fc._train_order(x, np.ptp(x), h) is None
-        for q in (None, rng.normal(0.0, 2.0, 1), rng.normal(0.0, 2.0, 200)):
-            w = fc._nw_operator(x, None, h, q)
-            expected = _floored_reference_weights(x, x if q is None else q, h, floor)
-            assert isinstance(w, np.ndarray)
-            assert np.array_equal(w, expected)
+        w = fc._fit_weights(x, np.ptp(x), h)
+        assert isinstance(w, np.ndarray)
+        assert np.array_equal(w, _floored_reference_weights(x, x, h, floor))
+        # prediction weights, dense at every query count
+        for q in (rng.normal(0.0, 2.0, 1), rng.normal(0.0, 2.0, 200)):
+            expected = _floored_reference_weights(x, q, h, floor)
+            assert np.array_equal(fc._nw_weights(x, q, h, floor), expected)
         # the floor is reached, so it is the new floor that is checked
         assert np.any(_reference_exponents(x, x, h) < floor)
 
@@ -214,32 +226,37 @@ class TestBandedWeights:
         reach = h * np.sqrt(-2.0 * fc._nw_exponent_floor(m))
         skipped = m * (1.0 - 2.0 * reach / np.ptp(x))
         assert (skipped >= fc.NW_MIN_SKIPPED_PER_ROW) == banded
-        order = fc._train_order(x, np.ptp(x), h)
-        assert (order is not None) == banded
+        w = fc._fit_weights(x, np.ptp(x), h)
+        assert isinstance(w, fc._BandedWeights) == banded
         if banded:
-            assert np.array_equal(order, np.argsort(x, kind="stable"))
+            assert np.array_equal(w.order, np.argsort(x, kind="stable"))
 
     def test_narrow_band_stores_a_fraction_of_the_matrix(self):
         # the study's held-out bandwidth (scale 0.1) at T = 500
         rng = np.random.default_rng(18)
         x = rng.standard_normal(500)
         h = 0.1 * fc.reference_bandwidth(x)
-        op = fc._nw_operator(x, fc._train_order(x, np.ptp(x), h), h)
-        stored = sum(w.size for *_, w in op.blocks)
+        w = fc._fit_weights(x, np.ptp(x), h)
+        stored = sum(b.size for *_, b in w.blocks)
         assert stored < 0.4 * 500 * 500
 
 
-def _reference_backfit(model, indices, targets, bandwidths):
+def _fit_operators(indices, bandwidths):
+    """Each column's fit weights, built as :func:`fit_additive` builds them."""
+    return [
+        fc._fit_weights(indices[:, j], np.ptp(indices[:, j]), bandwidths[j])
+        for j in range(indices.shape[1])
+    ]
+
+
+def _reference_backfit(indices, targets, bandwidths):
     """The backfitting sweeps written out: every sum recomputed from the fitted rows.
 
     Uses the fit's own weight operators, so its sweep count and partial
     residuals must equal the model's bit for bit.
     """
     t_len, n_idx = indices.shape
-    mats = [
-        fc._nw_operator(indices[:, j], model.smoothers[j].order, bandwidths[j])
-        for j in range(n_idx)
-    ]
+    mats = _fit_operators(indices, bandwidths)
     centered = targets - targets.mean()
     fitted = np.zeros((n_idx, t_len))
     total_prev = np.zeros(t_len)
@@ -262,8 +279,8 @@ class TestSweepExactness:
         y = np.sin(f[:, 0]) + 0.5 * f[:, 1] * f[:, 2] + 0.3 * rng.standard_normal(119)
         bws = np.array([fc.reference_bandwidth(f[:, j]) for j in range(8)])
         model = fit_additive(f, y, bws, np.eye(8))
-        assert all(s.order is None for s in model.smoothers)
-        sweeps, partials = _reference_backfit(model, f, y, bws)
+        assert all(isinstance(w, np.ndarray) for w in _fit_operators(f, bws))
+        sweeps, partials = _reference_backfit(f, y, bws)
         assert model.sweeps == sweeps > 2
         for smoother, expected in zip(model.smoothers, partials):
             assert np.array_equal(smoother.partial_residuals, expected)
@@ -275,14 +292,14 @@ class TestSweepExactness:
         y = 0.4 * idx[:, 0] ** 2 + np.sin(idx[:, 1]) + 0.2 * rng.standard_normal(500)
         bws = 0.1 * np.array([fc.reference_bandwidth(idx[:, j]) for j in range(2)])
         model = fit_additive(idx, y, bws, np.eye(2))
-        assert all(s.order is not None for s in model.smoothers)
-        sweeps, partials = _reference_backfit(model, idx, y, bws)
+        assert all(isinstance(w, fc._BandedWeights) for w in _fit_operators(idx, bws))
+        sweeps, partials = _reference_backfit(idx, y, bws)
         assert model.sweeps == sweeps > 2
         for smoother, expected in zip(model.smoothers, partials):
             assert np.array_equal(smoother.partial_residuals, expected)
 
     def test_degenerate_component_keeps_the_reference_sums(self):
-        # the fixed-at-zero row still takes part in every sum
+        # the constant column leaves the model: the sweeps run on the others alone
         rng = np.random.default_rng(25)
         f = rng.standard_normal((60, 3))
         f[:, 1] = 2.0
@@ -290,22 +307,12 @@ class TestSweepExactness:
         bws = np.array([fc.reference_bandwidth(f[:, 0]), 1.0, fc.reference_bandwidth(f[:, 2])])
         with pytest.warns(UserWarning, match="index 1 is degenerate"):
             model = fit_additive(f, y, bws, np.eye(3))
-        centered = y - y.mean()
-        active = [0, 2]
-        mats = {j: fc._nw_operator(f[:, j], None, bws[j]) for j in active}
-        fitted = np.zeros((3, 60))
-        total_prev = np.zeros(60)
-        for sweep in range(1, fc.BACKFIT_MAX_SWEEPS + 1):
-            for j in active:
-                fitted[j] = mats[j] @ (centered - (fitted.sum(axis=0) - fitted[j]))
-            total = fitted.sum(axis=0)
-            if np.max(np.abs(total - total_prev)) < fc.BACKFIT_TOL:
-                break
-            total_prev = total
-        assert model.sweeps == sweep
-        for j in active:
-            expected = centered - (total - fitted[j])
-            assert np.array_equal(model.smoothers[j].partial_residuals, expected)
+        kept = [0, 2]
+        sweeps, partials = _reference_backfit(f[:, kept], y, bws[kept])
+        assert model.sweeps == sweeps
+        assert len(model.smoothers) == 2
+        for smoother, expected in zip(model.smoothers, partials):
+            assert np.array_equal(smoother.partial_residuals, expected)
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 300), st.floats(0.05, 2.0), st.booleans())
@@ -348,23 +355,44 @@ class TestFarQueries:
         assert np.array_equal(w[1], [1.0, 0.0, 0.0, 0.0])
         assert np.array_equal(w[2], [0.0, 1.0, 0.0, 0.0])
 
-    def test_banded_operator_keeps_far_rows_finite(self):
+    def test_banded_fit_predicts_finite_far_out(self):
+        # the study's held-out fit: 0.1x the reference bandwidth at T = 500
         rng = np.random.default_rng(27)
-        x = rng.standard_normal(500)
-        h = 0.1 * fc.reference_bandwidth(x)
-        order = fc._train_order(x, np.ptp(x), h)
-        assert order is not None
-        q = rng.normal(0.0, 1.0, 100)
-        q[[0, 1]] = 1e150, 1e200
-        v = rng.standard_normal(500)
+        f = rng.standard_normal((500, 2))
+        y = f[:, 0] ** 2 + np.sin(f[:, 1]) + 0.2 * rng.standard_normal(500)
+        bws = 0.1 * np.array([fc.reference_bandwidth(f[:, j]) for j in range(2)])
+        model = fit_additive(f, y, bws, np.eye(2))
+        assert all(isinstance(w, fc._BandedWeights) for w in _fit_operators(f, bws))
+        q = rng.normal(0.0, 1.0, (100, 2))
+        q[[0, 1], 0] = 1e150, 1e200
+        q[1, 1] = q[0, 1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = fc._nw_operator(x, order, h, q) @ v
+            out = predict(model, q)
         assert np.all(np.isfinite(out))
-        assert out[1] == pytest.approx(out[0], rel=0, abs=1e-12)
+        assert out[1] == out[0]
 
 
 class TestPredict:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    def test_blocked_prediction_is_one_dense_product(self, n):
+        # a model with banded fits: 0.1x the reference bandwidth at T = 500
+        rng = np.random.default_rng(29)
+        f = rng.standard_normal((500, 2))
+        y = 0.4 * f[:, 0] ** 2 + np.sin(f[:, 1]) + 0.2 * rng.standard_normal(500)
+        bws = 0.1 * np.array([fc.reference_bandwidth(f[:, j]) for j in range(2)])
+        model = fit_additive(f, y, bws, np.eye(2))
+        assert all(isinstance(w, fc._BandedWeights) for w in _fit_operators(f, bws))
+        q = rng.normal(0.0, 1.5, (n, 2))
+        expected = np.full(n, model.intercept)
+        floor = fc._nw_exponent_floor(500)
+        for j, s in enumerate(model.smoothers):
+            w = fc._nw_weights(s.train_x, q[:, j], s.bandwidth, floor)
+            expected += w @ s.partial_residuals
+        # a block of one row takes another BLAS kernel than the whole
+        # product, so the match is not bitwise at every n
+        assert np.allclose(predict(model, q), expected, rtol=0, atol=1e-12)
+
     def test_intercept_only_when_smoothers_flat(self):
         model = nlpc_fit(np.arange(6.0)[:, None], np.full(6, 2.0))
         assert predict(model, np.array([[9.9]]))[0] == pytest.approx(2.0, abs=1e-12)
@@ -427,7 +455,8 @@ class TestPcBaseline:
         f = np.column_stack([rng.standard_normal(30), np.ones(30)])
         with pytest.warns(UserWarning, match="degenerate"):
             model = fit_forecast_model("nlpc", f, np.sin(f[:, 0]), None, scale)
-        assert not model.smoothers[1].active
+        assert len(model.smoothers) == 1
+        assert np.array_equal(model.directions, [[1.0], [0.0]])
         assert model.smoothers[0].bandwidth == scale * fc.reference_bandwidth(f[:, 0])
 
 
