@@ -43,7 +43,7 @@ from . import __version__, sdr
 from .factor_analysis import select_and_fit_factors
 from .forecaster import RollingConfig, rolling_evaluate
 from .panel_data import DataError, _standardize_array, load_csv
-from .simulation import DgpSpec, StudyConfig, monte_carlo_study
+from .simulation import N_FACTORS, DgpSpec, StudyConfig, monte_carlo_study
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -120,7 +120,7 @@ def _command_keys(command: str) -> dict:
     for cls in classes:
         hints = typing.get_type_hints(cls)
         for f in fields(cls):
-            if hints[f.name] in _CONVERTERS and (names is None or f.name in names):
+            if names is None or f.name in names:
                 keys[_key(f.name)] = (hints[f.name], f.default)
     for key, default in _DEFAULT_OVERRIDES.get(command, {}).items():
         keys[key] = (keys[key][0], default)
@@ -220,7 +220,7 @@ def cmd_simulate(config: dict, out_dir: Path, spec: DgpSpec, study: StudyConfig)
         "link": spec.link,
         "p": spec.p,
         "t_len": spec.t_len,
-        "k": spec.k,
+        "k": N_FACTORS,
         "n_reps": study.n_reps,
         "methods": list(study.methods),
         "metrics": list(study.metrics),
@@ -321,14 +321,14 @@ def _check_third_moment_slices(methods, h_slices: int, t_len: int, what: str) ->
 
 
 def _check_simulate(spec: DgpSpec, study: StudyConfig) -> None:
-    if study.l > spec.k:
-        raise ConfigError(f"l={study.l} must be <= k={spec.k}")
+    if study.l > N_FACTORS:
+        raise ConfigError(f"l={study.l} must be <= k={N_FACTORS}")
     if study.h_slices > spec.t_len:
         raise ConfigError(f"h_slices={study.h_slices} must be <= t_len={spec.t_len}")
     _check_third_moment_slices(study.methods, study.h_slices, spec.t_len, "t_len")
     # the PC baseline of the oos metric needs T > K
-    if "pc" in study.methods and "oos" in study.metrics and spec.t_len <= spec.k:
-        raise ConfigError(f"t_len={spec.t_len} must be > k={spec.k} for pc with the oos metric")
+    if "pc" in study.methods and "oos" in study.metrics and spec.t_len <= N_FACTORS:
+        raise ConfigError(f"t_len={spec.t_len} must be > k={N_FACTORS} for pc with the oos metric")
 
 
 def _check_forecast(rolling: RollingConfig) -> None:
@@ -383,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} pipeline")
+        # no prefix matching, so a removed key such as simulate's --k is not read as --k-max
+        p = sub.add_parser(name, help=f"run the {name} pipeline", allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; flags override file values")
         for key, (_, default) in _command_keys(name).items():
             p.add_argument("--" + key.replace("_", "-"), help=f"default: {default!r}")

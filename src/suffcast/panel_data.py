@@ -34,7 +34,6 @@ class PanelData:
     series_names: tuple[str, ...]
     time_labels: tuple[str, ...]
     y: np.ndarray
-    target_name: str = "target"
     n_dropped: int = 0
 
     def __post_init__(self):
@@ -86,20 +85,33 @@ def load_csv(
     a warning.  The target column is excluded from the predictor matrix, so a
     series is never used to predict itself; header names must be unique, so a
     second copy of the target cannot stay behind as a series.  A file that
-    cannot be read or decoded raises :class:`DataError`.
+    cannot be read, decoded or split into records raises :class:`DataError`,
+    and so does a record over more than one line: a stray quote would
+    otherwise join the lines after it into one cell.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
+    records: list[list[str]] = []
+    line = 0  # the last line of the records read so far
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
-            header = next(reader, None)
-            rows = list(reader)
+            for record in reader:
+                if reader.line_num > line + 1:
+                    raise DataError(
+                        f"{path}: line {line + 1}: a quoted cell runs over "
+                        f"{reader.line_num - line} lines"
+                    )
+                records.append(record)
+                line = reader.line_num
     except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"{path}: cannot read the file: {e}") from e
-    if header is None:
+    except csv.Error as e:
+        raise DataError(f"{path}: line {line + 1}: {e}") from e
+    if not records:
         raise DataError(f"{path}: empty file, header row required")
+    header, rows = records[0], records[1:]
     if len(header) < 3:
         raise DataError(f"{path}: need a time column, a target column and at least one series")
     names = [h.strip() for h in header]
@@ -135,7 +147,6 @@ def load_csv(
         series_names=series_names,
         time_labels=tuple(labels),
         y=y,
-        target_name=target_column,
         n_dropped=len(dropped),
     )
 

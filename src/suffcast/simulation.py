@@ -1,17 +1,18 @@
 """Synthetic data generation and the Monte Carlo study driver.
 
-Factors and idiosyncratic errors follow AR(1) processes with coefficients
-drawn once per study and held fixed; loadings are uniform on [-1, 2]; the
-target is a nonlinear function of two fixed unit-norm index directions plus
-Gaussian noise.  Every random quantity is a deterministic function of
-``(master seed, replicate index)``, so studies are reproducible bit-for-bit
-and replications can run in parallel.
+K = ``N_FACTORS`` = 6 factors and the idiosyncratic errors follow AR(1)
+processes with coefficients drawn once per study and held fixed; the loadings
+are uniform on [-1, 2], also drawn once per study; the target is a nonlinear
+function of the factors along two fixed unit index directions, ``PHI1`` and
+``PHI2``, plus Gaussian noise.  Every random quantity is a deterministic
+function of ``(master seed, replicate index)``, so studies are reproducible
+bit-for-bit and replications can run in parallel.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,8 +23,11 @@ from .forecaster import METHODS, _check_count, fit_forecast_model, predict
 
 LINKS = ("I", "II", "III", "IV")
 
-DEFAULT_PHI1 = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]) / np.sqrt(3.0)
-DEFAULT_PHI2 = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 3.0]) / np.sqrt(11.0)
+#: number of factors K of every study
+N_FACTORS = 6
+#: the two unit index directions of the target, in the factor space
+PHI1 = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]) / np.sqrt(3.0)
+PHI2 = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 3.0]) / np.sqrt(11.0)
 #: range of the study-level AR(1) coefficients of factors and errors
 AR_LOW, AR_HIGH = 0.2, 0.8
 #: range of the uniform loadings
@@ -57,34 +61,23 @@ class DgpSpec:
 
     p: int = 100
     t_len: int = 500
-    k: int = 6
     link: str = "I"
     sigma: float = 0.2
     seed: int = 0
-    phi1: np.ndarray = field(default_factory=lambda: DEFAULT_PHI1.copy())
-    phi2: np.ndarray = field(default_factory=lambda: DEFAULT_PHI2.copy())
-    fixed_loadings: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "phi1", np.asarray(self.phi1, dtype=float))
-        object.__setattr__(self, "phi2", np.asarray(self.phi2, dtype=float))
         if self.link not in LINKS:
             raise ValueError(f"unknown link tag {self.link!r}")
         _check_count("p", self.p)
         if not self.sigma >= 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        for name, phi in (("phi1", self.phi1), ("phi2", self.phi2)):
-            if phi.shape != (self.k,):
-                raise ValueError(f"{name} must have length k={self.k}")
-            if abs(np.linalg.norm(phi) - 1.0) > 1e-8:
-                raise ValueError(f"{name} must have unit norm")
-        if self.k > min(self.p, self.t_len):
-            raise ValueError(f"k={self.k} out of range 1..min(p={self.p}, T={self.t_len})")
+        if N_FACTORS > min(self.p, self.t_len):
+            raise ValueError(f"k={N_FACTORS} out of range 1..min(p={self.p}, T={self.t_len})")
 
     def ar_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
         """Study-level AR coefficients, drawn once from the master seed."""
         rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(0,)))
-        alpha = rng.uniform(AR_LOW, AR_HIGH, size=self.k)
+        alpha = rng.uniform(AR_LOW, AR_HIGH, size=N_FACTORS)
         rho = rng.uniform(AR_LOW, AR_HIGH, size=self.p)
         return alpha, rho
 
@@ -97,7 +90,6 @@ class SimDraw:
     y: np.ndarray  # length T, y[t] observed one period after x[:, t]
     factors: np.ndarray  # T x K true factors
     loadings: np.ndarray  # p x K true loadings
-    phi: np.ndarray  # K x 2 true directions
 
 
 def _ar1_panel(coef: np.ndarray, shocks: np.ndarray) -> np.ndarray:
@@ -117,31 +109,22 @@ def _ar1_panel(coef: np.ndarray, shocks: np.ndarray) -> np.ndarray:
 def sample_dgp(spec: DgpSpec, replicate: int) -> SimDraw:
     """Draw one panel; deterministic given ``(spec.seed, replicate)``."""
     alpha, rho = spec.ar_coefficients()
-    loading_key = (1, 0) if spec.fixed_loadings else (1, 1 + replicate)
-    rng_b = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=loading_key))
-    b = rng_b.uniform(LOADING_LOW, LOADING_HIGH, size=(spec.p, spec.k))
+    rng_b = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(1, 0)))
+    b = rng_b.uniform(LOADING_LOW, LOADING_HIGH, size=(spec.p, N_FACTORS))
 
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(2, replicate)))
     total = BURN_IN + spec.t_len
-    e = rng.standard_normal((total, spec.k))
+    e = rng.standard_normal((total, N_FACTORS))
     nu = rng.standard_normal((total, spec.p))
     eps = rng.standard_normal(spec.t_len)
 
     # one pass over the factor and error columns together
     panel = _ar1_panel(np.concatenate([alpha, rho]), np.hstack([e, nu]))
-    factors = np.ascontiguousarray(panel[:, : spec.k])
-    u = panel[:, spec.k :]
+    factors = np.ascontiguousarray(panel[:, :N_FACTORS])
+    u = panel[:, N_FACTORS:]
     x = b @ factors.T + u.T
-    v1 = factors @ spec.phi1
-    v2 = factors @ spec.phi2
-    y = link_function(spec.link, v1, v2) + spec.sigma * eps
-    return SimDraw(
-        x=x,
-        y=y,
-        factors=factors,
-        loadings=b,
-        phi=np.column_stack([spec.phi1, spec.phi2]),
-    )
+    y = link_function(spec.link, factors @ PHI1, factors @ PHI2) + spec.sigma * eps
+    return SimDraw(x=x, y=y, factors=factors, loadings=b)
 
 
 def identifiability_rotation(f: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -208,6 +191,8 @@ class StudyConfig:
 
     def __post_init__(self):
         known = {"directions", "oos", "k_selection", "l_selection"}
+        if not self.metrics:
+            raise ValueError(f"metrics must name at least one of {sorted(known)}")
         bad = set(self.metrics) - known
         if bad:
             raise ValueError(f"unknown metrics {sorted(bad)}; expected subset of {sorted(known)}")
@@ -270,7 +255,7 @@ def _run_replicate(spec: DgpSpec, config: StudyConfig, replicate: int) -> dict:
     out: dict = {}
 
     # one Gram eigendecomposition serves the criterion and the true-K fit
-    sel, fit = select_and_fit_factors(x_train, config.k_max, spec.k)
+    sel, fit = select_and_fit_factors(x_train, config.k_max, N_FACTORS)
     if "k_selection" in config.metrics:
         out[("factors", "k_selection")] = sel.k_hat
     if not set(config.metrics) - {"k_selection"}:  # no per-method metric
@@ -279,7 +264,7 @@ def _run_replicate(spec: DgpSpec, config: StudyConfig, replicate: int) -> dict:
     slices = sdr.slice_target(y_train, config.h_slices)
     if "directions" in config.metrics:
         h_id = identifiability_rotation(draw.factors[:t_train], draw.loadings)
-        basis, _ = np.linalg.qr(np.linalg.solve(h_id.T, draw.phi))
+        basis, _ = np.linalg.qr(np.linalg.solve(h_id.T, np.column_stack([PHI1, PHI2])))
 
     if want_oos:
         f_test = estimated_factors_known_loadings(draw.x[:, t_train:], fit.loadings)

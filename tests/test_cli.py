@@ -1,5 +1,6 @@
 import csv
 import json
+import typing
 from dataclasses import fields
 
 import numpy as np
@@ -272,6 +273,8 @@ def write_unreadable(tmp_path, case):
         rows[0], rows[1] = rows[1], rows[0]
     elif case == "repeated-labels":
         rows[2] = rows[1]
+    elif case == "stray-quote":
+        rows[4] = rows[4].replace(",", ',"', 1)
     panel = tmp_path / "panel.csv"
     panel.write_text("\n".join(["date,a,target", *rows]) + "\n")
     if case == "non-utf8-byte":
@@ -293,6 +296,7 @@ def write_unreadable(tmp_path, case):
         ("repeated-labels", 3),
         ("input-directory", 3),
         ("non-utf8-byte", 3),
+        ("stray-quote", 3),
         ("config-directory", 2),
     ],
 )
@@ -502,7 +506,6 @@ EXPOSED = {
     ),
     "factors": ((RollingConfig,), {"k", "k_max", "standardize"}, PANEL_IO),
 }
-LIBRARY_ONLY = {"phi1", "phi2"}
 OVERRIDES = {("simulate", "jobs"): 0, ("factors", "k"): "auto"}
 
 
@@ -522,12 +525,14 @@ class TestDerivedKeys:
     @pytest.mark.parametrize("command", sorted(EXPOSED))
     def test_keys_and_defaults_come_from_the_fields(self, command):
         classes, names, io_keys = EXPOSED[command]
-        exposed = {
-            ("model" if f.name == "link" else f.name): f.default
-            for cls in classes
-            for f in fields(cls)
-            if f.name not in LIBRARY_ONLY and (names is None or f.name in names)
-        }
+        exposed = {}
+        for cls in classes:
+            hints = typing.get_type_hints(cls)
+            for f in fields(cls):
+                if names is None or f.name in names:
+                    # every exposed field has a type the CLI converts
+                    assert hints[f.name] in cli._CONVERTERS, f.name
+                    exposed["model" if f.name == "link" else f.name] = f.default
         assert subcommand_keys(command) == set(exposed) | io_keys
         io = ["--input", "panel.csv", "--target-column", "y"] if "input" in io_keys else []
         config = resolve([command, *io])
@@ -559,7 +564,6 @@ class TestConfigBoundary:
         "command,values",
         [
             ("simulate", {"p": "20"}),
-            ("simulate", {"fixed_loadings": "0"}),
             ("factors", {"standardize": "0"}),
         ],
     )
@@ -646,6 +650,16 @@ class TestConfigBoundary:
             ("simulate", ["--p", "20", "--t-len", "6", "--h-slices", "3", "--methods", "pc",
                           "--metrics", "oos", "--n-test", "5", "--n-reps", "2", "--jobs", "1"],
              None, "t_len=6 must be > k=6 for pc with the oos metric"),
+            # the study's fixed design is no key: K = 6 and loadings drawn once per study
+            ("simulate", [], '{"k": 6}', "unknown config keys: ['k']"),
+            ("simulate", [], '{"fixed_loadings": true}',
+             "unknown config keys: ['fixed_loadings']"),
+            ("simulate", ["--k", "4", "--n-reps", "2", "--jobs", "1"], None,
+             "unrecognized arguments: --k 4"),
+            ("simulate", ["--fixed-loadings", "0"], None,
+             "unrecognized arguments: --fixed-loadings 0"),
+            # an empty metric list would write a study.csv with only its header
+            ("simulate", ["--metrics", ""], None, "metrics must name at least one of"),
         ],
     )
     def test_out_of_range_value_exits_2_before_writing(
@@ -662,7 +676,7 @@ class TestConfigBoundary:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
-        assert not (out / "config_resolved.json").exists()
+        assert not out.exists()
 
     def test_standardize_flag_0_matches_json_false(self, tmp_path):
         panel = write_factor_panel(tmp_path, t_len=150, p=15, k=2, seed=5)

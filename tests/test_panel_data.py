@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,15 +13,16 @@ from suffcast.forecaster import RollingConfig, _forward_mean
 from suffcast.panel_data import _standardize_array
 
 
-def save_csv(panel: PanelData, path) -> None:
+def save_csv(panel: PanelData, path, target_name="target") -> None:
     """Write a panel in the format ``load_csv`` reads, round-trip exact.
 
-    Floats are written with ``repr`` so reading the file back reproduces the
-    panel bit-exactly.
+    The target is the last column, headed ``target_name``.  Floats are
+    written with ``repr`` so reading the file back reproduces the panel
+    bit-exactly.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["date", *panel.series_names, panel.target_name])
+    writer.writerow(["date", *panel.series_names, target_name])
     for t in range(panel.t_len):
         writer.writerow(
             [panel.time_labels[t]]
@@ -36,7 +38,6 @@ def same_panel(a: PanelData, b: PanelData) -> bool:
         and np.array_equal(a.y, b.y)
         and a.series_names == b.series_names
         and a.time_labels == b.time_labels
-        and a.target_name == b.target_name
     )
 
 
@@ -84,6 +85,22 @@ class TestLoadCsv:
         text = "date,a,b\n2001-01,1.0,2.0\n"
         with pytest.raises(DataError, match="fewer than 2"):
             load_csv(write(tmp_path, text), target_column="b")
+
+    @pytest.mark.parametrize(
+        "n_rows,message",
+        [
+            (40, "line 6: a quoted cell runs over 36 lines"),
+            (6000, "line 6: field larger than field limit"),
+        ],
+    )
+    def test_stray_quote_is_a_data_error(self, tmp_path, n_rows, message):
+        # the quote opened on line 6 is never closed, so the csv reader joins
+        # every later line into one cell, past its field limit in the long file
+        rows = [f"2000-{t:05d}-{t % 12 + 1:02d},{t % 7}.5,{t % 5}.25" for t in range(n_rows)]
+        rows[4] = rows[4].replace(",", ',"', 1)
+        path = write(tmp_path, "\n".join(["date,a,target", *rows]) + "\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+            load_csv(path, target_column="target")
 
     def test_deterministic(self, tmp_path):
         path = write(tmp_path, CSV_SIMPLE)

@@ -52,7 +52,7 @@ class TestSampleDgp:
         alpha, rho = spec.ar_coefficients()
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(2, 4)))
         total = simulation.BURN_IN + spec.t_len
-        factors = ar1_loop(alpha, rng.standard_normal((total, spec.k)))
+        factors = ar1_loop(alpha, rng.standard_normal((total, simulation.N_FACTORS)))
         u = ar1_loop(rho, rng.standard_normal((total, spec.p)))
         assert np.array_equal(draw.factors, factors)
         assert np.array_equal(draw.x, draw.loadings @ factors.T + u.T)
@@ -72,8 +72,8 @@ class TestSampleDgp:
     def test_sigma_zero_gives_exact_link(self):
         spec = DgpSpec(p=10, t_len=25, link="IV", sigma=0.0, seed=6)
         draw = sample_dgp(spec, 0)
-        v1 = draw.factors @ spec.phi1
-        v2 = draw.factors @ spec.phi2
+        v1 = draw.factors @ simulation.PHI1
+        v2 = draw.factors @ simulation.PHI2
         assert np.array_equal(draw.y, link_function("IV", v1, v2))
 
     def test_panel_composition(self):
@@ -104,12 +104,9 @@ class TestSampleDgp:
             assert np.array_equal(r, rho)
 
     def test_loadings_fixed_flag(self):
-        fixed = DgpSpec(p=12, t_len=20, seed=9, fixed_loadings=True)
-        redrawn = DgpSpec(p=12, t_len=20, seed=9, fixed_loadings=False)
-        assert np.array_equal(sample_dgp(fixed, 0).loadings, sample_dgp(fixed, 4).loadings)
-        assert not np.array_equal(
-            sample_dgp(redrawn, 0).loadings, sample_dgp(redrawn, 4).loadings
-        )
+        # the loadings are drawn once per study, the same in every replicate
+        spec = DgpSpec(p=12, t_len=20, seed=9)
+        assert np.array_equal(sample_dgp(spec, 0).loadings, sample_dgp(spec, 4).loadings)
 
     def test_stationary_variance_oracle(self):
         spec = DgpSpec(p=8, t_len=50_000, seed=10)
@@ -121,10 +118,6 @@ class TestSampleDgp:
         # mean within 5 standard errors of zero
         se = np.sqrt(target / (1 - alpha) ** 2 / 50_000)
         assert np.all(np.abs(draw.factors.mean(axis=0)) < 5 * se)
-
-    def test_unit_norm_phi_required(self):
-        with pytest.raises(ValueError, match="unit norm"):
-            DgpSpec(p=5, t_len=10, phi1=np.ones(6), seed=0)
 
 
 class TestIdentifiabilityRotation:
