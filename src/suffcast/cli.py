@@ -321,14 +321,15 @@ def _check_third_moment_slices(methods, h_slices: int, t_len: int, what: str) ->
 
 
 def _check_simulate(spec: DgpSpec, study: StudyConfig) -> None:
+    factors = f"the study's K={N_FACTORS} factors"
     if study.l > N_FACTORS:
-        raise ConfigError(f"l={study.l} must be <= k={N_FACTORS}")
+        raise ConfigError(f"l={study.l} must be <= {factors}")
     if study.h_slices > spec.t_len:
         raise ConfigError(f"h_slices={study.h_slices} must be <= t_len={spec.t_len}")
     _check_third_moment_slices(study.methods, study.h_slices, spec.t_len, "t_len")
     # the PC baseline of the oos metric needs T > K
     if "pc" in study.methods and "oos" in study.metrics and spec.t_len <= N_FACTORS:
-        raise ConfigError(f"t_len={spec.t_len} must be > k={N_FACTORS} for pc with the oos metric")
+        raise ConfigError(f"t_len={spec.t_len} must be > {factors} for pc with the oos metric")
 
 
 def _check_forecast(rolling: RollingConfig) -> None:

@@ -195,6 +195,28 @@ class ForecastModel:
     converged: bool = True
 
 
+def _backfit(weights: list, centered: np.ndarray):
+    """Backfitting sweeps: returns ``(fitted, total, sweeps, converged)``.
+
+    A sweep sets each component in turn to its weights ``@`` the residual of
+    the others, until the total moves less than ``BACKFIT_TOL`` or after
+    ``BACKFIT_MAX_SWEEPS`` sweeps.  Only the total converges: every weight
+    row sums to 1, so the components are fixed only up to constants that sum
+    to zero and move no prediction, and their levels drift with the sweeps.
+    """
+    fitted = np.zeros((len(weights), centered.shape[0]))
+    total = np.zeros(centered.shape[0])
+    sweeps, converged = 0, False
+    while sweeps < BACKFIT_MAX_SWEEPS and not converged:
+        sweeps += 1
+        previous = total
+        for j, w in enumerate(weights):
+            fitted[j] = w @ (centered - (fitted.sum(axis=0) - fitted[j]))
+        total = fitted.sum(axis=0)
+        converged = bool(np.abs(total - previous).max() < BACKFIT_TOL)
+    return fitted, total, sweeps, converged
+
+
 def fit_additive(
     indices: np.ndarray,
     targets: np.ndarray,
@@ -205,10 +227,9 @@ def fit_additive(
 
     ``bandwidths`` holds one bandwidth per index and ``directions`` is the
     ``K x L`` map from a factor vector to the indices.  Targets are centered
-    at their mean (the model intercept) and components are updated in turn
-    until the fitted values move less than ``BACKFIT_TOL`` or
-    ``BACKFIT_MAX_SWEEPS`` is reached.  Each index's weights are built once,
-    by :func:`_fit_weights`.  A zero-variance index column is dropped from
+    at their mean (the model intercept) and the components are fit by
+    :func:`_backfit`.  Each index's weights are built once, by
+    :func:`_fit_weights`.  A zero-variance index column is dropped from
     the model, with its direction and a warning, and its bandwidth is not
     used.
     """
@@ -242,31 +263,9 @@ def fit_additive(
     cols = np.flatnonzero(keep)
     weights = [_fit_weights(indices[:, j], spans[j], bandwidths[j]) for j in cols]
 
-    # one sweep updates each component in turn from the residual of the
-    # others, ``centered - (sum(fitted) - fitted[j])``, into its own row
-    fitted = np.zeros((cols.size, t_len))
-    total = np.empty(t_len)
-    total_prev = np.zeros(t_len)
-    partial = np.empty(t_len)
-    sweeps, converged = 0, False
-    while sweeps < BACKFIT_MAX_SWEEPS and not converged:
-        sweeps += 1
-        for row, w in zip(fitted, weights):
-            np.add.reduce(fitted, axis=0, out=total)
-            np.subtract(total, row, out=partial)
-            np.subtract(centered, partial, out=partial)
-            if isinstance(w, _BandedWeights):
-                row[:] = w @ partial
-            else:
-                np.matmul(w, partial, out=row)
-        np.add.reduce(fitted, axis=0, out=total)
-        # the change of the total, in the previous total's buffer
-        np.subtract(total, total_prev, out=total_prev)
-        converged = bool(np.abs(total_prev, out=total_prev).max() < BACKFIT_TOL)
-        total, total_prev = total_prev, total
-
+    fitted, total, sweeps, converged = _backfit(weights, centered)
     smoothers = [
-        _Smoother(indices[:, j].copy(), centered - (total_prev - row), float(bandwidths[j]))
+        _Smoother(indices[:, j].copy(), centered - (total - row), float(bandwidths[j]))
         for j, row in zip(cols, fitted)
     ]
     return ForecastModel(
@@ -411,8 +410,6 @@ def _forward_mean(y: np.ndarray, h: int) -> np.ndarray:
     column-``t`` predictors), so ``out[t]`` is the average outcome over the
     ``h`` periods following time ``t``.
     """
-    if h == 1:
-        return y.astype(float, copy=True)
     return np.lib.stride_tricks.sliding_window_view(y, h).mean(axis=1)
 
 

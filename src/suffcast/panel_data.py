@@ -207,17 +207,10 @@ def _parse_cells(rows: list[list[str]], column_names: list[str]):
 def _standardize_array(x: np.ndarray, series_names) -> np.ndarray:
     """Scale each row of ``x`` to mean 0 and sample sd 1.
 
-    The rows are centered once; the centered array gives the sample sd by
-    the ufunc sequence of ``std(ddof=1)`` and is then scaled in place, so the
-    result is ``(x - mean) / std(ddof=1)`` bit for bit.  A flat series is a
-    ``ValueError`` naming it.
+    A flat series is a :class:`DataError` naming it.
     """
-    centered = x - x.mean(axis=1, keepdims=True)
-    sds = np.add.reduce(centered * centered, axis=1, keepdims=True)
-    sds /= x.shape[1] - 1
-    np.sqrt(sds, out=sds)
+    sds = x.std(axis=1, ddof=1, keepdims=True)
     flat = np.nonzero(sds[:, 0] == 0)[0]
     if flat.size:
-        raise ValueError(f"zero-variance series over window: {series_names[flat[0]]!r}")
-    centered /= sds
-    return centered
+        raise DataError(f"zero-variance series over window: {series_names[flat[0]]!r}")
+    return (x - x.mean(axis=1, keepdims=True)) / sds

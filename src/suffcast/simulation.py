@@ -72,7 +72,8 @@ class DgpSpec:
         if not self.sigma >= 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         if N_FACTORS > min(self.p, self.t_len):
-            raise ValueError(f"k={N_FACTORS} out of range 1..min(p={self.p}, T={self.t_len})")
+            raise ValueError(f"the study's K={N_FACTORS} factors need p >= {N_FACTORS} and "
+                             f"t_len >= {N_FACTORS}, got p={self.p}, t_len={self.t_len}")
 
     def ar_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
         """Study-level AR coefficients, drawn once from the master seed."""

@@ -1,7 +1,11 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import typing
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,6 +335,53 @@ def test_dropped_rows_counted_in_the_summaries(tmp_path):
         assert summary["n_dropped"] == 1
 
 
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        ("factors", ["--k", 2]),
+        ("select", ["--method", "dr", "--k-max", 3]),
+        ("forecast", ["--window", 40, "--n-eval", 3, "--k", 2]),
+    ],
+)
+def test_constant_series_exits_3_with_nothing_written(tmp_path, capsys, command, flags):
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((8, 60))
+    x[3] = 2.0
+    panel = PanelData(
+        x=x,
+        series_names=tuple(f"s{i}" for i in range(8)),
+        time_labels=tuple(f"t{i:04d}" for i in range(60)),
+        y=rng.standard_normal(60),
+    )
+    save_csv(panel, tmp_path / "flat.csv")
+    out = tmp_path / "out"
+    assert run([command, "--input", tmp_path / "flat.csv", "--target-column", "target",
+                *flags, "--out-dir", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    assert "zero-variance series over window: 's3'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_process_exit_codes(tmp_path):
+    # the module run as a process goes through sys.exit(main()), like the console script
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    panel = write_factor_panel(tmp_path, t_len=60, p=8)
+    io = ["--target-column", "target", "--out-dir", str(tmp_path / "out")]
+    for args, code in [
+        (["factors", "--input", str(panel), "--k", "2"], 0),
+        (["forecast", "--input", str(panel), "--window", "5"], 2),
+        (["factors", "--input", str(tmp_path / "missing.csv")], 3),
+    ]:
+        done = subprocess.run([sys.executable, "-m", "suffcast.cli", *args, *io], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == code, (args, done.stderr)
+        assert "Traceback" not in done.stderr
+    assert (tmp_path / "out" / "factors.csv").exists()
+
+
 class TestSelect:
     @pytest.mark.parametrize(
         "method,h_slices,message",
@@ -612,9 +663,9 @@ class TestConfigBoundary:
              "n_test must be >= 1"),
             ("simulate", ["--n-reps", "3", "--sigma", "-1"], None, "sigma must be >= 0"),
             ("simulate", ["--n-reps", "2", "--p", "30", "--t-len", "60", "--l", "7"], None,
-             "l=7 must be <= k=6"),
+             "l=7 must be <= the study's K=6 factors"),
             ("simulate", ["--n-reps", "2", "--p", "20", "--t-len", "5"], None,
-             "k=6 out of range 1..min(p=20, T=5)"),
+             "the study's K=6 factors need p >= 6 and t_len >= 6, got p=20, t_len=5"),
             ("simulate", ["--n-reps", "2", "--p", "30", "--t-len", "60", "--h-slices", "80"],
              None, "h_slices=80 must be <= t_len=60"),
             ("forecast", ["--k", "2", "--l", "5", "--n-eval", "3"], None, "l=5 must be <= k=2"),
@@ -649,7 +700,7 @@ class TestConfigBoundary:
             # the PC baseline of the oos metric needs T > K
             ("simulate", ["--p", "20", "--t-len", "6", "--h-slices", "3", "--methods", "pc",
                           "--metrics", "oos", "--n-test", "5", "--n-reps", "2", "--jobs", "1"],
-             None, "t_len=6 must be > k=6 for pc with the oos metric"),
+             None, "t_len=6 must be > the study's K=6 factors for pc with the oos metric"),
             # the study's fixed design is no key: K = 6 and loadings drawn once per study
             ("simulate", [], '{"k": 6}', "unknown config keys: ['k']"),
             ("simulate", [], '{"fixed_loadings": true}',

@@ -86,6 +86,19 @@ class TestFitAdditive:
         assert capped.sweeps == 1
         assert not capped.converged
 
+    def test_predictions_ignore_shifts_of_the_components_that_sum_to_zero(self):
+        # every weight row sums to 1, so backfitting pins each component only
+        # up to a constant, and constants that sum to zero leave every forecast
+        rng = np.random.default_rng(1)
+        f = rng.standard_normal((119, 3))
+        y = np.sin(f[:, 0]) + f[:, 1] * f[:, 2] + 0.3 * rng.standard_normal(119)
+        model = nlpc_fit(f, y)
+        f_new = np.vstack([f, 3.0 * rng.standard_normal((40, 3))])
+        before = predict(model, f_new)
+        for smoother, shift in zip(model.smoothers, (2.5, -80.0, 77.5)):
+            smoother.partial_residuals = smoother.partial_residuals + shift
+        assert np.allclose(predict(model, f_new), before, rtol=0, atol=1e-12)
+
     def test_input_checks(self):
         one, ramp = np.ones(1), np.zeros((4, 1)) + np.arange(4)[:, None]
         with pytest.raises(ValueError, match="T x L"):
