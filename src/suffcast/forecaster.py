@@ -64,10 +64,10 @@ def _nw_weights(
     which would change no bit, is skipped.  Shifted exponents below ``floor``
     (see :func:`_nw_exponent_floor`) give a weight of exactly 0.  A row whose
     every squared scaled distance overflows (a query about 1e154 bandwidths
-    out) weighs the training points at its least distance equally, the
-    Gaussian limit; as those distances all round alike there, that is the
-    row of a query just short of the overflow.  The array is built and
-    normalized in place.
+    from every point) weighs the training points at its least distance
+    equally, the Gaussian limit.  A query past an end of the training range
+    gets the Gaussian limit there too, see :func:`_weigh_the_ends`.  The array
+    is built and normalized in place.
     """
     # squaring before scaling gives the bits of -0.5 * d * d, as scaling by
     # -0.5 is exact; an overflow gives an exponent of -inf
@@ -85,12 +85,42 @@ def _nw_weights(
     np.maximum(e, floor, out=e)
     np.exp(e, out=e)
     e *= keep
-    if not queries_are_train and far.size:
-        with np.errstate(over="ignore"):
-            d = np.abs(query_x[far, None] - train_x[None, :])
-        e[far] = d == d.min(axis=1, keepdims=True)
+    if not queries_are_train:
+        if far.size:
+            with np.errstate(over="ignore"):
+                d = np.abs(query_x[far, None] - train_x[None, :])
+            e[far] = d == d.min(axis=1, keepdims=True)
+        _weigh_the_ends(e, train_x, query_x, bandwidth, floor)
     e /= e.sum(axis=1, keepdims=True)
     return e
+
+
+def _weigh_the_ends(
+    e: np.ndarray, train_x: np.ndarray, query_x: np.ndarray, bandwidth: float, floor: float
+) -> None:
+    """Give the rows of queries past an end of the training range their Gaussian limit.
+
+    A query ``reach`` past the largest point, whose nearest neighbour below is
+    ``gap`` away, gives that neighbour the exact shifted exponent
+    ``-gap (gap + 2 reach) / (2 bandwidth^2)``.  Where that is below ``floor``,
+    every weight but the end's is 0, which the computed exponents miss once
+    the distances ``q - x`` round alike (about 2^53 spreads out).  Those rows
+    are set to the points at the end, and likewise below the least point.
+    Only a range check is paid when every query is in range.
+    """
+    lo, hi = train_x.min(), train_x.max()
+    sides = []  # (points at the end, reach past it, gap to its nearest neighbour)
+    if query_x.max() > hi:
+        gap = hi - train_x.max(where=train_x < hi, initial=-np.inf)
+        sides.append((train_x == hi, query_x - hi, gap))
+    if query_x.min() < lo:
+        gap = train_x.min(where=train_x > lo, initial=np.inf) - lo
+        sides.append((train_x == lo, lo - query_x, gap))
+    for at_end, reach, gap in sides:
+        # solved for reach in Python floats, which give inf on overflow, not a warning
+        gap = float(gap)
+        least_reach = -floor * bandwidth / gap * bandwidth - gap / 2.0
+        e[reach > max(least_reach, 0.0)] = at_end
 
 
 @dataclass(eq=False)

@@ -6,11 +6,13 @@ are uniform on [-1, 2], also drawn once per study; the target is a nonlinear
 function of the factors along two fixed unit index directions, ``PHI1`` and
 ``PHI2``, plus Gaussian noise.  Every random quantity is a deterministic
 function of ``(master seed, replicate index)``, so studies are reproducible
-bit-for-bit and replications can run in parallel.
+bit-for-bit and replications can run in parallel.  The study draws
+``CHUNK_SIZE`` consecutive replicates at once: each draws its shocks from its
+own stream, and one in-place AR(1) pass runs over all of them, which gives
+each replicate the same bits as :func:`sample_dgp` alone.
 """
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -38,8 +40,9 @@ BURN_IN = 100
 #: normal-reference rule.  The held-out studies emulate a flexible smoother;
 #: 0.1 reproduces the published accuracy ordering.
 OOS_BANDWIDTH_SCALE = 0.1
-#: replicates per task sent to a worker process
-CHUNK_SIZE = 8
+#: replicates drawn in one AR(1) pass and run as one task, in-process or in a
+#: worker; a chunk's shocks take CHUNK_SIZE x (BURN_IN + T) x (K + p) x 8 bytes
+CHUNK_SIZE = 4
 
 
 def link_function(tag: str, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
@@ -93,39 +96,68 @@ class SimDraw:
     loadings: np.ndarray  # p x K true loadings
 
 
-def _ar1_panel(coef: np.ndarray, shocks: np.ndarray) -> np.ndarray:
-    """Run ``x_t = coef * x_{t-1} + e_t`` per column and drop the burn-in.
+def _ar1_panel(coef: np.ndarray, buf: np.ndarray) -> None:
+    """Run ``x_t = coef * x_{t-1} + e_t`` in place over the leading axis of ``buf``.
 
-    The recursion starts from ``x_{-1} = 0`` and updates the rows of a copy of
-    the shocks in place, one numpy call per step for all columns at once.
+    ``buf`` holds the shocks ``e_t``, one row ``buf[t]`` per period, and
+    ``coef`` has a row's shape.  The recursion starts from ``x_{-1} = 0`` and
+    makes one numpy call per step for every column of the row at once: in a
+    chunk's ``(BURN_IN + T, R, K + p)`` buffer, every factor and error series
+    of its R replicates.  Each element gets the same two IEEE operations in
+    any layout, so a replicate's panel has the same bits alone or in a chunk.
     """
-    out = shocks.copy()
-    step = np.empty(shocks.shape[1])
-    for t in range(1, out.shape[0]):
-        np.multiply(coef, out[t - 1], out=step)
-        out[t] += step
-    return out[BURN_IN:]
+    rows = list(buf)
+    step = np.empty_like(rows[0])
+    for prev, cur in zip(rows, rows[1:]):
+        np.multiply(coef, prev, out=step)
+        cur += step
+
+
+def _loadings(spec: DgpSpec) -> np.ndarray:
+    """The study's ``p x K`` loadings, drawn once from the master seed."""
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(1, 0)))
+    return rng.uniform(LOADING_LOW, LOADING_HIGH, size=(spec.p, N_FACTORS))
+
+
+def _chunk_panels(spec: DgpSpec, replicates) -> tuple[np.ndarray, np.ndarray]:
+    """The factor and error panels of several replicates, from one AR(1) pass.
+
+    Replicate ``replicates[i]`` draws its shocks from its own stream
+    ``(spec.seed, (2, r))``: the factor shocks, the error shocks, then the
+    target noise.  Returns the ``(T, R, K + p)`` panels after the burn-in, with
+    the factors in the first K columns, and the ``(R, T)`` target noise.
+    """
+    alpha, rho = spec.ar_coefficients()
+    total = BURN_IN + spec.t_len
+    buf = np.empty((total, len(replicates), N_FACTORS + spec.p))
+    eps = np.empty((len(replicates), spec.t_len))
+    for i, r in enumerate(replicates):
+        rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(2, r)))
+        buf[:, i, :N_FACTORS] = rng.standard_normal((total, N_FACTORS))
+        buf[:, i, N_FACTORS:] = rng.standard_normal((total, spec.p))
+        rng.standard_normal(out=eps[i])
+    _ar1_panel(np.tile(np.concatenate([alpha, rho]), (len(replicates), 1)), buf)
+    return buf[BURN_IN:], eps
+
+
+def _build_draw(
+    spec: DgpSpec, loadings: np.ndarray, panel: np.ndarray, eps: np.ndarray
+) -> SimDraw:
+    """One replicate's draw from its ``T x (K + p)`` panel and its target noise."""
+    factors = np.ascontiguousarray(panel[:, :N_FACTORS])
+    x = loadings @ factors.T
+    x += panel[:, N_FACTORS:].T
+    y = link_function(spec.link, factors @ PHI1, factors @ PHI2) + spec.sigma * eps
+    return SimDraw(x=x, y=y, factors=factors, loadings=loadings)
 
 
 def sample_dgp(spec: DgpSpec, replicate: int) -> SimDraw:
-    """Draw one panel; deterministic given ``(spec.seed, replicate)``."""
-    alpha, rho = spec.ar_coefficients()
-    rng_b = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(1, 0)))
-    b = rng_b.uniform(LOADING_LOW, LOADING_HIGH, size=(spec.p, N_FACTORS))
+    """Draw one panel; deterministic given ``(spec.seed, replicate)``.
 
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(2, replicate)))
-    total = BURN_IN + spec.t_len
-    e = rng.standard_normal((total, N_FACTORS))
-    nu = rng.standard_normal((total, spec.p))
-    eps = rng.standard_normal(spec.t_len)
-
-    # one pass over the factor and error columns together
-    panel = _ar1_panel(np.concatenate([alpha, rho]), np.hstack([e, nu]))
-    factors = np.ascontiguousarray(panel[:, :N_FACTORS])
-    u = panel[:, N_FACTORS:]
-    x = b @ factors.T + u.T
-    y = link_function(spec.link, factors @ PHI1, factors @ PHI2) + spec.sigma * eps
-    return SimDraw(x=x, y=y, factors=factors, loadings=b)
+    This is the study's chunk draw for a chunk of one replicate.
+    """
+    panels, eps = _chunk_panels(spec, [replicate])
+    return _build_draw(spec, _loadings(spec), panels[:, 0], eps[0])
 
 
 def identifiability_rotation(f: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -245,11 +277,9 @@ class StudyResult:
         return rows
 
 
-def _run_replicate(spec: DgpSpec, config: StudyConfig, replicate: int) -> dict:
-    """Compute every requested (method, metric) cell for one replication."""
+def _run_replicate(spec: DgpSpec, config: StudyConfig, draw: SimDraw) -> dict:
+    """Compute every requested (method, metric) cell for one replication's draw."""
     want_oos = "oos" in config.metrics
-    draw_spec = replace(spec, t_len=spec.t_len + (config.n_test if want_oos else 0))
-    draw = sample_dgp(draw_spec, replicate)
     t_train = spec.t_len
     x_train = draw.x[:, :t_train]
     y_train = draw.y[:t_train]
@@ -292,13 +322,30 @@ def _run_replicate(spec: DgpSpec, config: StudyConfig, replicate: int) -> dict:
     return out
 
 
-def _run_replicate_guarded(args) -> tuple[dict | None, str | None]:
-    """``(cells, None)`` for a replicate that ran, ``(None, "Type: message")`` for one that failed."""
-    spec, config, r = args
+def _run_chunk(args) -> list[tuple[dict | None, str | None]]:
+    """Run a chunk of consecutive replicates, drawn together.
+
+    Returns ``(cells, None)`` for each replicate that ran and
+    ``(None, "Type: message")`` for each one that failed; a failure while
+    building or running one replicate's draw fails that replicate alone.
+    """
+    spec, config, replicates = args
+    # the held-out periods are drawn after the training periods
+    n_test = config.n_test if "oos" in config.metrics else 0
+    draw_spec = replace(spec, t_len=spec.t_len + n_test)
     try:
-        return _run_replicate(spec, config, r), None
+        loadings = _loadings(draw_spec)
+        panels, eps = _chunk_panels(draw_spec, replicates)
     except Exception as e:
-        return None, f"{type(e).__name__}: {e}"
+        return [(None, f"{type(e).__name__}: {e}")] * len(replicates)
+    out = []
+    for i in range(len(replicates)):
+        try:
+            draw = _build_draw(draw_spec, loadings, panels[:, i], eps[i])
+            out.append((_run_replicate(spec, config, draw), None))
+        except Exception as e:
+            out.append((None, f"{type(e).__name__}: {e}"))
+    return out
 
 
 def monte_carlo_study(spec: DgpSpec, config: StudyConfig) -> StudyResult:
@@ -306,16 +353,22 @@ def monte_carlo_study(spec: DgpSpec, config: StudyConfig) -> StudyResult:
 
     Replication ``r`` uses the seed stream ``(spec.seed, r)``; failures are
     recorded with their replicate index and excluded from the medians rather
-    than silently dropped.  Results do not depend on ``config.jobs``.
+    than silently dropped.  One task is a chunk of ``CHUNK_SIZE`` consecutive
+    replicates, which share one AR(1) pass.  Results do not depend on
+    ``config.jobs`` or ``CHUNK_SIZE``.
     """
-    args = [(spec, config, r) for r in range(config.n_reps)]
+    chunks = [
+        (spec, config, range(start, min(start + CHUNK_SIZE, config.n_reps)))
+        for start in range(0, config.n_reps, CHUNK_SIZE)
+    ]
     # the pool forks all its workers at the first submit; more than one per chunk would idle
-    workers = min(config.jobs, math.ceil(config.n_reps / CHUNK_SIZE))
+    workers = min(config.jobs, len(chunks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_run_replicate_guarded, args, chunksize=CHUNK_SIZE))
+            per_chunk = list(pool.map(_run_chunk, chunks))
     else:
-        raw = [_run_replicate_guarded(a) for a in args]
+        per_chunk = [_run_chunk(chunk) for chunk in chunks]
+    raw = [cell for cells in per_chunk for cell in cells]
     results = [cells for cells, _ in raw]
     failures = [(r, error) for r, (_, error) in enumerate(raw) if error is not None]
 

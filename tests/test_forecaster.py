@@ -344,7 +344,7 @@ class TestSweepExactness:
 
 
 class TestFarQueries:
-    """Queries so far out that every squared scaled distance overflows."""
+    """Queries past an end of the training points, up to where every squared distance overflows."""
 
     def test_prediction_past_the_overflow_is_the_one_short_of_it(self):
         rng = np.random.default_rng(26)
@@ -356,6 +356,33 @@ class TestFarQueries:
             below, above = predict(model, np.array([[-1e150, 0.0], [-1e300, 0.0]]))
         assert np.isfinite(far) and far == near
         assert np.isfinite(above) and above == below
+
+    def test_query_past_an_end_weighs_that_end_however_far(self):
+        # past about 2^53 spreads every distance q - x rounds alike; the row
+        # must still be the Gaussian limit that a query at 1e6 already reaches
+        rng = np.random.default_rng(1)
+        f = rng.standard_normal((20, 2))
+        model = nlpc_fit(f, f[:, 0] ** 2 + 0.1 * rng.standard_normal(20))
+        for sign in (1.0, -1.0):
+            q = np.array([[1e6, 0.0], [1e17, 0.0], [1e150, 0.0]]) * [sign, 1.0]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                near, far, farther = predict(model, q)
+            assert far == near and farther == near
+
+    def test_query_past_an_end_keeps_the_weights_above_the_floor(self):
+        # past the largest point by reach r, the neighbour 1 below it has the
+        # shifted exponent -(1 + 2r) / 2: above the floor at r = 25, below it at 40
+        x = np.array([0.0, 1.0, 2.0])
+        floor = fc._nw_exponent_floor(3)
+        assert -(1 + 2 * 25) / 2 > floor > -(1 + 2 * 40) / 2
+        w = fc._nw_weights(x, np.array([27.0, 42.0, -25.0]), 1.0, floor)
+        shifted = -0.5 * ((27.0 - x) ** 2 - 25.0**2)
+        near = np.where(shifted >= floor, np.exp(shifted), 0.0)
+        assert w[0, 1] > 0
+        assert np.allclose(w[0], near / near.sum(), rtol=1e-12, atol=0)
+        assert np.array_equal(w[1], [0.0, 0.0, 1.0])
+        assert np.array_equal(w[2], w[0][::-1])
 
     def test_far_row_weighs_the_nearest_points_alone(self):
         # points spread widely enough that the distances from 1e200 differ

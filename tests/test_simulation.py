@@ -57,6 +57,27 @@ class TestSampleDgp:
         assert np.array_equal(draw.factors, factors)
         assert np.array_equal(draw.x, draw.loadings @ factors.T + u.T)
 
+    @pytest.mark.parametrize(
+        "replicates",
+        [
+            range(simulation.CHUNK_SIZE, 2 * simulation.CHUNK_SIZE),
+            range(2 * simulation.CHUNK_SIZE, 3 * simulation.CHUNK_SIZE - 1),
+            [5],
+        ],
+        ids=["full", "partial", "one"],
+    )
+    def test_chunk_draw_is_sample_dgp_per_replicate(self, replicates):
+        spec = DgpSpec(p=30, t_len=80, link="IV", seed=23)
+        panels, eps = simulation._chunk_panels(spec, replicates)
+        loadings = simulation._loadings(spec)
+        assert panels.shape == (spec.t_len, len(replicates), simulation.N_FACTORS + spec.p)
+        for i, r in enumerate(replicates):
+            draw = simulation._build_draw(spec, loadings, panels[:, i], eps[i])
+            alone = sample_dgp(spec, r)
+            assert np.array_equal(draw.x, alone.x)
+            assert np.array_equal(draw.y, alone.y)
+            assert np.array_equal(draw.factors, alone.factors)
+
     def test_deterministic(self):
         spec = DgpSpec(p=20, t_len=30, seed=5)
         a = sample_dgp(spec, 3)
@@ -239,7 +260,7 @@ class TestMonteCarloStudy:
 
     def test_parallel_matches_serial(self):
         spec = DgpSpec(p=20, t_len=50, seed=19)
-        # two chunks of CHUNK_SIZE replicates, so two workers start
+        # more than one chunk of CHUNK_SIZE replicates, so two workers start
         base = dict(methods=("dr",), metrics=("directions",), n_reps=9, h_slices=5)
         serial = monte_carlo_study(spec, StudyConfig(**base, jobs=1))
         parallel = monte_carlo_study(spec, StudyConfig(**base, jobs=2))
@@ -247,7 +268,13 @@ class TestMonteCarloStudy:
             assert np.array_equal(serial.values[key], parallel.values[key])
 
     @pytest.mark.parametrize(
-        "jobs,n_reps,workers", [(4, 9, 2), (2, 17, 2), (3, 8, None), (0, 9, None)]
+        "jobs,n_reps,workers",
+        [
+            (4, 2 * simulation.CHUNK_SIZE + 1, 3),
+            (2, 4 * simulation.CHUNK_SIZE + 1, 2),
+            (3, simulation.CHUNK_SIZE, None),
+            (0, 2 * simulation.CHUNK_SIZE + 1, None),
+        ],
     )
     def test_pool_never_larger_than_its_chunks(self, monkeypatch, jobs, n_reps, workers):
         started = []
@@ -262,8 +289,11 @@ class TestMonteCarloStudy:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items, chunksize):
-                assert chunksize == simulation.CHUNK_SIZE
+            def map(self, fn, items):
+                items = list(items)
+                # each task is a chunk of at most CHUNK_SIZE consecutive replicates
+                assert all(len(reps) <= simulation.CHUNK_SIZE for _, _, reps in items)
+                assert [r for _, _, reps in items for r in reps] == list(range(n_reps))
                 return map(fn, items)
 
         monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialPool)
@@ -275,6 +305,68 @@ class TestMonteCarloStudy:
         assert started == ([] if workers is None else [workers])
         assert not result.failures
         assert result.values[("dr", "r2_phi1")].shape == (n_reps,)
+
+    @pytest.mark.parametrize(
+        "metrics,methods",
+        [
+            (("oos",), ("sir", "dr", "pc")),
+            (("directions", "k_selection", "l_selection"), ("sir", "dr", "tm", "ens")),
+        ],
+        ids=["oos", "directions"],
+    )
+    def test_values_do_not_depend_on_the_chunk_size(self, monkeypatch, metrics, methods):
+        spec = DgpSpec(p=30, t_len=80, link="IV", seed=25)
+        config = StudyConfig(methods=methods, metrics=metrics, n_reps=7, n_test=20, h_slices=5)
+        base = monte_carlo_study(spec, config)
+        for size in (1, 3):
+            monkeypatch.setattr(simulation, "CHUNK_SIZE", size)
+            result = monte_carlo_study(spec, config)
+            assert result.failures == base.failures
+            assert result.values.keys() == base.values.keys()
+            for key in base.values:
+                assert np.array_equal(result.values[key], base.values[key])
+
+    @pytest.mark.parametrize("stage", ["link_function", "select_and_fit_factors"])
+    def test_failure_mid_chunk_fails_that_replicate_alone(self, monkeypatch, stage):
+        # the second call belongs to replicate 1, in the middle of the first chunk:
+        # building its draw (the link) or running its pipeline (the factor fit)
+        spec = DgpSpec(p=20, t_len=50, seed=26)
+        config = StudyConfig(methods=("dr",), metrics=("directions",), n_reps=4, h_slices=5)
+        base = monte_carlo_study(spec, config)
+        calls = []
+
+        def failing_on_the_second_call(*args, _original=getattr(simulation, stage)):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("boom")
+            return _original(*args)
+
+        monkeypatch.setattr(simulation, stage, failing_on_the_second_call)
+        assert simulation.CHUNK_SIZE >= 3
+        result = monte_carlo_study(spec, config)
+        assert result.failures == [(1, "RuntimeError: boom")]
+        for key, vals in result.values.items():
+            assert np.isnan(vals[1])
+            assert np.array_equal(np.delete(vals, 1), np.delete(base.values[key], 1))
+
+    def test_failed_chunk_draw_is_recorded_for_each_of_its_replicates(self, monkeypatch):
+        # the AR(1) pass a chunk shares fails that chunk's replicates, not the study
+        size = simulation.CHUNK_SIZE
+        spec = DgpSpec(p=20, t_len=50, seed=26)
+        config = StudyConfig(methods=("dr",), metrics=("directions",), n_reps=size + 1, h_slices=5)
+        base = monte_carlo_study(spec, config)
+
+        def failing_first_chunk(spec, replicates, _original=simulation._chunk_panels):
+            if replicates[0] == 0:
+                raise RuntimeError("boom")
+            return _original(spec, replicates)
+
+        monkeypatch.setattr(simulation, "_chunk_panels", failing_first_chunk)
+        result = monte_carlo_study(spec, config)
+        assert result.failures == [(r, "RuntimeError: boom") for r in range(size)]
+        for key, vals in result.values.items():
+            assert np.all(np.isnan(vals[:size]))
+            assert vals[size] == base.values[key][size]
 
     def test_failures_recorded_not_dropped(self):
         # h_slices > usable training length makes every replication fail
@@ -331,7 +423,7 @@ class TestMonteCarloStudy:
         config = StudyConfig(
             methods=("dr", "tm", "ens"), metrics=("directions", "l_selection"), h_slices=5
         )
-        cells = simulation._run_replicate(spec, config, 0)
+        cells = simulation._run_replicate(spec, config, sample_dgp(spec, 0))
         assert calls == {"_dr_matrix": 1, "_tm_matrix": 1}
         assert {method for method, _ in cells} == {"dr", "tm", "ens"}
 
