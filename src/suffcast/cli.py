@@ -247,8 +247,8 @@ def cmd_forecast(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
     _write_csv(
         out_dir / "origins.csv",
         zip(report.origins, report.forecasts, report.realized, report.benchmarks,
-            report.selected_k, report.selected_l),
-        ["origin", "forecast", "realized", "benchmark", "selected_k", "selected_l"],
+            report.selected_k, report.selected_l, report.baseline),
+        ["origin", "forecast", "realized", "benchmark", "selected_k", "selected_l", "baseline"],
     )
     summary = {
         "method": rolling.method,

@@ -21,10 +21,12 @@ from .panel_data import PanelData, _standardize_array
 
 BACKFIT_TOL = 1e-8
 BACKFIT_MAX_SWEEPS = 100
-#: query rows whose dense weights are built at once, and sorted training
-#: points that share one stored window of banded fit weights
+#: query rows whose dense prediction weights are built at once
 NW_BLOCK_ROWS = 64
-#: fit weights stay one dense matrix when a band would skip fewer weights per row
+#: sorted training points that share one stored window of banded fit weights
+NW_FIT_ROWS = 32
+#: fit weights stay one dense matrix when a band would skip fewer weights per
+#: row, a timed crossover (see ``_fit_weights``)
 NW_MIN_SKIPPED_PER_ROW = 300
 
 METHODS = sdr.KERNEL_METHODS + ("pc", "nlpc")
@@ -67,12 +69,14 @@ def _nw_weights(
     from every point) weighs the training points at its least distance
     equally, the Gaussian limit.  A query past an end of the training range
     gets the Gaussian limit there too, see :func:`_weigh_the_ends`.  The array
-    is built and normalized in place.
+    is built and normalized in place.  With ``queries_are_train``, stacks of
+    queries ``(..., n)`` over stacks of training points ``(..., m)`` give
+    ``(..., n, m)`` weights; prediction queries are one 1-D batch.
     """
     # squaring before scaling gives the bits of -0.5 * d * d, as scaling by
     # -0.5 is exact; an overflow gives an exponent of -inf
     with np.errstate(over="ignore"):
-        e = query_x[:, None] - train_x[None, :]
+        e = query_x[..., :, None] - train_x[..., None, :]
         e /= bandwidth
         e *= e
     e *= -0.5
@@ -91,7 +95,7 @@ def _nw_weights(
                 d = np.abs(query_x[far, None] - train_x[None, :])
             e[far] = d == d.min(axis=1, keepdims=True)
         _weigh_the_ends(e, train_x, query_x, bandwidth, floor)
-    e /= e.sum(axis=1, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
@@ -127,23 +131,22 @@ def _weigh_the_ends(
 class _BandedWeights:
     """Gaussian weights of the training points over themselves, stored only inside windows.
 
-    Rows are taken in sorted order, ``NW_BLOCK_ROWS`` at a time.  Block
-    ``(r0, r1, c0, c1, w)`` holds the :func:`_nw_weights` of sorted points
-    ``r0:r1`` over sorted points ``c0:c1``, a window that holds every weight
-    of those rows above the floor.  ``self @ v`` gathers ``v`` in sorted
-    order, multiplies block by block and scatters the result back.
+    Rows are taken in sorted order, ``NW_FIT_ROWS`` at a time, and the last
+    block is padded by repeating the largest point.  ``weights[b]`` holds the
+    :func:`_nw_weights` of block ``b``'s rows over the ``W`` training points
+    ``cols[b]``, a window of consecutive sorted points that holds every weight
+    of those rows above the floor.  ``self @ v`` is one gather ``v[cols]``,
+    one batched product and one scatter back through ``order``.
     """
 
-    order: np.ndarray
-    blocks: list[tuple[int, int, int, int, np.ndarray]]
+    order: np.ndarray  # the sorting permutation of the training points
+    cols: np.ndarray  # (blocks, W): each block's window, as unsorted positions
+    weights: np.ndarray  # (blocks, NW_FIT_ROWS, W)
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        v_sorted = v[self.order]
-        out_sorted = np.empty(self.order.shape[0])
-        for r0, r1, c0, c1, w in self.blocks:
-            out_sorted[r0:r1] = w @ v_sorted[c0:c1]
-        out = np.empty_like(out_sorted)
-        out[self.order] = out_sorted
+        m = self.order.shape[0]
+        out = np.empty(m)
+        out[self.order] = (self.weights @ v[self.cols][..., None]).ravel()[:m]
         return out
 
 
@@ -156,30 +159,53 @@ def _fit_weights(
     bandwidths of it, so a band over the sorted points skips about
     ``m (1 - 2 reach / span)`` of each row's ``m`` weights, where ``span`` is
     the range of ``train_x``.  Below ``NW_MIN_SKIPPED_PER_ROW`` the weights
-    are the dense :func:`_nw_weights` matrix, as the band's gather, scatter
-    and per-block loop cost more than the skipped multiply-adds save: timed
-    crossovers were 250-320 skipped weights per row at m = 300-500, dense was
-    faster at every bandwidth for m <= 250, and banding the rolling
-    evaluator's windows cost about 12% of its throughput.  Otherwise they are
-    :class:`_BandedWeights`.  Every row has the same reach, widened by a
-    relative 1e-9 against rounding (points in it below the floor are still
-    0), so a block's window runs from its first point's reach to its last's.
+    are the dense :func:`_nw_weights` matrix, before any sort.  Otherwise
+    they are :class:`_BandedWeights`.  Every row has the same reach, widened
+    by a relative 1e-9 against rounding (points in it below the floor are
+    still 0), so a block's window runs from its first point's reach to its
+    last's, two vectorized ``searchsorted`` calls.  Every window is then
+    widened to the widest, ``W`` points, and one that would run past the
+    largest point slides back to end there: the points it gains lie beyond
+    every row's reach, so their weights are exactly 0.  At the study's
+    held-out bandwidth (0.1x the reference rule, T = 500) the padded windows
+    hold about 34% of the matrix.  Row sums add those exact zeros in another
+    order and the batched product rounds its wider rows differently, so
+    weights and products can differ by an ulp from those over each block's
+    own window.
+
+    The padding and an uneven density (say an outlier that stretches
+    ``span``) make the padded array skip fewer weights per row than the
+    estimate.  Where it skips fewer than ``NW_MIN_SKIPPED_PER_ROW / 2``, near
+    the timed crossover of its product (below), and so wherever it would hold
+    more than ``m^2`` weights, the weights are the dense matrix too.
+
+    Timed on one BLAS thread, medians over 5 sets of N(0, 1) points at
+    m = 200-500 and 0.1-0.3x the reference bandwidth: the batched product
+    beats the dense one from about 220-320 estimated (150-190 padded)
+    skipped weights per row.  A band is also cheaper to build, as it
+    exponentiates fewer weights, so a fit of 20 sweeps gains from about
+    150-270.  At the rolling evaluator's 119 points and bandwidth scale 1,
+    a forced band builds 1.5x and multiplies 1.9x slower than the dense
+    matrix.
     """
     m = train_x.shape[0]
     floor = _nw_exponent_floor(m)
-    if m * (1.0 - 2.0 * bandwidth * math.sqrt(-2.0 * floor) / span) < NW_MIN_SKIPPED_PER_ROW:
+    reach = bandwidth * math.sqrt(-2.0 * floor)
+    if m * (1.0 - 2.0 * reach / span) < NW_MIN_SKIPPED_PER_ROW:
         return _nw_weights(train_x, train_x, bandwidth, floor, queries_are_train=True)
     order = np.argsort(train_x, kind="stable")
     x_sorted = train_x[order]
-    reach = bandwidth * (1.0 + 1e-9) * math.sqrt(-2.0 * floor)
-    blocks = []
-    for r0 in range(0, m, NW_BLOCK_ROWS):
-        r1 = min(r0 + NW_BLOCK_ROWS, m)
-        c0 = int(np.searchsorted(x_sorted, x_sorted[r0] - reach, "left"))
-        c1 = int(np.searchsorted(x_sorted, x_sorted[r1 - 1] + reach, "right"))
-        w = _nw_weights(x_sorted[c0:c1], x_sorted[r0:r1], bandwidth, floor, True)
-        blocks.append((r0, r1, c0, c1, w))
-    return _BandedWeights(order, blocks)
+    reach *= 1.0 + 1e-9
+    n_blocks = -(-m // NW_FIT_ROWS)
+    rows = np.minimum(np.arange(n_blocks * NW_FIT_ROWS), m - 1).reshape(n_blocks, NW_FIT_ROWS)
+    c0 = np.searchsorted(x_sorted, x_sorted[rows[:, 0]] - reach, "left")
+    c1 = np.searchsorted(x_sorted, x_sorted[rows[:, -1]] + reach, "right")
+    width = int((c1 - c0).max())
+    if m - rows.size * width / m < NW_MIN_SKIPPED_PER_ROW / 2:
+        return _nw_weights(train_x, train_x, bandwidth, floor, queries_are_train=True)
+    cols = np.minimum(c0, m - width)[:, None] + np.arange(width)
+    weights = _nw_weights(x_sorted[cols], x_sorted[rows], bandwidth, floor, True)
+    return _BandedWeights(order, order[cols], weights)
 
 
 @dataclass(eq=False)
@@ -418,6 +444,7 @@ class EvalReport:
 
     origins: np.ndarray  # column indices of the forecast origins
     forecasts: np.ndarray
+    baseline: np.ndarray  # the PC baseline's forecasts on the same windows
     realized: np.ndarray
     benchmarks: np.ndarray  # per-origin training-window target means, the R^2 benchmark
     mse: float
@@ -535,6 +562,7 @@ def rolling_evaluate(panel: PanelData, config: RollingConfig) -> EvalReport:
     return EvalReport(
         origins=origins,
         forecasts=forecasts,
+        baseline=baseline,
         realized=realized,
         benchmarks=benchmarks,
         mse=mse,

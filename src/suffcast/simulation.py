@@ -37,8 +37,10 @@ LOADING_LOW, LOADING_HIGH = -1.0, 2.0
 #: AR(1) steps drawn and discarded before the first kept period
 BURN_IN = 100
 #: bandwidth of the held-out forecast fits, as a fraction of the
-#: normal-reference rule.  The held-out studies emulate a flexible smoother;
-#: 0.1 reproduces the published accuracy ordering.
+#: normal-reference rule.  This undersmoothing scale puts SIR below PC: on
+#: seed-420 Model I replicates 0-29 SIR's median r2_oos is 0.128 here, against
+#: PC's 0.253, and 0.300 at the scale leave-one-out CV picks.  DR leads at
+#: every scale from 0.05 to 1.0.
 OOS_BANDWIDTH_SCALE = 0.1
 #: replicates drawn in one AR(1) pass and run as one task, in-process or in a
 #: worker; a chunk's shocks take CHUNK_SIZE x (BURN_IN + T) x (K + p) x 8 bytes

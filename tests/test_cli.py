@@ -204,8 +204,44 @@ class TestForecast:
             ("benchmark", report.benchmarks, float),
             ("selected_k", report.selected_k, int),
             ("selected_l", report.selected_l, int),
+            ("baseline", report.baseline, float),
         ):
             assert np.array_equal([parse(row[column]) for row in rows], expected), column
+
+    def test_baseline_column_recomputes_mse_pc(self, tmp_path):
+        panel = write_factor_panel(tmp_path, link="curved")
+        out = tmp_path / "dr"
+        assert run([
+            "forecast", "--input", panel, "--target-column", "target",
+            "--method", "dr", "--k", 3, "--l", 1, "--window", 120, "--horizon", 2,
+            "--n-eval", 15, "--out-dir", out,
+        ]) == 0
+        with open(out / "origins.csv", newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        # appended last: the earlier columns keep their positions
+        assert reader.fieldnames == ["origin", "forecast", "realized", "benchmark",
+                                     "selected_k", "selected_l", "baseline"]
+        realized = np.array([float(row["realized"]) for row in rows])
+        baseline = np.array([float(row["baseline"]) for row in rows])
+        forecast = np.array([float(row["forecast"]) for row in rows])
+        summary = json.loads((out / "summary.json").read_text())
+        assert float(np.mean((realized - baseline) ** 2)) == summary["mse_pc"]
+        assert float(np.mean((realized - forecast) ** 2)) == summary["mse"]
+        assert not np.array_equal(baseline, forecast)
+
+    def test_pc_baseline_column_is_the_forecast(self, tmp_path):
+        panel = write_factor_panel(tmp_path)
+        out = tmp_path / "pc"
+        assert run([
+            "forecast", "--input", panel, "--target-column", "target",
+            "--method", "pc", "--k", 3, "--window", 120, "--n-eval", 10,
+            "--out-dir", out,
+        ]) == 0
+        with open(out / "origins.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 10
+        assert all(row["baseline"] == row["forecast"] for row in rows)
 
     def test_truncated_input_exits_2(self, tmp_path, capsys):
         panel = write_factor_panel(tmp_path, t_len=60)

@@ -203,7 +203,7 @@ class TestBandedWeights:
         h = scale * fc.reference_bandwidth(x)
         # the fit weights are banded whatever the block size and bandwidth
         with mock.patch.object(fc, "NW_MIN_SKIPPED_PER_ROW", -np.inf), \
-                mock.patch.object(fc, "NW_BLOCK_ROWS", block):
+                mock.patch.object(fc, "NW_FIT_ROWS", block):
             w = fc._fit_weights(x, np.ptp(x), h)
         assert isinstance(w, fc._BandedWeights)
         dense = fc._nw_weights(x, x, h, fc._nw_exponent_floor(m))
@@ -250,8 +250,73 @@ class TestBandedWeights:
         x = rng.standard_normal(500)
         h = 0.1 * fc.reference_bandwidth(x)
         w = fc._fit_weights(x, np.ptp(x), h)
-        stored = sum(b.size for *_, b in w.blocks)
-        assert stored < 0.4 * 500 * 500
+        assert w.weights.size < 0.4 * 500 * 500
+
+    def test_padded_windows_store_zeros_beyond_each_rows_reach(self):
+        # 500 points are 15 full blocks of 32 rows and one of 20, padded
+        rng = np.random.default_rng(26)
+        x = rng.standard_normal(500)
+        h = 0.1 * fc.reference_bandwidth(x)
+        floor = fc._nw_exponent_floor(500)
+        w = fc._fit_weights(x, np.ptp(x), h)
+        assert 500 % fc.NW_FIT_ROWS != 0
+        assert w.weights.shape == (-(-500 // fc.NW_FIT_ROWS), fc.NW_FIT_ROWS, w.cols.shape[1])
+        rank = np.empty(500, dtype=int)
+        rank[w.order] = np.arange(500)
+        x_sorted = x[w.order]
+        rows = np.minimum(np.arange(w.weights.shape[0] * fc.NW_FIT_ROWS), 499)
+        rows = rows.reshape(w.weights.shape[:2])
+        # each window is consecutive sorted points; the first starts at the
+        # least point and the last ends at the largest
+        starts = rank[w.cols[:, 0]]
+        assert np.all(rank[w.cols] == starts[:, None] + np.arange(w.cols.shape[1]))
+        assert starts[0] == 0 and rank[w.cols[-1, -1]] == 499
+        distance = np.abs(x_sorted[rows][:, :, None] - x[w.cols][:, None, :])
+        beyond = distance > h * np.sqrt(-2.0 * floor) * (1.0 + 1e-9)
+        # the first window is widened past its last row's reach, and the last
+        # slid back below its first row's reach
+        assert beyond[0, -1].any() and beyond[-1, 0].any()
+        assert np.all(w.weights[beyond] == 0.0)
+        v = rng.standard_normal(500)
+        dense = _floored_reference_weights(x, x, h, floor)
+        assert np.allclose(w @ v, dense @ v, rtol=0, atol=1e-12)
+
+    def test_outlier_that_fools_the_estimate_leaves_the_weights_dense(self):
+        # one far point stretches the range, so the estimate skips nearly
+        # every weight, but the other 499 points share one window
+        x = np.append(np.random.default_rng(28).standard_normal(499), 1e3)
+        h = 0.1 * fc.reference_bandwidth(x)
+        floor = fc._nw_exponent_floor(500)
+        reach = h * np.sqrt(-2.0 * floor)
+        assert 500 * (1.0 - 2.0 * reach / np.ptp(x)) >= fc.NW_MIN_SKIPPED_PER_ROW
+        w = fc._fit_weights(x, np.ptp(x), h)
+        assert isinstance(w, np.ndarray)
+        assert np.array_equal(w, fc._nw_weights(x, x, h, floor, queries_are_train=True))
+
+
+def test_held_out_study_does_not_depend_on_the_band():
+    from suffcast.simulation import DgpSpec, StudyConfig, monte_carlo_study
+
+    spec = DgpSpec(p=60, t_len=500, seed=27)
+    config = StudyConfig(methods=("sir", "dr"), metrics=("oos",), n_reps=3)
+    calls = []
+    fit_weights = fc._fit_weights
+
+    def recorded(*args):
+        calls.append(fit_weights(*args))
+        return calls[-1]
+
+    with mock.patch.object(fc, "_fit_weights", recorded):
+        banded = monte_carlo_study(spec, config)
+    assert calls and all(isinstance(w, fc._BandedWeights) for w in calls)
+    with mock.patch.object(fc, "NW_MIN_SKIPPED_PER_ROW", np.inf):
+        dense = monte_carlo_study(spec, config)
+    assert not banded.failures and not dense.failures
+    for method in config.methods:
+        assert np.array_equal(banded.values[(method, "backfit_sweeps")],
+                              dense.values[(method, "backfit_sweeps")])
+        assert np.allclose(banded.values[(method, "r2_oos")], dense.values[(method, "r2_oos")],
+                           rtol=0, atol=1e-12)
 
 
 def _fit_operators(indices, bandwidths):
