@@ -76,12 +76,6 @@ def _to_str(v, text):
     return _checked(v, isinstance(v, str))
 
 
-def _to_bool(v, text):
-    if text:
-        return {"0": False, "1": True}[v]
-    return bool(_checked(v, type(v) in (bool, int) and v in (0, 1)))
-
-
 def _to_names(v, text):
     items = v.split(",") if isinstance(v, str) else v
     _checked(items, isinstance(items, list) and all(isinstance(i, str) for i in items))
@@ -97,7 +91,6 @@ _CONVERTERS = {
     int: (_to_int, "an integer"),
     float: (_to_float, "a finite number"),
     str: (_to_str, "a string"),
-    bool: (_to_bool, "0 or 1 (or JSON true/false)"),
     tuple[str, ...]: (_to_names, "a comma list or a JSON list of strings"),
     int | str: (_to_int_or_auto, 'an integer or "auto"'),
 }
@@ -105,8 +98,8 @@ _CONVERTERS = {
 _ALIASES = {"link": "model"}
 #: the only CLI defaults that differ from their field's default (jobs 0: all cores)
 _DEFAULT_OVERRIDES = {"simulate": {"jobs": 0}, "factors": {"k": "auto"}}
-#: I/O keys of the panel subcommands; None means required
-_PANEL_IO = {"input": None, "target_column": None, "delimiter": ","}
+#: the required string keys of the panel subcommands
+_PANEL_IO = ("input", "target_column")
 
 
 def _key(field_name: str) -> str:
@@ -116,7 +109,7 @@ def _key(field_name: str) -> str:
 def _command_keys(command: str) -> dict:
     """CLI key -> (type, default) for ``command``: input keys, fields, ``out_dir``."""
     _, classes, names, panel, _ = _COMMANDS[command]
-    keys = {key: (str, default) for key, default in (_PANEL_IO if panel else {}).items()}
+    keys = {key: (str, None) for key in (_PANEL_IO if panel else ())}
     for cls in classes:
         hints = typing.get_type_hints(cls)
         for f in fields(cls):
@@ -242,7 +235,7 @@ def cmd_simulate(config: dict, out_dir: Path, spec: DgpSpec, study: StudyConfig)
 
 
 def cmd_forecast(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
-    panel = load_csv(config["input"], config["target_column"], config["delimiter"])
+    panel = load_csv(config["input"], config["target_column"])
     report = rolling_evaluate(panel, rolling)
     _write_csv(
         out_dir / "origins.csv",
@@ -273,8 +266,8 @@ def cmd_forecast(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
 
 
 def cmd_select(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
-    panel = load_csv(config["input"], config["target_column"], config["delimiter"])
-    x = _standardize_array(panel.x, panel.series_names) if rolling.standardize else panel.x
+    panel = load_csv(config["input"], config["target_column"])
+    x = _standardize_array(panel.x, panel.series_names)
     selection, fit = select_and_fit_factors(x, rolling.k_max)
     slices = sdr.slice_target(panel.y, rolling.h_slices)
     kernel = sdr.build_kernel(rolling.method, fit.factors, slices)
@@ -301,8 +294,8 @@ def cmd_select(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
 
 
 def cmd_factors(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
-    panel = load_csv(config["input"], config["target_column"], config["delimiter"])
-    x = _standardize_array(panel.x, panel.series_names) if rolling.standardize else panel.x
+    panel = load_csv(config["input"], config["target_column"])
+    x = _standardize_array(panel.x, panel.series_names)
     _, fit = select_and_fit_factors(x, rolling.k_max, rolling.k)
     _write_csv(out_dir / "loadings.csv", fit.loadings)
     _write_csv(out_dir / "factors.csv", fit.factors)
@@ -361,18 +354,12 @@ _COMMANDS = {
     "forecast": (
         cmd_forecast,
         (RollingConfig,),
-        ("window", "horizon", "method", "k", "l", "h_slices", "n_eval", "standardize"),
+        ("window", "horizon", "method", "k", "l", "h_slices", "n_eval"),
         True,
         _check_forecast,
     ),
-    "select": (
-        cmd_select,
-        (RollingConfig,),
-        ("k_max", "method", "h_slices", "standardize"),
-        True,
-        _check_select,
-    ),
-    "factors": (cmd_factors, (RollingConfig,), ("k", "k_max", "standardize"), True, None),
+    "select": (cmd_select, (RollingConfig,), ("k_max", "method", "h_slices"), True, _check_select),
+    "factors": (cmd_factors, (RollingConfig,), ("k", "k_max"), True, None),
 }
 
 

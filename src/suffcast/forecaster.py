@@ -362,6 +362,20 @@ def _check_count(name: str, value, auto: bool = False) -> None:
         raise ValueError(f"{name} must be >= 1{allowed}, got {value!r}")
 
 
+def _check_slice_count(methods, h_slices: int, l) -> None:
+    """A kernel needs two slices, and SIR's kernel an integer ``l`` below ``h_slices``.
+
+    From one slice the SIR and TM kernels are zero up to rounding, and SIR's
+    weighted slice means sum to zero, so its kernel has rank at most
+    ``h_slices - 1``: directions beyond that rank would be rounding noise.
+    """
+    kernels = [m for m in methods if m in sdr.KERNEL_METHODS]
+    if kernels and h_slices < 2:
+        raise ValueError(f"h_slices={h_slices} must be >= 2 for {' and '.join(kernels)}")
+    if "sir" in methods and l != "auto" and l > h_slices - 1:
+        raise ValueError(f"l={l} must be <= h_slices - 1 = {h_slices - 1} for sir")
+
+
 def fit_forecast_model(
     method: str,
     factors: np.ndarray,
@@ -406,7 +420,13 @@ def predict(model: ForecastModel, f_new: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RollingConfig:
-    """Settings for the rolling out-of-sample evaluation."""
+    """Settings for the rolling out-of-sample evaluation.
+
+    Every window's predictors are standardized over that window before the
+    factor fit, as ``select`` and ``factors`` standardize the whole panel.
+    A kernel method needs ``h_slices >= 2``, and ``sir`` with an integer
+    ``l`` needs ``l <= h_slices - 1``.
+    """
 
     window: int = 120
     horizon: int = 1
@@ -415,7 +435,6 @@ class RollingConfig:
     l: int | str = 1  # index count for SDR methods, or "auto"
     h_slices: int = 10
     n_eval: int = 240
-    standardize: bool = True
     k_max: int = 8
 
     def __post_init__(self):
@@ -436,6 +455,7 @@ class RollingConfig:
         bound, name = (self.k_max, "k_max") if self.k == "auto" else (self.k, "k")
         if self.l != "auto" and self.l > bound:
             raise ValueError(f"l={self.l} must be <= {name}={bound}")
+        _check_slice_count((self.method,), self.h_slices, self.l)
 
 
 @dataclass(eq=False)
@@ -473,8 +493,8 @@ def _forward_mean(y: np.ndarray, h: int) -> np.ndarray:
 def _fit_window_model(x_win, targets_train, config: RollingConfig):
     """Fit the configured forecaster inside one window.
 
-    ``x_win`` holds the window's predictor columns (already standardized if
-    requested); the last column is the forecast origin and the first
+    ``x_win`` holds the window's predictor columns, standardized over the
+    window; the last column is the forecast origin and the first
     ``len(targets_train)`` columns are the training times.  An integer ``l``
     above the window's factor count is capped at that count, and the index
     count used is returned.  Smoothers use the normal-reference bandwidth.
@@ -530,9 +550,7 @@ def rolling_evaluate(panel: PanelData, config: RollingConfig) -> EvalReport:
     for i, t in enumerate(origins):
         try:
             lo = t - t_w + 1
-            x_win = panel.x[:, lo : t + 1]
-            if config.standardize:
-                x_win = _standardize_array(x_win, panel.series_names)
+            x_win = _standardize_array(panel.x[:, lo : t + 1], panel.series_names)
             targets_train = aligned[lo : t - h + 1]
             model, fit, l_use = _fit_window_model(x_win, targets_train, config)
             not_converged += not model.converged

@@ -73,21 +73,18 @@ class PanelData:
         return self.x.shape[1]
 
 
-def load_csv(
-    path: str | Path,
-    target_column: str,
-    delimiter: str = ",",
-) -> PanelData:
-    """Read a panel CSV: first column time label, remaining columns numeric.
+def load_csv(path: str | Path, target_column: str) -> PanelData:
+    """Read a comma-separated panel: first column time label, remaining columns numeric.
 
-    Rows with any missing or unparseable value (in the series or the target)
-    are dropped; the drop count is reported on ``PanelData.n_dropped`` and in
-    a warning.  The target column is excluded from the predictor matrix, so a
-    series is never used to predict itself; header names must be unique, so a
-    second copy of the target cannot stay behind as a series.  A file that
-    cannot be read, decoded or split into records raises :class:`DataError`,
-    and so does a record over more than one line: a stray quote would
-    otherwise join the lines after it into one cell.
+    A row with a bad value (in the series or the target) or the wrong cell
+    count is dropped (see :func:`_parse_row`); the drop count is reported on
+    ``PanelData.n_dropped`` and in a warning naming the first dropped row's
+    first bad cell.  The target column is excluded from the predictor matrix,
+    so a series is never used to predict itself; header names must be unique,
+    so a second copy of the target cannot stay behind as a series.  A file
+    that cannot be read, decoded or split into records raises
+    :class:`DataError`, and so does a record over more than one line: a stray
+    quote would otherwise join the lines after it into one cell.
     """
     path = Path(path)
     if not path.exists():
@@ -96,7 +93,7 @@ def load_csv(
     line = 0  # the last line of the records read so far
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh, delimiter=delimiter)
+            reader = csv.reader(fh)
             for record in reader:
                 if reader.line_num > line + 1:
                     raise DataError(
@@ -125,12 +122,16 @@ def load_csv(
         raise DataError(f"{path}: target column not found: {target_column!r}")
     target_idx = column_names.index(target_column)
 
-    table = _parse_table(rows, len(header))
-    if table is not None:
-        labels = [row[0].strip() for row in rows]
-        dropped: list[str] = []
-    else:
-        labels, table, dropped = _parse_cells(rows, column_names)
+    labels: list[str] = []
+    values = []
+    dropped: list[str] = []
+    for i, row in enumerate(rows):
+        parsed = _parse_row(row, i + 2, column_names)
+        if isinstance(parsed, str):
+            dropped.append(parsed)
+        else:
+            labels.append(row[0].strip())
+            values.append(parsed)
 
     if dropped:
         warnings.warn(
@@ -139,6 +140,7 @@ def load_csv(
     if len(labels) < 2:
         raise DataError(f"{path}: fewer than 2 usable time points after dropping rows")
 
+    table = np.array(values, dtype=float)
     y = table[:, target_idx]
     x = np.delete(table, target_idx, axis=1).T
     series_names = tuple(n for k, n in enumerate(column_names) if k != target_idx)
@@ -151,57 +153,35 @@ def load_csv(
     )
 
 
-def _parse_table(rows: list[list[str]], n_cells: int) -> np.ndarray | None:
-    """All value cells as one float table, or None if any row needs :func:`_parse_cells`.
+def _parse_row(row: list[str], line: int, column_names: list[str]):
+    """The values of file line ``line``, or a message naming its first bad cell.
 
-    numpy converts each string as Python's ``float`` does, so where every
-    row has ``n_cells`` cells and every value parses to a finite number this
-    is the table :func:`_parse_cells` builds, bit for bit, in one call.
+    numpy converts the row in one call, each cell as Python's ``float`` does.
+    Only a row it rejects, or one holding a non-finite value, is read cell by
+    cell: a missing (empty, ``NA`` or ``NaN``), unparseable or non-finite
+    cell is bad, and so is a row without one cell per column.
     """
-    if any(len(row) != n_cells for row in rows):
-        return None
+    if len(row) != len(column_names) + 1:
+        return f"row {line}: expected {len(column_names) + 1} cells, got {len(row)}"
     try:
-        table = np.array([row[1:] for row in rows], dtype=float)
+        values = np.array(row[1:], dtype=float)
+        if np.isfinite(values).all():
+            return values
     except ValueError:
-        return None
-    return table if np.isfinite(table).all() else None
-
-
-def _parse_cells(rows: list[list[str]], column_names: list[str]):
-    """Parse ``rows`` cell by cell, dropping each row with a bad cell.
-
-    Returns the kept rows' time labels, their value table and one message
-    per dropped row, naming its first bad cell.
-    """
-    labels: list[str] = []
-    values: list[list[float]] = []
-    dropped: list[str] = []
-    for i, row in enumerate(rows):
-        if len(row) != len(column_names) + 1:
-            dropped.append(f"row {i + 2}: expected {len(column_names) + 1} cells, got {len(row)}")
-            continue
-        parsed = []
-        bad = None
-        for j, cell in enumerate(row[1:]):
-            cell = cell.strip()
-            if cell == "" or cell.upper() in ("NA", "NAN"):
-                bad = f"row {i + 2}, column {column_names[j]!r}: missing value"
-                break
-            try:
-                v = float(cell)
-            except ValueError:
-                bad = f"row {i + 2}, column {column_names[j]!r}: unparseable cell {cell!r}"
-                break
-            if not np.isfinite(v):
-                bad = f"row {i + 2}, column {column_names[j]!r}: non-finite value"
-                break
-            parsed.append(v)
-        if bad is not None:
-            dropped.append(bad)
-            continue
-        labels.append(row[0].strip())
-        values.append(parsed)
-    return labels, np.asarray(values, dtype=float), dropped
+        pass
+    parsed = []
+    for name, cell in zip(column_names, row[1:]):
+        cell = cell.strip()
+        if cell == "" or cell.upper() in ("NA", "NAN"):
+            return f"row {line}, column {name!r}: missing value"
+        try:
+            v = float(cell)
+        except ValueError:
+            return f"row {line}, column {name!r}: unparseable cell {cell!r}"
+        if not np.isfinite(v):
+            return f"row {line}, column {name!r}: non-finite value"
+        parsed.append(v)
+    return parsed
 
 
 def _standardize_array(x: np.ndarray, series_names) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 from . import sdr
 from ._eigen import column_signs, sym_eig_desc
 from .factor_analysis import estimated_factors_known_loadings, select_and_fit_factors
-from .forecaster import METHODS, _check_count, fit_forecast_model, predict
+from .forecaster import METHODS, _check_count, _check_slice_count, fit_forecast_model, predict
 
 LINKS = ("I", "II", "III", "IV")
 
@@ -248,6 +248,7 @@ class StudyConfig:
                 )
         for name in ("n_reps", "n_test", "l", "h_slices", "k_max"):
             _check_count(name, getattr(self, name))
+        _check_slice_count(self.methods, self.h_slices, self.l)
         if self.jobs < 0:
             raise ValueError(f"jobs must be >= 0, got {self.jobs}")
 

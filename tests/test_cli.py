@@ -577,21 +577,17 @@ def test_out_dir_from_environment(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "factors.csv").exists()
 
 
-PANEL_IO = {"input", "target_column", "delimiter", "out_dir"}
+PANEL_IO = {"input", "target_column", "out_dir"}
 #: command -> (config classes, exposed fields or None for all, I/O keys)
 EXPOSED = {
     "simulate": ((DgpSpec, StudyConfig), None, {"out_dir"}),
     "forecast": (
         (RollingConfig,),
-        {"window", "horizon", "method", "k", "l", "h_slices", "n_eval", "standardize"},
+        {"window", "horizon", "method", "k", "l", "h_slices", "n_eval"},
         PANEL_IO,
     ),
-    "select": (
-        (RollingConfig,),
-        {"k_max", "method", "h_slices", "standardize"},
-        PANEL_IO,
-    ),
-    "factors": ((RollingConfig,), {"k", "k_max", "standardize"}, PANEL_IO),
+    "select": ((RollingConfig,), {"k_max", "method", "h_slices"}, PANEL_IO),
+    "factors": ((RollingConfig,), {"k", "k_max"}, PANEL_IO),
 }
 OVERRIDES = {("simulate", "jobs"): 0, ("factors", "k"): "auto"}
 
@@ -651,7 +647,7 @@ class TestConfigBoundary:
         "command,values",
         [
             ("simulate", {"p": "20"}),
-            ("factors", {"standardize": "0"}),
+            ("factors", {"k_max": "8"}),
         ],
     )
     def test_wrong_json_type_exits_2_before_writing(self, tmp_path, capsys, command, values):
@@ -747,6 +743,23 @@ class TestConfigBoundary:
              "unrecognized arguments: --fixed-loadings 0"),
             # an empty metric list would write a study.csv with only its header
             ("simulate", ["--metrics", ""], None, "metrics must name at least one of"),
+            # every panel is read comma-separated and standardized: no keys for either
+            ("forecast", ["--standardize", "0"], None,
+             "unrecognized arguments: --standardize 0"),
+            ("select", ["--delimiter", ";"], None, "unrecognized arguments: --delimiter ;"),
+            ("factors", [], '{"standardize": false}', "unknown config keys: ['standardize']"),
+            ("forecast", [], '{"delimiter": ","}', "unknown config keys: ['delimiter']"),
+            # a kernel needs two slices, and SIR's has rank at most h_slices - 1
+            ("simulate", ["--methods", "pc,tm", "--h-slices", "1"], None,
+             "h_slices=1 must be >= 2 for tm"),
+            ("simulate", ["--methods", "sir,dr", "--h-slices", "2"], None,
+             "l=2 must be <= h_slices - 1 = 1 for sir"),
+            ("forecast", ["--method", "sir", "--h-slices", "1", "--l", "auto"], None,
+             "h_slices=1 must be >= 2 for sir"),
+            ("forecast", ["--method", "sir", "--h-slices", "3", "--l", "3"], None,
+             "l=3 must be <= h_slices - 1 = 2 for sir"),
+            ("select", ["--method", "dr", "--h-slices", "1"], None,
+             "h_slices=1 must be >= 2 for dr"),
         ],
     )
     def test_out_of_range_value_exits_2_before_writing(
@@ -765,18 +778,6 @@ class TestConfigBoundary:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_standardize_flag_0_matches_json_false(self, tmp_path):
-        panel = write_factor_panel(tmp_path, t_len=150, p=15, k=2, seed=5)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"standardize": False}))
-        args = ["factors", "--input", panel, "--target-column", "target", "--k", 2]
-        assert run(args + ["--standardize", 0, "--out-dir", tmp_path / "flag"]) == 0
-        assert run(args + ["--config", cfg, "--out-dir", tmp_path / "json"]) == 0
-        assert run(args + ["--out-dir", tmp_path / "std"]) == 0
-        flag = (tmp_path / "flag" / "factors.csv").read_bytes()
-        assert flag == (tmp_path / "json" / "factors.csv").read_bytes()
-        assert flag != (tmp_path / "std" / "factors.csv").read_bytes()
-
     def test_resolved_config_of_another_command_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"command": "forecast"}))
@@ -791,7 +792,7 @@ class TestConfigBoundary:
             "simulate": ["--p", 20, "--t-len", 40, "--n-reps", 2, "--methods", "sir,dr,pc",
                          "--metrics", "oos,l_selection", "--jobs", 1, "--seed", 4],
             "forecast": [*panel_args, "--method", "dr", "--k", "auto", "--l", "auto",
-                         "--window", 100, "--n-eval", 5, "--standardize", 0],
+                         "--window", 100, "--n-eval", 5],
             "select": [*panel_args, "--method", "tm", "--k-max", 4],
             "factors": [*panel_args, "--k", "auto", "--k-max", 5],
         }[command]

@@ -267,8 +267,9 @@ class TestSelectNumFactors:
 
 
 def test_save_factor_estimate_round_trip(tmp_path):
-    from suffcast import PanelData
+    from suffcast import PanelData, load_csv
     from suffcast.cli import main
+    from suffcast.panel_data import _standardize_array
     from test_panel_data import save_csv
 
     x = random_panel(6, 10, seed=14)
@@ -281,9 +282,11 @@ def test_save_factor_estimate_round_trip(tmp_path):
     save_csv(panel, tmp_path / "panel.csv")
     assert main([
         "factors", "--input", str(tmp_path / "panel.csv"), "--target-column", "target",
-        "--k", "2", "--standardize", "0", "--out-dir", str(tmp_path),
+        "--k", "2", "--out-dir", str(tmp_path),
     ]) == 0
-    fit = fit_k(x, 2)
+    # factors fits the panel it read, standardized
+    read = load_csv(tmp_path / "panel.csv", "target")
+    fit = fit_k(_standardize_array(read.x, read.series_names), 2)
     loadings = np.loadtxt(tmp_path / "loadings.csv", delimiter=",")
     factors = np.loadtxt(tmp_path / "factors.csv", delimiter=",")
     eigenvalues = np.loadtxt(tmp_path / "eigenvalues.csv", delimiter=",")

@@ -764,6 +764,18 @@ class TestRollingEvaluate:
             expected = (sub - sub.mean(axis=1)[:, None]) / sub.std(axis=1, ddof=1)[:, None]
             assert np.array_equal(x_win, expected)
 
+    def test_too_few_slices_rejected(self):
+        for method in ("sir", "dr", "tm", "ens"):
+            with pytest.raises(ValueError, match=f"h_slices=1 must be >= 2 for {method}"):
+                RollingConfig(method=method, h_slices=1, l="auto")
+        with pytest.raises(ValueError, match="l=3 must be <= h_slices - 1 = 2 for sir"):
+            RollingConfig(method="sir", h_slices=3, l=3)
+        # l auto reads the kernel's spectrum, and the other methods' ranks are not bounded
+        RollingConfig(method="sir", h_slices=2, l="auto")
+        RollingConfig(method="dr", h_slices=2, l=3)
+        RollingConfig(method="pc", h_slices=1)
+        RollingConfig(method="nlpc", h_slices=1)
+
     def test_flat_series_in_window_is_named(self):
         rng = np.random.default_rng(20)
         x = rng.standard_normal((3, 40))

@@ -52,3 +52,65 @@ def test_no_unused_imports():
         if (unused := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+def unread_definitions(sources: dict) -> list[str]:
+    """Module-level functions, classes and constants that no module reads.
+
+    ``sources`` maps a module's file name to its source.  A name is read where
+    any module loads it as a name or an attribute; a name in ``__all__`` is
+    read too.
+    """
+    defined = []
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.lineno, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [
+                    (module, node.lineno, t.id) for t in targets if isinstance(t, ast.Name)
+                ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                read.update(ast.literal_eval(node.value))
+    return [
+        f"{module}: line {line}: {name}"
+        for module, line, name in defined
+        if name not in read and not name.startswith("__")
+    ]
+
+
+def test_unread_definitions_checker_sees_each_kind():
+    sources = {
+        "a.py": (
+            "import b\n"
+            "__all__ = ['Public']\n"
+            "LIMIT = 3\nSCALE: float = 2.0\nUNUSED = 1\n"
+            "def helper():\n    return b.shared() * SCALE\n"
+            "def _dead():\n    return helper()\n"
+            "class Public:\n    pass\n"
+            "class _Gone:\n    def method(self):\n        return LIMIT\n"
+        ),
+        "b.py": "def shared():\n    return 1\n_STORED: int\n",
+    }
+    assert unread_definitions(sources) == [
+        "a.py: line 5: UNUSED",
+        "a.py: line 8: _dead",
+        "a.py: line 12: _Gone",
+        "b.py: line 3: _STORED",
+    ]
+
+
+def test_no_unread_definitions():
+    package = Path(suffcast.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert unread_definitions(sources) == []

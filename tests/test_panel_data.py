@@ -1,6 +1,8 @@
 import csv
 import io
+import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -133,44 +135,93 @@ def identical_panels(a: PanelData, b: PanelData) -> bool:
     )
 
 
-def load_both_ways(monkeypatch, path, target_column="b"):
-    """``load_csv`` on the one-call table parse and on the cell-by-cell parse."""
+def python_float_row(cells: list[str], line: int, names=("a", "b", "c")):
+    """A row's value cells as Python's ``float`` reads them, or its first bad cell's message."""
+    if len(cells) != len(names):
+        return f"row {line}: expected {len(names) + 1} cells, got {len(cells) + 1}"
+    values = []
+    for name, cell in zip(names, cells):
+        cell = cell.strip()
+        if cell == "" or cell.upper() in ("NA", "NAN"):
+            return f"row {line}, column {name!r}: missing value"
+        try:
+            v = float(cell)
+        except ValueError:
+            return f"row {line}, column {name!r}: unparseable cell {cell!r}"
+        if not math.isfinite(v):
+            return f"row {line}, column {name!r}: non-finite value"
+        values.append(v)
+    return values
 
-    def no_cells(*args):
-        raise AssertionError("the table parse was expected to hold")
 
-    with monkeypatch.context() as m:
-        m.setattr(panel_data, "_parse_cells", no_cells)
-        fast = load_csv(path, target_column)
-    with monkeypatch.context() as m:
-        m.setattr(panel_data, "_parse_table", lambda rows, n_cells: None)
-        cells = load_csv(path, target_column)
-    return fast, cells
+# every float written with repr, including -0.0, subnormals and the extremes
+CLEAN_CELL = st.tuples(
+    st.sampled_from(["", " ", "\t"]), st.floats(allow_nan=False, allow_infinity=False)
+).map(lambda c: c[0] + repr(c[1]) + c[0])
+ANY_CELL = st.one_of(
+    CLEAN_CELL,
+    st.sampled_from(["", " ", "NA", " na ", "NaN", "nan", "inf", "-Infinity", "1e400", "1_000",
+                     "oops", "0x10", "1.2.3"]),
+    # any text a one-line CSV cell can hold
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n\x00"),
+            max_size=4),
+)
 
 
 class TestTableParse:
-    @settings(deadline=None, max_examples=40)
+    @settings(deadline=None, max_examples=80)
     @given(
         st.lists(
-            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
-            min_size=2,
+            st.one_of(
+                st.lists(CLEAN_CELL, min_size=3, max_size=3),
+                st.lists(ANY_CELL, min_size=3, max_size=3),
+                # short and long rows
+                st.lists(ANY_CELL, min_size=0, max_size=5),
+            ),
+            min_size=1,
             max_size=12,
-        ),
-        st.sampled_from(["", " ", "\t"]),
+        )
     )
-    def test_table_parse_is_the_cell_parse_bit_for_bit(self, tmp_path_factory, rows, pad):
-        # every float written with repr, including -0.0, subnormals and the extremes
-        lines = ["date,a,b,c"] + [
-            f"t{t:03d}," + ",".join(pad + repr(v) + pad for v in row)
-            for t, row in enumerate(rows)
-        ]
+    def test_rows_read_as_python_float_or_named_by_first_bad_cell(self, tmp_path_factory, rows):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["date", "a", "b", "c"])
+        # time labels are stripped like the value cells
+        writer.writerows([f" t{t:03d} ", *row] for t, row in enumerate(rows))
         path = tmp_path_factory.mktemp("table") / "panel.csv"
-        path.write_text("\n".join(lines) + "\n")
-        fast, cells = load_both_ways(pytest.MonkeyPatch(), path)
-        assert identical_panels(fast, cells)
-        assert fast.n_dropped == 0
+        path.write_text(buf.getvalue())
+        parsed = [python_float_row(row, t + 2) for t, row in enumerate(rows)]
+        kept = [t for t, values in enumerate(parsed) if not isinstance(values, str)]
+        dropped = [message for message in parsed if isinstance(message, str)]
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            if len(kept) < 2:
+                with pytest.raises(DataError, match="fewer than 2 usable time points"):
+                    load_csv(path, target_column="b")
+            else:
+                panel = load_csv(path, target_column="b")
+        assert [str(w.message) for w in record] == (
+            [f"{path}: dropped {len(dropped)} row(s); first: {dropped[0]}"] if dropped else []
+        )
+        # the warning names the first dropped row; each one is named by its first bad cell
+        for t, row in enumerate(rows):
+            if isinstance(parsed[t], str):
+                message = panel_data._parse_row([f"t{t:03d}", *row], t + 2, ["a", "b", "c"])
+                assert message == parsed[t]
+        if len(kept) < 2:
+            return
+        table = np.array([parsed[t] for t in kept])
+        expected = PanelData(
+            x=np.delete(table, 1, axis=1).T,
+            series_names=("a", "c"),
+            time_labels=tuple(f"t{t:03d}" for t in kept),
+            y=table[:, 1],
+            n_dropped=len(dropped),
+        )
+        # bit for bit, in the layout every later step reads
+        assert identical_panels(panel, expected)
 
-    def test_bad_rows_fall_back_to_the_cell_parse(self, tmp_path, monkeypatch):
+    def test_bad_rows_fall_back_to_the_cell_parse(self, tmp_path):
         text = (
             "date,a,b\n"
             "2001-01,1.0,10.0\n"

@@ -77,6 +77,17 @@ class TestSirKernel:
         s = slice_target(FOUR_POINT_F[:, 0] ** 2, 2)
         assert build_kernel("sir", FOUR_POINT_F, s).matrix[0, 0] == 0.0
 
+    @pytest.mark.parametrize("h_count", [2, 3, 4])
+    def test_rank_is_below_the_slice_count(self, h_count):
+        # the weighted slice means sum to zero, so H slices span at most H - 1
+        # directions: the configs reject an integer l above h_slices - 1
+        rng = np.random.default_rng(h_count)
+        f = rng.standard_normal((60, 5))
+        y = f[:, 0] + f[:, 1] ** 2 + rng.standard_normal(60)
+        eigenvalues = build_kernel("sir", f, slice_target(y, h_count)).eigenvalues
+        assert eigenvalues[h_count - 2] > 1e-3
+        assert np.all(np.abs(eigenvalues[h_count - 1 :]) < 1e-12 * eigenvalues[0])
+
 
 class TestDrKernel:
     def test_single_slice_pooled_vanishes(self):

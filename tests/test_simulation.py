@@ -239,6 +239,17 @@ class TestSubspaceR2:
 
 
 class TestMonteCarloStudy:
+    def test_too_few_slices_rejected(self):
+        with pytest.raises(ValueError, match="h_slices=1 must be >= 2 for dr and tm"):
+            StudyConfig(methods=("pc", "dr", "tm"), h_slices=1)
+        # two slices left SIR's second direction at rounding noise, reported as r2_phi2
+        with pytest.raises(ValueError, match="l=2 must be <= h_slices - 1 = 1 for sir"):
+            StudyConfig(methods=("sir", "dr"), h_slices=2, l=2)
+        # only SIR's rank is bounded by the slice count, and PC reads no slices
+        StudyConfig(methods=("dr", "tm", "ens"), h_slices=2, l=2)
+        StudyConfig(methods=("pc",), metrics=("oos",), h_slices=1)
+        StudyConfig(methods=("sir",), h_slices=3, l=2)
+
     def test_single_replication_zero_sd(self):
         spec = DgpSpec(p=25, t_len=60, seed=17)
         config = StudyConfig(methods=("dr",), metrics=("directions",), n_reps=1, h_slices=5)
