@@ -2,7 +2,11 @@
 
 The forecast is ``y_hat = mean(y_train) + sum_j s_j(index_j)`` where each
 ``s_j`` is a univariate local-constant (Nadaraya-Watson, Gaussian weight)
-smoother and the components are fit jointly by backfitting.  The rolling
+smoother and the components are fit jointly by backfitting.  A fitted model
+stacks its ``L`` components as arrays, so the dense fit weights of every
+index, ``L x m x m``, and the prediction weights of every index for a block
+of ``NW_BLOCK_ROWS`` queries, ``L x NW_BLOCK_ROWS x m``, are each built by one
+:func:`_nw_weights` call, with each index's bits of its own call.  The rolling
 evaluator re-runs the whole pipeline (standardize, factor fit, slice, kernel,
 directions, additive fit) inside each moving window and scores forecasts
 against a linear principal-components baseline fit on identical windows.
@@ -11,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +25,7 @@ from .panel_data import PanelData, _standardize_array
 
 BACKFIT_TOL = 1e-8
 BACKFIT_MAX_SWEEPS = 100
-#: query rows whose dense prediction weights are built at once
+#: query rows whose dense prediction weights are built at once, for every index
 NW_BLOCK_ROWS = 64
 #: sorted training points that share one stored window of banded fit weights
 NW_FIT_ROWS = 32
@@ -32,10 +36,16 @@ NW_MIN_SKIPPED_PER_ROW = 300
 METHODS = sdr.KERNEL_METHODS + ("pc", "nlpc")
 
 
-def reference_bandwidth(values: np.ndarray) -> float:
-    """Normal-reference rule: ``1.06 * sd * T^(-1/5)`` (sample sd)."""
+def reference_bandwidth(values: np.ndarray):
+    """Normal-reference rule: ``1.06 * sd * T^(-1/5)`` (sample sd) of each column of ``values``.
+
+    ``values`` is one series of ``T`` points or a ``T x L`` array of ``L``
+    series.  The sds are one ``np.std`` over the contiguous transposed
+    columns, which gives each the bits of its own 1-D ``np.std``.
+    """
     t_len = values.shape[0]
-    return 1.06 * float(np.std(values, ddof=1)) * t_len ** (-0.2)
+    sds = np.std(np.ascontiguousarray(values.T), axis=-1, ddof=1)
+    return 1.06 * sds * t_len ** (-0.2)
 
 
 def _nw_exponent_floor(m: int) -> float:
@@ -53,7 +63,7 @@ def _nw_exponent_floor(m: int) -> float:
 def _nw_weights(
     train_x: np.ndarray,
     query_x: np.ndarray,
-    bandwidth: float,
+    bandwidth,
     floor: float,
     queries_are_train: bool = False,
 ) -> np.ndarray:
@@ -69,20 +79,25 @@ def _nw_weights(
     from every point) weighs the training points at its least distance
     equally, the Gaussian limit.  A query past an end of the training range
     gets the Gaussian limit there too, see :func:`_weigh_the_ends`.  The array
-    is built and normalized in place.  With ``queries_are_train``, stacks of
-    queries ``(..., n)`` over stacks of training points ``(..., m)`` give
-    ``(..., n, m)`` weights; prediction queries are one 1-D batch.
+    is built and normalized in place.
+
+    Stacks of queries ``(..., n)`` over stacks of training points ``(..., m)``
+    give ``(..., n, m)`` weights, with one ``bandwidth`` for every slice or
+    one per slice, shape ``(...)``.  Every step is elementwise or runs along
+    the last axis, so each slice has the bits of its own 2-D call: the
+    banded fit weights are a stack of blocks, the dense fit weights a stack of
+    indices, and a prediction block a stack of indices too.
     """
     # squaring before scaling gives the bits of -0.5 * d * d, as scaling by
     # -0.5 is exact; an overflow gives an exponent of -inf
     with np.errstate(over="ignore"):
         e = query_x[..., :, None] - train_x[..., None, :]
-        e /= bandwidth
+        e /= np.asarray(bandwidth)[..., None, None]
         e *= e
     e *= -0.5
     if not queries_are_train:
-        top = e.max(axis=1, keepdims=True)
-        far = np.flatnonzero(top == -np.inf)
+        top = e.max(axis=-1, keepdims=True)
+        far = np.nonzero(top[..., 0] == -np.inf)  # the far rows, one index array per axis
         top[far] = 0.0
         e -= top
     keep = e >= floor
@@ -90,9 +105,9 @@ def _nw_weights(
     np.exp(e, out=e)
     e *= keep
     if not queries_are_train:
-        if far.size:
+        if far[0].size:
             with np.errstate(over="ignore"):
-                d = np.abs(query_x[far, None] - train_x[None, :])
+                d = np.abs(query_x[far][:, None] - train_x[far[:-1]])
             e[far] = d == d.min(axis=1, keepdims=True)
         _weigh_the_ends(e, train_x, query_x, bandwidth, floor)
     e /= e.sum(axis=-1, keepdims=True)
@@ -100,7 +115,7 @@ def _nw_weights(
 
 
 def _weigh_the_ends(
-    e: np.ndarray, train_x: np.ndarray, query_x: np.ndarray, bandwidth: float, floor: float
+    e: np.ndarray, train_x: np.ndarray, query_x: np.ndarray, bandwidth, floor: float
 ) -> None:
     """Give the rows of queries past an end of the training range their Gaussian limit.
 
@@ -110,21 +125,39 @@ def _weigh_the_ends(
     every weight but the end's is 0, which the computed exponents miss once
     the distances ``q - x`` round alike (about 2^53 spreads out).  Those rows
     are set to the points at the end, and likewise below the least point.
-    Only a range check is paid when every query is in range.
+    ``train_x`` is one index's points ``(m,)`` or a stack of indices
+    ``(L, m)``, with one ``bandwidth`` or one per index.  Only a range check
+    of every index at once is paid when every query is in range; an index
+    with a query out of its range is then handled alone.
     """
-    lo, hi = train_x.min(), train_x.max()
-    sides = []  # (points at the end, reach past it, gap to its nearest neighbour)
-    if query_x.max() > hi:
-        gap = hi - train_x.max(where=train_x < hi, initial=-np.inf)
-        sides.append((train_x == hi, query_x - hi, gap))
-    if query_x.min() < lo:
-        gap = train_x.min(where=train_x > lo, initial=np.inf) - lo
-        sides.append((train_x == lo, lo - query_x, gap))
-    for at_end, reach, gap in sides:
-        # solved for reach in Python floats, which give inf on overflow, not a warning
-        gap = float(gap)
-        least_reach = -floor * bandwidth / gap * bandwidth - gap / 2.0
-        e[reach > max(least_reach, 0.0)] = at_end
+    if train_x.ndim == 1:
+        e, train_x, query_x = e[None], train_x[None], query_x[None]
+    lo, hi = train_x.min(axis=1), train_x.max(axis=1)
+    q_lo, q_hi = query_x.min(axis=1), query_x.max(axis=1)
+    for j in np.flatnonzero((q_lo < lo) | (q_hi > hi)):
+        x, q, h = train_x[j], query_x[j], float(bandwidth[j] if np.ndim(bandwidth) else bandwidth)
+        sides = []  # (points at the end, reach past it, gap to its nearest neighbour)
+        if q_hi[j] > hi[j]:
+            gap = hi[j] - x.max(where=x < hi[j], initial=-np.inf)
+            sides.append((x == hi[j], q - hi[j], gap))
+        if q_lo[j] < lo[j]:
+            gap = x.min(where=x > lo[j], initial=np.inf) - lo[j]
+            sides.append((x == lo[j], lo[j] - q, gap))
+        for at_end, reach, gap in sides:
+            # solved for reach in Python floats, which give inf on overflow, not a warning
+            gap = float(gap)
+            least_reach = -floor * h / gap * h - gap / 2.0
+            e[j][reach > max(least_reach, 0.0)] = at_end
+
+
+def _band_skips_enough(m: int, span, bandwidth):
+    """Whether a band over ``m`` sorted points skips ``NW_MIN_SKIPPED_PER_ROW`` weights a row.
+
+    The estimate ``m (1 - 2 reach / span)`` of :func:`_fit_weights`, before any
+    sort; ``span`` and ``bandwidth`` may be arrays of one value per index.
+    """
+    reach = bandwidth * math.sqrt(-2.0 * _nw_exponent_floor(m))
+    return m * (1.0 - 2.0 * reach / span) >= NW_MIN_SKIPPED_PER_ROW
 
 
 @dataclass(eq=False)
@@ -190,12 +223,11 @@ def _fit_weights(
     """
     m = train_x.shape[0]
     floor = _nw_exponent_floor(m)
-    reach = bandwidth * math.sqrt(-2.0 * floor)
-    if m * (1.0 - 2.0 * reach / span) < NW_MIN_SKIPPED_PER_ROW:
+    if not _band_skips_enough(m, span, bandwidth):
         return _nw_weights(train_x, train_x, bandwidth, floor, queries_are_train=True)
     order = np.argsort(train_x, kind="stable")
     x_sorted = train_x[order]
-    reach *= 1.0 + 1e-9
+    reach = bandwidth * math.sqrt(-2.0 * floor) * (1.0 + 1e-9)
     n_blocks = -(-m // NW_FIT_ROWS)
     rows = np.minimum(np.arange(n_blocks * NW_FIT_ROWS), m - 1).reshape(n_blocks, NW_FIT_ROWS)
     c0 = np.searchsorted(x_sorted, x_sorted[rows[:, 0]] - reach, "left")
@@ -209,43 +241,26 @@ def _fit_weights(
 
 
 @dataclass(eq=False)
-class _Smoother:
-    """One fitted univariate component, ``s(x) = sum_i w_i(x) partial_residuals[i]``.
-
-    Predictions build dense :func:`_nw_weights` rows ``NW_BLOCK_ROWS`` queries
-    at a time, so their memory stays at ``NW_BLOCK_ROWS x m``.
-    """
-
-    train_x: np.ndarray
-    partial_residuals: np.ndarray
-    bandwidth: float
-
-    def __call__(self, query_x: np.ndarray) -> np.ndarray:
-        query_x = np.asarray(query_x, dtype=float)
-        floor = _nw_exponent_floor(self.train_x.shape[0])
-        out = np.empty(query_x.shape[0])
-        for r0 in range(0, query_x.shape[0], NW_BLOCK_ROWS):
-            rows = slice(r0, r0 + NW_BLOCK_ROWS)
-            w = _nw_weights(self.train_x, query_x[rows], self.bandwidth, floor)
-            out[rows] = w @ self.partial_residuals
-        return out
-
-
-@dataclass(eq=False)
 class ForecastModel:
     """A fitted forecast rule: either additive-in-indices or linear.
 
-    ``directions`` maps a length-``K`` factor vector to the fitted indices,
-    one per smoother; for models fit directly on raw inputs it is the
-    identity.  Additive models record how many backfitting sweeps ran and
-    whether the fitted values settled within ``BACKFIT_TOL`` before
-    ``BACKFIT_MAX_SWEEPS``.
+    ``directions`` maps a length-``K`` factor vector to the ``L`` fitted
+    indices; for models fit directly on raw inputs it is the identity.  An
+    additive model's component ``j`` is the univariate smoother
+    ``s_j(x) = sum_i w_i(x) partial_residuals[j, i]``, whose Nadaraya-Watson
+    weights ``w(x)`` are over ``train_x[j]`` with ``bandwidths[j]``: the
+    components are stacked arrays, ``(L, m)``, ``(L, m)`` and ``(L,)``, so that
+    :func:`predict` weighs every index in one pass.  Additive models also
+    record how many backfitting sweeps ran and whether the fitted values
+    settled within ``BACKFIT_TOL`` before ``BACKFIT_MAX_SWEEPS``.
     """
 
     kind: str  # "additive" | "linear"
     intercept: float
     directions: np.ndarray | None = None
-    smoothers: list[_Smoother] = field(default_factory=list)
+    train_x: np.ndarray | None = None
+    partial_residuals: np.ndarray | None = None
+    bandwidths: np.ndarray | None = None
     coefficients: np.ndarray | None = None
     sweeps: int = 0
     converged: bool = True
@@ -284,10 +299,14 @@ def fit_additive(
     ``bandwidths`` holds one bandwidth per index and ``directions`` is the
     ``K x L`` map from a factor vector to the indices.  Targets are centered
     at their mean (the model intercept) and the components are fit by
-    :func:`_backfit`.  Each index's weights are built once, by
-    :func:`_fit_weights`.  A zero-variance index column is dropped from
-    the model, with its direction and a warning, and its bandwidth is not
-    used.
+    :func:`_backfit`.  Each index's weights are built once: those whose
+    band would skip too few weights (see :func:`_band_skips_enough`) as one
+    stack of dense matrices by one :func:`_nw_weights` call, ``L x m x m``
+    (the matrices the sweeps keep anyway, plus a boolean mask of their shape
+    while they are built), and the others by :func:`_fit_weights`.  The
+    sweeps see the components in index order either way.  A zero-variance index column is dropped from the
+    model, with its direction and a warning, and its bandwidth is not used;
+    with every column dropped the model predicts its intercept.
     """
     indices = np.asarray(indices, dtype=float)
     if indices.ndim != 2:
@@ -316,21 +335,25 @@ def fit_additive(
 
     intercept = float(targets.mean())
     centered = targets - intercept
-    cols = np.flatnonzero(keep)
-    weights = [_fit_weights(indices[:, j], spans[j], bandwidths[j]) for j in cols]
+    train_x = indices.T[keep]  # (L, m)
+    spans, bandwidths = spans[keep], bandwidths[keep]
+    banded = _band_skips_enough(t_len, spans, bandwidths)
+    dense_x = train_x[~banded]
+    floor = _nw_exponent_floor(t_len)
+    dense = iter(_nw_weights(dense_x, dense_x, bandwidths[~banded], floor, True))
+    weights = [_fit_weights(x, s, h) if b else next(dense)
+               for x, s, h, b in zip(train_x, spans, bandwidths, banded)]
 
     fitted, total, sweeps, converged = _backfit(weights, centered)
-    smoothers = [
-        _Smoother(indices[:, j].copy(), centered - (total - row), float(bandwidths[j]))
-        for j, row in zip(cols, fitted)
-    ]
     return ForecastModel(
         kind="additive",
         intercept=intercept,
         # a C-ordered copy: boolean column indexing gives an F-ordered one,
         # and ``predict``'s ``f_new @ directions`` would round differently
         directions=np.compress(keep, np.asarray(directions, dtype=float), axis=1),
-        smoothers=smoothers,
+        train_x=train_x,
+        partial_residuals=centered - (total - fitted),
+        bandwidths=bandwidths,
         sweeps=sweeps,
         converged=converged,
     )
@@ -396,14 +419,18 @@ def fit_forecast_model(
         indices, directions = factors, np.eye(factors.shape[1])
     else:
         indices, directions = factors @ phi, phi
-    bandwidths = bandwidth_scale * np.array(
-        [reference_bandwidth(indices[:, j]) for j in range(indices.shape[1])]
-    )
+    bandwidths = bandwidth_scale * reference_bandwidth(indices)
     return fit_additive(indices, targets, bandwidths, directions)
 
 
 def predict(model: ForecastModel, f_new: np.ndarray) -> np.ndarray:
-    """Evaluate the fitted forecast rule at each row of the ``n x K`` ``f_new``."""
+    """Evaluate the fitted forecast rule at each row of the ``n x K`` ``f_new``.
+
+    An additive model's weights are dense :func:`_nw_weights` rows, built for
+    every index at once ``NW_BLOCK_ROWS`` queries at a time, so they hold at
+    most ``L x NW_BLOCK_ROWS x m`` weights.  Each index's rows times its
+    partial residuals are added onto the intercept in index order.
+    """
     f_new = np.asarray(f_new, dtype=float)
     if f_new.ndim != 2:
         raise ValueError("f_new must be n x K")
@@ -413,8 +440,12 @@ def predict(model: ForecastModel, f_new: np.ndarray) -> np.ndarray:
         return model.intercept + f_new @ model.coefficients
     idx = f_new @ model.directions
     out = np.full(f_new.shape[0], model.intercept)
-    for j, smoother in enumerate(model.smoothers):
-        out += smoother(idx[:, j])
+    floor = _nw_exponent_floor(model.train_x.shape[1])
+    for r0 in range(0, idx.shape[0], NW_BLOCK_ROWS):
+        rows = slice(r0, r0 + NW_BLOCK_ROWS)
+        w = _nw_weights(model.train_x, idx[rows].T, model.bandwidths, floor)
+        for w_j, residuals in zip(w, model.partial_residuals):
+            out[rows] += w_j @ residuals
     return out
 
 

@@ -187,10 +187,18 @@ def _parse_row(row: list[str], line: int, column_names: list[str]):
 def _standardize_array(x: np.ndarray, series_names) -> np.ndarray:
     """Scale each row of ``x`` to mean 0 and sample sd 1.
 
-    A flat series is a :class:`DataError` naming it.
+    The mean is computed once and its deviations serve both the sd and the
+    result, with the bits of ``x.std(axis=1, ddof=1)`` and of
+    ``x - x.mean(axis=1)``.  Those bits depend on the memory order of ``x``:
+    numpy's pairwise sums run along memory, so a C-ordered ``x`` and the
+    Fortran-ordered one :func:`load_csv` reads can standardize to results
+    that differ in the last bits.  A flat series is a :class:`DataError`
+    naming it.
     """
-    sds = x.std(axis=1, ddof=1, keepdims=True)
+    dev = x - x.mean(axis=1, keepdims=True)
+    sds = np.sqrt(np.square(dev).sum(axis=1, keepdims=True) / (x.shape[1] - 1))
     flat = np.nonzero(sds[:, 0] == 0)[0]
     if flat.size:
         raise DataError(f"zero-variance series over window: {series_names[flat[0]]!r}")
-    return (x - x.mean(axis=1, keepdims=True)) / sds
+    dev /= sds
+    return dev

@@ -13,7 +13,6 @@ each replicate the same bits as :func:`sample_dgp` alone.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -367,6 +366,10 @@ def monte_carlo_study(spec: DgpSpec, config: StudyConfig) -> StudyResult:
     # the pool forks all its workers at the first submit; more than one per chunk would idle
     workers = min(config.jobs, len(chunks))
     if workers > 1:
+        # imported here: the pool module pulls in multiprocessing, which would
+        # slow every import of the package
+        from concurrent.futures.process import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_chunk = list(pool.map(_run_chunk, chunks))
     else:

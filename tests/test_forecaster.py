@@ -48,7 +48,7 @@ class TestFitAdditive:
         y = idx[:, 0] + 2.0
         with pytest.warns(UserWarning, match="degenerate"):
             model = nlpc_fit(idx, y)
-        assert len(model.smoothers) == 1
+        assert len(model.train_x) == 1
         assert np.array_equal(model.directions, [[1.0], [0.0]])
         assert np.isfinite(predict(model, np.array([[0.3, 1.0]]))).all()
 
@@ -63,7 +63,7 @@ class TestFitAdditive:
             model = fit_additive(idx, y, bws, directions)
         kept = [0, 2]
         alone = fit_additive(idx[:, kept], y, bws[kept], directions[:, kept].copy())
-        assert len(model.smoothers) == 2
+        assert len(model.train_x) == 2
         assert np.array_equal(model.directions, directions[:, kept])
         assert model.directions.flags["C_CONTIGUOUS"]
         assert model.sweeps == alone.sweeps
@@ -95,8 +95,7 @@ class TestFitAdditive:
         model = nlpc_fit(f, y)
         f_new = np.vstack([f, 3.0 * rng.standard_normal((40, 3))])
         before = predict(model, f_new)
-        for smoother, shift in zip(model.smoothers, (2.5, -80.0, 77.5)):
-            smoother.partial_residuals = smoother.partial_residuals + shift
+        model.partial_residuals = model.partial_residuals + np.array([[2.5], [-80.0], [77.5]])
         assert np.allclose(predict(model, f_new), before, rtol=0, atol=1e-12)
 
     def test_input_checks(self):
@@ -174,7 +173,7 @@ class TestWeightFloor:
         # the banded products sum in sorted order, so bits may differ
         for j in range(2):
             expected = centered - (total - fitted[j])
-            assert np.allclose(model.smoothers[j].partial_residuals, expected, rtol=0, atol=1e-12)
+            assert np.allclose(model.partial_residuals[j], expected, rtol=0, atol=1e-12)
 
 
 def _floored_reference_weights(train_x, query_x, bandwidth, floor):
@@ -360,8 +359,8 @@ class TestSweepExactness:
         assert all(isinstance(w, np.ndarray) for w in _fit_operators(f, bws))
         sweeps, partials = _reference_backfit(f, y, bws)
         assert model.sweeps == sweeps > 2
-        for smoother, expected in zip(model.smoothers, partials):
-            assert np.array_equal(smoother.partial_residuals, expected)
+        for row, expected in zip(model.partial_residuals, partials, strict=True):
+            assert np.array_equal(row, expected)
 
     def test_banded_two_component_fit_is_the_reference_sweep(self):
         # the study's held-out fit: 0.1x the reference bandwidth at T = 500
@@ -373,8 +372,8 @@ class TestSweepExactness:
         assert all(isinstance(w, fc._BandedWeights) for w in _fit_operators(idx, bws))
         sweeps, partials = _reference_backfit(idx, y, bws)
         assert model.sweeps == sweeps > 2
-        for smoother, expected in zip(model.smoothers, partials):
-            assert np.array_equal(smoother.partial_residuals, expected)
+        for row, expected in zip(model.partial_residuals, partials, strict=True):
+            assert np.array_equal(row, expected)
 
     def test_degenerate_component_keeps_the_reference_sums(self):
         # the constant column leaves the model: the sweeps run on the others alone
@@ -388,9 +387,9 @@ class TestSweepExactness:
         kept = [0, 2]
         sweeps, partials = _reference_backfit(f[:, kept], y, bws[kept])
         assert model.sweeps == sweeps
-        assert len(model.smoothers) == 2
-        for smoother, expected in zip(model.smoothers, partials):
-            assert np.array_equal(smoother.partial_residuals, expected)
+        assert len(model.train_x) == 2
+        for row, expected in zip(model.partial_residuals, partials, strict=True):
+            assert np.array_equal(row, expected)
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 300), st.floats(0.05, 2.0), st.booleans())
@@ -491,9 +490,9 @@ class TestPredict:
         q = rng.normal(0.0, 1.5, (n, 2))
         expected = np.full(n, model.intercept)
         floor = fc._nw_exponent_floor(500)
-        for j, s in enumerate(model.smoothers):
-            w = fc._nw_weights(s.train_x, q[:, j], s.bandwidth, floor)
-            expected += w @ s.partial_residuals
+        for j in range(2):
+            w = fc._nw_weights(model.train_x[j], q[:, j], model.bandwidths[j], floor)
+            expected += w @ model.partial_residuals[j]
         # a block of one row takes another BLAS kernel than the whole
         # product, so the match is not bitwise at every n
         assert np.allclose(predict(model, q), expected, rtol=0, atol=1e-12)
@@ -513,6 +512,127 @@ class TestPredict:
         model = fit_additive(f[:, :1], y, bws, np.array([[1.0], [0.0]]))
         a, b = predict(model, np.array([[0.5, -3.0], [0.5, 4.0]]))
         assert a == b
+
+
+def _per_index_prediction(model, f_new):
+    """The additive prediction written out one index at a time.
+
+    Each index's 2-D :func:`_nw_weights` rows times its partial residuals are
+    added onto the intercept in index order.  The rows are taken in the same
+    ``NW_BLOCK_ROWS`` query blocks as :func:`predict`: a block's product goes
+    through a BLAS kernel chosen by its row count (one row is a dot product),
+    so only the same blocks give the same bits.
+    """
+    idx = f_new @ model.directions
+    out = np.full(f_new.shape[0], model.intercept)
+    floor = fc._nw_exponent_floor(model.train_x.shape[1])
+    for x, residuals, h, q in zip(model.train_x, model.partial_residuals, model.bandwidths, idx.T):
+        for r0 in range(0, q.shape[0], fc.NW_BLOCK_ROWS):
+            rows = slice(r0, r0 + fc.NW_BLOCK_ROWS)
+            out[rows] += fc._nw_weights(x, q[rows], h, floor) @ residuals
+    return out
+
+
+class TestStackedIndices:
+    """Every index of an additive model weighed in one stacked pass, bit for bit."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_idx=st.sampled_from([1, 2, 3, 8]),
+        n=st.sampled_from([1, 63, 64, 65, 200]),
+        banded=st.booleans(),
+        tied=st.booleans(),
+        far_share=st.sampled_from([0.0, 0.05, 0.3]),
+    )
+    def test_stacked_predictions_are_the_per_index_rows(
+        self, seed, n_idx, n, banded, tied, far_share
+    ):
+        rng = np.random.default_rng(seed)
+        # the study's held-out fit (0.1x the reference rule at T = 500) bands
+        # every index; the rolling evaluator's (scale 1 at 119 points) is dense
+        m, scale = (500, 0.1) if banded else (int(rng.integers(3, 150)), 1.0)
+        f = rng.standard_normal((m, n_idx))
+        if tied:  # duplicates, also at the ends
+            f = np.round(f, 1)
+        f[:2] = [[-2.5], [2.5]]  # no index is constant
+        y = np.sin(f[:, 0]) + 0.3 * rng.standard_normal(m)
+        bws = scale * fc.reference_bandwidth(f)
+        assert np.all(fc._band_skips_enough(m, np.ptp(f, axis=0), bws) == banded)
+        with mock.patch.object(fc, "BACKFIT_MAX_SWEEPS", 2):
+            model = fit_additive(f, y, bws, np.eye(n_idx))
+        q = rng.normal(0.0, 1.5, (n, n_idx))
+        # queries past an end, in some indices' columns only: half of them
+        # near where an end's neighbours fall below the floor, half out to and
+        # beyond where every squared distance overflows (about 1e154 bandwidths)
+        rows, cols = np.nonzero((rng.random((n, n_idx)) < far_share) & (rng.random(n_idx) < 0.5))
+        near = rng.random(rows.size) < 0.5
+        reach = 10.0 ** np.where(near, rng.uniform(-2.0, 5.0, rows.size),
+                                 rng.uniform(5.0, 300.0, rows.size))
+        above = rng.random(rows.size) < 0.5
+        q[rows, cols] = np.where(above, f.max(axis=0)[cols] + reach, f.min(axis=0)[cols] - reach)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = predict(model, q)
+            expected = _per_index_prediction(model, q)
+        assert out.tobytes() == expected.tobytes()
+
+    def test_stacked_fit_weights_are_each_index_weights(self):
+        # T = 500 with narrow (banded) and wide (dense) indices and a constant
+        # one, which leaves the model
+        rng = np.random.default_rng(30)
+        f = rng.standard_normal((500, 5))
+        f[:, 2] = 0.25
+        y = np.sin(f[:, 0]) + f[:, 1] * f[:, 3] + 0.2 * rng.standard_normal(500)
+        bws = np.array([0.1, 1.0, 0.0, 1.0, 0.1]) * fc.reference_bandwidth(f)
+        bws[2] = 1.0
+        kept = [0, 1, 3, 4]
+        seen = []
+        backfit = fc._backfit
+
+        def recorded(weights, centered):
+            seen.append(weights)
+            return backfit(weights, centered)
+
+        with mock.patch.object(fc, "_backfit", recorded), \
+                pytest.warns(UserWarning, match="index 2 is degenerate"):
+            model = fit_additive(f, y, bws, np.eye(5))
+        (weights,) = seen
+        floor = fc._nw_exponent_floor(500)
+        assert [isinstance(w, fc._BandedWeights) for w in weights] == [True, False, False, True]
+        for w, j in zip(weights, kept, strict=True):
+            x = f[:, j]
+            if isinstance(w, fc._BandedWeights):
+                alone = fc._fit_weights(x, np.ptp(x), bws[j])
+                for name in ("order", "cols", "weights"):
+                    assert getattr(w, name).tobytes() == getattr(alone, name).tobytes()
+            else:
+                alone = fc._nw_weights(x, x, bws[j], floor, queries_are_train=True)
+                assert w.tobytes() == alone.tobytes()
+        # the sweeps take the components in index order
+        sweeps, partials = _reference_backfit(f[:, kept], y, bws[kept])
+        assert model.sweeps == sweeps > 2
+        for row, expected in zip(model.partial_residuals, partials, strict=True):
+            assert row.tobytes() == expected.tobytes()
+        assert np.array_equal(model.train_x, f[:, kept].T)
+        assert np.array_equal(model.bandwidths, bws[kept])
+
+    def test_every_index_constant_predicts_the_intercept(self):
+        f = np.column_stack([np.full(20, 1.5), np.full(20, -3.0)])
+        y = np.random.default_rng(31).standard_normal(20)
+        with pytest.warns(UserWarning, match="degenerate") as record:
+            model = nlpc_fit(f, y)
+        assert [str(w.message)[:7] for w in record] == ["index 0", "index 1"]
+        assert model.train_x.shape == model.partial_residuals.shape == (0, 20)
+        assert model.sweeps == 1 and model.converged
+        q = np.array([[1.5, -3.0], [1e200, 0.0], [-7.0, 1e-300]])
+        assert np.array_equal(predict(model, q), np.full(3, y.mean()))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_reference_bandwidths_are_each_columns_bits(self, order):
+        f = np.asarray(np.random.default_rng(32).standard_normal((119, 8)) * 3.0, order=order)
+        each = [fc.reference_bandwidth(f[:, j]) for j in range(8)]
+        assert fc.reference_bandwidth(f).tobytes() == np.array(each).tobytes()
 
 
 class TestPcBaseline:
@@ -560,9 +680,9 @@ class TestPcBaseline:
         f = np.column_stack([rng.standard_normal(30), np.ones(30)])
         with pytest.warns(UserWarning, match="degenerate"):
             model = fit_forecast_model("nlpc", f, np.sin(f[:, 0]), None, scale)
-        assert len(model.smoothers) == 1
+        assert len(model.train_x) == 1
         assert np.array_equal(model.directions, [[1.0], [0.0]])
-        assert model.smoothers[0].bandwidth == scale * fc.reference_bandwidth(f[:, 0])
+        assert model.bandwidths[0] == scale * fc.reference_bandwidth(f[:, 0])
 
 
 def make_panel(x, y):
@@ -729,8 +849,8 @@ class TestRollingEvaluate:
         for model in models:
             assert model.kind == "additive"
             assert np.array_equal(model.directions, np.eye(2))
-            for smoother in model.smoothers:
-                assert smoother.bandwidth == 1.0 * fc.reference_bandwidth(smoother.train_x)
+            for x, h in zip(model.train_x, model.bandwidths, strict=True):
+                assert h == 1.0 * fc.reference_bandwidth(x)
 
     def test_integer_l_capped_at_selected_k(self):
         # one strong factor: with k="auto" the selected K falls below l=3

@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import suffcast
@@ -114,3 +116,16 @@ def test_no_unread_definitions():
     package = Path(suffcast.__file__).parent
     sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
     assert unread_definitions(sources) == []
+
+
+def test_cli_import_leaves_out_multiprocessing():
+    # the process pool, and the multiprocessing it pulls in, is imported only
+    # by a study that starts one; every CLI call pays for the import otherwise
+    src = str(Path(suffcast.__file__).parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import suffcast.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -294,6 +294,16 @@ class TestStandardize:
         assert np.allclose(_standardize_array(x[:, 0:2], ("s0",)), expected, atol=1e-12)
         assert np.allclose(_standardize_array(x[:, 1:3], ("s0",)), expected, atol=1e-12)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_one_mean_gives_the_bits_of_std_and_mean(self, order):
+        # a rolling window of a panel in either memory order: load_csv's is a
+        # Fortran-ordered view, a panel built in memory is C-ordered
+        rng = np.random.default_rng(4)
+        x = np.asarray(rng.standard_normal((130, 300)) * 3.0 + 1.5, order=order)[:, 57:177]
+        expected = (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, ddof=1, keepdims=True)
+        out = _standardize_array(x, tuple(f"s{i}" for i in range(130)))
+        assert out.tobytes() == expected.tobytes()
+
     def test_round_trip(self):
         rng = np.random.default_rng(3)
         out = self.standardize(rng.standard_normal((4, 9)) * 5 + 2)

@@ -307,7 +307,8 @@ class TestMonteCarloStudy:
                 assert [r for _, _, reps in items for r in reps] == list(range(n_reps))
                 return map(fn, items)
 
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialPool)
+        # the study imports the pool from its module only where it starts one
+        monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", SerialPool)
         spec = DgpSpec(p=20, t_len=50, seed=19)
         config = StudyConfig(
             methods=("dr",), metrics=("directions",), n_reps=n_reps, h_slices=5, jobs=jobs
