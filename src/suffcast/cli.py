@@ -9,7 +9,8 @@ and default: ``simulate`` exposes :class:`DgpSpec` (``link`` as ``model``) and
 A subcommand reads an optional flat JSON config file, overridden by explicit
 flags.  Every value is checked against its field's type (``_CONVERTERS``),
 then by the config dataclasses themselves and by the command's cross-field
-check in ``_COMMANDS``; a wrong one exits 2 before anything is written.  Every
+check in ``_COMMANDS`` (``simulate``'s is :func:`monte_carlo_study`'s own,
+made before it draws); a wrong one exits 2 before anything is written.  Every
 command computes before it writes, the output directory is made by its first
 write, and the resolved configuration is written next to the outputs as
 ``config_resolved.json`` once the command succeeded, so an error raised at
@@ -269,7 +270,7 @@ def cmd_select(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
     panel = load_csv(config["input"], config["target_column"])
     x = _standardize_array(panel.x, panel.series_names)
     selection, fit = select_and_fit_factors(x, rolling.k_max)
-    slices = sdr.slice_target(panel.y, rolling.h_slices)
+    slices = sdr.slice_target(panel.y, sdr.N_SLICES)
     kernel = sdr.build_kernel(rolling.method, fit.factors, slices)
     dim = sdr.select_dimension(kernel, panel.p, panel.t_len)
     _write_csv(
@@ -304,37 +305,10 @@ def cmd_factors(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
     return EXIT_OK
 
 
-def _check_third_moment_slices(methods, h_slices: int, t_len: int, what: str) -> None:
-    # the TM kernel, alone or in the ensemble, needs >= 2 observations per slice
-    third = sdr.THIRD_MOMENT_METHODS
-    if set(methods).intersection(third) and 2 * h_slices > t_len:
-        raise ConfigError(
-            f"h_slices={h_slices} must be <= {what} / 2 = {t_len // 2} for {' and '.join(third)}"
-        )
-
-
-def _check_simulate(spec: DgpSpec, study: StudyConfig) -> None:
-    factors = f"the study's K={N_FACTORS} factors"
-    if study.l > N_FACTORS:
-        raise ConfigError(f"l={study.l} must be <= {factors}")
-    if study.h_slices > spec.t_len:
-        raise ConfigError(f"h_slices={study.h_slices} must be <= t_len={spec.t_len}")
-    _check_third_moment_slices(study.methods, study.h_slices, spec.t_len, "t_len")
-    # the PC baseline of the oos metric needs T > K
-    if "pc" in study.methods and "oos" in study.metrics and spec.t_len <= N_FACTORS:
-        raise ConfigError(f"t_len={spec.t_len} must be > {factors} for pc with the oos metric")
-
-
 def _check_forecast(rolling: RollingConfig) -> None:
-    # select and factors read h_slices and k without a window, so these
-    # bounds are not RollingConfig's
+    # the PC baseline fit on every window needs T > K; factors reads k
+    # without a window, so this bound is not RollingConfig's
     n_train = rolling.window - rolling.horizon
-    if rolling.h_slices > n_train:
-        raise ConfigError(f"h_slices={rolling.h_slices} must be <= window - horizon = {n_train}")
-    _check_third_moment_slices(
-        (rolling.method,), rolling.h_slices, n_train, "(window - horizon)"
-    )
-    # the PC baseline fit on every window needs T > K
     if rolling.k != "auto" and rolling.k >= n_train:
         raise ConfigError(f"k={rolling.k} must be < window - horizon = {n_train}")
 
@@ -350,15 +324,15 @@ def _check_select(rolling: RollingConfig) -> None:
 #: command -> (runner, config classes, exposed fields (None: all), reads a panel,
 #: cross-field check of the built configs)
 _COMMANDS = {
-    "simulate": (cmd_simulate, (DgpSpec, StudyConfig), None, False, _check_simulate),
+    "simulate": (cmd_simulate, (DgpSpec, StudyConfig), None, False, None),
     "forecast": (
         cmd_forecast,
         (RollingConfig,),
-        ("window", "horizon", "method", "k", "l", "h_slices", "n_eval"),
+        ("window", "horizon", "method", "k", "l", "n_eval"),
         True,
         _check_forecast,
     ),
-    "select": (cmd_select, (RollingConfig,), ("k_max", "method", "h_slices"), True, _check_select),
+    "select": (cmd_select, (RollingConfig,), ("k_max", "method"), True, _check_select),
     "factors": (cmd_factors, (RollingConfig,), ("k", "k_max"), True, None),
 }
 

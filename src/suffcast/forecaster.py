@@ -183,20 +183,18 @@ class _BandedWeights:
         return out
 
 
-def _fit_weights(
-    train_x: np.ndarray, span: float, bandwidth: float
-) -> np.ndarray | _BandedWeights:
-    """The weights of the training points over themselves, for the backfitting sweeps' ``@``.
+def _fit_weights(train_x: np.ndarray, bandwidth: float) -> _BandedWeights | None:
+    """The banded weights of the training points over themselves, or ``None`` where a band costs.
 
-    A training point keeps the points within ``reach = sqrt(2 |floor|)``
-    bandwidths of it, so a band over the sorted points skips about
-    ``m (1 - 2 reach / span)`` of each row's ``m`` weights, where ``span`` is
-    the range of ``train_x``.  Below ``NW_MIN_SKIPPED_PER_ROW`` the weights
-    are the dense :func:`_nw_weights` matrix, before any sort.  Otherwise
-    they are :class:`_BandedWeights`.  Every row has the same reach, widened
-    by a relative 1e-9 against rounding (points in it below the floor are
-    still 0), so a block's window runs from its first point's reach to its
-    last's, two vectorized ``searchsorted`` calls.  Every window is then
+    :func:`fit_additive` calls this only where the estimate of
+    :func:`_band_skips_enough` says a band skips ``NW_MIN_SKIPPED_PER_ROW``
+    weights a row: a training point keeps the points within
+    ``reach = sqrt(2 |floor|)`` bandwidths of it, so a band over the sorted
+    points skips about ``m (1 - 2 reach / span)`` of each row's ``m`` weights,
+    where ``span`` is the range of ``train_x``.  Every row has the same reach,
+    widened by a relative 1e-9 against rounding (points in it below the floor
+    are still 0), so a block's window runs from its first point's reach to
+    its last's, two vectorized ``searchsorted`` calls.  Every window is then
     widened to the widest, ``W`` points, and one that would run past the
     largest point slides back to end there: the points it gains lie beyond
     every row's reach, so their weights are exactly 0.  At the study's
@@ -210,7 +208,8 @@ def _fit_weights(
     ``span``) make the padded array skip fewer weights per row than the
     estimate.  Where it skips fewer than ``NW_MIN_SKIPPED_PER_ROW / 2``, near
     the timed crossover of its product (below), and so wherever it would hold
-    more than ``m^2`` weights, the weights are the dense matrix too.
+    more than ``m^2`` weights, this returns ``None`` and the caller builds the
+    dense matrix instead.
 
     Timed on one BLAS thread, medians over 5 sets of N(0, 1) points at
     m = 200-500 and 0.1-0.3x the reference bandwidth: the batched product
@@ -223,8 +222,6 @@ def _fit_weights(
     """
     m = train_x.shape[0]
     floor = _nw_exponent_floor(m)
-    if not _band_skips_enough(m, span, bandwidth):
-        return _nw_weights(train_x, train_x, bandwidth, floor, queries_are_train=True)
     order = np.argsort(train_x, kind="stable")
     x_sorted = train_x[order]
     reach = bandwidth * math.sqrt(-2.0 * floor) * (1.0 + 1e-9)
@@ -234,7 +231,7 @@ def _fit_weights(
     c1 = np.searchsorted(x_sorted, x_sorted[rows[:, -1]] + reach, "right")
     width = int((c1 - c0).max())
     if m - rows.size * width / m < NW_MIN_SKIPPED_PER_ROW / 2:
-        return _nw_weights(train_x, train_x, bandwidth, floor, queries_are_train=True)
+        return None
     cols = np.minimum(c0, m - width)[:, None] + np.arange(width)
     weights = _nw_weights(x_sorted[cols], x_sorted[rows], bandwidth, floor, True)
     return _BandedWeights(order, order[cols], weights)
@@ -299,14 +296,15 @@ def fit_additive(
     ``bandwidths`` holds one bandwidth per index and ``directions`` is the
     ``K x L`` map from a factor vector to the indices.  Targets are centered
     at their mean (the model intercept) and the components are fit by
-    :func:`_backfit`.  Each index's weights are built once: those whose
-    band would skip too few weights (see :func:`_band_skips_enough`) as one
-    stack of dense matrices by one :func:`_nw_weights` call, ``L x m x m``
-    (the matrices the sweeps keep anyway, plus a boolean mask of their shape
-    while they are built), and the others by :func:`_fit_weights`.  The
-    sweeps see the components in index order either way.  A zero-variance index column is dropped from the
-    model, with its direction and a warning, and its bandwidth is not used;
-    with every column dropped the model predicts its intercept.
+    :func:`_backfit`.  Each index's weights are built once: banded by
+    :func:`_fit_weights` where the estimate of :func:`_band_skips_enough`
+    allows a band and the padded band pays, and otherwise as one stack of
+    dense matrices by one :func:`_nw_weights` call, ``L x m x m`` (the
+    matrices the sweeps keep anyway, plus a boolean mask of their shape while
+    they are built).  The sweeps see the components in index order either
+    way.  A zero-variance index column is dropped from the model, with its
+    direction and a warning, and its bandwidth is not used; with every column
+    dropped the model predicts its intercept.
     """
     indices = np.asarray(indices, dtype=float)
     if indices.ndim != 2:
@@ -338,11 +336,13 @@ def fit_additive(
     train_x = indices.T[keep]  # (L, m)
     spans, bandwidths = spans[keep], bandwidths[keep]
     banded = _band_skips_enough(t_len, spans, bandwidths)
-    dense_x = train_x[~banded]
-    floor = _nw_exponent_floor(t_len)
-    dense = iter(_nw_weights(dense_x, dense_x, bandwidths[~banded], floor, True))
-    weights = [_fit_weights(x, s, h) if b else next(dense)
-               for x, s, h, b in zip(train_x, spans, bandwidths, banded)]
+    weights = [_fit_weights(x, h) if b else None
+               for x, h, b in zip(train_x, bandwidths, banded)]
+    dense = [j for j, w in enumerate(weights) if w is None]
+    stacked = _nw_weights(train_x[dense], train_x[dense], bandwidths[dense],
+                          _nw_exponent_floor(t_len), queries_are_train=True)
+    for j, w in zip(dense, stacked):
+        weights[j] = w
 
     fitted, total, sweeps, converged = _backfit(weights, centered)
     return ForecastModel(
@@ -383,20 +383,6 @@ def _check_count(name: str, value, auto: bool = False) -> None:
     if isinstance(value, str) or value < 1:
         allowed = ' or "auto"' if auto else ""
         raise ValueError(f"{name} must be >= 1{allowed}, got {value!r}")
-
-
-def _check_slice_count(methods, h_slices: int, l) -> None:
-    """A kernel needs two slices, and SIR's kernel an integer ``l`` below ``h_slices``.
-
-    From one slice the SIR and TM kernels are zero up to rounding, and SIR's
-    weighted slice means sum to zero, so its kernel has rank at most
-    ``h_slices - 1``: directions beyond that rank would be rounding noise.
-    """
-    kernels = [m for m in methods if m in sdr.KERNEL_METHODS]
-    if kernels and h_slices < 2:
-        raise ValueError(f"h_slices={h_slices} must be >= 2 for {' and '.join(kernels)}")
-    if "sir" in methods and l != "auto" and l > h_slices - 1:
-        raise ValueError(f"l={l} must be <= h_slices - 1 = {h_slices - 1} for sir")
 
 
 def fit_forecast_model(
@@ -455,8 +441,10 @@ class RollingConfig:
 
     Every window's predictors are standardized over that window before the
     factor fit, as ``select`` and ``factors`` standardize the whole panel.
-    A kernel method needs ``h_slices >= 2``, and ``sir`` with an integer
-    ``l`` needs ``l <= h_slices - 1``.
+    Kernels slice the training targets into ``sdr.N_SLICES``: ``tm`` and
+    ``ens`` need two a slice, ``window - horizon >= 2 * N_SLICES``, and SIR's
+    kernel has rank at most ``N_SLICES - 1`` (its weighted slice means sum to
+    zero), so ``sir`` with an integer ``l`` needs ``l <= N_SLICES - 1``.
     """
 
     window: int = 120
@@ -464,7 +452,6 @@ class RollingConfig:
     method: str = "dr"
     k: int | str = 8  # factor count, or "auto"
     l: int | str = 1  # index count for SDR methods, or "auto"
-    h_slices: int = 10
     n_eval: int = 240
     k_max: int = 8
 
@@ -473,12 +460,16 @@ class RollingConfig:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.window - self.horizon < 10:
+        n_train = self.window - self.horizon
+        if n_train < 10:
             raise ValueError(
-                f"window too short: window - horizon = {self.window - self.horizon} "
-                "leaves fewer than 10 training points"
+                f"window too short: window - horizon = {n_train} leaves fewer than 10 "
+                "training points"
             )
-        for name in ("n_eval", "h_slices", "k_max"):
+        if self.method in sdr.THIRD_MOMENT_METHODS and n_train < 2 * sdr.N_SLICES:
+            raise ValueError(f"window - horizon = {n_train} must be >= 2 * N_SLICES = "
+                             f"{2 * sdr.N_SLICES} for {' and '.join(sdr.THIRD_MOMENT_METHODS)}")
+        for name in ("n_eval", "k_max"):
             _check_count(name, getattr(self, name))
         _check_count("k", self.k, auto=True)
         _check_count("l", self.l, auto=True)
@@ -486,7 +477,8 @@ class RollingConfig:
         bound, name = (self.k_max, "k_max") if self.k == "auto" else (self.k, "k")
         if self.l != "auto" and self.l > bound:
             raise ValueError(f"l={self.l} must be <= {name}={bound}")
-        _check_slice_count((self.method,), self.h_slices, self.l)
+        if self.method == "sir" and self.l != "auto" and self.l > sdr.N_SLICES - 1:
+            raise ValueError(f"l={self.l} must be <= N_SLICES - 1 = {sdr.N_SLICES - 1} for sir")
 
 
 @dataclass(eq=False)
@@ -535,7 +527,7 @@ def _fit_window_model(x_win, targets_train, config: RollingConfig):
     if config.method not in sdr.KERNEL_METHODS:
         phi, l_use = None, (fit.k if config.method == "nlpc" else 0)
     else:
-        slices = sdr.slice_target(targets_train, config.h_slices)
+        slices = sdr.slice_target(targets_train, sdr.N_SLICES)
         kernel = sdr.build_kernel(config.method, train_factors, slices)
         if config.l == "auto":
             l_use = sdr.select_dimension(kernel, x_win.shape[0], slices.t_len).l_hat

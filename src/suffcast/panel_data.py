@@ -27,7 +27,9 @@ class PanelData:
     """An observed predictor panel plus the scalar target series.
 
     ``x`` has one row per series and one column per time point; ``y[t]`` is
-    the target observed one period after ``x[:, t]``.
+    the target observed one period after ``x[:, t]``.  ``x`` is stored in
+    Fortran order, the order of the transposed table :func:`load_csv` reads,
+    so a panel built in memory standardizes to the bits of its read-back.
     """
 
     x: np.ndarray
@@ -37,7 +39,7 @@ class PanelData:
     n_dropped: int = 0
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
+        x = np.asfortranarray(self.x, dtype=float)
         y = np.asarray(self.y, dtype=float)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -189,11 +191,7 @@ def _standardize_array(x: np.ndarray, series_names) -> np.ndarray:
 
     The mean is computed once and its deviations serve both the sd and the
     result, with the bits of ``x.std(axis=1, ddof=1)`` and of
-    ``x - x.mean(axis=1)``.  Those bits depend on the memory order of ``x``:
-    numpy's pairwise sums run along memory, so a C-ordered ``x`` and the
-    Fortran-ordered one :func:`load_csv` reads can standardize to results
-    that differ in the last bits.  A flat series is a :class:`DataError`
-    naming it.
+    ``x - x.mean(axis=1)``.  A flat series is a :class:`DataError` naming it.
     """
     dev = x - x.mean(axis=1, keepdims=True)
     sds = np.sqrt(np.square(dev).sum(axis=1, keepdims=True) / (x.shape[1] - 1))

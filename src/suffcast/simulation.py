@@ -20,7 +20,7 @@ import numpy as np
 from . import sdr
 from ._eigen import column_signs, sym_eig_desc
 from .factor_analysis import estimated_factors_known_loadings, select_and_fit_factors
-from .forecaster import METHODS, _check_count, _check_slice_count, fit_forecast_model, predict
+from .forecaster import METHODS, _check_count, fit_forecast_model, predict
 
 LINKS = ("I", "II", "III", "IV")
 
@@ -212,14 +212,17 @@ def subspace_r2(phi_hat: np.ndarray, true_span: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class StudyConfig:
-    """What to run per replication and how to aggregate it."""
+    """What to run per replication and how to aggregate it.
+
+    Kernels slice the target into ``sdr.N_SLICES``; :func:`monte_carlo_study`
+    checks the rules this sets on the ``DgpSpec``'s ``t_len``.
+    """
 
     methods: tuple[str, ...] = ("sir", "dr")
     metrics: tuple[str, ...] = ("directions",)  # directions | oos | k_selection | l_selection
     n_reps: int = 200
     n_test: int = 100
     l: int = 2
-    h_slices: int = 10
     k_max: int = 8
     jobs: int = 1  # worker processes; the CLI turns 0 into one per core
 
@@ -245,9 +248,10 @@ class StudyConfig:
                     f"metric {metric!r} needs one of the methods {producers[metric]}, "
                     f"got {self.methods}"
                 )
-        for name in ("n_reps", "n_test", "l", "h_slices", "k_max"):
+        for name in ("n_reps", "n_test", "l", "k_max"):
             _check_count(name, getattr(self, name))
-        _check_slice_count(self.methods, self.h_slices, self.l)
+        if self.l > N_FACTORS:
+            raise ValueError(f"l={self.l} must be <= the study's K={N_FACTORS} factors")
         if self.jobs < 0:
             raise ValueError(f"jobs must be >= 0, got {self.jobs}")
 
@@ -294,7 +298,6 @@ def _run_replicate(spec: DgpSpec, config: StudyConfig, draw: SimDraw) -> dict:
     if not set(config.metrics) - {"k_selection"}:  # no per-method metric
         return out
 
-    slices = sdr.slice_target(y_train, config.h_slices)
     if "directions" in config.metrics:
         h_id = identifiability_rotation(draw.factors[:t_train], draw.loadings)
         basis, _ = np.linalg.qr(np.linalg.solve(h_id.T, np.column_stack([PHI1, PHI2])))
@@ -303,9 +306,11 @@ def _run_replicate(spec: DgpSpec, config: StudyConfig, draw: SimDraw) -> dict:
         f_test = estimated_factors_known_loadings(draw.x[:, t_train:], fit.loadings)
         y_test = draw.y[t_train:]
         denom = float(np.sum((y_test - y_train.mean()) ** 2))
-    kernels = sdr.build_kernels(
-        [m for m in config.methods if m in sdr.KERNEL_METHODS], fit.factors, slices
-    )
+    kernel_methods = [m for m in config.methods if m in sdr.KERNEL_METHODS]
+    kernels = {}
+    if kernel_methods:
+        slices = sdr.slice_target(y_train, sdr.N_SLICES)
+        kernels = sdr.build_kernels(kernel_methods, fit.factors, slices)
     for method in config.methods:
         kernel = kernels.get(method)
         phi_hat = None if kernel is None else sdr.extract_directions(kernel, config.l)
@@ -350,15 +355,37 @@ def _run_chunk(args) -> list[tuple[dict | None, str | None]]:
     return out
 
 
+def _check_study(spec: DgpSpec, config: StudyConfig) -> None:
+    """Reject a design whose every replicate would fail on the training length ``t_len``.
+
+    Every kernel slices the target into ``sdr.N_SLICES``, the third moments of
+    ``tm`` and ``ens`` need two observations a slice, and the linear PC
+    baseline of the ``oos`` metric needs T > K.
+    """
+    kernels = [m for m in config.methods if m in sdr.KERNEL_METHODS]
+    if kernels and spec.t_len < sdr.N_SLICES:
+        raise ValueError(f"t_len={spec.t_len} must be >= N_SLICES = {sdr.N_SLICES} "
+                         f"for {' and '.join(kernels)}")
+    third = sdr.THIRD_MOMENT_METHODS
+    if set(config.methods) & set(third) and spec.t_len < 2 * sdr.N_SLICES:
+        raise ValueError(f"t_len={spec.t_len} must be >= 2 * N_SLICES = {2 * sdr.N_SLICES} "
+                         f"for {' and '.join(third)}")
+    if "pc" in config.methods and "oos" in config.metrics and spec.t_len <= N_FACTORS:
+        raise ValueError(f"t_len={spec.t_len} must be > the study's K={N_FACTORS} factors "
+                         "for pc with the oos metric")
+
+
 def monte_carlo_study(spec: DgpSpec, config: StudyConfig) -> StudyResult:
     """Run the requested replications and collect per-cell metric values.
 
-    Replication ``r`` uses the seed stream ``(spec.seed, r)``; failures are
-    recorded with their replicate index and excluded from the medians rather
-    than silently dropped.  One task is a chunk of ``CHUNK_SIZE`` consecutive
-    replicates, which share one AR(1) pass.  Results do not depend on
-    ``config.jobs`` or ``CHUNK_SIZE``.
+    A design every replicate would fail on is rejected before anything is
+    drawn (see :func:`_check_study`).  Replication ``r`` uses the seed stream
+    ``(spec.seed, r)``; failures are recorded with their replicate index and
+    excluded from the medians rather than silently dropped.  One task is a
+    chunk of ``CHUNK_SIZE`` consecutive replicates, which share one AR(1)
+    pass.  Results do not depend on ``config.jobs`` or ``CHUNK_SIZE``.
     """
+    _check_study(spec, config)
     chunks = [
         (spec, config, range(start, min(start + CHUNK_SIZE, config.n_reps)))
         for start in range(0, config.n_reps, CHUNK_SIZE)

@@ -109,7 +109,7 @@ class TestSimulate:
 
         monkeypatch.setattr(simulation, "identifiability_rotation", degenerate)
         assert run([
-            "simulate", "--p", 20, "--t-len", 30, "--n-reps", 2, "--h-slices", 5,
+            "simulate", "--p", 20, "--t-len", 30, "--n-reps", 2,
             "--methods", "tm", "--seed", 0, "--jobs", 1, "--out-dir", out,
         ]) == 0
         meta = json.loads((out / "metadata.json").read_text())
@@ -120,10 +120,10 @@ class TestSimulate:
 
     @pytest.mark.parametrize("methods", ["tm", "ens"])
     def test_two_observations_per_slice_run(self, tmp_path, methods):
-        # h_slices = t_len / 2 is the largest slice count third moments allow
+        # t_len = 2 * N_SLICES is the shortest training length third moments allow
         out = tmp_path / methods
         assert run([
-            "simulate", "--p", 20, "--t-len", 30, "--n-reps", 2, "--h-slices", 15,
+            "simulate", "--p", 20, "--t-len", 20, "--n-reps", 2,
             "--methods", methods, "--seed", 0, "--jobs", 1, "--out-dir", out,
         ]) == 0
         assert json.loads((out / "metadata.json").read_text())["n_failed"] == 0
@@ -168,6 +168,26 @@ class TestForecast:
         ]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["rmse_vs_pc"] == 1.0
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # window - horizon = 2 * N_SLICES, the shortest third moments allow
+            ["--method", "tm", "--k", 3, "--window", 21],
+            ["--method", "ens", "--k", 3, "--window", 22, "--horizon", 2],
+            # l = N_SLICES - 1, the largest rank of SIR's kernel
+            ["--method", "sir", "--k", 10, "--l", 9],
+        ],
+        ids=["tm", "ens", "sir"],
+    )
+    def test_slice_rules_admit_their_boundary(self, tmp_path, flags):
+        panel = write_factor_panel(tmp_path, t_len=130)
+        out = tmp_path / "out"
+        assert run([
+            "forecast", "--input", panel, "--target-column", "target", *flags,
+            "--n-eval", 3, "--out-dir", out,
+        ]) == 0
+        assert json.loads((out / "summary.json").read_text())["n_eval"] == 3
 
     def test_auto_l_recorded_per_origin(self, tmp_path):
         panel = write_factor_panel(tmp_path, link="curved")
@@ -420,22 +440,24 @@ def test_process_exit_codes(tmp_path):
 
 class TestSelect:
     @pytest.mark.parametrize(
-        "method,h_slices,message",
+        "method,t_len,message",
         [
-            ("tm", 31, "slice too small: third moments need >= 2 observations per slice"),
-            ("ens", 31, "slice too small: third moments need >= 2 observations per slice"),
-            ("sir", 61, "h_count=61 exceeds number of observations 60"),
+            ("tm", 19, "slice too small: third moments need >= 2 observations per slice"),
+            ("ens", 19, "slice too small: third moments need >= 2 observations per slice"),
+            ("sir", 9, "h_count=10 exceeds number of observations 9"),
         ],
     )
     def test_slices_beyond_the_panel_exit_2_with_nothing_written(
-        self, tmp_path, capsys, method, h_slices, message
+        self, tmp_path, capsys, method, t_len, message
     ):
-        panel = write_factor_panel(tmp_path, t_len=60)
+        # the panel length is known only once it is read: N_SLICES slices need
+        # N_SLICES points, and third moments two in each slice
+        panel = write_factor_panel(tmp_path, t_len=t_len, p=8)
         out = tmp_path / "out"
         out.mkdir()
         assert run([
             "select", "--input", panel, "--target-column", "target", "--method", method,
-            "--h-slices", h_slices, "--out-dir", out,
+            "--k-max", 4, "--out-dir", out,
         ]) == 2
         assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []
@@ -583,10 +605,10 @@ EXPOSED = {
     "simulate": ((DgpSpec, StudyConfig), None, {"out_dir"}),
     "forecast": (
         (RollingConfig,),
-        {"window", "horizon", "method", "k", "l", "h_slices", "n_eval"},
+        {"window", "horizon", "method", "k", "l", "n_eval"},
         PANEL_IO,
     ),
-    "select": ((RollingConfig,), {"k_max", "method", "h_slices"}, PANEL_IO),
+    "select": ((RollingConfig,), {"k_max", "method"}, PANEL_IO),
     "factors": ((RollingConfig,), {"k", "k_max"}, PANEL_IO),
 }
 OVERRIDES = {("simulate", "jobs"): 0, ("factors", "k"): "auto"}
@@ -678,14 +700,16 @@ class TestConfigBoundary:
             ("select", ["--method", "pc"], None, "unknown method"),
             ("forecast", ["--n-eval", "0"], None, "n_eval must be >= 1"),
             ("forecast", ["--n-eval", "-3"], None, "n_eval must be >= 1"),
-            ("forecast", ["--h-slices", "0"], None, "h_slices must be >= 1"),
+            # the slice count is the constant sdr.N_SLICES, no key
+            ("forecast", ["--h-slices", "0"], None, "unrecognized arguments: --h-slices 0"),
             ("forecast", ["--k", "0"], None, 'k must be >= 1 or "auto"'),
             ("forecast", ["--l", "0"], None, 'l must be >= 1 or "auto"'),
             ("forecast", ["--variance-mode", "identity"], None,
              "unrecognized arguments: --variance-mode identity"),
             ("select", ["--k-max", "0"], None, "k_max must be >= 1"),
             ("simulate", ["--n-reps", "3", "--l", "0"], None, "l must be >= 1"),
-            ("simulate", ["--n-reps", "3", "--h-slices", "0"], None, "h_slices must be >= 1"),
+            ("simulate", ["--n-reps", "3", "--h-slices", "0"], None,
+             "unrecognized arguments: --h-slices 0"),
             ("simulate", ["--n-reps", "3", "--ct-multiplier", "-1"], None,
              "unrecognized arguments: --ct-multiplier -1"),
             ("simulate", ["--n-reps", "3", "--k-max", "0", "--metrics", "k_selection"], None,
@@ -698,30 +722,28 @@ class TestConfigBoundary:
              "l=7 must be <= the study's K=6 factors"),
             ("simulate", ["--n-reps", "2", "--p", "20", "--t-len", "5"], None,
              "the study's K=6 factors need p >= 6 and t_len >= 6, got p=20, t_len=5"),
-            ("simulate", ["--n-reps", "2", "--p", "30", "--t-len", "60", "--h-slices", "80"],
-             None, "h_slices=80 must be <= t_len=60"),
+            # a kernel study needs t_len >= N_SLICES
+            ("simulate", ["--n-reps", "2", "--p", "30", "--t-len", "9"], None,
+             "t_len=9 must be >= N_SLICES = 10 for sir and dr"),
             ("forecast", ["--k", "2", "--l", "5", "--n-eval", "3"], None, "l=5 must be <= k=2"),
             ("forecast", ["--window", "15", "--horizon", "6"], None,
              "window too short: window - horizon = 9"),
             ("forecast", ["--k", "auto", "--l", "9"], None, "l=9 must be <= k_max=8"),
-            ("forecast", ["--h-slices", "150"], None,
-             "h_slices=150 must be <= window - horizon = 119"),
+            ("forecast", ["--method", "ens", "--window", "20", "--k", "auto", "--l", "auto"],
+             None, "window - horizon = 19 must be >= 2 * N_SLICES = 20 for tm and ens"),
             ("forecast", ["--k", "115", "--horizon", "6"], None,
              "k=115 must be < window - horizon = 114"),
             ("simulate", ["--jobs", "-1"], None, "jobs must be >= 0, got -1"),
-            # third moments need >= 2 observations per slice
-            ("simulate", ["--n-reps", "3", "--p", "30", "--t-len", "60", "--methods", "tm",
-                          "--h-slices", "40"], None,
-             "h_slices=40 must be <= t_len / 2 = 30 for tm and ens"),
-            ("simulate", ["--n-reps", "3", "--p", "30", "--t-len", "61", "--methods", "sir,ens",
-                          "--h-slices", "31"], None,
-             "h_slices=31 must be <= t_len / 2 = 30 for tm and ens"),
-            ("forecast", ["--method", "tm", "--k", "4", "--l", "1", "--window", "40",
-                          "--h-slices", "30", "--n-eval", "5"], None,
-             "h_slices=30 must be <= (window - horizon) / 2 = 19 for tm and ens"),
-            ("forecast", ["--method", "ens", "--window", "41", "--horizon", "2",
-                          "--h-slices", "20"], None,
-             "h_slices=20 must be <= (window - horizon) / 2 = 19 for tm and ens"),
+            # third moments need >= 2 observations per slice: 2 * N_SLICES training points
+            ("simulate", ["--n-reps", "3", "--p", "30", "--t-len", "19", "--methods", "tm"],
+             None, "t_len=19 must be >= 2 * N_SLICES = 20 for tm and ens"),
+            ("simulate", ["--n-reps", "3", "--p", "30", "--t-len", "19", "--methods", "sir,ens"],
+             None, "t_len=19 must be >= 2 * N_SLICES = 20 for tm and ens"),
+            ("forecast", ["--method", "tm", "--k", "4", "--l", "1", "--window", "20",
+                          "--n-eval", "5"], None,
+             "window - horizon = 19 must be >= 2 * N_SLICES = 20 for tm and ens"),
+            ("forecast", ["--method", "ens", "--window", "21", "--horizon", "2"], None,
+             "window - horizon = 19 must be >= 2 * N_SLICES = 20 for tm and ens"),
             # a metric no requested method produces
             ("simulate", ["--methods", "pc", "--metrics", "directions"], None,
              "metric 'directions' needs one of the methods"),
@@ -730,7 +752,7 @@ class TestConfigBoundary:
             ("simulate", [], '{"methods": [], "metrics": ["oos"]}',
              "metric 'oos' needs one of the methods"),
             # the PC baseline of the oos metric needs T > K
-            ("simulate", ["--p", "20", "--t-len", "6", "--h-slices", "3", "--methods", "pc",
+            ("simulate", ["--p", "20", "--t-len", "6", "--methods", "pc",
                           "--metrics", "oos", "--n-test", "5", "--n-reps", "2", "--jobs", "1"],
              None, "t_len=6 must be > the study's K=6 factors for pc with the oos metric"),
             # the study's fixed design is no key: K = 6 and loadings drawn once per study
@@ -749,17 +771,23 @@ class TestConfigBoundary:
             ("select", ["--delimiter", ";"], None, "unrecognized arguments: --delimiter ;"),
             ("factors", [], '{"standardize": false}', "unknown config keys: ['standardize']"),
             ("forecast", [], '{"delimiter": ","}', "unknown config keys: ['delimiter']"),
-            # a kernel needs two slices, and SIR's has rank at most h_slices - 1
-            ("simulate", ["--methods", "pc,tm", "--h-slices", "1"], None,
-             "h_slices=1 must be >= 2 for tm"),
-            ("simulate", ["--methods", "sir,dr", "--h-slices", "2"], None,
-             "l=2 must be <= h_slices - 1 = 1 for sir"),
-            ("forecast", ["--method", "sir", "--h-slices", "1", "--l", "auto"], None,
-             "h_slices=1 must be >= 2 for sir"),
-            ("forecast", ["--method", "sir", "--h-slices", "3", "--l", "3"], None,
-             "l=3 must be <= h_slices - 1 = 2 for sir"),
+            # the kernel rule names the study's kernel methods only
+            ("simulate", ["--methods", "pc,tm", "--metrics", "oos", "--p", "20", "--t-len", "9"],
+             None, "t_len=9 must be >= N_SLICES = 10 for tm"),
+            ("simulate", ["--methods", "ens", "--metrics", "l_selection", "--p", "30",
+                          "--t-len", "19"], None,
+             "t_len=19 must be >= 2 * N_SLICES = 20 for tm and ens"),
+            # SIR's kernel has rank at most N_SLICES - 1
+            ("forecast", ["--method", "sir", "--k", "12", "--l", "12", "--window", "200"], None,
+             "l=12 must be <= N_SLICES - 1 = 9 for sir"),
+            ("forecast", ["--method", "sir", "--k", "10", "--l", "10"], None,
+             "l=10 must be <= N_SLICES - 1 = 9 for sir"),
             ("select", ["--method", "dr", "--h-slices", "1"], None,
-             "h_slices=1 must be >= 2 for dr"),
+             "unrecognized arguments: --h-slices 1"),
+            # a JSON config or an older config_resolved.json with the slice count
+            ("simulate", [], '{"h_slices": 10}', "unknown config keys: ['h_slices']"),
+            ("forecast", [], '{"h_slices": 10}', "unknown config keys: ['h_slices']"),
+            ("select", [], '{"h_slices": 10}', "unknown config keys: ['h_slices']"),
         ],
     )
     def test_out_of_range_value_exits_2_before_writing(

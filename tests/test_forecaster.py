@@ -203,7 +203,7 @@ class TestBandedWeights:
         # the fit weights are banded whatever the block size and bandwidth
         with mock.patch.object(fc, "NW_MIN_SKIPPED_PER_ROW", -np.inf), \
                 mock.patch.object(fc, "NW_FIT_ROWS", block):
-            w = fc._fit_weights(x, np.ptp(x), h)
+            w = fc._fit_weights(x, h)
         assert isinstance(w, fc._BandedWeights)
         dense = fc._nw_weights(x, x, h, fc._nw_exponent_floor(m))
         v = rng.standard_normal(m)
@@ -216,7 +216,7 @@ class TestBandedWeights:
         x = rng.standard_normal(119)
         h = fc.reference_bandwidth(x)
         floor = fc._nw_exponent_floor(119)
-        w = fc._fit_weights(x, np.ptp(x), h)
+        (w,) = _fit_operators(x[:, None], np.array([h]))
         assert isinstance(w, np.ndarray)
         assert np.array_equal(w, _floored_reference_weights(x, x, h, floor))
         # prediction weights, dense at every query count
@@ -238,7 +238,7 @@ class TestBandedWeights:
         reach = h * np.sqrt(-2.0 * fc._nw_exponent_floor(m))
         skipped = m * (1.0 - 2.0 * reach / np.ptp(x))
         assert (skipped >= fc.NW_MIN_SKIPPED_PER_ROW) == banded
-        w = fc._fit_weights(x, np.ptp(x), h)
+        (w,) = _fit_operators(x[:, None], np.array([h]))
         assert isinstance(w, fc._BandedWeights) == banded
         if banded:
             assert np.array_equal(w.order, np.argsort(x, kind="stable"))
@@ -248,7 +248,7 @@ class TestBandedWeights:
         rng = np.random.default_rng(18)
         x = rng.standard_normal(500)
         h = 0.1 * fc.reference_bandwidth(x)
-        w = fc._fit_weights(x, np.ptp(x), h)
+        w = fc._fit_weights(x, h)
         assert w.weights.size < 0.4 * 500 * 500
 
     def test_padded_windows_store_zeros_beyond_each_rows_reach(self):
@@ -257,7 +257,7 @@ class TestBandedWeights:
         x = rng.standard_normal(500)
         h = 0.1 * fc.reference_bandwidth(x)
         floor = fc._nw_exponent_floor(500)
-        w = fc._fit_weights(x, np.ptp(x), h)
+        w = fc._fit_weights(x, h)
         assert 500 % fc.NW_FIT_ROWS != 0
         assert w.weights.shape == (-(-500 // fc.NW_FIT_ROWS), fc.NW_FIT_ROWS, w.cols.shape[1])
         rank = np.empty(500, dtype=int)
@@ -288,7 +288,8 @@ class TestBandedWeights:
         floor = fc._nw_exponent_floor(500)
         reach = h * np.sqrt(-2.0 * floor)
         assert 500 * (1.0 - 2.0 * reach / np.ptp(x)) >= fc.NW_MIN_SKIPPED_PER_ROW
-        w = fc._fit_weights(x, np.ptp(x), h)
+        assert fc._fit_weights(x, h) is None
+        (w,) = _fit_operators(x[:, None], np.array([h]))
         assert isinstance(w, np.ndarray)
         assert np.array_equal(w, fc._nw_weights(x, x, h, floor, queries_are_train=True))
 
@@ -319,11 +320,15 @@ def test_held_out_study_does_not_depend_on_the_band():
 
 
 def _fit_operators(indices, bandwidths):
-    """Each column's fit weights, built as :func:`fit_additive` builds them."""
-    return [
-        fc._fit_weights(indices[:, j], np.ptp(indices[:, j]), bandwidths[j])
-        for j in range(indices.shape[1])
-    ]
+    """Each column's fit weights, built as :func:`fit_additive` builds them, one at a time."""
+    m = indices.shape[0]
+    out = []
+    for x, h in zip(indices.T, bandwidths):
+        w = fc._fit_weights(x, h) if fc._band_skips_enough(m, np.ptp(x), h) else None
+        if w is None:
+            w = fc._nw_weights(x, x, h, fc._nw_exponent_floor(m), queries_are_train=True)
+        out.append(w)
+    return out
 
 
 def _reference_backfit(indices, targets, bandwidths):
@@ -603,7 +608,7 @@ class TestStackedIndices:
         for w, j in zip(weights, kept, strict=True):
             x = f[:, j]
             if isinstance(w, fc._BandedWeights):
-                alone = fc._fit_weights(x, np.ptp(x), bws[j])
+                alone = fc._fit_weights(x, bws[j])
                 for name in ("order", "cols", "weights"):
                     assert getattr(w, name).tobytes() == getattr(alone, name).tobytes()
             else:
@@ -753,7 +758,7 @@ class TestRollingEvaluate:
         x = rng.standard_normal((3, 60))
         y = rng.standard_normal(60)
         panel = make_panel(x, y)
-        config = RollingConfig(window=30, horizon=2, method="dr", k=2, l=1, h_slices=4, n_eval=1)
+        config = RollingConfig(window=30, horizon=2, method="dr", k=2, l=1, n_eval=1)
         report = rolling_evaluate(panel, config)
         origin = report.origins[0]
         x2, y2 = x.copy(), y.copy()
@@ -765,14 +770,14 @@ class TestRollingEvaluate:
     def test_r2_mse_consistency(self):
         rng = np.random.default_rng(11)
         panel = make_panel(rng.standard_normal((2, 70)), rng.standard_normal(70))
-        report = rolling_evaluate(panel, RollingConfig(window=25, method="sir", k=2, l=1, h_slices=4, n_eval=12))
+        report = rolling_evaluate(panel, RollingConfig(window=25, method="sir", k=2, l=1, n_eval=12))
         denom = np.sum((report.realized - report.benchmarks) ** 2)
         assert report.r2_oos == pytest.approx(1 - report.mse * report.n_eval / denom, rel=1e-12)
 
     def test_determinism(self):
         rng = np.random.default_rng(12)
         panel = make_panel(rng.standard_normal((3, 60)), rng.standard_normal(60))
-        config = RollingConfig(window=30, method="ens", k=2, l=1, h_slices=4, n_eval=5)
+        config = RollingConfig(window=30, method="ens", k=2, l=1, n_eval=5)
         a = rolling_evaluate(panel, config)
         b = rolling_evaluate(panel, config)
         assert np.array_equal(a.forecasts, b.forecasts)
@@ -815,7 +820,7 @@ class TestRollingEvaluate:
         x = b @ f.T + 0.2 * rng.standard_normal((20, 80))
         y = f[:, 0] + f[:, 1] ** 2 + 0.1 * rng.standard_normal(80)
         panel = make_panel(x, y)
-        config = RollingConfig(window=50, method="dr", k="auto", l="auto", h_slices=5, n_eval=3, k_max=4)
+        config = RollingConfig(window=50, method="dr", k="auto", l="auto", n_eval=3, k_max=4)
         report = rolling_evaluate(panel, config)
         assert np.all(report.selected_k >= 1)
         assert np.all(report.selected_l >= 1)
@@ -859,7 +864,7 @@ class TestRollingEvaluate:
         x = rng.uniform(1.0, 2.0, (30, 1)) * f + 0.3 * rng.standard_normal((30, 80))
         panel = make_panel(x, f + 0.1 * rng.standard_normal(80))
         config = RollingConfig(
-            window=50, method="dr", k="auto", l=3, k_max=4, h_slices=5, n_eval=4
+            window=50, method="dr", k="auto", l=3, k_max=4, n_eval=4
         )
         report = rolling_evaluate(panel, config)
         assert np.all(report.selected_k < 3)
@@ -880,21 +885,27 @@ class TestRollingEvaluate:
         report = rolling_evaluate(panel, RollingConfig(window=20, method="pc", k=2, n_eval=5))
         assert len(windows) == 5
         for t, x_win in zip(report.origins, windows):
-            sub = x[:, t - 20 + 1 : t + 1]
+            sub = panel.x[:, t - 20 + 1 : t + 1]
             expected = (sub - sub.mean(axis=1)[:, None]) / sub.std(axis=1, ddof=1)[:, None]
             assert np.array_equal(x_win, expected)
 
     def test_too_few_slices_rejected(self):
-        for method in ("sir", "dr", "tm", "ens"):
-            with pytest.raises(ValueError, match=f"h_slices=1 must be >= 2 for {method}"):
-                RollingConfig(method=method, h_slices=1, l="auto")
-        with pytest.raises(ValueError, match="l=3 must be <= h_slices - 1 = 2 for sir"):
-            RollingConfig(method="sir", h_slices=3, l=3)
-        # l auto reads the kernel's spectrum, and the other methods' ranks are not bounded
-        RollingConfig(method="sir", h_slices=2, l="auto")
-        RollingConfig(method="dr", h_slices=2, l=3)
-        RollingConfig(method="pc", h_slices=1)
-        RollingConfig(method="nlpc", h_slices=1)
+        # third moments need two of each window's training points a slice
+        for method in ("tm", "ens"):
+            with pytest.raises(ValueError, match=rf"window - horizon = 19 must be >= 2 \* "
+                                                 rf"N_SLICES = 20 for tm and ens"):
+                RollingConfig(method=method, window=21, horizon=2)
+            RollingConfig(method=method, window=21)
+        # SIR's kernel has rank at most N_SLICES - 1
+        with pytest.raises(ValueError, match="l=10 must be <= N_SLICES - 1 = 9 for sir"):
+            RollingConfig(method="sir", k=10, l=10)
+        RollingConfig(method="sir", k=10, l=9)
+        # l auto reads the kernel's spectrum, the other methods' ranks are not
+        # bounded, and the other methods read no third moments
+        RollingConfig(method="sir", k=10, l="auto")
+        RollingConfig(method="dr", k=10, l=10, window=20)
+        RollingConfig(method="pc", window=11)
+        RollingConfig(method="nlpc", window=11)
 
     def test_flat_series_in_window_is_named(self):
         rng = np.random.default_rng(20)

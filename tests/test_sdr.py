@@ -80,7 +80,7 @@ class TestSirKernel:
     @pytest.mark.parametrize("h_count", [2, 3, 4])
     def test_rank_is_below_the_slice_count(self, h_count):
         # the weighted slice means sum to zero, so H slices span at most H - 1
-        # directions: the configs reject an integer l above h_slices - 1
+        # directions: forecast rejects a sir l above N_SLICES - 1
         rng = np.random.default_rng(h_count)
         f = rng.standard_normal((60, 5))
         y = f[:, 0] + f[:, 1] ** 2 + rng.standard_normal(60)

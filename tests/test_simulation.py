@@ -239,20 +239,48 @@ class TestSubspaceR2:
 
 
 class TestMonteCarloStudy:
-    def test_too_few_slices_rejected(self):
-        with pytest.raises(ValueError, match="h_slices=1 must be >= 2 for dr and tm"):
-            StudyConfig(methods=("pc", "dr", "tm"), h_slices=1)
-        # two slices left SIR's second direction at rounding noise, reported as r2_phi2
-        with pytest.raises(ValueError, match="l=2 must be <= h_slices - 1 = 1 for sir"):
-            StudyConfig(methods=("sir", "dr"), h_slices=2, l=2)
-        # only SIR's rank is bounded by the slice count, and PC reads no slices
-        StudyConfig(methods=("dr", "tm", "ens"), h_slices=2, l=2)
-        StudyConfig(methods=("pc",), metrics=("oos",), h_slices=1)
-        StudyConfig(methods=("sir",), h_slices=3, l=2)
+    def test_too_few_slices_rejected(self, monkeypatch):
+        # rejected before anything is drawn, not returned as all-failed replicates
+        def no_draws(*args):
+            raise AssertionError("drew a chunk")
+
+        monkeypatch.setattr(simulation, "_chunk_panels", no_draws)
+        third = r"must be >= 2 \* N_SLICES = 20 for tm and ens"
+        cases = [
+            (("sir", "dr"), ("directions",), 9, "t_len=9 must be >= N_SLICES = 10 for sir and dr"),
+            (("pc", "tm"), ("oos",), 19, "t_len=19 " + third),
+            (("ens",), ("directions",), 19, "t_len=19 " + third),
+            (("pc",), ("oos",), 6, "t_len=6 must be > the study's K=6 factors for pc with the oos"),
+        ]
+        for methods, metrics, t_len, message in cases:
+            with pytest.raises(ValueError, match=message):
+                monte_carlo_study(DgpSpec(p=20, t_len=t_len),
+                                  StudyConfig(methods=methods, metrics=metrics, n_reps=2))
+        # the study has K = 6 factors, which bounds l below SIR's N_SLICES - 1
+        with pytest.raises(ValueError, match="l=7 must be <= the study's K=6 factors"):
+            StudyConfig(l=7)
+
+    @pytest.mark.parametrize(
+        "methods,t_len", [(("sir", "dr"), 10), (("tm",), 20), (("ens",), 20)]
+    )
+    def test_shortest_slice_study_runs(self, methods, t_len):
+        spec = DgpSpec(p=20, t_len=t_len, seed=23)
+        result = monte_carlo_study(spec, StudyConfig(methods=methods, n_reps=2))
+        assert not result.failures
+        assert result.summary_rows()
+
+    def test_pc_study_reads_no_slices(self, monkeypatch):
+        # 8 points cannot fill N_SLICES slices, and a pc-only study never slices
+        monkeypatch.setattr(sdr, "slice_target", None)
+        spec = DgpSpec(p=20, t_len=8, seed=23)
+        config = StudyConfig(methods=("pc",), metrics=("oos",), n_reps=2, n_test=5)
+        result = monte_carlo_study(spec, config)
+        assert not result.failures
+        assert np.all(np.isfinite(result.values[("pc", "r2_oos")]))
 
     def test_single_replication_zero_sd(self):
         spec = DgpSpec(p=25, t_len=60, seed=17)
-        config = StudyConfig(methods=("dr",), metrics=("directions",), n_reps=1, h_slices=5)
+        config = StudyConfig(methods=("dr",), metrics=("directions",), n_reps=1)
         result = monte_carlo_study(spec, config)
         rows = result.summary_rows()
         assert all(r["sd"] == 0.0 for r in rows)
@@ -260,7 +288,7 @@ class TestMonteCarloStudy:
 
     def test_bit_identical_reruns(self, tmp_path):
         spec = DgpSpec(p=25, t_len=60, seed=18)
-        config = StudyConfig(methods=("sir", "dr"), metrics=("directions",), n_reps=4, h_slices=5)
+        config = StudyConfig(methods=("sir", "dr"), metrics=("directions",), n_reps=4)
         a = monte_carlo_study(spec, config)
         b = monte_carlo_study(spec, config)
         for name, result in (("a.csv", a), ("b.csv", b)):
@@ -272,7 +300,7 @@ class TestMonteCarloStudy:
     def test_parallel_matches_serial(self):
         spec = DgpSpec(p=20, t_len=50, seed=19)
         # more than one chunk of CHUNK_SIZE replicates, so two workers start
-        base = dict(methods=("dr",), metrics=("directions",), n_reps=9, h_slices=5)
+        base = dict(methods=("dr",), metrics=("directions",), n_reps=9)
         serial = monte_carlo_study(spec, StudyConfig(**base, jobs=1))
         parallel = monte_carlo_study(spec, StudyConfig(**base, jobs=2))
         for key in serial.values:
@@ -311,7 +339,7 @@ class TestMonteCarloStudy:
         monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", SerialPool)
         spec = DgpSpec(p=20, t_len=50, seed=19)
         config = StudyConfig(
-            methods=("dr",), metrics=("directions",), n_reps=n_reps, h_slices=5, jobs=jobs
+            methods=("dr",), metrics=("directions",), n_reps=n_reps, jobs=jobs
         )
         result = monte_carlo_study(spec, config)
         assert started == ([] if workers is None else [workers])
@@ -328,7 +356,7 @@ class TestMonteCarloStudy:
     )
     def test_values_do_not_depend_on_the_chunk_size(self, monkeypatch, metrics, methods):
         spec = DgpSpec(p=30, t_len=80, link="IV", seed=25)
-        config = StudyConfig(methods=methods, metrics=metrics, n_reps=7, n_test=20, h_slices=5)
+        config = StudyConfig(methods=methods, metrics=metrics, n_reps=7, n_test=20)
         base = monte_carlo_study(spec, config)
         for size in (1, 3):
             monkeypatch.setattr(simulation, "CHUNK_SIZE", size)
@@ -343,7 +371,7 @@ class TestMonteCarloStudy:
         # the second call belongs to replicate 1, in the middle of the first chunk:
         # building its draw (the link) or running its pipeline (the factor fit)
         spec = DgpSpec(p=20, t_len=50, seed=26)
-        config = StudyConfig(methods=("dr",), metrics=("directions",), n_reps=4, h_slices=5)
+        config = StudyConfig(methods=("dr",), metrics=("directions",), n_reps=4)
         base = monte_carlo_study(spec, config)
         calls = []
 
@@ -365,7 +393,7 @@ class TestMonteCarloStudy:
         # the AR(1) pass a chunk shares fails that chunk's replicates, not the study
         size = simulation.CHUNK_SIZE
         spec = DgpSpec(p=20, t_len=50, seed=26)
-        config = StudyConfig(methods=("dr",), metrics=("directions",), n_reps=size + 1, h_slices=5)
+        config = StudyConfig(methods=("dr",), metrics=("directions",), n_reps=size + 1)
         base = monte_carlo_study(spec, config)
 
         def failing_first_chunk(spec, replicates, _original=simulation._chunk_panels):
@@ -380,19 +408,23 @@ class TestMonteCarloStudy:
             assert np.all(np.isnan(vals[:size]))
             assert vals[size] == base.values[key][size]
 
-    def test_failures_recorded_not_dropped(self):
-        # h_slices > usable training length makes every replication fail
+    def test_failures_recorded_not_dropped(self, monkeypatch):
+        # a degenerate draw makes every replication fail at run time
+        def degenerate(f, b):
+            raise ValueError("rank-deficient factors: F'F is singular")
+
+        monkeypatch.setattr(simulation, "identifiability_rotation", degenerate)
         spec = DgpSpec(p=10, t_len=20, seed=20)
-        config = StudyConfig(methods=("dr",), metrics=("directions",), n_reps=3, h_slices=21)
+        config = StudyConfig(methods=("dr",), metrics=("directions",), n_reps=3)
         result = monte_carlo_study(spec, config)
-        assert len(result.failures) == 3
-        assert result.failures[0][0] == 0
-        assert result.failures[0][1].startswith("ValueError: h_count=21 exceeds")
+        assert [r for r, _ in result.failures] == [0, 1, 2]
+        assert result.failures[0][1] == "ValueError: rank-deficient factors: F'F is singular"
+        assert result.summary_rows() == []
 
     def test_oos_metric_produces_values(self):
         spec = DgpSpec(p=30, t_len=80, seed=21)
         config = StudyConfig(
-            methods=("dr", "pc"), metrics=("oos",), n_reps=2, n_test=20, h_slices=5
+            methods=("dr", "pc"), metrics=("oos",), n_reps=2, n_test=20
         )
         result = monte_carlo_study(spec, config)
         assert ("dr", "r2_oos") in result.values
@@ -404,7 +436,7 @@ class TestMonteCarloStudy:
 
         spec = DgpSpec(p=30, t_len=80, seed=21)
         config = StudyConfig(
-            methods=("dr", "nlpc", "pc"), metrics=("oos",), n_reps=2, n_test=20, h_slices=5
+            methods=("dr", "nlpc", "pc"), metrics=("oos",), n_reps=2, n_test=20
         )
         result = monte_carlo_study(spec, config)
         for method in ("dr", "nlpc"):
@@ -416,7 +448,7 @@ class TestMonteCarloStudy:
     def test_selection_metrics(self):
         spec = DgpSpec(p=40, t_len=60, seed=22)
         config = StudyConfig(
-            methods=("dr",), metrics=("k_selection", "l_selection"), n_reps=2, h_slices=5
+            methods=("dr",), metrics=("k_selection", "l_selection"), n_reps=2
         )
         result = monte_carlo_study(spec, config)
         assert ("factors", "k_selection") in result.values
@@ -433,7 +465,7 @@ class TestMonteCarloStudy:
             monkeypatch.setattr(sdr, name, counting)
         spec = DgpSpec(p=30, t_len=80, link="IV", seed=24)
         config = StudyConfig(
-            methods=("dr", "tm", "ens"), metrics=("directions", "l_selection"), h_slices=5
+            methods=("dr", "tm", "ens"), metrics=("directions", "l_selection")
         )
         cells = simulation._run_replicate(spec, config, sample_dgp(spec, 0))
         assert calls == {"_dr_matrix": 1, "_tm_matrix": 1}
