@@ -1,0 +1,125 @@
+"""Chunks of independent work, run in worker processes on one BLAS thread each.
+
+The Monte Carlo study and the rolling evaluator each split their work into
+chunks that read the same state and nothing else: the study's spec and
+config, or the panel and its aligned targets.  :func:`chunked_map` runs them
+in-process or, where it would start more than one worker, in a process pool
+whose workers receive that state once, from their initializer.
+
+numpy's bundled OpenBLAS starts one thread per core, and a forked worker
+keeps them, so two workers on two cores would run four BLAS threads.  Every
+chunk therefore runs on ``BLAS_THREADS`` = 1, in each worker and in-process,
+which also gives every result the same bits whatever the worker count or the
+user's thread setting.  Where numpy's BLAS exposes no thread setter, the
+count is left as it is.
+"""
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import os
+from pathlib import Path
+
+import numpy as np
+
+#: BLAS threads of every chunk, in-process and in each worker
+BLAS_THREADS = 1
+#: (setter, getter) of numpy's bundled OpenBLAS builds, from numpy 2 and before it
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+)
+#: (chunk function, shared state) of a worker process, set by its initializer
+_worker_task = None
+
+
+@functools.cache
+def _openblas_threads():
+    """The ``(setter, getter)`` of the thread count of numpy's bundled OpenBLAS, or ``None``.
+
+    The wheels ship the library beside the package (``numpy.libs``) or
+    inside it (``.dylibs``); loading it again by path returns the copy numpy
+    already uses.  A numpy linked against another BLAS has none.
+    """
+    root = Path(np.__file__).parent
+    bundled = [*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]
+    for path in sorted(bundled):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_CALLS:
+            setter = getattr(lib, set_name, None)
+            getter = getattr(lib, get_name, None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
+    return None
+
+
+def blas_threads() -> int | None:
+    """The BLAS thread count every chunk runs on, or ``None`` where it cannot be set."""
+    return BLAS_THREADS if _openblas_threads() is not None else None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on ``BLAS_THREADS``, then restore the count it found."""
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    setter, getter = calls
+    before = getter()
+    setter(BLAS_THREADS)
+    try:
+        yield
+    finally:
+        setter(before)
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _start_worker(fn, shared) -> None:
+    global _worker_task
+    _worker_task = (fn, shared)
+    calls = _openblas_threads()
+    if calls is not None:
+        calls[0](BLAS_THREADS)
+
+
+def _run_in_worker(chunk):
+    fn, shared = _worker_task
+    return fn(shared, chunk)
+
+
+def chunked_map(fn, shared, chunks: list, jobs: int) -> list:
+    """``[fn(shared, chunk) for chunk in chunks]``, on one BLAS thread, in order.
+
+    ``jobs`` is the number of worker processes, 0 for one per usable CPU
+    (:func:`usable_cpus`).  No more workers start than there are chunks,
+    since a pool forks all of its workers at the first submit, and with at
+    most one the chunks run in-process.  ``fn`` must be a module-level
+    function, which a worker finds by name.  An exception a chunk raises is
+    raised here, with its type and message; with workers, that of the
+    earliest failing chunk.
+    """
+    workers = min(jobs or usable_cpus(), len(chunks))
+    with _one_blas_thread():
+        if workers <= 1:
+            return [fn(shared, chunk) for chunk in chunks]
+        # imported here: the pool module pulls in multiprocessing, which would
+        # slow every import of the package
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_start_worker, initargs=(fn, shared)
+        ) as pool:
+            return list(pool.map(_run_in_worker, chunks))

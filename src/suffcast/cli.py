@@ -4,7 +4,7 @@ Each option is a field of a config dataclass, which declares its name, type
 and default: ``simulate`` exposes :class:`DgpSpec` (``link`` as ``model``) and
 :class:`StudyConfig`, and ``forecast``, ``select`` and ``factors`` the
 :class:`RollingConfig` fields they use, next to string I/O keys.
-``_DEFAULT_OVERRIDES`` lists the two CLI defaults that differ from the field's.
+``_DEFAULT_OVERRIDES`` lists the three CLI defaults that differ from the field's.
 
 A subcommand reads an optional flat JSON config file, overridden by explicit
 flags.  Every value is checked against its field's type (``_CONVERTERS``),
@@ -35,12 +35,13 @@ import sys
 import time
 import typing
 from collections import Counter
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, sdr
+from ._parallel import blas_threads
 from .factor_analysis import select_and_fit_factors
 from .forecaster import RollingConfig, rolling_evaluate
 from .panel_data import DataError, _standardize_array, load_csv
@@ -97,8 +98,9 @@ _CONVERTERS = {
 }
 #: the CLI key of a field whose name differs
 _ALIASES = {"link": "model"}
-#: the only CLI defaults that differ from their field's default (jobs 0: all cores)
-_DEFAULT_OVERRIDES = {"simulate": {"jobs": 0}, "factors": {"k": "auto"}}
+#: the only CLI defaults that differ from their field's default (jobs 0: one
+#: worker per usable CPU)
+_DEFAULT_OVERRIDES = {"simulate": {"jobs": 0}, "forecast": {"jobs": 0}, "factors": {"k": "auto"}}
 #: the required string keys of the panel subcommands
 _PANEL_IO = ("input", "target_column")
 
@@ -187,8 +189,6 @@ def _write_json(path: Path, obj) -> None:
 
 
 def cmd_simulate(config: dict, out_dir: Path, spec: DgpSpec, study: StudyConfig) -> int:
-    if study.jobs == 0:
-        study = replace(study, jobs=os.cpu_count() or 1)
     started = time.time()
     result = monte_carlo_study(spec, study)
     runtime = time.time() - started
@@ -221,6 +221,7 @@ def cmd_simulate(config: dict, out_dir: Path, spec: DgpSpec, study: StudyConfig)
         "n_failed": len(result.failures),
         "failures": [{"replicate": r, "error": msg} for r, msg in result.failures],
         "runtime_seconds": runtime,
+        "blas_threads": blas_threads(),
     }
     _write_json(out_dir / "metadata.json", metadata)
     for row in rows:
@@ -255,6 +256,7 @@ def cmd_forecast(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
         "r2_oos": report.r2_oos,
         "backfit_not_converged": report.backfit_not_converged,
         "n_dropped": panel.n_dropped,
+        "blas_threads": blas_threads(),
         "config": asdict(rolling),
     }
     _write_json(out_dir / "summary.json", summary)
@@ -328,7 +330,7 @@ _COMMANDS = {
     "forecast": (
         cmd_forecast,
         (RollingConfig,),
-        ("window", "horizon", "method", "k", "l", "n_eval"),
+        ("window", "horizon", "method", "k", "l", "n_eval", "jobs"),
         True,
         _check_forecast,
     ),

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sdr
+from ._parallel import chunked_map
 from .factor_analysis import select_and_fit_factors
 from .panel_data import PanelData, _standardize_array
 
@@ -32,6 +33,8 @@ NW_FIT_ROWS = 32
 #: fit weights stay one dense matrix when a band would skip fewer weights per
 #: row, a timed crossover (see ``_fit_weights``)
 NW_MIN_SKIPPED_PER_ROW = 300
+#: consecutive forecast origins computed as one task, in-process or in a worker
+ORIGIN_CHUNK_SIZE = 30
 
 METHODS = sdr.KERNEL_METHODS + ("pc", "nlpc")
 
@@ -454,6 +457,7 @@ class RollingConfig:
     l: int | str = 1  # index count for SDR methods, or "auto"
     n_eval: int = 240
     k_max: int = 8
+    jobs: int = 1  # worker processes, 0 for one per usable CPU (the CLI's default)
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -479,6 +483,8 @@ class RollingConfig:
             raise ValueError(f"l={self.l} must be <= {name}={bound}")
         if self.method == "sir" and self.l != "auto" and self.l > sdr.N_SLICES - 1:
             raise ValueError(f"l={self.l} must be <= N_SLICES - 1 = {sdr.N_SLICES - 1} for sir")
+        if self.jobs < 0:
+            raise ValueError(f"jobs must be >= 0, got {self.jobs}")
 
 
 @dataclass(eq=False)
@@ -539,36 +545,23 @@ def _fit_window_model(x_win, targets_train, config: RollingConfig):
     return model, fit, l_use
 
 
-def rolling_evaluate(panel: PanelData, config: RollingConfig) -> EvalReport:
-    """Roll a fixed-length window through the panel and score the forecasts.
+def _rolling_chunk(shared, origins: np.ndarray):
+    """Fit and forecast at each of ``origins``, given ``shared = (panel, aligned, config)``.
 
-    At each origin ``t`` the pipeline sees only columns up to ``t`` and target
-    values observed by time ``t``; the realized value ``mean(y[t..t+h-1])``
-    is used for scoring only.  A linear principal-components baseline is fit
-    on identical windows; ``rmse_vs_pc`` is the ratio ``mse / mse_pc`` of the
-    two mean squared errors, exactly one for the baseline itself.
+    ``aligned`` holds the panel's h-step targets.  Returns the per-origin
+    forecasts, PC baselines, training-target means, selected K and L, and
+    whether each backfit stopped at the sweep cap.  An origin that fails
+    raises, its message prefixed with the origin.
     """
+    panel, aligned, config = shared
     t_w, h = config.window, config.horizon
-    t_len = panel.t_len
-    aligned = _forward_mean(panel.y, h)  # defined for t = 0 .. T-h
-    first = t_w - 1
-    last = t_len - h
-    if last < first:
-        raise ValueError(
-            f"insufficient data: need at least window + horizon - 1 = {t_w + h - 1} columns, "
-            f"panel has {t_len}"
-        )
-    origins = np.arange(first, last + 1)
-    if config.n_eval < len(origins):
-        origins = origins[-config.n_eval :]
-
-    forecasts = np.empty(origins.shape[0])
-    baseline = np.empty(origins.shape[0])
-    realized = aligned[origins]
-    benchmarks = np.empty(origins.shape[0])
-    selected_k = np.empty(origins.shape[0], dtype=int)
-    selected_l = np.empty(origins.shape[0], dtype=int)
-    not_converged = 0
+    n = origins.shape[0]
+    forecasts = np.empty(n)
+    baseline = np.empty(n)
+    benchmarks = np.empty(n)
+    selected_k = np.empty(n, dtype=int)
+    selected_l = np.empty(n, dtype=int)
+    not_converged = np.empty(n, dtype=bool)
 
     for i, t in enumerate(origins):
         try:
@@ -576,7 +569,7 @@ def rolling_evaluate(panel: PanelData, config: RollingConfig) -> EvalReport:
             x_win = _standardize_array(panel.x[:, lo : t + 1], panel.series_names)
             targets_train = aligned[lo : t - h + 1]
             model, fit, l_use = _fit_window_model(x_win, targets_train, config)
-            not_converged += not model.converged
+            not_converged[i] = not model.converged
             f_origin = fit.factors[-1:]
             forecasts[i] = predict(model, f_origin)[0]
             if config.method == "pc":
@@ -592,6 +585,46 @@ def rolling_evaluate(panel: PanelData, config: RollingConfig) -> EvalReport:
             # call constructors that take other arguments
             e.args = (f"forecast origin {t}: {e}",)
             raise
+    return forecasts, baseline, benchmarks, selected_k, selected_l, not_converged
+
+
+def rolling_evaluate(panel: PanelData, config: RollingConfig) -> EvalReport:
+    """Roll a fixed-length window through the panel and score the forecasts.
+
+    At each origin ``t`` the pipeline sees only columns up to ``t`` and target
+    values observed by time ``t``; the realized value ``mean(y[t..t+h-1])``
+    is used for scoring only.  A linear principal-components baseline is fit
+    on identical windows; ``rmse_vs_pc`` is the ratio ``mse / mse_pc`` of the
+    two mean squared errors, exactly one for the baseline itself.  The
+    origins are computed in chunks of ``ORIGIN_CHUNK_SIZE`` consecutive ones,
+    on one BLAS thread, in ``config.jobs`` worker processes where that starts
+    more than one (see :func:`suffcast._parallel.chunked_map`); no result
+    depends on either.  A failing origin raises, the earliest one if several
+    fail.
+    """
+    t_w, h = config.window, config.horizon
+    t_len = panel.t_len
+    aligned = _forward_mean(panel.y, h)  # defined for t = 0 .. T-h
+    first = t_w - 1
+    last = t_len - h
+    if last < first:
+        raise ValueError(
+            f"insufficient data: need at least window + horizon - 1 = {t_w + h - 1} columns, "
+            f"panel has {t_len}"
+        )
+    origins = np.arange(first, last + 1)
+    if config.n_eval < len(origins):
+        origins = origins[-config.n_eval :]
+
+    chunks = [
+        origins[start : start + ORIGIN_CHUNK_SIZE]
+        for start in range(0, len(origins), ORIGIN_CHUNK_SIZE)
+    ]
+    parts = chunked_map(_rolling_chunk, (panel, aligned, config), chunks, config.jobs)
+    forecasts, baseline, benchmarks, selected_k, selected_l, not_converged = (
+        np.concatenate(columns) for columns in zip(*parts)
+    )
+    realized = aligned[origins]
 
     err = realized - forecasts
     err_pc = realized - baseline
@@ -612,6 +645,6 @@ def rolling_evaluate(panel: PanelData, config: RollingConfig) -> EvalReport:
         r2_oos=r2,
         selected_k=selected_k,
         selected_l=selected_l,
-        backfit_not_converged=not_converged,
+        backfit_not_converged=int(np.count_nonzero(not_converged)),
     )
 

@@ -91,49 +91,37 @@ def load_csv(path: str | Path, target_column: str) -> PanelData:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    records: list[list[str]] = []
+    column_names: list[str] | None = None
+    labels: list[str] = []
+    values = []
+    dropped: list[str] = []
     line = 0  # the last line of the records read so far
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
+            # each record is converted as it is read, so no row's strings are kept
             for record in reader:
                 if reader.line_num > line + 1:
                     raise DataError(
                         f"{path}: line {line + 1}: a quoted cell runs over "
                         f"{reader.line_num - line} lines"
                     )
-                records.append(record)
                 line = reader.line_num
+                if column_names is None:
+                    column_names, target_idx = _read_header(record, path, target_column)
+                    continue
+                parsed = _parse_row(record, line, column_names)
+                if isinstance(parsed, str):
+                    dropped.append(parsed)
+                else:
+                    labels.append(record[0].strip())
+                    values.append(parsed)
     except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"{path}: cannot read the file: {e}") from e
     except csv.Error as e:
         raise DataError(f"{path}: line {line + 1}: {e}") from e
-    if not records:
+    if column_names is None:
         raise DataError(f"{path}: empty file, header row required")
-    header, rows = records[0], records[1:]
-    if len(header) < 3:
-        raise DataError(f"{path}: need a time column, a target column and at least one series")
-    names = [h.strip() for h in header]
-    seen: set[str] = set()
-    for name in names:
-        if name in seen:
-            raise DataError(f"{path}: repeated column name {name!r}; names must be unique")
-        seen.add(name)
-    column_names = names[1:]
-    if target_column not in column_names:
-        raise DataError(f"{path}: target column not found: {target_column!r}")
-    target_idx = column_names.index(target_column)
-
-    labels: list[str] = []
-    values = []
-    dropped: list[str] = []
-    for i, row in enumerate(rows):
-        parsed = _parse_row(row, i + 2, column_names)
-        if isinstance(parsed, str):
-            dropped.append(parsed)
-        else:
-            labels.append(row[0].strip())
-            values.append(parsed)
 
     if dropped:
         warnings.warn(
@@ -153,6 +141,22 @@ def load_csv(path: str | Path, target_column: str) -> PanelData:
         y=y,
         n_dropped=len(dropped),
     )
+
+
+def _read_header(header: list[str], path: Path, target_column: str) -> tuple[list[str], int]:
+    """The column names after the time label, and the target's position among them."""
+    if len(header) < 3:
+        raise DataError(f"{path}: need a time column, a target column and at least one series")
+    names = [h.strip() for h in header]
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise DataError(f"{path}: repeated column name {name!r}; names must be unique")
+        seen.add(name)
+    column_names = names[1:]
+    if target_column not in column_names:
+        raise DataError(f"{path}: target column not found: {target_column!r}")
+    return column_names, column_names.index(target_column)
 
 
 def _parse_row(row: list[str], line: int, column_names: list[str]):

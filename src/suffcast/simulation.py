@@ -19,6 +19,7 @@ import numpy as np
 
 from . import sdr
 from ._eigen import column_signs, sym_eig_desc
+from ._parallel import chunked_map
 from .factor_analysis import estimated_factors_known_loadings, select_and_fit_factors
 from .forecaster import METHODS, _check_count, fit_forecast_model, predict
 
@@ -224,7 +225,7 @@ class StudyConfig:
     n_test: int = 100
     l: int = 2
     k_max: int = 8
-    jobs: int = 1  # worker processes; the CLI turns 0 into one per core
+    jobs: int = 1  # worker processes, 0 for one per usable CPU (the CLI's default)
 
     def __post_init__(self):
         known = {"directions", "oos", "k_selection", "l_selection"}
@@ -329,14 +330,14 @@ def _run_replicate(spec: DgpSpec, config: StudyConfig, draw: SimDraw) -> dict:
     return out
 
 
-def _run_chunk(args) -> list[tuple[dict | None, str | None]]:
-    """Run a chunk of consecutive replicates, drawn together.
+def _run_chunk(shared, replicates) -> list[tuple[dict | None, str | None]]:
+    """Run a chunk of consecutive replicates, drawn together, of the study ``(spec, config)``.
 
     Returns ``(cells, None)`` for each replicate that ran and
     ``(None, "Type: message")`` for each one that failed; a failure while
     building or running one replicate's draw fails that replicate alone.
     """
-    spec, config, replicates = args
+    spec, config = shared
     # the held-out periods are drawn after the training periods
     n_test = config.n_test if "oos" in config.metrics else 0
     draw_spec = replace(spec, t_len=spec.t_len + n_test)
@@ -360,14 +361,17 @@ def _check_study(spec: DgpSpec, config: StudyConfig) -> None:
 
     Every kernel slices the target into ``sdr.N_SLICES``, the third moments of
     ``tm`` and ``ens`` need two observations a slice, and the linear PC
-    baseline of the ``oos`` metric needs T > K.
+    baseline of the ``oos`` metric needs T > K.  A study whose only metric is
+    ``k_selection`` builds no kernel, so the slice rules do not apply to it.
     """
     kernels = [m for m in config.methods if m in sdr.KERNEL_METHODS]
+    if not set(config.metrics) - {"k_selection"}:
+        kernels = []
     if kernels and spec.t_len < sdr.N_SLICES:
         raise ValueError(f"t_len={spec.t_len} must be >= N_SLICES = {sdr.N_SLICES} "
                          f"for {' and '.join(kernels)}")
     third = sdr.THIRD_MOMENT_METHODS
-    if set(config.methods) & set(third) and spec.t_len < 2 * sdr.N_SLICES:
+    if set(kernels) & set(third) and spec.t_len < 2 * sdr.N_SLICES:
         raise ValueError(f"t_len={spec.t_len} must be >= 2 * N_SLICES = {2 * sdr.N_SLICES} "
                          f"for {' and '.join(third)}")
     if "pc" in config.methods and "oos" in config.metrics and spec.t_len <= N_FACTORS:
@@ -383,24 +387,17 @@ def monte_carlo_study(spec: DgpSpec, config: StudyConfig) -> StudyResult:
     ``(spec.seed, r)``; failures are recorded with their replicate index and
     excluded from the medians rather than silently dropped.  One task is a
     chunk of ``CHUNK_SIZE`` consecutive replicates, which share one AR(1)
-    pass.  Results do not depend on ``config.jobs`` or ``CHUNK_SIZE``.
+    pass.  The chunks run on one BLAS thread, in ``config.jobs`` worker
+    processes where that starts more than one (see
+    :func:`suffcast._parallel.chunked_map`).  Results do not depend on
+    ``config.jobs``, ``CHUNK_SIZE`` or the user's BLAS thread setting.
     """
     _check_study(spec, config)
     chunks = [
-        (spec, config, range(start, min(start + CHUNK_SIZE, config.n_reps)))
+        range(start, min(start + CHUNK_SIZE, config.n_reps))
         for start in range(0, config.n_reps, CHUNK_SIZE)
     ]
-    # the pool forks all its workers at the first submit; more than one per chunk would idle
-    workers = min(config.jobs, len(chunks))
-    if workers > 1:
-        # imported here: the pool module pulls in multiprocessing, which would
-        # slow every import of the package
-        from concurrent.futures.process import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_chunk = list(pool.map(_run_chunk, chunks))
-    else:
-        per_chunk = [_run_chunk(chunk) for chunk in chunks]
+    per_chunk = chunked_map(_run_chunk, (spec, config), chunks, config.jobs)
     raw = [cell for cells in per_chunk for cell in cells]
     results = [cells for cells, _ in raw]
     failures = [(r, error) for r, (_, error) in enumerate(raw) if error is not None]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from suffcast import DgpSpec, PanelData, RollingConfig, StudyConfig
-from suffcast import cli, simulation
+from suffcast import _parallel, cli, forecaster, simulation
 from suffcast.cli import main
 from test_panel_data import save_csv
 
@@ -78,6 +78,7 @@ class TestSimulate:
         meta = json.loads((out1 / "metadata.json").read_text())
         assert meta["n_reps"] == 5
         assert meta["n_failed"] == 0
+        assert meta["blas_threads"] == _parallel.blas_threads()
         lines = (out1 / "replications.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 5 * 4  # header + 5 reps x (2 methods x 2 metrics)
 
@@ -93,6 +94,19 @@ class TestSimulate:
             link, p, t, method, metric, median, *_ = row.split(",")
             medians[(method, metric)] = float(median)
         assert medians[("dr", "r2_phi2")] > medians[("sir", "r2_phi2")]
+
+    @pytest.mark.parametrize("t_len", [8, 10])
+    def test_factor_count_study_builds_no_kernel(self, tmp_path, t_len):
+        # k_selection alone ignores the methods, so N_SLICES does not bound t_len
+        out = tmp_path / "k"
+        assert run([
+            "simulate", "--methods", "sir,dr", "--metrics", "k_selection", "--p", 20,
+            "--t-len", t_len, "--n-reps", 1, "--out-dir", out,
+        ]) == 0
+        rows = list(csv.DictReader(open(out / "study.csv")))
+        assert [(r["method"], r["metric"], r["n_ok"]) for r in rows] == [
+            ("factors", "k_selection", "1")
+        ]
 
     def test_invalid_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -168,6 +182,7 @@ class TestForecast:
         ]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["rmse_vs_pc"] == 1.0
+        assert summary["blas_threads"] == _parallel.blas_threads()
 
     @pytest.mark.parametrize(
         "flags",
@@ -420,6 +435,33 @@ def test_constant_series_exits_3_with_nothing_written(tmp_path, capsys, command,
     assert not out.exists()
 
 
+def test_failing_origin_in_a_worker_exits_like_in_process(tmp_path, capsys, monkeypatch):
+    # four chunks of ten origins; s1 is flat over the windows of origins 33 and 55
+    monkeypatch.setattr(forecaster, "ORIGIN_CHUNK_SIZE", 10)
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((3, 60))
+    x[1, 22:34] = 2.0
+    x[1, 44:56] = -1.0
+    panel = PanelData(
+        x=x,
+        series_names=tuple(f"s{i}" for i in range(3)),
+        time_labels=tuple(f"t{i:04d}" for i in range(60)),
+        y=rng.standard_normal(60),
+    )
+    save_csv(panel, tmp_path / "flat.csv")
+    errors = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        assert run(["forecast", "--input", tmp_path / "flat.csv", "--target-column", "target",
+                    "--method", "pc", "--k", 1, "--window", 12, "--n-eval", 40,
+                    "--jobs", jobs, "--out-dir", out]) == 3
+        errors.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert errors[0] == errors[1] == (
+        "data error: forecast origin 33: zero-variance series over window: 's1'\n"
+    )
+
+
 def test_process_exit_codes(tmp_path):
     # the module run as a process goes through sys.exit(main()), like the console script
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
@@ -605,13 +647,13 @@ EXPOSED = {
     "simulate": ((DgpSpec, StudyConfig), None, {"out_dir"}),
     "forecast": (
         (RollingConfig,),
-        {"window", "horizon", "method", "k", "l", "n_eval"},
+        {"window", "horizon", "method", "k", "l", "n_eval", "jobs"},
         PANEL_IO,
     ),
     "select": ((RollingConfig,), {"k_max", "method"}, PANEL_IO),
     "factors": ((RollingConfig,), {"k", "k_max"}, PANEL_IO),
 }
-OVERRIDES = {("simulate", "jobs"): 0, ("factors", "k"): "auto"}
+OVERRIDES = {("simulate", "jobs"): 0, ("forecast", "jobs"): 0, ("factors", "k"): "auto"}
 
 
 def resolve(argv):
@@ -788,6 +830,7 @@ class TestConfigBoundary:
             ("simulate", [], '{"h_slices": 10}', "unknown config keys: ['h_slices']"),
             ("forecast", [], '{"h_slices": 10}', "unknown config keys: ['h_slices']"),
             ("select", [], '{"h_slices": 10}', "unknown config keys: ['h_slices']"),
+            ("forecast", ["--jobs", "-1"], None, "jobs must be >= 0, got -1"),
         ],
     )
     def test_out_of_range_value_exits_2_before_writing(

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from suffcast import (
+    DataError,
     PanelData,
     RollingConfig,
     fit_additive,
@@ -787,6 +789,37 @@ class TestRollingEvaluate:
         panel = linear_panel(t_len=40)
         with pytest.raises(ValueError, match="insufficient data"):
             rolling_evaluate(panel, RollingConfig(window=60, method="pc", k=1))
+
+    @pytest.mark.parametrize("method,k,l", [("nlpc", 3, 1), ("ens", "auto", "auto")])
+    def test_worker_processes_change_no_result(self, method, k, l):
+        # two chunks of origins, one per worker
+        rng = np.random.default_rng(14)
+        f = rng.standard_normal((100, 3))
+        x = rng.uniform(-1, 2, (10, 3)) @ f.T + 0.3 * rng.standard_normal((10, 100))
+        panel = make_panel(x, f[:, 0] + np.sin(f[:, 1]) + 0.1 * rng.standard_normal(100))
+        config = RollingConfig(window=40, method=method, k=k, l=l, k_max=4,
+                               n_eval=fc.ORIGIN_CHUNK_SIZE + 15)
+        serial = rolling_evaluate(panel, config)
+        parallel = rolling_evaluate(panel, replace(config, jobs=2))
+        for name in ("origins", "forecasts", "baseline", "selected_k", "selected_l"):
+            assert np.array_equal(getattr(serial, name), getattr(parallel, name)), name
+        assert serial.backfit_not_converged == parallel.backfit_not_converged
+        assert serial.selected_l.max() > 1
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_earliest_failing_origin_raised(self, monkeypatch, jobs):
+        # four chunks of ten origins, 20..59; series s1 is flat over the one
+        # window of origin 33, in the second chunk, and of origin 55, in the last
+        monkeypatch.setattr(fc, "ORIGIN_CHUNK_SIZE", 10)
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((3, 60))
+        x[1, 22:34] = 2.0
+        x[1, 44:56] = -1.0
+        panel = make_panel(x, rng.standard_normal(60))
+        config = RollingConfig(window=12, method="pc", k=1, n_eval=40, jobs=jobs)
+        with pytest.raises(DataError) as raised:
+            rolling_evaluate(panel, config)
+        assert str(raised.value) == "forecast origin 33: zero-variance series over window: 's1'"
 
     def test_origin_attached_to_errors(self):
         rng = np.random.default_rng(13)

@@ -1,0 +1,55 @@
+import os
+
+import pytest
+
+from suffcast import _parallel
+from suffcast._parallel import chunked_map, usable_cpus
+
+
+def _blas_count(shared, chunk):
+    """The BLAS thread count a chunk runs on, in-process or in a worker."""
+    return _parallel._openblas_threads()[1]()
+
+
+def _fail_from(shared, chunk):
+    if chunk >= shared:
+        raise ValueError(f"chunk {chunk} failed")
+    return chunk
+
+
+class TestUsableCpus:
+    def test_counts_the_affinity_set(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert usable_cpus() == 3
+
+    def test_cpu_count_without_an_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert usable_cpus() == 5
+
+
+@pytest.mark.skipif(_parallel._openblas_threads() is None,
+                    reason="numpy's BLAS has no thread setter")
+class TestBlasPin:
+    @pytest.fixture
+    def two_threads(self):
+        """BLAS on 2 threads for the test, and the count it found back afterwards."""
+        setter, getter = _parallel._openblas_threads()
+        found = getter()
+        setter(2)
+        yield getter
+        setter(found)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_chunks_run_on_one_thread_and_the_count_is_restored(self, two_threads, jobs):
+        assert chunked_map(_blas_count, None, [0, 1], jobs) == [1, 1]
+        assert two_threads() == 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_count_restored_after_an_exception(self, two_threads, jobs):
+        # with workers, the earliest failing chunk's exception is the one raised
+        with pytest.raises(ValueError, match="^chunk 1 failed$"):
+            chunked_map(_fail_from, 1, [0, 1, 2, 3], jobs)
+        assert two_threads() == 2
+

@@ -1,15 +1,20 @@
+import os
+
 import numpy as np
 import pytest
 
 from suffcast import (
     DgpSpec,
+    PanelData,
+    RollingConfig,
     StudyConfig,
     identifiability_rotation,
     monte_carlo_study,
+    rolling_evaluate,
     sample_dgp,
     subspace_r2,
 )
-from suffcast import cli, sdr, simulation
+from suffcast import _parallel, cli, forecaster, sdr, simulation
 from suffcast.simulation import link_function
 from suffcast._eigen import sym_eig_desc
 
@@ -312,15 +317,22 @@ class TestMonteCarloStudy:
             (4, 2 * simulation.CHUNK_SIZE + 1, 3),
             (2, 4 * simulation.CHUNK_SIZE + 1, 2),
             (3, simulation.CHUNK_SIZE, None),
-            (0, 2 * simulation.CHUNK_SIZE + 1, None),
+            # jobs 0 is one worker per usable CPU, four here
+            (0, 2 * simulation.CHUNK_SIZE + 1, 3),
         ],
     )
     def test_pool_never_larger_than_its_chunks(self, monkeypatch, jobs, n_reps, workers):
-        started = []
+        # the study runs n_reps replicates and the rolling evaluator n_reps
+        # origins, both in chunks of CHUNK_SIZE, so both make as many chunks
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setattr(forecaster, "ORIGIN_CHUNK_SIZE", simulation.CHUNK_SIZE)
+        monkeypatch.setattr(_parallel, "_worker_task", None)
+        started, tasks = [], []
 
         class SerialPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 started.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -328,23 +340,34 @@ class TestMonteCarloStudy:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                items = list(items)
-                # each task is a chunk of at most CHUNK_SIZE consecutive replicates
-                assert all(len(reps) <= simulation.CHUNK_SIZE for _, _, reps in items)
-                assert [r for _, _, reps in items for r in reps] == list(range(n_reps))
-                return map(fn, items)
+            def map(self, fn, chunks):
+                chunks = list(chunks)
+                tasks.append(chunks)
+                return map(fn, chunks)
 
-        # the study imports the pool from its module only where it starts one
+        # the pool is imported from its module only where one starts
         monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", SerialPool)
         spec = DgpSpec(p=20, t_len=50, seed=19)
         config = StudyConfig(
             methods=("dr",), metrics=("directions",), n_reps=n_reps, jobs=jobs
         )
         result = monte_carlo_study(spec, config)
-        assert started == ([] if workers is None else [workers])
+        draw = sample_dgp(DgpSpec(p=20, t_len=40 + n_reps - 1, seed=19), 0)
+        panel = PanelData(x=draw.x, series_names=[f"s{i}" for i in range(20)],
+                          time_labels=[f"t{i:03d}" for i in range(draw.y.shape[0])], y=draw.y)
+        rolling = RollingConfig(window=40, method="dr", k=2, l=1, n_eval=n_reps, jobs=jobs)
+        report = rolling_evaluate(panel, rolling)
+
+        assert started == ([] if workers is None else [workers, workers])
+        if workers is not None:
+            # each task is a chunk of at most CHUNK_SIZE consecutive replicates or origins
+            replicates, origins = tasks
+            assert all(len(chunk) <= simulation.CHUNK_SIZE for chunk in replicates + origins)
+            assert [r for chunk in replicates for r in chunk] == list(range(n_reps))
+            assert np.array_equal(np.concatenate(origins), report.origins)
         assert not result.failures
         assert result.values[("dr", "r2_phi1")].shape == (n_reps,)
+        assert report.forecasts.shape == (n_reps,)
 
     @pytest.mark.parametrize(
         "metrics,methods",
