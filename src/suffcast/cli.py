@@ -4,7 +4,7 @@ Each option is a field of a config dataclass, which declares its name, type
 and default: ``simulate`` exposes :class:`DgpSpec` (``link`` as ``model``) and
 :class:`StudyConfig`, and ``forecast``, ``select`` and ``factors`` the
 :class:`RollingConfig` fields they use, next to string I/O keys.
-``_DEFAULT_OVERRIDES`` lists the three CLI defaults that differ from the field's.
+``_DEFAULT_OVERRIDES`` lists the two CLI defaults that differ from the field's.
 
 A subcommand reads an optional flat JSON config file, overridden by explicit
 flags.  Every value is checked against its field's type (``_CONVERTERS``),
@@ -100,7 +100,7 @@ _CONVERTERS = {
 _ALIASES = {"link": "model"}
 #: the only CLI defaults that differ from their field's default (jobs 0: one
 #: worker per usable CPU)
-_DEFAULT_OVERRIDES = {"simulate": {"jobs": 0}, "forecast": {"jobs": 0}, "factors": {"k": "auto"}}
+_DEFAULT_OVERRIDES = {"simulate": {"jobs": 0}, "factors": {"k": "auto"}}
 #: the required string keys of the panel subcommands
 _PANEL_IO = ("input", "target_column")
 
@@ -330,7 +330,7 @@ _COMMANDS = {
     "forecast": (
         cmd_forecast,
         (RollingConfig,),
-        ("window", "horizon", "method", "k", "l", "n_eval", "jobs"),
+        ("window", "horizon", "method", "k", "l", "n_eval"),
         True,
         _check_forecast,
     ),

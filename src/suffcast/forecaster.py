@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sdr
-from ._parallel import chunked_map
+from ._parallel import chunked_map, usable_cpus
 from .factor_analysis import select_and_fit_factors
 from .panel_data import PanelData, _standardize_array
 
@@ -33,8 +33,6 @@ NW_FIT_ROWS = 32
 #: fit weights stay one dense matrix when a band would skip fewer weights per
 #: row, a timed crossover (see ``_fit_weights``)
 NW_MIN_SKIPPED_PER_ROW = 300
-#: consecutive forecast origins computed as one task, in-process or in a worker
-ORIGIN_CHUNK_SIZE = 30
 
 METHODS = sdr.KERNEL_METHODS + ("pc", "nlpc")
 
@@ -457,7 +455,6 @@ class RollingConfig:
     l: int | str = 1  # index count for SDR methods, or "auto"
     n_eval: int = 240
     k_max: int = 8
-    jobs: int = 1  # worker processes, 0 for one per usable CPU (the CLI's default)
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -483,8 +480,6 @@ class RollingConfig:
             raise ValueError(f"l={self.l} must be <= {name}={bound}")
         if self.method == "sir" and self.l != "auto" and self.l > sdr.N_SLICES - 1:
             raise ValueError(f"l={self.l} must be <= N_SLICES - 1 = {sdr.N_SLICES - 1} for sir")
-        if self.jobs < 0:
-            raise ValueError(f"jobs must be >= 0, got {self.jobs}")
 
 
 @dataclass(eq=False)
@@ -596,10 +591,10 @@ def rolling_evaluate(panel: PanelData, config: RollingConfig) -> EvalReport:
     is used for scoring only.  A linear principal-components baseline is fit
     on identical windows; ``rmse_vs_pc`` is the ratio ``mse / mse_pc`` of the
     two mean squared errors, exactly one for the baseline itself.  The
-    origins are computed in chunks of ``ORIGIN_CHUNK_SIZE`` consecutive ones,
-    on one BLAS thread, in ``config.jobs`` worker processes where that starts
-    more than one (see :func:`suffcast._parallel.chunked_map`); no result
-    depends on either.  A failing origin raises, the earliest one if several
+    origins are split into one chunk of consecutive ones per usable CPU, each
+    computed on one BLAS thread in its own worker process, or in-process where
+    there is one chunk (see :func:`suffcast._parallel.chunked_map`); no result
+    depends on the split.  A failing origin raises, the earliest one if several
     fail.
     """
     t_w, h = config.window, config.horizon
@@ -616,11 +611,8 @@ def rolling_evaluate(panel: PanelData, config: RollingConfig) -> EvalReport:
     if config.n_eval < len(origins):
         origins = origins[-config.n_eval :]
 
-    chunks = [
-        origins[start : start + ORIGIN_CHUNK_SIZE]
-        for start in range(0, len(origins), ORIGIN_CHUNK_SIZE)
-    ]
-    parts = chunked_map(_rolling_chunk, (panel, aligned, config), chunks, config.jobs)
+    chunks = np.array_split(origins, min(usable_cpus(), len(origins)))
+    parts = chunked_map(_rolling_chunk, (panel, aligned, config), chunks, len(chunks))
     forecasts, baseline, benchmarks, selected_k, selected_l, not_converged = (
         np.concatenate(columns) for columns in zip(*parts)
     )

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from suffcast import DgpSpec, PanelData, RollingConfig, StudyConfig
-from suffcast import _parallel, cli, forecaster, simulation
+from suffcast import _parallel, cli, simulation
 from suffcast.cli import main
 from test_panel_data import save_csv
 
@@ -436,8 +436,8 @@ def test_constant_series_exits_3_with_nothing_written(tmp_path, capsys, command,
 
 
 def test_failing_origin_in_a_worker_exits_like_in_process(tmp_path, capsys, monkeypatch):
-    # four chunks of ten origins; s1 is flat over the windows of origins 33 and 55
-    monkeypatch.setattr(forecaster, "ORIGIN_CHUNK_SIZE", 10)
+    # on four CPUs, four chunks of ten origins in four workers; s1 is flat
+    # over the windows of origins 33 and 55
     rng = np.random.default_rng(15)
     x = rng.standard_normal((3, 60))
     x[1, 22:34] = 2.0
@@ -450,11 +450,12 @@ def test_failing_origin_in_a_worker_exits_like_in_process(tmp_path, capsys, monk
     )
     save_csv(panel, tmp_path / "flat.csv")
     errors = []
-    for jobs in (1, 2):
-        out = tmp_path / f"jobs{jobs}"
+    for cpus in (1, 4):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        out = tmp_path / f"cpus{cpus}"
         assert run(["forecast", "--input", tmp_path / "flat.csv", "--target-column", "target",
                     "--method", "pc", "--k", 1, "--window", 12, "--n-eval", 40,
-                    "--jobs", jobs, "--out-dir", out]) == 3
+                    "--out-dir", out]) == 3
         errors.append(capsys.readouterr().err)
         assert not out.exists()
     assert errors[0] == errors[1] == (
@@ -647,13 +648,13 @@ EXPOSED = {
     "simulate": ((DgpSpec, StudyConfig), None, {"out_dir"}),
     "forecast": (
         (RollingConfig,),
-        {"window", "horizon", "method", "k", "l", "n_eval", "jobs"},
+        {"window", "horizon", "method", "k", "l", "n_eval"},
         PANEL_IO,
     ),
     "select": ((RollingConfig,), {"k_max", "method"}, PANEL_IO),
     "factors": ((RollingConfig,), {"k", "k_max"}, PANEL_IO),
 }
-OVERRIDES = {("simulate", "jobs"): 0, ("forecast", "jobs"): 0, ("factors", "k"): "auto"}
+OVERRIDES = {("simulate", "jobs"): 0, ("factors", "k"): "auto"}
 
 
 def resolve(argv):
@@ -830,7 +831,6 @@ class TestConfigBoundary:
             ("simulate", [], '{"h_slices": 10}', "unknown config keys: ['h_slices']"),
             ("forecast", [], '{"h_slices": 10}', "unknown config keys: ['h_slices']"),
             ("select", [], '{"h_slices": 10}', "unknown config keys: ['h_slices']"),
-            ("forecast", ["--jobs", "-1"], None, "jobs must be >= 0, got -1"),
         ],
     )
     def test_out_of_range_value_exits_2_before_writing(

@@ -1,5 +1,5 @@
+import os
 import warnings
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -692,6 +692,13 @@ class TestPcBaseline:
         assert model.bandwidths[0] == scale * fc.reference_bandwidth(f[:, 0])
 
 
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """One usable CPU: rolling_evaluate computes every origin in this process,
+    where a test's patches and recordings live."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
 def make_panel(x, y):
     p, t_len = x.shape
     return PanelData(
@@ -718,7 +725,7 @@ class TestRollingEvaluate:
         assert report.r2_oos > 1 - 1e-10
         assert report.rmse_vs_pc == 1.0
 
-    def test_mean_forecast_stub_scores_zero(self, monkeypatch):
+    def test_mean_forecast_stub_scores_zero(self, monkeypatch, one_cpu):
         # a stub that always forecasts the training-window mean has R^2 = 0
         from suffcast.factor_analysis import select_and_fit_factors
         from suffcast.forecaster import ForecastModel
@@ -791,32 +798,33 @@ class TestRollingEvaluate:
             rolling_evaluate(panel, RollingConfig(window=60, method="pc", k=1))
 
     @pytest.mark.parametrize("method,k,l", [("nlpc", 3, 1), ("ens", "auto", "auto")])
-    def test_worker_processes_change_no_result(self, method, k, l):
-        # two chunks of origins, one per worker
+    def test_worker_processes_change_no_result(self, monkeypatch, one_cpu, method, k, l):
+        # one chunk of origins in-process on one CPU, two in two workers on two
         rng = np.random.default_rng(14)
         f = rng.standard_normal((100, 3))
         x = rng.uniform(-1, 2, (10, 3)) @ f.T + 0.3 * rng.standard_normal((10, 100))
         panel = make_panel(x, f[:, 0] + np.sin(f[:, 1]) + 0.1 * rng.standard_normal(100))
-        config = RollingConfig(window=40, method=method, k=k, l=l, k_max=4,
-                               n_eval=fc.ORIGIN_CHUNK_SIZE + 15)
+        config = RollingConfig(window=40, method=method, k=k, l=l, k_max=4, n_eval=45)
         serial = rolling_evaluate(panel, config)
-        parallel = rolling_evaluate(panel, replace(config, jobs=2))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        parallel = rolling_evaluate(panel, config)
         for name in ("origins", "forecasts", "baseline", "selected_k", "selected_l"):
             assert np.array_equal(getattr(serial, name), getattr(parallel, name)), name
         assert serial.backfit_not_converged == parallel.backfit_not_converged
         assert serial.selected_l.max() > 1
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_earliest_failing_origin_raised(self, monkeypatch, jobs):
-        # four chunks of ten origins, 20..59; series s1 is flat over the one
-        # window of origin 33, in the second chunk, and of origin 55, in the last
-        monkeypatch.setattr(fc, "ORIGIN_CHUNK_SIZE", 10)
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_earliest_failing_origin_raised(self, monkeypatch, cpus):
+        # on four CPUs, four chunks of ten origins, 20..59; series s1 is flat
+        # over the one window of origin 33, in the second chunk, and of origin
+        # 55, in the last
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         rng = np.random.default_rng(15)
         x = rng.standard_normal((3, 60))
         x[1, 22:34] = 2.0
         x[1, 44:56] = -1.0
         panel = make_panel(x, rng.standard_normal(60))
-        config = RollingConfig(window=12, method="pc", k=1, n_eval=40, jobs=jobs)
+        config = RollingConfig(window=12, method="pc", k=1, n_eval=40)
         with pytest.raises(DataError) as raised:
             rolling_evaluate(panel, config)
         assert str(raised.value) == "forecast origin 33: zero-variance series over window: 's1'"
@@ -858,7 +866,7 @@ class TestRollingEvaluate:
         assert np.all(report.selected_k >= 1)
         assert np.all(report.selected_l >= 1)
 
-    def test_counts_capped_backfits(self, monkeypatch):
+    def test_counts_capped_backfits(self, monkeypatch, one_cpu):
         rng = np.random.default_rng(17)
         panel = make_panel(rng.standard_normal((3, 50)), rng.standard_normal(50))
         config = RollingConfig(window=25, method="nlpc", k=2, n_eval=3)
@@ -870,7 +878,7 @@ class TestRollingEvaluate:
         with pytest.raises(ValueError, match="unknown method"):
             RollingConfig(method="zzz")
 
-    def test_nlpc_honours_bandwidth_scale(self, monkeypatch):
+    def test_nlpc_honours_bandwidth_scale(self, monkeypatch, one_cpu):
         models = []
 
         def recording(x_win, targets_train, config):
@@ -903,7 +911,7 @@ class TestRollingEvaluate:
         assert np.all(report.selected_k < 3)
         assert np.array_equal(report.selected_l, report.selected_k)
 
-    def test_window_standardized_like_standardize(self, monkeypatch):
+    def test_window_standardized_like_standardize(self, monkeypatch, one_cpu):
         windows = []
 
         def recording(x_win, targets_train, config):

@@ -14,7 +14,7 @@ from suffcast import (
     sample_dgp,
     subspace_r2,
 )
-from suffcast import _parallel, cli, forecaster, sdr, simulation
+from suffcast import _parallel, cli, sdr, simulation
 from suffcast.simulation import link_function
 from suffcast._eigen import sym_eig_desc
 
@@ -322,10 +322,11 @@ class TestMonteCarloStudy:
         ],
     )
     def test_pool_never_larger_than_its_chunks(self, monkeypatch, jobs, n_reps, workers):
-        # the study runs n_reps replicates and the rolling evaluator n_reps
-        # origins, both in chunks of CHUNK_SIZE, so both make as many chunks
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-        monkeypatch.setattr(forecaster, "ORIGIN_CHUNK_SIZE", simulation.CHUNK_SIZE)
+        # the study runs n_reps replicates in chunks of CHUNK_SIZE; the rolling
+        # evaluator splits n_reps origins, then 2, into one chunk per usable
+        # CPU, jobs of them or four, and so starts 2 workers for 2 origins
+        cpus = set(range(jobs or 4))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         monkeypatch.setattr(_parallel, "_worker_task", None)
         started, tasks = [], []
 
@@ -355,19 +356,25 @@ class TestMonteCarloStudy:
         draw = sample_dgp(DgpSpec(p=20, t_len=40 + n_reps - 1, seed=19), 0)
         panel = PanelData(x=draw.x, series_names=[f"s{i}" for i in range(20)],
                           time_labels=[f"t{i:03d}" for i in range(draw.y.shape[0])], y=draw.y)
-        rolling = RollingConfig(window=40, method="dr", k=2, l=1, n_eval=n_reps, jobs=jobs)
-        report = rolling_evaluate(panel, rolling)
+        reports = [
+            rolling_evaluate(panel, RollingConfig(window=40, method="dr", k=2, l=1, n_eval=n))
+            for n in (n_reps, 2)
+        ]
 
-        assert started == ([] if workers is None else [workers, workers])
+        rolling_workers = [min(len(cpus), n_reps), 2]
+        assert started == ([] if workers is None else [workers]) + rolling_workers
+        *replicates, origins, last_two = tasks
         if workers is not None:
-            # each task is a chunk of at most CHUNK_SIZE consecutive replicates or origins
-            replicates, origins = tasks
-            assert all(len(chunk) <= simulation.CHUNK_SIZE for chunk in replicates + origins)
-            assert [r for chunk in replicates for r in chunk] == list(range(n_reps))
-            assert np.array_equal(np.concatenate(origins), report.origins)
+            # each study task is a chunk of at most CHUNK_SIZE consecutive replicates
+            assert all(len(chunk) <= simulation.CHUNK_SIZE for chunk in replicates[0])
+            assert [r for chunk in replicates[0] for r in chunk] == list(range(n_reps))
+        # each rolling task is one worker's run of consecutive origins
+        for chunks, n, report in zip((origins, last_two), rolling_workers, reports):
+            assert len(chunks) == n
+            assert np.array_equal(np.concatenate(chunks), report.origins)
         assert not result.failures
         assert result.values[("dr", "r2_phi1")].shape == (n_reps,)
-        assert report.forecasts.shape == (n_reps,)
+        assert reports[0].forecasts.shape == (n_reps,)
 
     @pytest.mark.parametrize(
         "metrics,methods",
