@@ -272,9 +272,8 @@ def cmd_select(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
     panel = load_csv(config["input"], config["target_column"])
     x = _standardize_array(panel.x, panel.series_names)
     selection, fit = select_and_fit_factors(x, rolling.k_max)
-    slices = sdr.slice_target(panel.y, sdr.N_SLICES)
-    kernel = sdr.build_kernel(rolling.method, fit.factors, slices)
-    dim = sdr.select_dimension(kernel, panel.p, panel.t_len)
+    indices = sdr.fit_indices([rolling.method], fit.factors, panel.y, panel.p, "auto")
+    dim, _ = indices[rolling.method]
     _write_csv(
         out_dir / "k_criterion.csv",
         zip(range(selection.k_max + 1), selection.log_resid, selection.penalties,

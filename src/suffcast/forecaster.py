@@ -519,23 +519,17 @@ def _fit_window_model(x_win, targets_train, config: RollingConfig):
 
     ``x_win`` holds the window's predictor columns, standardized over the
     window; the last column is the forecast origin and the first
-    ``len(targets_train)`` columns are the training times.  An integer ``l``
-    above the window's factor count is capped at that count, and the index
-    count used is returned.  Smoothers use the normal-reference bandwidth.
+    ``len(targets_train)`` columns are the training times.  Directions come
+    from :func:`suffcast.sdr.fit_indices`, which caps an integer ``l`` at the
+    window's factor count (with ``k="auto"`` it can fall below ``l``); the
+    index count used is returned.  Smoothers use the normal-reference bandwidth.
     """
     _, fit = select_and_fit_factors(x_win, config.k_max, config.k)
     train_factors = fit.factors[: targets_train.shape[0]]
-    if config.method not in sdr.KERNEL_METHODS:
-        phi, l_use = None, (fit.k if config.method == "nlpc" else 0)
-    else:
-        slices = sdr.slice_target(targets_train, sdr.N_SLICES)
-        kernel = sdr.build_kernel(config.method, train_factors, slices)
-        if config.l == "auto":
-            l_use = sdr.select_dimension(kernel, x_win.shape[0], slices.t_len).l_hat
-        else:
-            # with k="auto" the selected K can fall below l
-            l_use = min(config.l, fit.k)
-        phi = sdr.extract_directions(kernel, l_use)
+    p = x_win.shape[0]
+    indices = sdr.fit_indices([config.method], train_factors, targets_train, p, config.l)
+    _, phi = indices.get(config.method, (None, None))
+    l_use = phi.shape[1] if phi is not None else (fit.k if config.method == "nlpc" else 0)
     model = fit_forecast_model(config.method, train_factors, targets_train, phi, 1.0)
     return model, fit, l_use
 

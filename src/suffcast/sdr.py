@@ -343,3 +343,23 @@ def select_dimension(kernel: KernelEstimate, p: int, t_len: int) -> DimensionSel
         objective[l - 1] = (t_len / 2.0) * w - c_t * l * (2 * k - l + 1) / 2.0
     l_hat = int(np.argmax(objective)) + 1
     return DimensionSelection(l_hat=l_hat, objective=objective, tau=tau, c_t=float(c_t))
+
+
+def fit_indices(methods, factors, targets, p: int, l) -> dict[str, tuple]:
+    """The index step: slice, build each kernel, choose the index count, take the directions.
+
+    Per ``KERNEL_METHODS`` name in ``methods`` (others are skipped), returns
+    :func:`select_dimension` for ``p`` series and ``len(targets)`` periods,
+    and the ``K x l`` leading eigenvectors: ``l`` is an integer capped at
+    ``K``, or ``"auto"`` for ``l_hat``.  ``targets`` are sliced once.
+    """
+    kernel_methods = [m for m in methods if m in KERNEL_METHODS]
+    if not kernel_methods:
+        return {}
+    slices = slice_target(targets, N_SLICES)
+    indices = {}
+    for method, kernel in build_kernels(kernel_methods, factors, slices).items():
+        selection = select_dimension(kernel, p, slices.t_len)
+        l_use = selection.l_hat if l == "auto" else min(l, kernel.k)
+        indices[method] = (selection, extract_directions(kernel, l_use))
+    return indices

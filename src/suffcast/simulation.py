@@ -237,7 +237,7 @@ class StudyConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
-        # k_selection comes from the factor fit, not from a method
+        # k_selection comes from the factor fit and reads no method
         producers = {
             "directions": sdr.KERNEL_METHODS,
             "l_selection": sdr.KERNEL_METHODS,
@@ -249,6 +249,10 @@ class StudyConfig:
                     f"metric {metric!r} needs one of the methods {producers[metric]}, "
                     f"got {self.methods}"
                 )
+        read = {m for metric in self.metrics for m in producers.get(metric, ())}
+        unread = [m for m in self.methods if m not in read]
+        if read and unread:
+            raise ValueError(f"no metric in {self.metrics} reads the methods {unread}")
         for name in ("n_reps", "n_test", "l", "k_max"):
             _check_count(name, getattr(self, name))
         if self.l > N_FACTORS:
@@ -307,20 +311,15 @@ def _run_replicate(spec: DgpSpec, config: StudyConfig, draw: SimDraw) -> dict:
         f_test = estimated_factors_known_loadings(draw.x[:, t_train:], fit.loadings)
         y_test = draw.y[t_train:]
         denom = float(np.sum((y_test - y_train.mean()) ** 2))
-    kernel_methods = [m for m in config.methods if m in sdr.KERNEL_METHODS]
-    kernels = {}
-    if kernel_methods:
-        slices = sdr.slice_target(y_train, sdr.N_SLICES)
-        kernels = sdr.build_kernels(kernel_methods, fit.factors, slices)
+    indices = sdr.fit_indices(config.methods, fit.factors, y_train, spec.p, config.l)
     for method in config.methods:
-        kernel = kernels.get(method)
-        phi_hat = None if kernel is None else sdr.extract_directions(kernel, config.l)
+        selection, phi_hat = indices.get(method, (None, None))
         if "directions" in config.metrics and phi_hat is not None:
             out[(method, "r2_phi1")] = subspace_r2(phi_hat[:, 0], basis)
             if config.l >= 2:
                 out[(method, "r2_phi2")] = subspace_r2(phi_hat[:, 1], basis)
-        if "l_selection" in config.metrics and kernel is not None:
-            out[(method, "l_selection")] = sdr.select_dimension(kernel, spec.p, t_train).l_hat
+        if "l_selection" in config.metrics and selection is not None:
+            out[(method, "l_selection")] = selection.l_hat
         if want_oos:
             model = fit_forecast_model(method, fit.factors, y_train, phi_hat, OOS_BANDWIDTH_SCALE)
             pred = predict(model, f_test)

@@ -831,6 +831,10 @@ class TestConfigBoundary:
             ("simulate", [], '{"h_slices": 10}', "unknown config keys: ['h_slices']"),
             ("forecast", [], '{"h_slices": 10}', "unknown config keys: ['h_slices']"),
             ("select", [], '{"h_slices": 10}', "unknown config keys: ['h_slices']"),
+            # a method no requested metric reads would be dropped from the tables
+            ("simulate", ["--methods", "sir,pc,nlpc", "--metrics", "directions", "--p", "20",
+                          "--t-len", "60", "--n-reps", "2", "--jobs", "1"], None,
+             "no metric in ('directions',) reads the methods ['pc', 'nlpc']"),
         ],
     )
     def test_out_of_range_value_exits_2_before_writing(

@@ -16,7 +16,7 @@ from suffcast import (
     predict,
     rolling_evaluate,
 )
-from suffcast import forecaster as fc
+from suffcast import forecaster as fc, sdr
 
 
 def nlpc_fit(indices, targets):
@@ -519,6 +519,40 @@ class TestPredict:
         model = fit_additive(f[:, :1], y, bws, np.array([[1.0], [0.0]]))
         a, b = predict(model, np.array([[0.5, -3.0], [0.5, 4.0]]))
         assert a == b
+
+
+class TestBasisInvariance:
+    """Forecasts do not depend on the basis of the factor space.
+
+    PC factors are fit only up to a rotation, so fitting on ``(F Q, Q' phi)``
+    must reproduce the forecasts of ``(F, phi)``: the indices ``F phi`` are
+    the same numbers.  ``nlpc`` is left out, since it is additive in the
+    factor coordinates themselves, so a rotation changes its model.
+    """
+
+    def data(self, seed):
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal((200, 4))
+        y = 0.4 * f[:, 0] ** 2 + np.sin(f[:, 1] + f[:, 2]) + 0.2 * rng.standard_normal(200)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        return f, y, q, rng.standard_normal((50, 4))
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_kernel_methods(self, seed, scale):
+        f, y, q, f_new = self.data(seed)
+        for method, (_, phi) in sdr.fit_indices(sdr.KERNEL_METHODS, f, y, 50, 2).items():
+            pred = predict(fit_forecast_model(method, f, y, phi, scale), f_new)
+            rotated = fit_forecast_model(method, f @ q, y, q.T @ phi, scale)
+            moved = predict(rotated, f_new @ q) - pred
+            assert np.linalg.norm(moved) <= 1e-12 * np.linalg.norm(pred), method
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pc(self, seed):
+        f, y, q, f_new = self.data(seed)
+        pred = predict(fit_forecast_model("pc", f, y, None, 1.0), f_new)
+        moved = predict(fit_forecast_model("pc", f @ q, y, None, 1.0), f_new @ q) - pred
+        assert np.linalg.norm(moved) <= 1e-12 * np.linalg.norm(pred)
 
 
 def _per_index_prediction(model, f_new):

@@ -474,11 +474,47 @@ class TestKernelProperties:
             m = build_kernel(method, f, s).matrix
             m_rot = build_kernel(method, f @ q.T, s).matrix
             assert np.linalg.norm(m_rot - q @ m @ q.T) <= 1e-10 * max(np.linalg.norm(m), 1.0)
+        # the same rotation through the index step: F -> F Q with Q = q'
+        s = slice_target(y, sdr.N_SLICES)
+        steps = [sdr.fit_indices(("sir", "dr"), g, y, 20, "auto") for g in (f, f @ q.T)]
+        for method in ("sir", "dr"):
+            kern, kern_rot = (build_kernel(method, g, s) for g in (f, f @ q.T))
+            scale = max(np.abs(kern.eigenvalues).max(), 1.0)
+            assert np.allclose(kern_rot.eigenvalues, kern.eigenvalues, rtol=0, atol=1e-10 * scale)
+            (sel, phi), (sel_rot, phi_rot) = (step[method] for step in steps)
+            assert sel_rot.l_hat == sel.l_hat and sel_rot.tau == sel.tau
+            assert np.allclose(sel_rot.objective, sel.objective, rtol=1e-9, atol=1e-9)
+            # the rotated directions span Q' times the old span; the error of
+            # an l-dimensional eigenspace scales with the gap after lam_l
+            # (l_hat <= K_c = 2 < K here)
+            l = sel.l_hat
+            gap = kern.eigenvalues[l - 1] - kern.eigenvalues[l]
+            moved = phi_rot @ phi_rot.T - (q @ phi) @ (q @ phi).T
+            assert np.linalg.norm(moved) <= 1e-10 * scale / gap
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="TM keeps the K(K+1)/2 pair rows i <= j unweighted, so a general "
+        "rotation changes the kernel, not only its basis",
+    )
+    @pytest.mark.parametrize("method", sdr.THIRD_MOMENT_METHODS)
+    def test_orthogonal_covariance_tm_ens(self, method):
+        rng = np.random.default_rng(3)
+        k, t_len = 6, 400
+        f = rng.standard_normal((t_len, k))
+        y = f[:, 0] ** 2 + np.sin(f[:, 1]) + 0.1 * rng.standard_normal(t_len)
+        q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        s = slice_target(y, sdr.N_SLICES)
+        m = build_kernel(method, f, s).matrix
+        m_rot = build_kernel(method, f @ q.T, s).matrix
+        assert np.linalg.norm(m_rot - q @ m @ q.T) <= 1e-10 * np.linalg.norm(m)
 
     def test_signed_permutation_covariance_tm(self):
-        # the distinct-row reduction keeps TM covariant under signed
-        # permutations (the reduced row set maps onto itself); general
-        # rotations reweight duplicate rows and are exercised via DR
+        # keeping only the pair rows i <= j leaves TM covariant under signed
+        # permutations, which map the kept rows onto themselves; a general
+        # rotation mixes kept and dropped rows, so it changes the TM and ENS
+        # kernels (test_orthogonal_covariance_tm_ens, an expected failure)
         rng = np.random.default_rng(6)
         k, t_len = 3, 48
         f = rng.standard_normal((t_len, k))
@@ -506,6 +542,67 @@ class TestKernelProperties:
         s = slice_target(rng.standard_normal(30), 5)
         for kern in (build_kernel("sir", f, s), build_kernel("dr", f, s), build_kernel("tm", f, s)):
             assert np.abs(kern.matrix - kern.matrix.T).max() < 1e-12
+
+
+class TestFitIndices:
+    def data(self, t_len=400, k=6, seed=0):
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal((t_len, k))
+        y = f[:, 0] ** 2 + np.sin(f[:, 1]) + f[:, 1] + 0.1 * rng.standard_normal(t_len)
+        return f, y
+
+    def test_one_slicing_and_one_eigendecomposition_per_kernel(self, monkeypatch):
+        slicings, decompositions = [], []
+
+        def slicing(y, h_count):
+            slicings.append(h_count)
+            return slice_target(y, h_count)
+
+        def decomposing(m):
+            decompositions.append(m.shape)
+            return sym_eig_desc(m)
+
+        monkeypatch.setattr(sdr, "slice_target", slicing)
+        monkeypatch.setattr(sdr, "sym_eig_desc", decomposing)
+        f, y = self.data()
+        # names that are not kernel methods are skipped
+        indices = sdr.fit_indices(("sir", "pc", "dr", "tm", "nlpc", "ens"), f, y, 100, 2)
+        assert slicings == [sdr.N_SLICES]
+        assert decompositions == [(6, 6)] * 4
+        assert list(indices) == ["sir", "dr", "tm", "ens"]
+
+    @pytest.mark.parametrize("l", [1, 4, 6, 9])
+    def test_integer_l_is_capped_at_k(self, l):
+        f, y = self.data()
+        s = slice_target(y, sdr.N_SLICES)
+        for method, (sel, phi) in sdr.fit_indices(sdr.KERNEL_METHODS, f, y, 100, l).items():
+            kern = build_kernel(method, f, s)
+            assert np.array_equal(phi, kern.eigenvectors[:, : min(l, 6)])
+            assert np.array_equal(sel.objective, select_dimension(kern, 100, 400).objective)
+
+    def test_auto_takes_the_selected_count(self):
+        f, y = self.data()
+        s = slice_target(y, sdr.N_SLICES)
+        counts = {}
+        for method, (sel, phi) in sdr.fit_indices(sdr.KERNEL_METHODS, f, y, 100, "auto").items():
+            kern = build_kernel(method, f, s)
+            alone = select_dimension(kern, 100, 400)
+            assert (sel.l_hat, sel.tau, sel.c_t) == (alone.l_hat, alone.tau, alone.c_t)
+            assert np.array_equal(sel.objective, alone.objective)
+            assert np.array_equal(phi, kern.eigenvectors[:, : sel.l_hat])
+            counts[method] = sel.l_hat
+        # the counts differ between methods, so each follows its own selection
+        assert len(set(counts.values())) > 1
+
+    def test_no_kernel_method_slices_nothing(self, monkeypatch):
+        def slicing(y, h_count):
+            raise AssertionError("sliced without a kernel method")
+
+        monkeypatch.setattr(sdr, "slice_target", slicing)
+        f, y = self.data(t_len=7)
+        assert 7 < sdr.N_SLICES
+        assert sdr.fit_indices(("pc", "nlpc"), f, y, 20, 2) == {}
+        assert sdr.fit_indices((), f, y, 20, "auto") == {}
 
 
 class TestBuildKernel:

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -506,11 +507,24 @@ class TestMonteCarloStudy:
         [
             ((), ("k_selection",)),
             (("pc",), ("oos", "k_selection")),
-            (("sir", "pc"), ("directions",)),
+            # k_selection alone reads no method, so the methods are ignored
+            (("sir", "pc", "nlpc"), ("k_selection",)),
         ],
     )
     def test_metrics_some_method_produces_accepted(self, methods, metrics):
         StudyConfig(methods=methods, metrics=metrics)
+
+    @pytest.mark.parametrize(
+        "methods,metrics,unread",
+        [
+            (("sir", "pc"), ("directions",), ["pc"]),
+            (("sir", "pc", "nlpc"), ("directions", "k_selection"), ["pc", "nlpc"]),
+            (("dr", "nlpc"), ("l_selection",), ["nlpc"]),
+        ],
+    )
+    def test_methods_no_metric_reads_rejected(self, methods, metrics, unread):
+        with pytest.raises(ValueError, match=re.escape(f"reads the methods {unread}")):
+            StudyConfig(methods=methods, metrics=metrics)
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError, match="unknown metrics"):
