@@ -4,7 +4,7 @@ Each option is a field of a config dataclass, which declares its name, type
 and default: ``simulate`` exposes :class:`DgpSpec` (``link`` as ``model``) and
 :class:`StudyConfig`, and ``forecast``, ``select`` and ``factors`` the
 :class:`RollingConfig` fields they use, next to string I/O keys.
-``_DEFAULT_OVERRIDES`` lists the two CLI defaults that differ from the field's.
+``_DEFAULT_OVERRIDES`` lists the one CLI default that differs from the field's.
 
 A subcommand reads an optional flat JSON config file, overridden by explicit
 flags.  Every value is checked against its field's type (``_CONVERTERS``),
@@ -98,9 +98,8 @@ _CONVERTERS = {
 }
 #: the CLI key of a field whose name differs
 _ALIASES = {"link": "model"}
-#: the only CLI defaults that differ from their field's default (jobs 0: one
-#: worker per usable CPU)
-_DEFAULT_OVERRIDES = {"simulate": {"jobs": 0}, "factors": {"k": "auto"}}
+#: the only CLI default that differs from its field's default
+_DEFAULT_OVERRIDES = {"factors": {"k": "auto"}}
 #: the required string keys of the panel subcommands
 _PANEL_IO = ("input", "target_column")
 
@@ -346,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        # no prefix matching, so a removed key such as simulate's --k is not read as --k-max
+        # no prefix matching, so select's --k, a key of factors, is not read as --k-max
         p = sub.add_parser(name, help=f"run the {name} pipeline", allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; flags override file values")
         for key, (_, default) in _command_keys(name).items():

@@ -49,10 +49,6 @@ class FactorEstimate:
     def k(self) -> int:
         return self.factors.shape[1]
 
-    @property
-    def t_len(self) -> int:
-        return self.factors.shape[0]
-
 
 def _check_panel(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)

@@ -467,9 +467,7 @@ class RollingConfig:
                 f"window too short: window - horizon = {n_train} leaves fewer than 10 "
                 "training points"
             )
-        if self.method in sdr.THIRD_MOMENT_METHODS and n_train < 2 * sdr.N_SLICES:
-            raise ValueError(f"window - horizon = {n_train} must be >= 2 * N_SLICES = "
-                             f"{2 * sdr.N_SLICES} for {' and '.join(sdr.THIRD_MOMENT_METHODS)}")
+        sdr.check_slice_rules([self.method], n_train, f"window - horizon = {n_train}")
         for name in ("n_eval", "k_max"):
             _check_count(name, getattr(self, name))
         _check_count("k", self.k, auto=True)

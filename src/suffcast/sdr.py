@@ -82,6 +82,20 @@ def slice_target(y, h_count: int) -> SliceAssignment:
     return SliceAssignment(h_count=h_count, labels=labels, counts=counts)
 
 
+def check_slice_rules(methods, t_len: int, label: str) -> None:
+    """Reject a training length ``t_len`` too short for the kernels among ``methods``.
+
+    Every kernel slices the targets into ``N_SLICES``, and third moments need
+    two observations a slice; ``label`` names the length, e.g. ``"t_len=19"``.
+    """
+    kernels = [m for m in methods if m in KERNEL_METHODS]
+    if kernels and t_len < N_SLICES:
+        raise ValueError(f"{label} must be >= N_SLICES = {N_SLICES} for {' and '.join(kernels)}")
+    if set(kernels) & set(THIRD_MOMENT_METHODS) and t_len < 2 * N_SLICES:
+        raise ValueError(f"{label} must be >= 2 * N_SLICES = {2 * N_SLICES} "
+                         f"for {' and '.join(THIRD_MOMENT_METHODS)}")
+
+
 @dataclass(frozen=True, eq=False)
 class KernelEstimate:
     """A symmetric candidate matrix with its spectrum, from one eigendecomposition.

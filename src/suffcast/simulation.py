@@ -30,6 +30,12 @@ N_FACTORS = 6
 #: the two unit index directions of the target, in the factor space
 PHI1 = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]) / np.sqrt(3.0)
 PHI2 = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 3.0]) / np.sqrt(11.0)
+#: index count L of every study link: the directions PHI1 and PHI2
+N_INDICES = 2
+#: standard deviation of the Gaussian target noise
+SIGMA = 0.2
+#: the largest factor count the study's order selection considers
+K_MAX = 8
 #: range of the study-level AR(1) coefficients of factors and errors
 AR_LOW, AR_HIGH = 0.2, 0.8
 #: range of the uniform loadings
@@ -67,15 +73,12 @@ class DgpSpec:
     p: int = 100
     t_len: int = 500
     link: str = "I"
-    sigma: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
         if self.link not in LINKS:
             raise ValueError(f"unknown link tag {self.link!r}")
         _check_count("p", self.p)
-        if not self.sigma >= 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         if N_FACTORS > min(self.p, self.t_len):
             raise ValueError(f"the study's K={N_FACTORS} factors need p >= {N_FACTORS} and "
                              f"t_len >= {N_FACTORS}, got p={self.p}, t_len={self.t_len}")
@@ -149,7 +152,7 @@ def _build_draw(
     factors = np.ascontiguousarray(panel[:, :N_FACTORS])
     x = loadings @ factors.T
     x += panel[:, N_FACTORS:].T
-    y = link_function(spec.link, factors @ PHI1, factors @ PHI2) + spec.sigma * eps
+    y = link_function(spec.link, factors @ PHI1, factors @ PHI2) + SIGMA * eps
     return SimDraw(x=x, y=y, factors=factors, loadings=loadings)
 
 
@@ -223,12 +226,13 @@ class StudyConfig:
     metrics: tuple[str, ...] = ("directions",)  # directions | oos | k_selection | l_selection
     n_reps: int = 200
     n_test: int = 100
-    l: int = 2
-    k_max: int = 8
-    jobs: int = 1  # worker processes, 0 for one per usable CPU (the CLI's default)
+    jobs: int = 0  # worker processes, 0 for one per usable CPU
 
     def __post_init__(self):
         known = {"directions", "oos", "k_selection", "l_selection"}
+        for name, names in (("methods", self.methods), ("metrics", self.metrics)):
+            if len(set(names)) < len(names):
+                raise ValueError(f"repeated {name} in {names}")
         if not self.metrics:
             raise ValueError(f"metrics must name at least one of {sorted(known)}")
         bad = set(self.metrics) - known
@@ -253,10 +257,8 @@ class StudyConfig:
         unread = [m for m in self.methods if m not in read]
         if read and unread:
             raise ValueError(f"no metric in {self.metrics} reads the methods {unread}")
-        for name in ("n_reps", "n_test", "l", "k_max"):
+        for name in ("n_reps", "n_test"):
             _check_count(name, getattr(self, name))
-        if self.l > N_FACTORS:
-            raise ValueError(f"l={self.l} must be <= the study's K={N_FACTORS} factors")
         if self.jobs < 0:
             raise ValueError(f"jobs must be >= 0, got {self.jobs}")
 
@@ -297,7 +299,7 @@ def _run_replicate(spec: DgpSpec, config: StudyConfig, draw: SimDraw) -> dict:
     out: dict = {}
 
     # one Gram eigendecomposition serves the criterion and the true-K fit
-    sel, fit = select_and_fit_factors(x_train, config.k_max, N_FACTORS)
+    sel, fit = select_and_fit_factors(x_train, K_MAX, N_FACTORS)
     if "k_selection" in config.metrics:
         out[("factors", "k_selection")] = sel.k_hat
     if not set(config.metrics) - {"k_selection"}:  # no per-method metric
@@ -311,13 +313,12 @@ def _run_replicate(spec: DgpSpec, config: StudyConfig, draw: SimDraw) -> dict:
         f_test = estimated_factors_known_loadings(draw.x[:, t_train:], fit.loadings)
         y_test = draw.y[t_train:]
         denom = float(np.sum((y_test - y_train.mean()) ** 2))
-    indices = sdr.fit_indices(config.methods, fit.factors, y_train, spec.p, config.l)
+    indices = sdr.fit_indices(config.methods, fit.factors, y_train, spec.p, N_INDICES)
     for method in config.methods:
         selection, phi_hat = indices.get(method, (None, None))
         if "directions" in config.metrics and phi_hat is not None:
             out[(method, "r2_phi1")] = subspace_r2(phi_hat[:, 0], basis)
-            if config.l >= 2:
-                out[(method, "r2_phi2")] = subspace_r2(phi_hat[:, 1], basis)
+            out[(method, "r2_phi2")] = subspace_r2(phi_hat[:, 1], basis)
         if "l_selection" in config.metrics and selection is not None:
             out[(method, "l_selection")] = selection.l_hat
         if want_oos:
@@ -358,21 +359,12 @@ def _run_chunk(shared, replicates) -> list[tuple[dict | None, str | None]]:
 def _check_study(spec: DgpSpec, config: StudyConfig) -> None:
     """Reject a design whose every replicate would fail on the training length ``t_len``.
 
-    Every kernel slices the target into ``sdr.N_SLICES``, the third moments of
-    ``tm`` and ``ens`` need two observations a slice, and the linear PC
-    baseline of the ``oos`` metric needs T > K.  A study whose only metric is
-    ``k_selection`` builds no kernel, so the slice rules do not apply to it.
+    The kernels need :func:`suffcast.sdr.check_slice_rules`, except in a study
+    whose only metric, ``k_selection``, builds none; the linear PC baseline of
+    the ``oos`` metric needs T > K.
     """
-    kernels = [m for m in config.methods if m in sdr.KERNEL_METHODS]
-    if not set(config.metrics) - {"k_selection"}:
-        kernels = []
-    if kernels and spec.t_len < sdr.N_SLICES:
-        raise ValueError(f"t_len={spec.t_len} must be >= N_SLICES = {sdr.N_SLICES} "
-                         f"for {' and '.join(kernels)}")
-    third = sdr.THIRD_MOMENT_METHODS
-    if set(kernels) & set(third) and spec.t_len < 2 * sdr.N_SLICES:
-        raise ValueError(f"t_len={spec.t_len} must be >= 2 * N_SLICES = {2 * sdr.N_SLICES} "
-                         f"for {' and '.join(third)}")
+    if set(config.metrics) - {"k_selection"}:
+        sdr.check_slice_rules(config.methods, spec.t_len, f"t_len={spec.t_len}")
     if "pc" in config.methods and "oos" in config.metrics and spec.t_len <= N_FACTORS:
         raise ValueError(f"t_len={spec.t_len} must be > the study's K={N_FACTORS} factors "
                          "for pc with the oos metric")

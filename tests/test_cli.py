@@ -654,7 +654,7 @@ EXPOSED = {
     "select": ((RollingConfig,), {"k_max", "method"}, PANEL_IO),
     "factors": ((RollingConfig,), {"k", "k_max"}, PANEL_IO),
 }
-OVERRIDES = {("simulate", "jobs"): 0, ("factors", "k"): "auto"}
+OVERRIDES = {("factors", "k"): "auto"}
 
 
 def resolve(argv):
@@ -686,6 +686,19 @@ class TestDerivedKeys:
         config = resolve([command, *io])
         for key, default in exposed.items():
             assert config[key] == OVERRIDES.get((command, key), default), key
+
+    def test_each_subcommand_has_its_listed_keys(self):
+        # the test above passes any new field; here a new option is a visible edit
+        listed = {
+            "simulate": ["model", "p", "t_len", "seed", "methods", "metrics", "n_reps",
+                         "n_test", "jobs", "out_dir"],
+            "forecast": ["input", "target_column", "window", "horizon", "method", "k", "l",
+                         "n_eval", "out_dir"],
+            "select": ["input", "target_column", "k_max", "method", "out_dir"],
+            "factors": ["input", "target_column", "k", "k_max", "out_dir"],
+        }
+        for command, keys in listed.items():
+            assert subcommand_keys(command) == set(keys), command
 
     def test_benchmark_flags_keep_their_values(self):
         config = resolve([
@@ -750,19 +763,21 @@ class TestConfigBoundary:
             ("forecast", ["--variance-mode", "identity"], None,
              "unrecognized arguments: --variance-mode identity"),
             ("select", ["--k-max", "0"], None, "k_max must be >= 1"),
-            ("simulate", ["--n-reps", "3", "--l", "0"], None, "l must be >= 1"),
+            # the study's noise, index count and K ceiling are constants, no keys
+            ("simulate", ["--n-reps", "3", "--l", "0"], None, "unrecognized arguments: --l 0"),
             ("simulate", ["--n-reps", "3", "--h-slices", "0"], None,
              "unrecognized arguments: --h-slices 0"),
             ("simulate", ["--n-reps", "3", "--ct-multiplier", "-1"], None,
              "unrecognized arguments: --ct-multiplier -1"),
             ("simulate", ["--n-reps", "3", "--k-max", "0", "--metrics", "k_selection"], None,
-             "k_max must be >= 1"),
+             "unrecognized arguments: --k-max 0"),
             ("simulate", ["--n-reps", "3", "--p", "0"], None, "p must be >= 1"),
             ("simulate", ["--n-reps", "3", "--n-test", "0", "--metrics", "oos"], None,
              "n_test must be >= 1"),
-            ("simulate", ["--n-reps", "3", "--sigma", "-1"], None, "sigma must be >= 0"),
+            ("simulate", ["--n-reps", "3", "--sigma", "-1"], None,
+             "unrecognized arguments: --sigma -1"),
             ("simulate", ["--n-reps", "2", "--p", "30", "--t-len", "60", "--l", "7"], None,
-             "l=7 must be <= the study's K=6 factors"),
+             "unrecognized arguments: --l 7"),
             ("simulate", ["--n-reps", "2", "--p", "20", "--t-len", "5"], None,
              "the study's K=6 factors need p >= 6 and t_len >= 6, got p=20, t_len=5"),
             # a kernel study needs t_len >= N_SLICES
@@ -835,6 +850,14 @@ class TestConfigBoundary:
             ("simulate", ["--methods", "sir,pc,nlpc", "--metrics", "directions", "--p", "20",
                           "--t-len", "60", "--n-reps", "2", "--jobs", "1"], None,
              "no metric in ('directions',) reads the methods ['pc', 'nlpc']"),
+            # a JSON config or an older config_resolved.json with a removed study key
+            ("simulate", [], '{"sigma": 0.2}', "unknown config keys: ['sigma']"),
+            ("simulate", [], '{"l": 2}', "unknown config keys: ['l']"),
+            ("simulate", [], '{"k_max": 8}', "unknown config keys: ['k_max']"),
+            # a repeated name would run its fits twice
+            ("simulate", ["--p", "20", "--t-len", "60", "--n-reps", "3", "--methods", "dr,dr",
+                          "--metrics", "oos,oos"], None, "repeated methods in ('dr', 'dr')"),
+            ("simulate", ["--metrics", "oos,oos"], None, "repeated metrics in ('oos', 'oos')"),
         ],
     )
     def test_out_of_range_value_exits_2_before_writing(

@@ -96,8 +96,9 @@ class TestSampleDgp:
         spec = DgpSpec(p=20, t_len=30, seed=5)
         assert not np.array_equal(sample_dgp(spec, 0).x, sample_dgp(spec, 1).x)
 
-    def test_sigma_zero_gives_exact_link(self):
-        spec = DgpSpec(p=10, t_len=25, link="IV", sigma=0.0, seed=6)
+    def test_sigma_zero_gives_exact_link(self, monkeypatch):
+        monkeypatch.setattr(simulation, "SIGMA", 0.0)
+        spec = DgpSpec(p=10, t_len=25, link="IV", seed=6)
         draw = sample_dgp(spec, 0)
         v1 = draw.factors @ simulation.PHI1
         v2 = draw.factors @ simulation.PHI2
@@ -262,9 +263,6 @@ class TestMonteCarloStudy:
             with pytest.raises(ValueError, match=message):
                 monte_carlo_study(DgpSpec(p=20, t_len=t_len),
                                   StudyConfig(methods=methods, metrics=metrics, n_reps=2))
-        # the study has K = 6 factors, which bounds l below SIR's N_SLICES - 1
-        with pytest.raises(ValueError, match="l=7 must be <= the study's K=6 factors"):
-            StudyConfig(l=7)
 
     @pytest.mark.parametrize(
         "methods,t_len", [(("sir", "dr"), 10), (("tm",), 20), (("ens",), 20)]
