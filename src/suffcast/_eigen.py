@@ -10,25 +10,27 @@ import numpy as np
 
 
 def sym_eig_desc(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix with deterministic conventions.
-
-    Eigenvalues are returned in descending order.  Exact eigenvalue ties are
-    ordered by the first index of each eigenvector's largest-magnitude entry,
-    and each eigenvector is sign-fixed so that its largest-magnitude entry is
-    nonnegative.
-    """
+    """Eigendecomposition of a symmetric matrix, in the conventions of :func:`canonical_pairs`."""
     m = np.asarray(m, dtype=float)
     vals, vecs = np.linalg.eigh(m)
-    # reversed views; the reordering below makes the one copy
-    vals = vals[::-1]
-    vecs = vecs[:, ::-1]
+    # reversed views; the reordering in canonical_pairs makes the one copy
+    return canonical_pairs(vals[::-1], vecs[:, ::-1])
+
+
+def canonical_pairs(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """New arrays of the eigenpairs ``vals`` and columns of ``vecs``, in the one convention.
+
+    Eigenvalues are in descending order.  Exact eigenvalue ties are ordered
+    by the first index of each eigenvector's largest-magnitude entry, and
+    each eigenvector is sign-fixed so that its largest-magnitude entry is
+    nonnegative.
+    """
     anchors = np.abs(vecs).argmax(axis=0)
     # lexsort: primary key descending eigenvalue, tie-break by anchor index
     order = np.lexsort((anchors, -vals))
-    vals = vals[order]
     vecs = vecs[:, order]
     vecs *= column_signs(vecs)
-    return vals, vecs
+    return vals[order], vecs
 
 
 def column_signs(m: np.ndarray) -> np.ndarray:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
@@ -69,11 +68,6 @@ def _to_int(v, text):
     return int(v) if text else _checked(v, type(v) is int)
 
 
-def _to_float(v, text):
-    x = float(v) if text else float(_checked(v, type(v) in (int, float)))
-    return _checked(x, math.isfinite(x))
-
-
 def _to_str(v, text):
     return _checked(v, isinstance(v, str))
 
@@ -91,7 +85,6 @@ def _to_int_or_auto(v, text):
 #: field type -> (converter, what the type accepts)
 _CONVERTERS = {
     int: (_to_int, "an integer"),
-    float: (_to_float, "a finite number"),
     str: (_to_str, "a string"),
     tuple[str, ...]: (_to_names, "a comma list or a JSON list of strings"),
     int | str: (_to_int_or_auto, 'an integer or "auto"'),

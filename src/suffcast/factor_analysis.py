@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._eigen import column_signs, sym_eig_desc
+from ._eigen import canonical_pairs, sym_eig_desc
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,23 +73,14 @@ def _gram_eig(x: np.ndarray, transposed: bool) -> tuple[np.ndarray, np.ndarray]:
         raise np.linalg.LinAlgError(f"eigen-solver failure on {name}: {e}") from e
 
 
-def _small_gram_eig(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the smaller Gram matrix: ``XX'`` when ``p < T``, else ``X'X``."""
-    p, t_len = x.shape
-    return _gram_eig(x, transposed=p >= t_len)
-
-
 def _factors_from_eig(x: np.ndarray, k: int, vals: np.ndarray, vecs: np.ndarray) -> FactorEstimate:
     """Rank-``k`` factor estimate from the eigenpairs of the smaller Gram matrix."""
     p, t_len = x.shape
     if p < t_len and vals[k - 1] > _rank_tol(vals, p, t_len):
         mapped = x.T @ vecs[:, :k]
         factors = np.sqrt(t_len) * mapped / np.linalg.norm(mapped, axis=0)
-        factors *= column_signs(factors)
-        # exact eigenvalue ties: order by the factor column's anchor index,
-        # as sym_eig_desc orders the eigenvectors of X'X
-        anchors = np.abs(factors).argmax(axis=0)
-        factors = factors[:, np.lexsort((anchors, -vals[:k]))]
+        # the conventions sym_eig_desc gives the eigenvectors of X'X
+        _, factors = canonical_pairs(vals[:k], factors)
     else:
         if p < t_len:
             vals, vecs = _gram_eig(x, transposed=True)
@@ -173,7 +164,8 @@ def select_and_fit_factors(
     p, t_len = x.shape
     if k != "auto" and not 1 <= k <= min(p, t_len):
         raise ValueError(f"k={k} out of range 1..min(p={p}, T={t_len})")
-    vals, vecs = _small_gram_eig(x)
+    # the smaller Gram matrix: XX' when p < T, else X'X
+    vals, vecs = _gram_eig(x, transposed=p >= t_len)
     selection = _selection(x.shape, vals, min(k_max, min(x.shape) - 1))
     k_fit = max(selection.k_hat, 1) if k == "auto" else k
     return selection, _factors_from_eig(x, k_fit, vals, vecs)

@@ -13,6 +13,7 @@ against a linear principal-components baseline fit on identical windows.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -532,47 +533,37 @@ def _fit_window_model(x_win, targets_train, config: RollingConfig):
     return model, fit, l_use
 
 
-def _rolling_chunk(shared, origins: np.ndarray):
-    """Fit and forecast at each of ``origins``, given ``shared = (panel, aligned, config)``.
+def _rolling_chunk(panel, aligned, config, origins) -> list[tuple]:
+    """Fit and forecast at each of ``origins``; ``aligned`` holds the panel's h-step targets.
 
-    ``aligned`` holds the panel's h-step targets.  Returns the per-origin
-    forecasts, PC baselines, training-target means, selected K and L, and
-    whether each backfit stopped at the sweep cap.  An origin that fails
-    raises, its message prefixed with the origin.
+    Returns one row per origin: its forecast, PC baseline, training-target
+    mean, selected K and L, and whether its backfit stopped at the sweep cap.
+    An origin that fails raises, its message prefixed with the origin.
     """
-    panel, aligned, config = shared
     t_w, h = config.window, config.horizon
-    n = origins.shape[0]
-    forecasts = np.empty(n)
-    baseline = np.empty(n)
-    benchmarks = np.empty(n)
-    selected_k = np.empty(n, dtype=int)
-    selected_l = np.empty(n, dtype=int)
-    not_converged = np.empty(n, dtype=bool)
-
-    for i, t in enumerate(origins):
+    rows = []
+    for t in origins:
         try:
             lo = t - t_w + 1
             x_win = _standardize_array(panel.x[:, lo : t + 1], panel.series_names)
             targets_train = aligned[lo : t - h + 1]
             model, fit, l_use = _fit_window_model(x_win, targets_train, config)
-            not_converged[i] = not model.converged
             f_origin = fit.factors[-1:]
-            forecasts[i] = predict(model, f_origin)[0]
+            forecast = predict(model, f_origin)[0]
             if config.method == "pc":
-                baseline[i] = forecasts[i]
+                baseline = forecast
             else:
                 pc_model = fit_pc_baseline(fit.factors[: targets_train.shape[0]], targets_train)
-                baseline[i] = predict(pc_model, f_origin)[0]
-            benchmarks[i] = targets_train.mean()
-            selected_k[i] = fit.k
-            selected_l[i] = l_use
+                baseline = predict(pc_model, f_origin)[0]
+            rows.append(
+                (forecast, baseline, targets_train.mean(), fit.k, l_use, not model.converged)
+            )
         except Exception as e:
             # prefix the origin in place: rebuilding the exception would
             # call constructors that take other arguments
             e.args = (f"forecast origin {t}: {e}",)
             raise
-    return forecasts, baseline, benchmarks, selected_k, selected_l, not_converged
+    return rows
 
 
 def rolling_evaluate(panel: PanelData, config: RollingConfig) -> EvalReport:
@@ -604,9 +595,11 @@ def rolling_evaluate(panel: PanelData, config: RollingConfig) -> EvalReport:
         origins = origins[-config.n_eval :]
 
     chunks = np.array_split(origins, min(usable_cpus(), len(origins)))
-    parts = chunked_map(_rolling_chunk, (panel, aligned, config), chunks, len(chunks))
-    forecasts, baseline, benchmarks, selected_k, selected_l, not_converged = (
-        np.concatenate(columns) for columns in zip(*parts)
+    rows = chunked_map(
+        functools.partial(_rolling_chunk, panel, aligned, config), chunks, len(chunks)
+    )
+    forecasts, baseline, benchmarks, selected_k, selected_l, not_converged = map(
+        np.array, zip(*rows)
     )
     realized = aligned[origins]
 

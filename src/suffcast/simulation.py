@@ -13,6 +13,7 @@ each replicate the same bits as :func:`sample_dgp` alone.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -79,6 +80,8 @@ class DgpSpec:
         if self.link not in LINKS:
             raise ValueError(f"unknown link tag {self.link!r}")
         _check_count("p", self.p)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if N_FACTORS > min(self.p, self.t_len):
             raise ValueError(f"the study's K={N_FACTORS} factors need p >= {N_FACTORS} and "
                              f"t_len >= {N_FACTORS}, got p={self.p}, t_len={self.t_len}")
@@ -330,14 +333,13 @@ def _run_replicate(spec: DgpSpec, config: StudyConfig, draw: SimDraw) -> dict:
     return out
 
 
-def _run_chunk(shared, replicates) -> list[tuple[dict | None, str | None]]:
+def _run_chunk(spec, config, replicates) -> list[tuple[dict | None, str | None]]:
     """Run a chunk of consecutive replicates, drawn together, of the study ``(spec, config)``.
 
     Returns ``(cells, None)`` for each replicate that ran and
     ``(None, "Type: message")`` for each one that failed; a failure while
     building or running one replicate's draw fails that replicate alone.
     """
-    spec, config = shared
     # the held-out periods are drawn after the training periods
     n_test = config.n_test if "oos" in config.metrics else 0
     draw_spec = replace(spec, t_len=spec.t_len + n_test)
@@ -388,8 +390,7 @@ def monte_carlo_study(spec: DgpSpec, config: StudyConfig) -> StudyResult:
         range(start, min(start + CHUNK_SIZE, config.n_reps))
         for start in range(0, config.n_reps, CHUNK_SIZE)
     ]
-    per_chunk = chunked_map(_run_chunk, (spec, config), chunks, config.jobs)
-    raw = [cell for cells in per_chunk for cell in cells]
+    raw = chunked_map(functools.partial(_run_chunk, spec, config), chunks, config.jobs)
     results = [cells for cells, _ in raw]
     failures = [(r, error) for r, (_, error) in enumerate(raw) if error is not None]
 

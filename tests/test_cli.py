@@ -687,6 +687,15 @@ class TestDerivedKeys:
         for key, default in exposed.items():
             assert config[key] == OVERRIDES.get((command, key), default), key
 
+    def test_every_converter_serves_an_exposed_field(self):
+        # a converter is read through _CONVERTERS, so no unread-definitions check sees it
+        types = set()
+        for classes, names, _ in EXPOSED.values():
+            for cls in classes:
+                hints = typing.get_type_hints(cls)
+                types |= {hints[f.name] for f in fields(cls) if names is None or f.name in names}
+        assert set(cli._CONVERTERS) == types
+
     def test_each_subcommand_has_its_listed_keys(self):
         # the test above passes any new field; here a new option is a visible edit
         listed = {
@@ -858,6 +867,9 @@ class TestConfigBoundary:
             ("simulate", ["--p", "20", "--t-len", "60", "--n-reps", "3", "--methods", "dr,dr",
                           "--metrics", "oos,oos"], None, "repeated methods in ('dr', 'dr')"),
             ("simulate", ["--metrics", "oos,oos"], None, "repeated metrics in ('oos', 'oos')"),
+            # SeedSequence takes no negative seed: every replicate would fail
+            ("simulate", ["--p", "20", "--t-len", "60", "--n-reps", "2", "--seed", "-1",
+                          "--jobs", "1"], None, "seed must be >= 0, got -1"),
         ],
     )
     def test_out_of_range_value_exits_2_before_writing(

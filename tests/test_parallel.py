@@ -1,3 +1,4 @@
+import functools
 import os
 
 import pytest
@@ -6,15 +7,28 @@ from suffcast import _parallel
 from suffcast._parallel import chunked_map, usable_cpus
 
 
-def _blas_count(shared, chunk):
-    """The BLAS thread count a chunk runs on, in-process or in a worker."""
-    return _parallel._openblas_threads()[1]()
+def _blas_count(chunk):
+    """The BLAS thread count a chunk runs on, in-process or in a worker, as its one row."""
+    return [_parallel._openblas_threads()[1]()]
 
 
-def _fail_from(shared, chunk):
-    if chunk >= shared:
+def _fail_from(first_failing, chunk):
+    if chunk >= first_failing:
         raise ValueError(f"chunk {chunk} failed")
-    return chunk
+    return [chunk]
+
+
+def _rows(chunk):
+    """``count`` rows for a chunk ``(name, count)``, each naming the chunk and its item."""
+    name, count = chunk
+    return [(name, item) for item in range(count)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_rows_come_back_flattened_in_chunk_order(jobs):
+    # an empty chunk adds no row, and no chunk's rows are merged into another's
+    chunks = [("a", 1), ("b", 0), ("c", 3)]
+    assert chunked_map(_rows, chunks, jobs) == [("a", 0), ("c", 0), ("c", 1), ("c", 2)]
 
 
 class TestUsableCpus:
@@ -43,13 +57,13 @@ class TestBlasPin:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_chunks_run_on_one_thread_and_the_count_is_restored(self, two_threads, jobs):
-        assert chunked_map(_blas_count, None, [0, 1], jobs) == [1, 1]
+        assert chunked_map(_blas_count, [0, 1], jobs) == [1, 1]
         assert two_threads() == 2
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_count_restored_after_an_exception(self, two_threads, jobs):
         # with workers, the earliest failing chunk's exception is the one raised
         with pytest.raises(ValueError, match="^chunk 1 failed$"):
-            chunked_map(_fail_from, 1, [0, 1, 2, 3], jobs)
+            chunked_map(functools.partial(_fail_from, 1), [0, 1, 2, 3], jobs)
         assert two_threads() == 2
 

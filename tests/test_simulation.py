@@ -326,7 +326,7 @@ class TestMonteCarloStudy:
         # CPU, jobs of them or four, and so starts 2 workers for 2 origins
         cpus = set(range(jobs or 4))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        monkeypatch.setattr(_parallel, "_worker_task", None)
+        monkeypatch.setattr(_parallel, "_worker_fn", None)
         started, tasks = [], []
 
         class SerialPool:
@@ -527,3 +527,8 @@ class TestMonteCarloStudy:
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError, match="unknown metrics"):
             StudyConfig(metrics=("bogus",))
+
+    def test_negative_seed_rejected(self):
+        # SeedSequence would fail every replicate of the study instead
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            DgpSpec(seed=-1)
