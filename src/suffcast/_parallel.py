@@ -18,6 +18,10 @@ chunk therefore runs on ``BLAS_THREADS`` = 1, in each worker and in-process,
 which also gives every result the same bits whatever the worker count or the
 user's thread setting.  Where numpy's BLAS exposes no thread setter, the
 count is left as it is.
+
+:func:`bundled_openblas` is the one lookup of that library: the thread pin
+and the eigensolver :func:`suffcast._eigen.leading_pairs` both call through
+it.  It loads the library on first use, never at import.
 """
 from __future__ import annotations
 
@@ -25,24 +29,50 @@ import contextlib
 import ctypes
 import functools
 import os
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 #: BLAS threads of every chunk, in-process and in each worker
 BLAS_THREADS = 1
-#: (setter, getter) of numpy's bundled OpenBLAS builds, from numpy 2 and before it
-_OPENBLAS_THREAD_CALLS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
-)
+#: symbol prefixes of numpy's bundled ILP64 OpenBLAS, from numpy 2 and before
+#: it; every symbol also ends in ``64_``
+_OPENBLAS_PREFIXES = ("scipy_", "")
 #: the chunk function of a worker process, set by its initializer
 _worker_fn = None
 
 
+class OpenBLAS(NamedTuple):
+    """The calls this package makes into numpy's bundled OpenBLAS, declared for ctypes."""
+
+    set_num_threads: Callable
+    get_num_threads: Callable
+    #: ``LAPACKE_dsyevr``, or ``None`` where the build exports no LAPACKE
+    dsyevr: Callable | None
+
+
+def _declare_dsyevr(fn) -> None:
+    """``LAPACKE_dsyevr``'s signature, with ILP64 ints and the arrays checked at each call."""
+    i64, f64 = ctypes.c_int64, ctypes.c_double
+    array = functools.partial(np.ctypeslib.ndpointer, flags=("F_CONTIGUOUS", "WRITEABLE"))
+    values = array(np.float64)
+    fn.argtypes = [
+        ctypes.c_int,  # matrix layout
+        ctypes.c_char, ctypes.c_char, ctypes.c_char,  # jobz, range, uplo
+        i64, values, i64,  # n, a, lda
+        f64, f64, i64, i64, f64,  # vl, vu, il, iu, abstol
+        ctypes.POINTER(i64),  # m: the number of pairs found
+        values, values, i64,  # w, z, ldz
+        array(np.int64),  # isuppz
+    ]
+    fn.restype = i64
+
+
 @functools.cache
-def _openblas_threads():
-    """The ``(setter, getter)`` of the thread count of numpy's bundled OpenBLAS, or ``None``.
+def bundled_openblas() -> OpenBLAS | None:
+    """The declared calls of numpy's bundled OpenBLAS, or ``None`` where it has none.
 
     The wheels ship the library beside the package (``numpy.libs``) or
     inside it (``.dylibs``); loading it again by path returns the copy numpy
@@ -55,35 +85,39 @@ def _openblas_threads():
             lib = ctypes.CDLL(str(path))
         except OSError:
             continue
-        for set_name, get_name in _OPENBLAS_THREAD_CALLS:
-            setter = getattr(lib, set_name, None)
-            getter = getattr(lib, get_name, None)
+        for prefix in _OPENBLAS_PREFIXES:
+            setter, getter, dsyevr = (
+                getattr(lib, f"{prefix}{name}64_", None)
+                for name in ("openblas_set_num_threads", "openblas_get_num_threads",
+                             "LAPACKE_dsyevr")
+            )
             if setter is not None and getter is not None:
                 setter.argtypes, setter.restype = [ctypes.c_int], None
                 getter.argtypes, getter.restype = [], ctypes.c_int
-                return setter, getter
+                if dsyevr is not None:
+                    _declare_dsyevr(dsyevr)
+                return OpenBLAS(setter, getter, dsyevr)
     return None
 
 
 def blas_threads() -> int | None:
     """The BLAS thread count every chunk runs on, or ``None`` where it cannot be set."""
-    return BLAS_THREADS if _openblas_threads() is not None else None
+    return BLAS_THREADS if bundled_openblas() is not None else None
 
 
 @contextlib.contextmanager
-def _one_blas_thread():
+def one_blas_thread():
     """Run the block on ``BLAS_THREADS``, then restore the count it found."""
-    calls = _openblas_threads()
-    if calls is None:
+    openblas = bundled_openblas()
+    if openblas is None:
         yield
         return
-    setter, getter = calls
-    before = getter()
-    setter(BLAS_THREADS)
+    before = openblas.get_num_threads()
+    openblas.set_num_threads(BLAS_THREADS)
     try:
         yield
     finally:
-        setter(before)
+        openblas.set_num_threads(before)
 
 
 def usable_cpus() -> int:
@@ -96,9 +130,9 @@ def usable_cpus() -> int:
 def _start_worker(fn) -> None:
     global _worker_fn
     _worker_fn = fn
-    calls = _openblas_threads()
-    if calls is not None:
-        calls[0](BLAS_THREADS)
+    openblas = bundled_openblas()
+    if openblas is not None:
+        openblas.set_num_threads(BLAS_THREADS)
 
 
 def _run_in_worker(chunk):
@@ -117,7 +151,7 @@ def chunked_map(fn, chunks: list, jobs: int) -> list:
     the earliest failing chunk.
     """
     workers = min(jobs or usable_cpus(), len(chunks))
-    with _one_blas_thread():
+    with one_blas_thread():
         if workers <= 1:
             return [row for chunk in chunks for row in fn(chunk)]
         # imported here: the pool module pulls in multiprocessing, which would

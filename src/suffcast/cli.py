@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, sdr
-from ._parallel import blas_threads
+from ._parallel import blas_threads, one_blas_thread
 from .factor_analysis import select_and_fit_factors
 from .forecaster import RollingConfig, rolling_evaluate
 from .panel_data import DataError, _standardize_array, load_csv
@@ -263,8 +263,9 @@ def cmd_forecast(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
 def cmd_select(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
     panel = load_csv(config["input"], config["target_column"])
     x = _standardize_array(panel.x, panel.series_names)
-    selection, fit = select_and_fit_factors(x, rolling.k_max)
-    indices = sdr.fit_indices([rolling.method], fit.factors, panel.y, panel.p, "auto")
+    with one_blas_thread():
+        selection, fit = select_and_fit_factors(x, rolling.k_max)
+        indices = sdr.fit_indices([rolling.method], fit.factors, panel.y, panel.p, "auto")
     dim, _ = indices[rolling.method]
     _write_csv(
         out_dir / "k_criterion.csv",
@@ -281,6 +282,7 @@ def cmd_select(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
         "tau": dim.tau,
         "c_t": dim.c_t,
         "n_dropped": panel.n_dropped,
+        "blas_threads": blas_threads(),
     }
     _write_json(out_dir / "summary.json", summary)
     print(f"k_hat={selection.k_hat} l_hat={dim.l_hat}")
@@ -290,7 +292,8 @@ def cmd_select(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
 def cmd_factors(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
     panel = load_csv(config["input"], config["target_column"])
     x = _standardize_array(panel.x, panel.series_names)
-    _, fit = select_and_fit_factors(x, rolling.k_max, rolling.k)
+    with one_blas_thread():
+        _, fit = select_and_fit_factors(x, rolling.k_max, rolling.k)
     _write_csv(out_dir / "loadings.csv", fit.loadings)
     _write_csv(out_dir / "factors.csv", fit.factors)
     _write_csv(out_dir / "eigenvalues.csv", fit.eigenvalues[:, None])

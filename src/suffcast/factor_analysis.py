@@ -9,11 +9,23 @@ Only the smaller Gram matrix is eigendecomposed.  When ``p >= T`` that is
 ``X'X`` itself.  When ``p < T`` it is the ``p x p`` matrix ``XX'``, which has
 the same nonzero eigenvalues: each eigenvector ``u`` maps to the factor column
 ``f = sqrt(T) X'u / ||X'u||``, and the mapped columns get the sign and
-tie-order conventions of :func:`suffcast._eigen.sym_eig_desc`.  The map needs
-``X'u != 0``, so when any of the ``K`` selected eigenvalues is at or below the
-numerical rank tolerance (a panel of rank below ``K``, such as a noiseless
-low-rank one) the fit falls back to ``X'X``, whose null-space eigenvectors
-complete the factor basis.
+tie-order conventions of :func:`suffcast._eigen.sym_eig_desc`.
+
+Only its leading pairs are computed, by
+:func:`suffcast._eigen.leading_pairs`: one more than the larger of the fitted
+count and the largest count the criterion considers.  The criterion takes the
+total of the spectrum from the Gram matrix's trace.  The extra pair shows
+whether the requested pairs end inside a block of exactly tied eigenvalues,
+whose order the conventions can only set from the whole block.  The fit takes
+the full route instead, decomposing the whole Gram matrix with
+:func:`suffcast._eigen.sym_eig_desc`, when the extra pair ties the one
+before it or is at or below the numerical rank tolerance.  On that route,
+when any of the ``K`` fitted eigenvalues is at or below the tolerance (a
+panel of rank below ``K``, such as a noiseless low-rank one), the ``XX'`` map
+would need ``X'u != 0``, so the fit falls back to ``X'X``, whose null-space
+eigenvectors complete the factor basis.  Since the last bits of a pair
+depend on how many pairs are requested, the bits of a fit depend on ``k`` and
+``k_max``, and on nothing else.
 
 The number of factors is selected by penalized log residual variance, computed
 from the eigenvalues of the same smaller Gram matrix.
@@ -23,11 +35,12 @@ count is fixed or ``"auto"``.
 """
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._eigen import canonical_pairs, sym_eig_desc
+from ._eigen import canonical_pairs, leading_pairs, sym_eig_desc
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,7 +51,10 @@ class FactorEstimate:
     factor values for time ``t``) and ``eigenvalues`` are the top ``K``
     eigenvalues of ``X'X / (pT)`` in descending order.  The estimate is the
     same whichever Gram matrix was decomposed (``XX'`` when ``p < T`` and the
-    panel has rank at least ``K``, else ``X'X``), up to rounding.
+    panel has rank at least ``K``, else ``X'X``) and whether only its leading
+    pairs or all of them were computed, up to rounding.  The rounding depends
+    on the number of leading pairs, which the fitted count and ``k_max`` set
+    (see the module docstring).
     """
 
     loadings: np.ndarray
@@ -64,17 +80,17 @@ def _rank_tol(vals: np.ndarray, p: int, t_len: int) -> float:
     return vals[0] * max(p, t_len) * np.finfo(float).eps if vals[0] > 0 else 0.0
 
 
-def _gram_eig(x: np.ndarray, transposed: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of ``XX'`` (``transposed=False``) or ``X'X`` (``True``)."""
-    name, gram = ("X'X", x.T @ x) if transposed else ("XX'", x @ x.T)
+@contextlib.contextmanager
+def _naming_failure(name: str):
+    """Re-raise an eigensolver's ``LinAlgError`` as a failure on the Gram matrix ``name``."""
     try:
-        return sym_eig_desc(gram)
+        yield
     except np.linalg.LinAlgError as e:
         raise np.linalg.LinAlgError(f"eigen-solver failure on {name}: {e}") from e
 
 
 def _factors_from_eig(x: np.ndarray, k: int, vals: np.ndarray, vecs: np.ndarray) -> FactorEstimate:
-    """Rank-``k`` factor estimate from the eigenpairs of the smaller Gram matrix."""
+    """Rank-``k`` factor estimate from the leading eigenpairs of the smaller Gram matrix."""
     p, t_len = x.shape
     if p < t_len and vals[k - 1] > _rank_tol(vals, p, t_len):
         mapped = x.T @ vecs[:, :k]
@@ -83,7 +99,8 @@ def _factors_from_eig(x: np.ndarray, k: int, vals: np.ndarray, vecs: np.ndarray)
         _, factors = canonical_pairs(vals[:k], factors)
     else:
         if p < t_len:
-            vals, vecs = _gram_eig(x, transposed=True)
+            with _naming_failure("X'X"):
+                vals, vecs = sym_eig_desc(x.T @ x)
         factors = np.sqrt(t_len) * vecs[:, :k]
     loadings = x @ factors / t_len
     eigenvalues = np.maximum(vals[:k], 0.0) / (p * t_len)
@@ -128,11 +145,18 @@ class NumFactorsSelection:
         return self.log_resid + self.penalties
 
 
-def _selection(shape: tuple[int, int], vals: np.ndarray, k_max: int) -> NumFactorsSelection:
-    """Factor-count criterion from the descending eigenvalues of a Gram matrix."""
+def _selection(
+    shape: tuple[int, int], vals: np.ndarray, k_max: int, total: float | None = None
+) -> NumFactorsSelection:
+    """Factor-count criterion from the descending eigenvalues of a Gram matrix.
+
+    ``vals`` holds all of them, or with ``total`` (the Gram matrix's trace)
+    the leading ones, at least ``k_max``.
+    """
     p, t_len = shape
     vals = np.where(vals > _rank_tol(vals, p, t_len), vals, 0.0)
-    total = vals.sum()
+    if total is None:
+        total = vals.sum()
     ss = total - np.concatenate(([0.0], np.cumsum(vals[:k_max])))
     ss = np.maximum(ss, RESIDUAL_FLOOR)
     log_resid = np.log(ss) - np.log(p * t_len)
@@ -164,8 +188,19 @@ def select_and_fit_factors(
     p, t_len = x.shape
     if k != "auto" and not 1 <= k <= min(p, t_len):
         raise ValueError(f"k={k} out of range 1..min(p={p}, T={t_len})")
+    k_sel = min(k_max, min(p, t_len) - 1)
+    # the fit reads at most max(k_sel, 1) pairs with "auto"; one more shows a
+    # tie or a rank deficiency at the boundary
+    n_pairs = min(min(p, t_len), max(k_sel, 1 if k == "auto" else k) + 1)
     # the smaller Gram matrix: XX' when p < T, else X'X
-    vals, vecs = _gram_eig(x, transposed=p >= t_len)
-    selection = _selection(x.shape, vals, min(k_max, min(x.shape) - 1))
+    name, gram = ("X'X", x.T @ x) if p >= t_len else ("XX'", x @ x.T)
+    with _naming_failure(name):
+        vals, vecs = leading_pairs(gram, n_pairs)
+        total = np.trace(gram)
+        if vals[-1] <= _rank_tol(vals, p, t_len) or (n_pairs > 1 and vals[-1] == vals[-2]):
+            # the full route
+            vals, vecs = sym_eig_desc(gram)
+            total = None
+    selection = _selection(x.shape, vals, k_sel, total)
     k_fit = max(selection.k_hat, 1) if k == "auto" else k
     return selection, _factors_from_eig(x, k_fit, vals, vecs)

@@ -45,6 +45,22 @@ def write_factor_panel(tmp_path, t_len=260, p=12, k=3, seed=0, link="linear"):
     return path
 
 
+def fail_leading_pairs(monkeypatch):
+    """Make the eigensolver of a full-rank factor fit fail: ``dsyevr`` with a
+    nonzero ``info`` where numpy's OpenBLAS exports it, else the fallback."""
+    from suffcast import _eigen
+
+    openblas = _parallel.bundled_openblas()
+    if openblas is not None and openblas.dsyevr is not None:
+        failing = openblas._replace(dsyevr=lambda *args: 3)
+        monkeypatch.setattr(_parallel, "bundled_openblas", lambda: failing)
+    else:
+        def failing_eig(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(_eigen, "sym_eig_desc", failing_eig)
+
+
 def write_noiseless_rank3_panel(tmp_path, p=30, t_len=80, seed=1):
     rng = np.random.default_rng(seed)
     f = rng.standard_normal((t_len, 3))
@@ -602,18 +618,15 @@ class TestFactors:
             "--k", 2, "--out-dir", out,
         ]) == 0
         panel = load_csv(panel_path, "target")
-        _, fit = select_and_fit_factors(_standardize_array(panel.x, panel.series_names), 1, 2)
+        # the bits of a fit depend on k_max, so the library call passes the CLI's
+        x = _standardize_array(panel.x, panel.series_names)
+        _, fit = select_and_fit_factors(x, RollingConfig().k_max, 2)
         dumped = np.loadtxt(out / "factors.csv", delimiter=",")
         assert np.array_equal(dumped, fit.factors)
 
     @pytest.mark.parametrize("k", ["auto", "2"])
     def test_eigensolver_failure_exits_4(self, tmp_path, k, monkeypatch, capsys):
-        from suffcast import factor_analysis
-
-        def failing(m):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(factor_analysis, "sym_eig_desc", failing)
+        fail_leading_pairs(monkeypatch)
         panel_path = write_factor_panel(tmp_path, t_len=150, p=15, k=2, seed=5)
         assert run([
             "factors", "--input", panel_path, "--target-column", "target",
@@ -631,6 +644,36 @@ class TestFactors:
         resolved = json.loads((out / "config_resolved.json").read_text())
         assert resolved["command"] == "factors"
         assert resolved["k"] == 2
+
+
+@pytest.mark.skipif(_parallel.bundled_openblas() is None,
+                    reason="numpy's BLAS has no thread setter")
+def test_select_and_factors_do_not_depend_on_blas_threads(tmp_path):
+    # at FRED-MD's shape, an unpinned fit on 2 OpenBLAS threads differs from
+    # one on 1 thread in the last bits of every file but summary.json
+    panel = write_factor_panel(tmp_path, t_len=370, p=130, k=3, seed=1)
+    openblas = _parallel.bundled_openblas()
+    found = openblas.get_num_threads()
+    try:
+        for threads in (2, 1):
+            openblas.set_num_threads(threads)
+            for command in ("select", "factors"):
+                assert run([
+                    command, "--input", panel, "--target-column", "target",
+                    "--out-dir", tmp_path / f"{command}{threads}",
+                ]) == 0
+                # the pin restores the count it found
+                assert openblas.get_num_threads() == threads
+    finally:
+        openblas.set_num_threads(found)
+    for command in ("select", "factors"):
+        written = sorted(f.name for f in (tmp_path / f"{command}1").iterdir())
+        assert written == sorted(f.name for f in (tmp_path / f"{command}2").iterdir())
+        for name in set(written) - {"config_resolved.json"}:  # it names the out_dir
+            one, two = (tmp_path / f"{command}{threads}" / name for threads in (1, 2))
+            assert one.read_bytes() == two.read_bytes(), f"{command}/{name}"
+    summary = json.loads((tmp_path / "select1" / "summary.json").read_text())
+    assert summary["blas_threads"] == _parallel.blas_threads() == 1
 
 
 def test_out_dir_from_environment(tmp_path, monkeypatch):

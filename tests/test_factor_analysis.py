@@ -6,7 +6,7 @@ from suffcast import (
     estimated_factors_known_loadings,
     select_and_fit_factors,
 )
-from suffcast import factor_analysis
+from suffcast import _parallel, factor_analysis
 from suffcast._eigen import sym_eig_desc
 from suffcast.factor_analysis import bai_ng_penalty
 
@@ -39,6 +39,29 @@ def tied_panel():
     x = np.zeros((2, 6))
     x[0, 4] = x[1, 1] = 3.0
     return x
+
+
+def boundary_tie_panel():
+    """5 x 10 panel whose ``XX'`` is ``diag(16, 9, 9, 9, 4)``: for ``k = 2`` the
+    extra third eigenpair ties the second exactly, in a block of three."""
+    x = np.zeros((5, 10))
+    x[np.arange(5), np.arange(5)] = [4.0, 3.0, 3.0, 3.0, 2.0]
+    return x
+
+
+def full_route(x, k_max, k):
+    """Selection and fit from every eigenpair of the smaller Gram matrix."""
+    p, t_len = x.shape
+    vals, vecs = sym_eig_desc(x.T @ x if p >= t_len else x @ x.T)
+    selection = factor_analysis._selection(x.shape, vals, min(k_max, min(p, t_len) - 1))
+    k_fit = max(selection.k_hat, 1) if k == "auto" else k
+    return selection, factor_analysis._factors_from_eig(x, k_fit, vals, vecs)
+
+
+#: tolerances of a fit from the leading Gram eigenpairs against an oracle
+#: from all of them: eigenvalues relative to the largest, unit eigenvectors
+VALUE_TOL = 1e-12
+VECTOR_TOL = 1e-10
 
 
 def tt_oracle(x, k):
@@ -109,9 +132,9 @@ class TestFitFactors:
         fit = fit_k(x, k)
         factors, eigenvalues = tt_oracle(x, k)
         p, t_len = x.shape
-        if p >= t_len:  # this route is the oracle
-            assert np.array_equal(fit.factors, factors)
-            assert np.array_equal(fit.eigenvalues, eigenvalues)
+        if p >= t_len:  # the oracle's Gram matrix, solved for its leading pairs
+            assert np.abs(fit.factors - factors).max() / np.sqrt(t_len) <= VECTOR_TOL
+            assert np.abs(fit.eigenvalues - eigenvalues).max() <= VALUE_TOL * eigenvalues[0]
         elif k <= np.linalg.matrix_rank(x):
             assert np.allclose(fit.factors, factors, rtol=0, atol=1e-10)
             assert np.allclose(fit.eigenvalues, eigenvalues, rtol=1e-10, atol=0)
@@ -121,24 +144,36 @@ class TestFitFactors:
         assert np.allclose(fit.loadings, x @ fit.factors / t_len)
 
     @pytest.mark.parametrize(
-        "x, k, shapes",
+        "x, k, calls",
         [
-            (random_panel(12, 30, seed=21), 4, [(12, 12)]),
-            (noiseless_panel(10, 40, 2, seed=18), 4, [(10, 10), (40, 40)]),
-            (random_panel(30, 12, seed=22), 4, [(12, 12)]),
+            (random_panel(12, 30, seed=21), 4, [("leading_pairs", (12, 12), 5)]),
+            # the fifth pair is a zero: the full route, then the X'X fallback
+            (
+                noiseless_panel(10, 40, 2, seed=18),
+                4,
+                [
+                    ("leading_pairs", (10, 10), 5),
+                    ("sym_eig_desc", (10, 10)),
+                    ("sym_eig_desc", (40, 40)),
+                ],
+            ),
+            (random_panel(30, 12, seed=22), 4, [("leading_pairs", (12, 12), 5)]),
         ],
         ids=["p<T full rank", "p<T rank 2 < k", "p>T"],
     )
-    def test_decomposes_smaller_gram_matrix(self, x, k, shapes, monkeypatch):
+    def test_decomposes_smaller_gram_matrix(self, x, k, calls, monkeypatch):
+        # k_max = 1: the leading pairs are k and one more
         seen = []
+        for name in ("leading_pairs", "sym_eig_desc"):
+            solver = getattr(factor_analysis, name)
 
-        def recording(m):
-            seen.append(m.shape)
-            return sym_eig_desc(m)
+            def recording(m, *args, name=name, solver=solver):
+                seen.append((name, m.shape, *args))
+                return solver(m, *args)
 
-        monkeypatch.setattr(factor_analysis, "sym_eig_desc", recording)
+            monkeypatch.setattr(factor_analysis, name, recording)
         fit_k(x, k)
-        assert seen == shapes
+        assert seen == calls
 
     def test_monotone_residual_in_k(self):
         x = random_panel(10, 14, seed=5)
@@ -162,6 +197,51 @@ class TestFitFactors:
         x[1, 1] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             fit_k(x, 2)
+
+
+#: (panel, k_max, k) whose extra eigenpair ties the last fitted one or is a zero
+FULL_ROUTE_CASES = {
+    "tie at the boundary": (boundary_tie_panel(), 1, 2),
+    "rank 2 < k": (noiseless_panel(10, 40, 2, seed=18), 1, 4),
+    "rank 4 = k": (noiseless_panel(10, 40, 4, seed=26), 4, 4),
+    "rank 3, auto": (noiseless_panel(50, 60, 3, seed=12), 8, "auto"),
+    "rank 2, p>T": (noiseless_panel(40, 10, 2, seed=24), 3, 2),
+}
+
+
+class TestRoutes:
+    @pytest.mark.parametrize(
+        "x, k_max, k", FULL_ROUTE_CASES.values(), ids=FULL_ROUTE_CASES.keys()
+    )
+    def test_full_route_keeps_every_bit(self, x, k_max, k, monkeypatch):
+        decomposed = []
+
+        def recording(m):
+            decomposed.append(m.shape)
+            return sym_eig_desc(m)
+
+        monkeypatch.setattr(factor_analysis, "sym_eig_desc", recording)
+        selection, fit = select_and_fit_factors(x, k_max, k)
+        assert decomposed[0] == (min(x.shape),) * 2
+        ref_selection, ref_fit = full_route(x, k_max, k)
+        assert np.array_equal(selection.criterion, ref_selection.criterion)
+        assert np.array_equal(fit.factors, ref_fit.factors)
+        assert np.array_equal(fit.loadings, ref_fit.loadings)
+        assert np.array_equal(fit.eigenvalues, ref_fit.eigenvalues)
+
+    @pytest.mark.parametrize("shape", [(12, 30), (30, 12)], ids=["p<T", "p>T"])
+    def test_without_the_bundled_library(self, shape, monkeypatch):
+        # leading_pairs falls back to the full decomposition's first pairs;
+        # only the criterion's total is the trace instead of the eigenvalue sum
+        monkeypatch.setattr(_parallel, "bundled_openblas", lambda: None)
+        x = random_panel(*shape, seed=25)
+        selection, fit = select_and_fit_factors(x, 5)
+        ref_selection, ref_fit = full_route(x, 5, "auto")
+        assert selection.k_hat == ref_selection.k_hat
+        assert np.allclose(selection.criterion, ref_selection.criterion, rtol=VALUE_TOL, atol=0)
+        assert np.array_equal(fit.factors, ref_fit.factors)
+        assert np.array_equal(fit.loadings, ref_fit.loadings)
+        assert np.array_equal(fit.eigenvalues, ref_fit.eigenvalues)
 
 
 class TestKnownLoadings:
@@ -251,9 +331,17 @@ class TestSelectNumFactors:
         alone = select_and_fit_factors(x, 5)[0]
         assert sel.k_hat == alone.k_hat
         assert np.array_equal(sel.criterion, alone.criterion)
-        ref = fit_k(x, max(alone.k_hat, 1) if k is None else k)
+        k_fit = max(alone.k_hat, 1) if k is None else k
+        # the bits of a fit depend on k and k_max alone
+        ref = select_and_fit_factors(x, 5, k_fit)[1]
         assert np.array_equal(fit.factors, ref.factors)
         assert np.array_equal(fit.eigenvalues, ref.eigenvalues)
+        # a fit from fewer leading pairs agrees up to rounding
+        fewer = fit_k(x, k_fit)
+        assert np.abs(fit.factors - fewer.factors).max() / np.sqrt(t_len) <= VECTOR_TOL
+        assert np.abs(fit.eigenvalues - fewer.eigenvalues).max() <= (
+            VALUE_TOL * fewer.eigenvalues[0]
+        )
 
     def test_k_max_out_of_range(self):
         with pytest.raises(ValueError, match="k_max must be >= 1"):
@@ -267,7 +355,7 @@ class TestSelectNumFactors:
 
 
 def test_save_factor_estimate_round_trip(tmp_path):
-    from suffcast import PanelData
+    from suffcast import PanelData, RollingConfig
     from suffcast.cli import main
     from suffcast.panel_data import _standardize_array
     from test_panel_data import save_csv
@@ -284,8 +372,10 @@ def test_save_factor_estimate_round_trip(tmp_path):
         "factors", "--input", str(tmp_path / "panel.csv"), "--target-column", "target",
         "--k", "2", "--out-dir", str(tmp_path),
     ]) == 0
-    # the panel read back standardizes to the bits of the panel built in memory
-    fit = fit_k(_standardize_array(panel.x, panel.series_names), 2)
+    # the panel read back standardizes to the bits of the panel built in
+    # memory; the bits of a fit depend on k_max, so the library call passes the CLI's
+    x = _standardize_array(panel.x, panel.series_names)
+    fit = select_and_fit_factors(x, RollingConfig().k_max, 2)[1]
     loadings = np.loadtxt(tmp_path / "loadings.csv", delimiter=",")
     factors = np.loadtxt(tmp_path / "factors.csv", delimiter=",")
     eigenvalues = np.loadtxt(tmp_path / "eigenvalues.csv", delimiter=",")

@@ -129,3 +129,16 @@ def test_cli_import_leaves_out_multiprocessing():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_openblas_unloaded():
+    # numpy's bundled OpenBLAS is looked up on first use: by a thread pin or
+    # by the eigensolver, not by an import
+    src = str(Path(suffcast.__file__).parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import suffcast.cli; "
+        "from suffcast._parallel import bundled_openblas; "
+        "print(bundled_openblas.cache_info().currsize)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"

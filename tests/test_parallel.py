@@ -9,7 +9,7 @@ from suffcast._parallel import chunked_map, usable_cpus
 
 def _blas_count(chunk):
     """The BLAS thread count a chunk runs on, in-process or in a worker, as its one row."""
-    return [_parallel._openblas_threads()[1]()]
+    return [_parallel.bundled_openblas().get_num_threads()]
 
 
 def _fail_from(first_failing, chunk):
@@ -43,17 +43,17 @@ class TestUsableCpus:
         assert usable_cpus() == 5
 
 
-@pytest.mark.skipif(_parallel._openblas_threads() is None,
+@pytest.mark.skipif(_parallel.bundled_openblas() is None,
                     reason="numpy's BLAS has no thread setter")
 class TestBlasPin:
     @pytest.fixture
     def two_threads(self):
         """BLAS on 2 threads for the test, and the count it found back afterwards."""
-        setter, getter = _parallel._openblas_threads()
-        found = getter()
-        setter(2)
-        yield getter
-        setter(found)
+        openblas = _parallel.bundled_openblas()
+        found = openblas.get_num_threads()
+        openblas.set_num_threads(2)
+        yield openblas.get_num_threads
+        openblas.set_num_threads(found)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_chunks_run_on_one_thread_and_the_count_is_restored(self, two_threads, jobs):
