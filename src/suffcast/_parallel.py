@@ -143,14 +143,15 @@ def chunked_map(fn, chunks: list, jobs: int) -> list:
     """``[row for chunk in chunks for row in fn(chunk)]``, on one BLAS thread, in order.
 
     ``jobs`` is the number of worker processes, 0 for one per usable CPU
-    (:func:`usable_cpus`).  No more workers start than there are chunks,
-    since a pool forks all of its workers at the first submit, and with at
-    most one the chunks run in-process.  ``fn`` must pickle: a module-level
-    function, or a :func:`functools.partial` of one.  An exception a chunk
+    (:func:`usable_cpus`).  No more workers start than there are usable CPUs
+    or chunks, since a pool forks all of its workers at the first submit,
+    and with at most one the chunks run in-process.  ``fn`` must pickle: a
+    module-level function, or a :func:`functools.partial` of one.  An exception a chunk
     raises is raised here, with its type and message; with workers, that of
     the earliest failing chunk.
     """
-    workers = min(jobs or usable_cpus(), len(chunks))
+    cpus = usable_cpus()
+    workers = min(jobs or cpus, cpus, len(chunks))
     with one_blas_thread():
         if workers <= 1:
             return [row for chunk in chunks for row in fn(chunk)]

@@ -1,16 +1,19 @@
 """Command-line entry point: simulate | forecast | select | factors.
 
 Each option is a field of a config dataclass, which declares its name, type
-and default: ``simulate`` exposes :class:`DgpSpec` (``link`` as ``model``) and
-:class:`StudyConfig`, and ``forecast``, ``select`` and ``factors`` the
-:class:`RollingConfig` fields they use, next to string I/O keys.
-``_DEFAULT_OVERRIDES`` lists the one CLI default that differs from the field's.
+and default, and every field of a subcommand's classes is an option:
+``simulate`` exposes :class:`DgpSpec` (``link`` as ``model``) and
+:class:`StudyConfig`, ``forecast`` :class:`RollingConfig`, ``select``
+:class:`SelectConfig` and ``factors`` :class:`FactorsConfig`, next to string
+I/O keys.  The factor-count ceiling is the constant
+:data:`suffcast.factor_analysis.K_MAX`, no key.
 
 A subcommand reads an optional flat JSON config file, overridden by explicit
 flags.  Every value is checked against its field's type (``_CONVERTERS``),
-then by the config dataclasses themselves and by the command's cross-field
-check in ``_COMMANDS`` (``simulate``'s is :func:`monte_carlo_study`'s own,
-made before it draws); a wrong one exits 2 before anything is written.  Every
+then by the config dataclasses themselves (``simulate``'s cross-field checks
+are :func:`monte_carlo_study`'s own, made before it draws); a wrong one exits
+2 before anything is written.  ``select`` checks the panel's length against
+the slice rules once it is read, before it fits.  Every
 command computes before it writes, the output directory is made by its first
 write, and the resolved configuration is written next to the outputs as
 ``config_resolved.json`` once the command succeeded, so an error raised at
@@ -34,15 +37,15 @@ import sys
 import time
 import typing
 from collections import Counter
-from dataclasses import asdict, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, sdr
 from ._parallel import blas_threads, one_blas_thread
-from .factor_analysis import select_and_fit_factors
-from .forecaster import RollingConfig, rolling_evaluate
+from .factor_analysis import K_MAX, select_and_fit_factors
+from .forecaster import RollingConfig, _check_count, rolling_evaluate
 from .panel_data import DataError, _standardize_array, load_csv
 from .simulation import N_FACTORS, DgpSpec, StudyConfig, monte_carlo_study
 
@@ -91,8 +94,6 @@ _CONVERTERS = {
 }
 #: the CLI key of a field whose name differs
 _ALIASES = {"link": "model"}
-#: the only CLI default that differs from its field's default
-_DEFAULT_OVERRIDES = {"factors": {"k": "auto"}}
 #: the required string keys of the panel subcommands
 _PANEL_IO = ("input", "target_column")
 
@@ -103,15 +104,12 @@ def _key(field_name: str) -> str:
 
 def _command_keys(command: str) -> dict:
     """CLI key -> (type, default) for ``command``: input keys, fields, ``out_dir``."""
-    _, classes, names, panel, _ = _COMMANDS[command]
+    _, classes, panel = _COMMANDS[command]
     keys = {key: (str, None) for key in (_PANEL_IO if panel else ())}
     for cls in classes:
         hints = typing.get_type_hints(cls)
         for f in fields(cls):
-            if names is None or f.name in names:
-                keys[_key(f.name)] = (hints[f.name], f.default)
-    for key, default in _DEFAULT_OVERRIDES.get(command, {}).items():
-        keys[key] = (keys[key][0], default)
+            keys[_key(f.name)] = (hints[f.name], f.default)
     keys["out_dir"] = (str, None)
     return keys
 
@@ -158,8 +156,8 @@ def _resolve_config(args: argparse.Namespace, keys: dict) -> dict:
 
 
 def _fields_of(cls, config: dict) -> dict:
-    """The keyword arguments of ``cls`` that ``config`` sets."""
-    return {f.name: config[_key(f.name)] for f in fields(cls) if _key(f.name) in config}
+    """The keyword arguments of ``cls`` in ``config``."""
+    return {f.name: config[_key(f.name)] for f in fields(cls)}
 
 
 def _write_csv(path: Path, rows, header=None) -> None:
@@ -181,9 +179,9 @@ def _write_json(path: Path, obj) -> None:
 
 
 def cmd_simulate(config: dict, out_dir: Path, spec: DgpSpec, study: StudyConfig) -> int:
-    started = time.time()
+    started = time.perf_counter()
     result = monte_carlo_study(spec, study)
-    runtime = time.time() - started
+    runtime = time.perf_counter() - started
     rows = result.summary_rows()
     _write_csv(
         out_dir / "study.csv",
@@ -260,13 +258,37 @@ def cmd_forecast(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
     return EXIT_OK
 
 
-def cmd_select(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
+@dataclass(frozen=True)
+class SelectConfig:
+    """Settings of ``select``: the kernel method whose index count is selected."""
+
+    method: str = "dr"
+
+    def __post_init__(self):
+        if self.method not in sdr.KERNEL_METHODS:
+            raise ValueError(
+                f"unknown method {self.method!r} for select; expected one of {sdr.KERNEL_METHODS}"
+            )
+
+
+@dataclass(frozen=True)
+class FactorsConfig:
+    """Settings of ``factors``: the factor count, or ``"auto"`` for the selected one."""
+
+    k: int | str = "auto"
+
+    def __post_init__(self):
+        _check_count("k", self.k, auto=True)
+
+
+def cmd_select(config: dict, out_dir: Path, select: SelectConfig) -> int:
     panel = load_csv(config["input"], config["target_column"])
+    sdr.check_slice_rules([select.method], panel.t_len, f"panel length T={panel.t_len}")
     x = _standardize_array(panel.x, panel.series_names)
     with one_blas_thread():
-        selection, fit = select_and_fit_factors(x, rolling.k_max)
-        indices = sdr.fit_indices([rolling.method], fit.factors, panel.y, panel.p, "auto")
-    dim, _ = indices[rolling.method]
+        selection, fit = select_and_fit_factors(x, K_MAX)
+        indices = sdr.fit_indices([select.method], fit.factors, panel.y, panel.p, "auto")
+    dim, _ = indices[select.method]
     _write_csv(
         out_dir / "k_criterion.csv",
         zip(range(selection.k_max + 1), selection.log_resid, selection.penalties,
@@ -289,11 +311,11 @@ def cmd_select(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
     return EXIT_OK
 
 
-def cmd_factors(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
+def cmd_factors(config: dict, out_dir: Path, factors: FactorsConfig) -> int:
     panel = load_csv(config["input"], config["target_column"])
     x = _standardize_array(panel.x, panel.series_names)
     with one_blas_thread():
-        _, fit = select_and_fit_factors(x, rolling.k_max, rolling.k)
+        _, fit = select_and_fit_factors(x, K_MAX, factors.k)
     _write_csv(out_dir / "loadings.csv", fit.loadings)
     _write_csv(out_dir / "factors.csv", fit.factors)
     _write_csv(out_dir / "eigenvalues.csv", fit.eigenvalues[:, None])
@@ -301,35 +323,12 @@ def cmd_factors(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
     return EXIT_OK
 
 
-def _check_forecast(rolling: RollingConfig) -> None:
-    # the PC baseline fit on every window needs T > K; factors reads k
-    # without a window, so this bound is not RollingConfig's
-    n_train = rolling.window - rolling.horizon
-    if rolling.k != "auto" and rolling.k >= n_train:
-        raise ConfigError(f"k={rolling.k} must be < window - horizon = {n_train}")
-
-
-def _check_select(rolling: RollingConfig) -> None:
-    # select chooses the index count on a kernel's spectrum
-    if rolling.method not in sdr.KERNEL_METHODS:
-        raise ConfigError(
-            f"unknown method {rolling.method!r} for select; expected one of {sdr.KERNEL_METHODS}"
-        )
-
-
-#: command -> (runner, config classes, exposed fields (None: all), reads a panel,
-#: cross-field check of the built configs)
+#: command -> (runner, config classes, reads a panel)
 _COMMANDS = {
-    "simulate": (cmd_simulate, (DgpSpec, StudyConfig), None, False, None),
-    "forecast": (
-        cmd_forecast,
-        (RollingConfig,),
-        ("window", "horizon", "method", "k", "l", "n_eval"),
-        True,
-        _check_forecast,
-    ),
-    "select": (cmd_select, (RollingConfig,), ("k_max", "method"), True, _check_select),
-    "factors": (cmd_factors, (RollingConfig,), ("k", "k_max"), True, None),
+    "simulate": (cmd_simulate, (DgpSpec, StudyConfig), False),
+    "forecast": (cmd_forecast, (RollingConfig,), True),
+    "select": (cmd_select, (SelectConfig,), True),
+    "factors": (cmd_factors, (FactorsConfig,), True),
 }
 
 
@@ -341,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        # no prefix matching, so select's --k, a key of factors, is not read as --k-max
+        # no prefix matching: an abbreviation would turn ambiguous, or change
+        # meaning, once a key sharing its prefix is added
         p = sub.add_parser(name, help=f"run the {name} pipeline", allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; flags override file values")
         for key, (_, default) in _command_keys(name).items():
@@ -351,13 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    runner, classes, _, _, check = _COMMANDS[args.command]
+    runner, classes, _ = _COMMANDS[args.command]
     try:
         config = _resolve_config(args, _command_keys(args.command))
         # the config dataclasses check their values before anything is written
         built = [cls(**_fields_of(cls, config)) for cls in classes]
-        if check is not None:
-            check(*built)
         out_dir = Path(config["out_dir"] or os.environ.get("SUFFCAST_OUT_DIR", "."))
         config["out_dir"] = str(out_dir)
         code = runner(config, out_dir, *built)

@@ -31,7 +31,8 @@ The number of factors is selected by penalized log residual variance, computed
 from the eigenvalues of the same smaller Gram matrix.
 :func:`select_and_fit_factors` is the one factor fit: it shares one
 eigendecomposition between the criterion and the fitted factors, whether the
-count is fixed or ``"auto"``.
+count is fixed or ``"auto"``.  Its ``k_max`` is ``K_MAX`` at every caller in
+the package: the study, each rolling window, ``select`` and ``factors``.
 """
 from __future__ import annotations
 
@@ -41,6 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._eigen import canonical_pairs, leading_pairs, sym_eig_desc
+
+#: the largest factor count the criterion considers, the ceiling of ``k="auto"``
+K_MAX = 8
 
 
 @dataclass(frozen=True, eq=False)

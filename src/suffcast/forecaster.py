@@ -22,7 +22,7 @@ import numpy as np
 
 from . import sdr
 from ._parallel import chunked_map, usable_cpus
-from .factor_analysis import select_and_fit_factors
+from .factor_analysis import K_MAX, select_and_fit_factors
 from .panel_data import PanelData, _standardize_array
 
 BACKFIT_TOL = 1e-8
@@ -446,7 +446,10 @@ class RollingConfig:
     Kernels slice the training targets into ``sdr.N_SLICES``: ``tm`` and
     ``ens`` need two a slice, ``window - horizon >= 2 * N_SLICES``, and SIR's
     kernel has rank at most ``N_SLICES - 1`` (its weighted slice means sum to
-    zero), so ``sir`` with an integer ``l`` needs ``l <= N_SLICES - 1``.
+    zero), so ``sir`` with an integer ``l`` needs ``l <= N_SLICES - 1``.  The
+    PC baseline fits every window's training points on ``k`` factors, so an
+    integer ``k`` needs ``k < window - horizon``; ``k="auto"`` selects at most
+    ``factor_analysis.K_MAX``.
     """
 
     window: int = 120
@@ -455,7 +458,6 @@ class RollingConfig:
     k: int | str = 8  # factor count, or "auto"
     l: int | str = 1  # index count for SDR methods, or "auto"
     n_eval: int = 240
-    k_max: int = 8
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -469,16 +471,17 @@ class RollingConfig:
                 "training points"
             )
         sdr.check_slice_rules([self.method], n_train, f"window - horizon = {n_train}")
-        for name in ("n_eval", "k_max"):
-            _check_count(name, getattr(self, name))
+        _check_count("n_eval", self.n_eval)
         _check_count("k", self.k, auto=True)
         _check_count("l", self.l, auto=True)
-        # with k="auto" the fitted K is at most k_max
-        bound, name = (self.k_max, "k_max") if self.k == "auto" else (self.k, "k")
+        # with k="auto" the fitted K is at most K_MAX
+        bound, name = (K_MAX, "k_max") if self.k == "auto" else (self.k, "k")
         if self.l != "auto" and self.l > bound:
             raise ValueError(f"l={self.l} must be <= {name}={bound}")
         if self.method == "sir" and self.l != "auto" and self.l > sdr.N_SLICES - 1:
             raise ValueError(f"l={self.l} must be <= N_SLICES - 1 = {sdr.N_SLICES - 1} for sir")
+        if self.k != "auto" and self.k >= n_train:
+            raise ValueError(f"k={self.k} must be < window - horizon = {n_train}")
 
 
 @dataclass(eq=False)
@@ -523,7 +526,7 @@ def _fit_window_model(x_win, targets_train, config: RollingConfig):
     window's factor count (with ``k="auto"`` it can fall below ``l``); the
     index count used is returned.  Smoothers use the normal-reference bandwidth.
     """
-    _, fit = select_and_fit_factors(x_win, config.k_max, config.k)
+    _, fit = select_and_fit_factors(x_win, K_MAX, config.k)
     train_factors = fit.factors[: targets_train.shape[0]]
     p = x_win.shape[0]
     indices = sdr.fit_indices([config.method], train_factors, targets_train, p, config.l)

@@ -21,7 +21,11 @@ import numpy as np
 from . import sdr
 from ._eigen import column_signs, sym_eig_desc
 from ._parallel import chunked_map
-from .factor_analysis import estimated_factors_known_loadings, select_and_fit_factors
+from .factor_analysis import (
+    K_MAX,
+    estimated_factors_known_loadings,
+    select_and_fit_factors,
+)
 from .forecaster import METHODS, _check_count, fit_forecast_model, predict
 
 LINKS = ("I", "II", "III", "IV")
@@ -35,8 +39,6 @@ PHI2 = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 3.0]) / np.sqrt(11.0)
 N_INDICES = 2
 #: standard deviation of the Gaussian target noise
 SIGMA = 0.2
-#: the largest factor count the study's order selection considers
-K_MAX = 8
 #: range of the study-level AR(1) coefficients of factors and errors
 AR_LOW, AR_HIGH = 0.2, 0.8
 #: range of the uniform loadings
@@ -229,7 +231,7 @@ class StudyConfig:
     metrics: tuple[str, ...] = ("directions",)  # directions | oos | k_selection | l_selection
     n_reps: int = 200
     n_test: int = 100
-    jobs: int = 0  # worker processes, 0 for one per usable CPU
+    jobs: int = 0  # worker processes, at most the usable CPUs; 0 for one per usable CPU
 
     def __post_init__(self):
         known = {"directions", "oos", "k_selection", "l_selection"}

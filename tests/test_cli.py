@@ -1,8 +1,10 @@
 import csv
+import itertools
 import json
 import os
 import subprocess
 import sys
+import time
 import typing
 from dataclasses import fields
 from pathlib import Path
@@ -13,6 +15,7 @@ import pytest
 from suffcast import DgpSpec, PanelData, RollingConfig, StudyConfig
 from suffcast import _parallel, cli, simulation
 from suffcast.cli import main
+from suffcast.factor_analysis import K_MAX
 from test_panel_data import save_csv
 
 
@@ -147,6 +150,16 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "n_failed=2" in err
         assert "'ValueError': 2" in err
+
+    def test_runtime_is_not_read_off_the_wall_clock(self, tmp_path, monkeypatch):
+        # the wall clock can step back during a run, as a clock correction does
+        wall = itertools.count(1e9, -60.0)
+        monkeypatch.setattr(time, "time", lambda: next(wall))
+        out = tmp_path / "clock"
+        assert run([
+            "simulate", "--p", 20, "--t-len", 40, "--n-reps", 1, "--jobs", 1, "--out-dir", out,
+        ]) == 0
+        assert json.loads((out / "metadata.json").read_text())["runtime_seconds"] >= 0
 
     @pytest.mark.parametrize("methods", ["tm", "ens"])
     def test_two_observations_per_slice_run(self, tmp_path, methods):
@@ -416,7 +429,7 @@ def test_dropped_rows_counted_in_the_summaries(tmp_path):
         assert run(["forecast", *io, "--method", "pc", "--k", 3, "--window", 120,
                     "--n-eval", 3, "--out-dir", tmp_path / "forecast"]) == 0
     with pytest.warns(UserWarning, match="dropped 1 row"):
-        assert run(["select", *io, "--k-max", 4, "--out-dir", tmp_path / "select"]) == 0
+        assert run(["select", *io, "--out-dir", tmp_path / "select"]) == 0
     for command in ("forecast", "select"):
         summary = json.loads((tmp_path / command / "summary.json").read_text())
         assert summary["n_dropped"] == 1
@@ -426,7 +439,7 @@ def test_dropped_rows_counted_in_the_summaries(tmp_path):
     "command,flags",
     [
         ("factors", ["--k", 2]),
-        ("select", ["--method", "dr", "--k-max", 3]),
+        ("select", ["--method", "dr"]),
         ("forecast", ["--window", 40, "--n-eval", 3, "--k", 2]),
     ],
 )
@@ -501,9 +514,9 @@ class TestSelect:
     @pytest.mark.parametrize(
         "method,t_len,message",
         [
-            ("tm", 19, "slice too small: third moments need >= 2 observations per slice"),
-            ("ens", 19, "slice too small: third moments need >= 2 observations per slice"),
-            ("sir", 9, "h_count=10 exceeds number of observations 9"),
+            ("tm", 19, "panel length T=19 must be >= 2 * N_SLICES = 20 for tm and ens"),
+            ("ens", 19, "panel length T=19 must be >= 2 * N_SLICES = 20 for tm and ens"),
+            ("sir", 9, "panel length T=9 must be >= N_SLICES = 10 for sir"),
         ],
     )
     def test_slices_beyond_the_panel_exit_2_with_nothing_written(
@@ -516,7 +529,7 @@ class TestSelect:
         out.mkdir()
         assert run([
             "select", "--input", panel, "--target-column", "target", "--method", method,
-            "--k-max", 4, "--out-dir", out,
+            "--out-dir", out,
         ]) == 2
         assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []
@@ -525,8 +538,7 @@ class TestSelect:
         panel = write_noiseless_rank3_panel(tmp_path)
         out = tmp_path / "sel"
         assert run([
-            "select", "--input", panel, "--target-column", "target",
-            "--k-max", 8, "--out-dir", out,
+            "select", "--input", panel, "--target-column", "target", "--out-dir", out,
         ]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["k_hat"] == 3
@@ -535,8 +547,7 @@ class TestSelect:
         panel = write_factor_panel(tmp_path, t_len=400, p=40, k=3, link="curved", seed=3)
         out = tmp_path / "sel2"
         assert run([
-            "select", "--input", panel, "--target-column", "target",
-            "--k-max", 4, "--out-dir", out,
+            "select", "--input", panel, "--target-column", "target", "--out-dir", out,
         ]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["l_hat"] == 2
@@ -549,11 +560,11 @@ class TestSelect:
         panel_path = write_factor_panel(tmp_path, t_len=200, p=20, k=2, seed=4)
         out = tmp_path / "sel3"
         assert run([
-            "select", "--input", panel_path, "--target-column", "target",
-            "--k-max", 5, "--out-dir", out,
+            "select", "--input", panel_path, "--target-column", "target", "--out-dir", out,
         ]) == 0
         panel = load_csv(panel_path, "target")
-        selection, fit = select_and_fit_factors(_standardize_array(panel.x, panel.series_names), 5)
+        x = _standardize_array(panel.x, panel.series_names)
+        selection, fit = select_and_fit_factors(x, K_MAX)
         k = max(selection.k_hat, 1)
         slices = sdr.slice_target(panel.y, 10)
         kernel = sdr.build_kernel("dr", fit.factors, slices)
@@ -618,9 +629,9 @@ class TestFactors:
             "--k", 2, "--out-dir", out,
         ]) == 0
         panel = load_csv(panel_path, "target")
-        # the bits of a fit depend on k_max, so the library call passes the CLI's
+        # the bits of a fit depend on k_max, so the library call passes K_MAX, as the CLI does
         x = _standardize_array(panel.x, panel.series_names)
-        _, fit = select_and_fit_factors(x, RollingConfig().k_max, 2)
+        _, fit = select_and_fit_factors(x, K_MAX, 2)
         dumped = np.loadtxt(out / "factors.csv", delimiter=",")
         assert np.array_equal(dumped, fit.factors)
 
@@ -686,18 +697,13 @@ def test_out_dir_from_environment(tmp_path, monkeypatch):
 
 
 PANEL_IO = {"input", "target_column", "out_dir"}
-#: command -> (config classes, exposed fields or None for all, I/O keys)
+#: command -> (config classes, every field of which is a key; I/O keys)
 EXPOSED = {
-    "simulate": ((DgpSpec, StudyConfig), None, {"out_dir"}),
-    "forecast": (
-        (RollingConfig,),
-        {"window", "horizon", "method", "k", "l", "n_eval"},
-        PANEL_IO,
-    ),
-    "select": ((RollingConfig,), {"k_max", "method"}, PANEL_IO),
-    "factors": ((RollingConfig,), {"k", "k_max"}, PANEL_IO),
+    "simulate": ((DgpSpec, StudyConfig), {"out_dir"}),
+    "forecast": ((RollingConfig,), PANEL_IO),
+    "select": ((cli.SelectConfig,), PANEL_IO),
+    "factors": ((cli.FactorsConfig,), PANEL_IO),
 }
-OVERRIDES = {("factors", "k"): "auto"}
 
 
 def resolve(argv):
@@ -715,28 +721,27 @@ def subcommand_keys(command):
 class TestDerivedKeys:
     @pytest.mark.parametrize("command", sorted(EXPOSED))
     def test_keys_and_defaults_come_from_the_fields(self, command):
-        classes, names, io_keys = EXPOSED[command]
+        classes, io_keys = EXPOSED[command]
         exposed = {}
         for cls in classes:
             hints = typing.get_type_hints(cls)
             for f in fields(cls):
-                if names is None or f.name in names:
-                    # every exposed field has a type the CLI converts
-                    assert hints[f.name] in cli._CONVERTERS, f.name
-                    exposed["model" if f.name == "link" else f.name] = f.default
+                # every field has a type the CLI converts
+                assert hints[f.name] in cli._CONVERTERS, f.name
+                exposed["model" if f.name == "link" else f.name] = f.default
         assert subcommand_keys(command) == set(exposed) | io_keys
         io = ["--input", "panel.csv", "--target-column", "y"] if "input" in io_keys else []
         config = resolve([command, *io])
         for key, default in exposed.items():
-            assert config[key] == OVERRIDES.get((command, key), default), key
+            assert config[key] == default, key
 
     def test_every_converter_serves_an_exposed_field(self):
         # a converter is read through _CONVERTERS, so no unread-definitions check sees it
         types = set()
-        for classes, names, _ in EXPOSED.values():
+        for classes, _ in EXPOSED.values():
             for cls in classes:
                 hints = typing.get_type_hints(cls)
-                types |= {hints[f.name] for f in fields(cls) if names is None or f.name in names}
+                types |= {hints[f.name] for f in fields(cls)}
         assert set(cli._CONVERTERS) == types
 
     def test_each_subcommand_has_its_listed_keys(self):
@@ -746,8 +751,8 @@ class TestDerivedKeys:
                          "n_test", "jobs", "out_dir"],
             "forecast": ["input", "target_column", "window", "horizon", "method", "k", "l",
                          "n_eval", "out_dir"],
-            "select": ["input", "target_column", "k_max", "method", "out_dir"],
-            "factors": ["input", "target_column", "k", "k_max", "out_dir"],
+            "select": ["input", "target_column", "method", "out_dir"],
+            "factors": ["input", "target_column", "k", "out_dir"],
         }
         for command, keys in listed.items():
             assert subcommand_keys(command) == set(keys), command
@@ -777,7 +782,7 @@ class TestConfigBoundary:
         "command,values",
         [
             ("simulate", {"p": "20"}),
-            ("factors", {"k_max": "8"}),
+            ("factors", {"k": True}),
         ],
     )
     def test_wrong_json_type_exits_2_before_writing(self, tmp_path, capsys, command, values):
@@ -814,7 +819,8 @@ class TestConfigBoundary:
             ("forecast", ["--l", "0"], None, 'l must be >= 1 or "auto"'),
             ("forecast", ["--variance-mode", "identity"], None,
              "unrecognized arguments: --variance-mode identity"),
-            ("select", ["--k-max", "0"], None, "k_max must be >= 1"),
+            # the factor-count ceiling is the constant factor_analysis.K_MAX, no key
+            ("select", ["--k-max", "4"], None, "unrecognized arguments: --k-max 4"),
             # the study's noise, index count and K ceiling are constants, no keys
             ("simulate", ["--n-reps", "3", "--l", "0"], None, "unrecognized arguments: --l 0"),
             ("simulate", ["--n-reps", "3", "--h-slices", "0"], None,
@@ -913,6 +919,11 @@ class TestConfigBoundary:
             # SeedSequence takes no negative seed: every replicate would fail
             ("simulate", ["--p", "20", "--t-len", "60", "--n-reps", "2", "--seed", "-1",
                           "--jobs", "1"], None, "seed must be >= 0, got -1"),
+            ("factors", ["--k-max", "8"], None, "unrecognized arguments: --k-max 8"),
+            ("factors", [], '{"k_max": 8}', "unknown config keys: ['k_max']"),
+            ("factors", ["--k", "0"], None, 'k must be >= 1 or "auto"'),
+            # flags are spelled in full
+            ("forecast", ["--win", "60"], None, "unrecognized arguments: --win 60"),
         ],
     )
     def test_out_of_range_value_exits_2_before_writing(
@@ -946,8 +957,8 @@ class TestConfigBoundary:
                          "--metrics", "oos,l_selection", "--jobs", 1, "--seed", 4],
             "forecast": [*panel_args, "--method", "dr", "--k", "auto", "--l", "auto",
                          "--window", 100, "--n-eval", 5],
-            "select": [*panel_args, "--method", "tm", "--k-max", 4],
-            "factors": [*panel_args, "--k", "auto", "--k-max", 5],
+            "select": [*panel_args, "--method", "tm"],
+            "factors": [*panel_args, "--k", "auto"],
         }[command]
         first, second = tmp_path / "first", tmp_path / "second"
         assert run([command, *args, "--out-dir", first]) == 0

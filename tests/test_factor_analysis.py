@@ -8,7 +8,7 @@ from suffcast import (
 )
 from suffcast import _parallel, factor_analysis
 from suffcast._eigen import sym_eig_desc
-from suffcast.factor_analysis import bai_ng_penalty
+from suffcast.factor_analysis import K_MAX, bai_ng_penalty
 
 
 def residuals(x: np.ndarray, fit: FactorEstimate) -> np.ndarray:
@@ -355,7 +355,7 @@ class TestSelectNumFactors:
 
 
 def test_save_factor_estimate_round_trip(tmp_path):
-    from suffcast import PanelData, RollingConfig
+    from suffcast import PanelData
     from suffcast.cli import main
     from suffcast.panel_data import _standardize_array
     from test_panel_data import save_csv
@@ -373,9 +373,10 @@ def test_save_factor_estimate_round_trip(tmp_path):
         "--k", "2", "--out-dir", str(tmp_path),
     ]) == 0
     # the panel read back standardizes to the bits of the panel built in
-    # memory; the bits of a fit depend on k_max, so the library call passes the CLI's
+    # memory; the bits of a fit depend on k_max, so the library call passes
+    # K_MAX, as the CLI does
     x = _standardize_array(panel.x, panel.series_names)
-    fit = select_and_fit_factors(x, RollingConfig().k_max, 2)[1]
+    fit = select_and_fit_factors(x, K_MAX, 2)[1]
     loadings = np.loadtxt(tmp_path / "loadings.csv", delimiter=",")
     factors = np.loadtxt(tmp_path / "factors.csv", delimiter=",")
     eigenvalues = np.loadtxt(tmp_path / "eigenvalues.csv", delimiter=",")

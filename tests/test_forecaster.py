@@ -838,7 +838,7 @@ class TestRollingEvaluate:
         f = rng.standard_normal((100, 3))
         x = rng.uniform(-1, 2, (10, 3)) @ f.T + 0.3 * rng.standard_normal((10, 100))
         panel = make_panel(x, f[:, 0] + np.sin(f[:, 1]) + 0.1 * rng.standard_normal(100))
-        config = RollingConfig(window=40, method=method, k=k, l=l, k_max=4, n_eval=45)
+        config = RollingConfig(window=40, method=method, k=k, l=l, n_eval=45)
         serial = rolling_evaluate(panel, config)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         parallel = rolling_evaluate(panel, config)
@@ -895,7 +895,7 @@ class TestRollingEvaluate:
         x = b @ f.T + 0.2 * rng.standard_normal((20, 80))
         y = f[:, 0] + f[:, 1] ** 2 + 0.1 * rng.standard_normal(80)
         panel = make_panel(x, y)
-        config = RollingConfig(window=50, method="dr", k="auto", l="auto", n_eval=3, k_max=4)
+        config = RollingConfig(window=50, method="dr", k="auto", l="auto", n_eval=3)
         report = rolling_evaluate(panel, config)
         assert np.all(report.selected_k >= 1)
         assert np.all(report.selected_l >= 1)
@@ -938,9 +938,7 @@ class TestRollingEvaluate:
         f = rng.standard_normal(80)
         x = rng.uniform(1.0, 2.0, (30, 1)) * f + 0.3 * rng.standard_normal((30, 80))
         panel = make_panel(x, f + 0.1 * rng.standard_normal(80))
-        config = RollingConfig(
-            window=50, method="dr", k="auto", l=3, k_max=4, n_eval=4
-        )
+        config = RollingConfig(window=50, method="dr", k="auto", l=3, n_eval=4)
         report = rolling_evaluate(panel, config)
         assert np.all(report.selected_k < 3)
         assert np.array_equal(report.selected_l, report.selected_k)
@@ -981,6 +979,14 @@ class TestRollingEvaluate:
         RollingConfig(method="dr", k=10, l=10, window=20)
         RollingConfig(method="pc", window=11)
         RollingConfig(method="nlpc", window=11)
+
+    def test_integer_k_below_the_training_length(self):
+        # the PC baseline fits every window's training points on k factors;
+        # k="auto" selects at most K_MAX
+        with pytest.raises(ValueError, match="k=39 must be < window - horizon = 39"):
+            RollingConfig(window=40, horizon=1, k=39)
+        RollingConfig(window=40, horizon=1, k=38)
+        RollingConfig(window=40, horizon=1, k="auto")
 
     def test_flat_series_in_window_is_named(self):
         rng = np.random.default_rng(20)

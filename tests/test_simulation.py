@@ -318,13 +318,15 @@ class TestMonteCarloStudy:
             (3, simulation.CHUNK_SIZE, None),
             # jobs 0 is one worker per usable CPU, four here
             (0, 2 * simulation.CHUNK_SIZE + 1, 3),
+            # five chunks, but no more workers than the four usable CPUs
+            (1000, 4 * simulation.CHUNK_SIZE + 1, 4),
         ],
     )
     def test_pool_never_larger_than_its_chunks(self, monkeypatch, jobs, n_reps, workers):
         # the study runs n_reps replicates in chunks of CHUNK_SIZE; the rolling
         # evaluator splits n_reps origins, then 2, into one chunk per usable
-        # CPU, jobs of them or four, and so starts 2 workers for 2 origins
-        cpus = set(range(jobs or 4))
+        # CPU, jobs of them or at most four, and so starts 2 workers for 2 origins
+        cpus = set(range(min(jobs or 4, 4)))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         monkeypatch.setattr(_parallel, "_worker_fn", None)
         started, tasks = [], []
