@@ -17,11 +17,12 @@ the slice rules once it is read, before it fits.  Every
 command computes before it writes, the output directory is made by its first
 write, and the resolved configuration is written next to the outputs as
 ``config_resolved.json`` once the command succeeded, so an error raised at
-any point of a run leaves nothing behind.  Passed back as ``--config`` to the
-same subcommand, the resolved file reproduces the run.  This module is the
-only one that writes files: the library returns results, and each command
-writes its outputs through ``_write_csv`` (floats as ``repr(float(v))``) and
-``_write_json`` (indent 2 and a final newline).  Exit codes:
+any point of a run leaves nothing behind.  An output directory that is a
+file, or lies under one, exits 2 before the command runs.  Passed back as
+``--config`` to the same subcommand, the resolved file reproduces the run.
+This module is the only one that writes files: the library returns results,
+and each command writes its outputs through ``_write_csv`` (floats as
+``repr(float(v))``) and ``_write_json`` (indent 2 and a final newline).  Exit codes:
 0 success, 2 usage or config error, 3 data error, 4 numerical failure.
 
 The default output directory is taken from the ``SUFFCAST_OUT_DIR``
@@ -46,7 +47,7 @@ from . import __version__, sdr
 from ._parallel import blas_threads, one_blas_thread
 from .factor_analysis import K_MAX, select_and_fit_factors
 from .forecaster import RollingConfig, _check_count, rolling_evaluate
-from .panel_data import DataError, _standardize_array, load_csv
+from .panel_data import DataError, _check_target_varies, _standardize_array, load_csv
 from .simulation import N_FACTORS, DgpSpec, StudyConfig, monte_carlo_study
 
 EXIT_OK = 0
@@ -284,6 +285,7 @@ class FactorsConfig:
 def cmd_select(config: dict, out_dir: Path, select: SelectConfig) -> int:
     panel = load_csv(config["input"], config["target_column"])
     sdr.check_slice_rules([select.method], panel.t_len, f"panel length T={panel.t_len}")
+    _check_target_varies(panel.y, "the panel")
     x = _standardize_array(panel.x, panel.series_names)
     with one_blas_thread():
         selection, fit = select_and_fit_factors(x, K_MAX)
@@ -358,6 +360,10 @@ def main(argv=None) -> int:
         built = [cls(**_fields_of(cls, config)) for cls in classes]
         out_dir = Path(config["out_dir"] or os.environ.get("SUFFCAST_OUT_DIR", "."))
         config["out_dir"] = str(out_dir)
+        # the nearest existing path at or above out_dir ("." or "/" at worst)
+        found = next(d for d in (out_dir, *out_dir.parents) if d.exists() or d.is_symlink())
+        if not found.is_dir():
+            raise ConfigError(f"out_dir {str(out_dir)!r}: {str(found)!r} is not a directory")
         code = runner(config, out_dir, *built)
         # written only once the run succeeded, so that it always reproduces one
         _write_json(out_dir / "config_resolved.json", {"command": args.command, **config})

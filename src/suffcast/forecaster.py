@@ -23,7 +23,7 @@ import numpy as np
 from . import sdr
 from ._parallel import chunked_map, usable_cpus
 from .factor_analysis import K_MAX, select_and_fit_factors
-from .panel_data import PanelData, _standardize_array
+from .panel_data import PanelData, _check_target_varies, _standardize_array
 
 BACKFIT_TOL = 1e-8
 BACKFIT_MAX_SWEEPS = 100
@@ -152,16 +152,6 @@ def _weigh_the_ends(
             e[j][reach > max(least_reach, 0.0)] = at_end
 
 
-def _band_skips_enough(m: int, span, bandwidth):
-    """Whether a band over ``m`` sorted points skips ``NW_MIN_SKIPPED_PER_ROW`` weights a row.
-
-    The estimate ``m (1 - 2 reach / span)`` of :func:`_fit_weights`, before any
-    sort; ``span`` and ``bandwidth`` may be arrays of one value per index.
-    """
-    reach = bandwidth * math.sqrt(-2.0 * _nw_exponent_floor(m))
-    return m * (1.0 - 2.0 * reach / span) >= NW_MIN_SKIPPED_PER_ROW
-
-
 @dataclass(eq=False)
 class _BandedWeights:
     """Gaussian weights of the training points over themselves, stored only inside windows.
@@ -188,12 +178,12 @@ class _BandedWeights:
 def _fit_weights(train_x: np.ndarray, bandwidth: float) -> _BandedWeights | None:
     """The banded weights of the training points over themselves, or ``None`` where a band costs.
 
-    :func:`fit_additive` calls this only where the estimate of
-    :func:`_band_skips_enough` says a band skips ``NW_MIN_SKIPPED_PER_ROW``
-    weights a row: a training point keeps the points within
-    ``reach = sqrt(2 |floor|)`` bandwidths of it, so a band over the sorted
-    points skips about ``m (1 - 2 reach / span)`` of each row's ``m`` weights,
-    where ``span`` is the range of ``train_x``.  Every row has the same reach,
+    A training point keeps the points within ``reach = sqrt(2 |floor|)``
+    bandwidths of it, so a band over the sorted points skips about
+    ``m (1 - 2 reach / span)`` of each row's ``m`` weights, where ``span`` is
+    the range of ``train_x``.  Where that estimate is below
+    ``NW_MIN_SKIPPED_PER_ROW`` this returns ``None`` before any sort, and the
+    caller builds the dense matrix instead.  Every row has the same reach,
     widened by a relative 1e-9 against rounding (points in it below the floor
     are still 0), so a block's window runs from its first point's reach to
     its last's, two vectorized ``searchsorted`` calls.  Every window is then
@@ -210,8 +200,7 @@ def _fit_weights(train_x: np.ndarray, bandwidth: float) -> _BandedWeights | None
     ``span``) make the padded array skip fewer weights per row than the
     estimate.  Where it skips fewer than ``NW_MIN_SKIPPED_PER_ROW / 2``, near
     the timed crossover of its product (below), and so wherever it would hold
-    more than ``m^2`` weights, this returns ``None`` and the caller builds the
-    dense matrix instead.
+    more than ``m^2`` weights, this returns ``None`` too.
 
     Timed on one BLAS thread, medians over 5 sets of N(0, 1) points at
     m = 200-500 and 0.1-0.3x the reference bandwidth: the batched product
@@ -224,9 +213,12 @@ def _fit_weights(train_x: np.ndarray, bandwidth: float) -> _BandedWeights | None
     """
     m = train_x.shape[0]
     floor = _nw_exponent_floor(m)
+    reach = bandwidth * math.sqrt(-2.0 * floor)
+    if m * (1.0 - 2.0 * reach / np.ptp(train_x)) < NW_MIN_SKIPPED_PER_ROW:
+        return None
     order = np.argsort(train_x, kind="stable")
     x_sorted = train_x[order]
-    reach = bandwidth * math.sqrt(-2.0 * floor) * (1.0 + 1e-9)
+    reach *= 1.0 + 1e-9
     n_blocks = -(-m // NW_FIT_ROWS)
     rows = np.minimum(np.arange(n_blocks * NW_FIT_ROWS), m - 1).reshape(n_blocks, NW_FIT_ROWS)
     c0 = np.searchsorted(x_sorted, x_sorted[rows[:, 0]] - reach, "left")
@@ -298,9 +290,8 @@ def fit_additive(
     ``bandwidths`` holds one bandwidth per index and ``directions`` is the
     ``K x L`` map from a factor vector to the indices.  Targets are centered
     at their mean (the model intercept) and the components are fit by
-    :func:`_backfit`.  Each index's weights are built once: banded by
-    :func:`_fit_weights` where the estimate of :func:`_band_skips_enough`
-    allows a band and the padded band pays, and otherwise as one stack of
+    :func:`_backfit`.  Each index's weights are built once: banded where
+    :func:`_fit_weights` finds a band pays, and otherwise as one stack of
     dense matrices by one :func:`_nw_weights` call, ``L x m x m`` (the
     matrices the sweeps keep anyway, plus a boolean mask of their shape while
     they are built).  The sweeps see the components in index order either
@@ -321,8 +312,7 @@ def fit_additive(
         raise ValueError(f"targets have shape {targets.shape}, expected ({t_len},)")
     if not (np.all(np.isfinite(indices)) and np.all(np.isfinite(targets))):
         raise ValueError("non-finite inputs")
-    spans = np.ptp(indices, axis=0)
-    keep = spans != 0.0
+    keep = np.ptp(indices, axis=0) != 0.0
     bandwidths = np.asarray(bandwidths, dtype=float)
     if bandwidths.shape != (n_idx,):
         raise ValueError(f"bandwidths have shape {bandwidths.shape}, expected ({n_idx},)")
@@ -336,10 +326,8 @@ def fit_additive(
     intercept = float(targets.mean())
     centered = targets - intercept
     train_x = indices.T[keep]  # (L, m)
-    spans, bandwidths = spans[keep], bandwidths[keep]
-    banded = _band_skips_enough(t_len, spans, bandwidths)
-    weights = [_fit_weights(x, h) if b else None
-               for x, h, b in zip(train_x, bandwidths, banded)]
+    bandwidths = bandwidths[keep]
+    weights = [_fit_weights(x, h) for x, h in zip(train_x, bandwidths)]
     dense = [j for j, w in enumerate(weights) if w is None]
     stacked = _nw_weights(train_x[dense], train_x[dense], bandwidths[dense],
                           _nw_exponent_floor(t_len), queries_are_train=True)
@@ -517,31 +505,31 @@ def _forward_mean(y: np.ndarray, h: int) -> np.ndarray:
 
 
 def _fit_window_model(x_win, targets_train, config: RollingConfig):
-    """Fit the configured forecaster inside one window.
+    """Fit the configured forecaster inside one window: ``(model, factor fit)``.
 
     ``x_win`` holds the window's predictor columns, standardized over the
     window; the last column is the forecast origin and the first
     ``len(targets_train)`` columns are the training times.  Directions come
     from :func:`suffcast.sdr.fit_indices`, which caps an integer ``l`` at the
-    window's factor count (with ``k="auto"`` it can fall below ``l``); the
-    index count used is returned.  Smoothers use the normal-reference bandwidth.
+    window's factor count (with ``k="auto"`` it can fall below ``l``).
+    Smoothers use the normal-reference bandwidth.
     """
     _, fit = select_and_fit_factors(x_win, K_MAX, config.k)
     train_factors = fit.factors[: targets_train.shape[0]]
     p = x_win.shape[0]
     indices = sdr.fit_indices([config.method], train_factors, targets_train, p, config.l)
     _, phi = indices.get(config.method, (None, None))
-    l_use = phi.shape[1] if phi is not None else (fit.k if config.method == "nlpc" else 0)
-    model = fit_forecast_model(config.method, train_factors, targets_train, phi, 1.0)
-    return model, fit, l_use
+    return fit_forecast_model(config.method, train_factors, targets_train, phi, 1.0), fit
 
 
 def _rolling_chunk(panel, aligned, config, origins) -> list[tuple]:
     """Fit and forecast at each of ``origins``; ``aligned`` holds the panel's h-step targets.
 
     Returns one row per origin: its forecast, PC baseline, training-target
-    mean, selected K and L, and whether its backfit stopped at the sweep cap.
-    An origin that fails raises, its message prefixed with the origin.
+    mean, selected K, the model's index count (0 for the linear model) and
+    whether its backfit stopped at the sweep cap.  A constant training target
+    is a :class:`DataError`; an origin that fails raises, its message
+    prefixed with the origin.
     """
     t_w, h = config.window, config.horizon
     rows = []
@@ -550,17 +538,14 @@ def _rolling_chunk(panel, aligned, config, origins) -> list[tuple]:
             lo = t - t_w + 1
             x_win = _standardize_array(panel.x[:, lo : t + 1], panel.series_names)
             targets_train = aligned[lo : t - h + 1]
-            model, fit, l_use = _fit_window_model(x_win, targets_train, config)
+            _check_target_varies(targets_train, "the training window")
+            model, fit = _fit_window_model(x_win, targets_train, config)
+            train_factors = fit.factors[: targets_train.shape[0]]
+            pc_model = fit_forecast_model("pc", train_factors, targets_train, None, 1.0)
             f_origin = fit.factors[-1:]
-            forecast = predict(model, f_origin)[0]
-            if config.method == "pc":
-                baseline = forecast
-            else:
-                pc_model = fit_pc_baseline(fit.factors[: targets_train.shape[0]], targets_train)
-                baseline = predict(pc_model, f_origin)[0]
-            rows.append(
-                (forecast, baseline, targets_train.mean(), fit.k, l_use, not model.converged)
-            )
+            n_idx = 0 if model.directions is None else model.directions.shape[1]
+            rows.append((predict(model, f_origin)[0], predict(pc_model, f_origin)[0],
+                         targets_train.mean(), fit.k, n_idx, not model.converged))
         except Exception as e:
             # prefix the origin in place: rebuilding the exception would
             # call constructors that take other arguments
@@ -574,9 +559,10 @@ def rolling_evaluate(panel: PanelData, config: RollingConfig) -> EvalReport:
 
     At each origin ``t`` the pipeline sees only columns up to ``t`` and target
     values observed by time ``t``; the realized value ``mean(y[t..t+h-1])``
-    is used for scoring only.  A linear principal-components baseline is fit
-    on identical windows; ``rmse_vs_pc`` is the ratio ``mse / mse_pc`` of the
-    two mean squared errors, exactly one for the baseline itself.  The
+    is used for scoring only.  The linear principal-components baseline of
+    :func:`fit_forecast_model` is fit on identical windows for every method;
+    ``rmse_vs_pc`` is the ratio ``mse / mse_pc`` of the two mean squared
+    errors, exactly one for ``"pc"`` itself.  The
     origins are split into one chunk of consecutive ones per usable CPU, each
     computed on one BLAS thread in its own worker process, or in-process where
     there is one chunk (see :func:`suffcast._parallel.chunked_map`); no result
@@ -610,7 +596,6 @@ def rolling_evaluate(panel: PanelData, config: RollingConfig) -> EvalReport:
     err_pc = realized - baseline
     mse = float(np.mean(err**2))
     mse_pc = float(np.mean(err_pc**2))
-    rmse_vs_pc = 1.0 if config.method == "pc" else mse / mse_pc
     denom = float(np.sum((realized - benchmarks) ** 2))
     r2 = 1.0 - float(np.sum(err**2)) / denom if denom > 0 else float("-inf")
     return EvalReport(
@@ -621,7 +606,7 @@ def rolling_evaluate(panel: PanelData, config: RollingConfig) -> EvalReport:
         benchmarks=benchmarks,
         mse=mse,
         mse_pc=mse_pc,
-        rmse_vs_pc=rmse_vs_pc,
+        rmse_vs_pc=mse / mse_pc,
         r2_oos=r2,
         selected_k=selected_k,
         selected_l=selected_l,

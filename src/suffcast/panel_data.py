@@ -204,3 +204,9 @@ def _standardize_array(x: np.ndarray, series_names) -> np.ndarray:
         raise DataError(f"zero-variance series over window: {series_names[flat[0]]!r}")
     dev /= sds
     return dev
+
+
+def _check_target_varies(y: np.ndarray, where: str) -> None:
+    """A target constant over ``where`` is a :class:`DataError`: it cannot be sliced or scored."""
+    if np.all(y == y[0]):
+        raise DataError(f"the target is constant over {where}")

@@ -464,6 +464,59 @@ def test_constant_series_exits_3_with_nothing_written(tmp_path, capsys, command,
     assert not out.exists()
 
 
+FORECAST_40 = ["forecast", "--k", 2, "--window", 40, "--n-eval", 3, "--method"]
+CONSTANT_WINDOW = "forecast origin 57: the target is constant over the training window"
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ([*FORECAST_40, "dr"], CONSTANT_WINDOW),
+        ([*FORECAST_40, "nlpc"], CONSTANT_WINDOW),
+        ([*FORECAST_40, "pc"], CONSTANT_WINDOW),
+        (["select", "--method", "dr"], "the target is constant over the panel"),
+    ],
+    ids=["forecast-dr", "forecast-nlpc", "forecast-pc", "select"],
+)
+def test_constant_target_exits_3_with_nothing_written(tmp_path, capsys, args, message):
+    rng = np.random.default_rng(6)
+    panel = PanelData(
+        x=rng.standard_normal((8, 60)),
+        series_names=tuple(f"s{i}" for i in range(8)),
+        time_labels=tuple(f"t{i:04d}" for i in range(60)),
+        y=np.zeros(60),
+    )
+    save_csv(panel, tmp_path / "zero.csv")
+    out = tmp_path / "out"
+    assert run([*args, "--input", tmp_path / "zero.csv", "--target-column", "target",
+                "--out-dir", out]) == 3
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", ["simulate", "factors"])
+def test_out_dir_that_is_a_file_exits_2_before_running(
+    tmp_path, capsys, monkeypatch, command, under
+):
+    def never(*args):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(cli, "monte_carlo_study", never)
+    panel = write_factor_panel(tmp_path, t_len=60, p=8)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    out = blocker / "sub" if under else blocker
+    args = {"simulate": ["simulate", "--n-reps", 2],
+            "factors": ["factors", "--input", panel, "--target-column", "target"]}[command]
+    before = sorted(tmp_path.iterdir())
+    assert run([*args, "--out-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: out_dir {str(out)!r}: {str(blocker)!r} is not a directory\n"
+    assert blocker.read_text() == "kept\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_failing_origin_in_a_worker_exits_like_in_process(tmp_path, capsys, monkeypatch):
     # on four CPUs, four chunks of ten origins in four workers; s1 is flat
     # over the windows of origins 33 and 55

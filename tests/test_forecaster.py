@@ -326,7 +326,7 @@ def _fit_operators(indices, bandwidths):
     m = indices.shape[0]
     out = []
     for x, h in zip(indices.T, bandwidths):
-        w = fc._fit_weights(x, h) if fc._band_skips_enough(m, np.ptp(x), h) else None
+        w = fc._fit_weights(x, h)
         if w is None:
             w = fc._nw_weights(x, x, h, fc._nw_exponent_floor(m), queries_are_train=True)
         out.append(w)
@@ -599,7 +599,8 @@ class TestStackedIndices:
         f[:2] = [[-2.5], [2.5]]  # no index is constant
         y = np.sin(f[:, 0]) + 0.3 * rng.standard_normal(m)
         bws = scale * fc.reference_bandwidth(f)
-        assert np.all(fc._band_skips_enough(m, np.ptp(f, axis=0), bws) == banded)
+        assert all(isinstance(fc._fit_weights(x, h), fc._BandedWeights) == banded
+                   for x, h in zip(f.T, bws))
         with mock.patch.object(fc, "BACKFIT_MAX_SWEEPS", 2):
             model = fit_additive(f, y, bws, np.eye(n_idx))
         q = rng.normal(0.0, 1.5, (n, n_idx))
@@ -768,7 +769,7 @@ class TestRollingEvaluate:
             model = ForecastModel(
                 kind="linear", intercept=float(targets_train.mean()), coefficients=np.zeros(1)
             )
-            return model, select_and_fit_factors(x_win, 1, 1)[1], 0
+            return model, select_and_fit_factors(x_win, 1, 1)[1]
 
         monkeypatch.setattr(fc, "_fit_window_model", stub)
         rng = np.random.default_rng(8)
@@ -846,6 +847,40 @@ class TestRollingEvaluate:
             assert np.array_equal(getattr(serial, name), getattr(parallel, name)), name
         assert serial.backfit_not_converged == parallel.backfit_not_converged
         assert serial.selected_l.max() > 1
+
+    def test_pc_forecast_is_its_baseline_with_no_index(self, monkeypatch, one_cpu):
+        # the baseline is fit at every origin, for pc too: in-process on one
+        # CPU and in two workers on two, its rows are the forecast's bits
+        rng = np.random.default_rng(14)
+        f = rng.standard_normal((100, 3))
+        x = rng.uniform(-1, 2, (10, 3)) @ f.T + 0.3 * rng.standard_normal((10, 100))
+        panel = make_panel(x, f[:, 0] + np.sin(f[:, 1]) + 0.1 * rng.standard_normal(100))
+        config = RollingConfig(window=40, method="pc", k=3, n_eval=45)
+        reports = [rolling_evaluate(panel, config)]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        reports.append(rolling_evaluate(panel, config))
+        for report in reports:
+            assert report.forecasts.tobytes() == report.baseline.tobytes()
+            assert report.selected_l.tolist() == [0] * 45
+            assert report.rmse_vs_pc == 1.0
+        assert reports[0].forecasts.tobytes() == reports[1].forecasts.tobytes()
+
+    @pytest.mark.parametrize("method", ["dr", "nlpc", "pc"])
+    def test_constant_training_target_names_its_origin(self, method):
+        # y[10:29] is every training target of origin 29 (window 20, h = 1)
+        # and of no other; a constant target leaves the MSE ratio 0 / 0
+        rng = np.random.default_rng(22)
+        y = rng.standard_normal(60)
+        y[10:29] = 0.5
+        panel = make_panel(rng.standard_normal((3, 60)), y)
+        config = RollingConfig(window=20, method=method, k=2, n_eval=40)
+        with pytest.raises(DataError) as raised:
+            rolling_evaluate(panel, config)
+        assert str(raised.value) == (
+            "forecast origin 29: the target is constant over the training window"
+        )
+        y[10] = 0.25
+        rolling_evaluate(make_panel(panel.x, y), config)
 
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_earliest_failing_origin_raised(self, monkeypatch, cpus):
