@@ -13,27 +13,26 @@ flags.  Every value is checked against its field's type (``_CONVERTERS``),
 then by the config dataclasses themselves (``simulate``'s cross-field checks
 are :func:`monte_carlo_study`'s own, made before it draws); a wrong one exits
 2 before anything is written.  ``select`` checks the panel's length against
-the slice rules once it is read, before it fits.  Every
-command computes before it writes, the output directory is made by its first
-write, and the resolved configuration is written next to the outputs as
-``config_resolved.json`` once the command succeeded, so an error raised at
-any point of a run leaves nothing behind.  An output directory that is a
-file, or lies under one, exits 2 before the command runs.  Passed back as
-``--config`` to the same subcommand, the resolved file reproduces the run.
-This module is the only one that writes files: the library returns results,
-and each command writes its outputs through ``_write_csv`` (floats as
-``repr(float(v))``) and ``_write_json`` (indent 2 and a final newline).  Exit codes:
-0 success, 2 usage or config error, 3 data error, 4 numerical failure.
+the slice rules once it is read, before it fits.
 
-The default output directory is taken from the ``SUFFCAST_OUT_DIR``
-environment variable when set, else the current directory.
+:func:`main` sets up every run once: it builds the configs, checks
+``out_dir`` (else the current directory; a file, or a path under one, exits
+2), reads the panel of a panel command, and calls the command's runner
+``cmd_x(out_dir, [panel,] *configs)`` on one BLAS thread.  A runner computes
+before it writes, the output directory is made by its first write, and the
+resolved configuration is written next to the outputs as
+``config_resolved.json`` once the runner returned, so an error raised at any
+point of a run leaves nothing behind; passed back as ``--config`` to the
+same subcommand, it reproduces the run.  This module is the only one that
+writes files, through ``_write_csv`` (floats as ``repr(float(v))``) and
+``_write_json`` (indent 2 and a final newline).  Exit codes: 0 success, 2
+usage or config error, 3 data error, 4 numerical failure.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 import typing
@@ -47,7 +46,7 @@ from . import __version__, sdr
 from ._parallel import blas_threads, one_blas_thread
 from .factor_analysis import K_MAX, select_and_fit_factors
 from .forecaster import RollingConfig, _check_count, rolling_evaluate
-from .panel_data import DataError, _check_target_varies, _standardize_array, load_csv
+from .panel_data import DataError, PanelData, _check_target_varies, _standardize_array, load_csv
 from .simulation import N_FACTORS, DgpSpec, StudyConfig, monte_carlo_study
 
 EXIT_OK = 0
@@ -179,7 +178,7 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2) + "\n")
 
 
-def cmd_simulate(config: dict, out_dir: Path, spec: DgpSpec, study: StudyConfig) -> int:
+def cmd_simulate(out_dir: Path, spec: DgpSpec, study: StudyConfig) -> None:
     started = time.perf_counter()
     result = monte_carlo_study(spec, study)
     runtime = time.perf_counter() - started
@@ -224,11 +223,9 @@ def cmd_simulate(config: dict, out_dir: Path, spec: DgpSpec, study: StudyConfig)
         # each failure message starts with its exception type
         by_type = dict(Counter(message.split(":", 1)[0] for _, message in result.failures))
         print(f"warning: n_failed={len(result.failures)} by error type {by_type}", file=sys.stderr)
-    return EXIT_OK
 
 
-def cmd_forecast(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
-    panel = load_csv(config["input"], config["target_column"])
+def cmd_forecast(out_dir: Path, panel: PanelData, rolling: RollingConfig) -> None:
     report = rolling_evaluate(panel, rolling)
     _write_csv(
         out_dir / "origins.csv",
@@ -256,7 +253,6 @@ def cmd_forecast(config: dict, out_dir: Path, rolling: RollingConfig) -> int:
         f"n={report.n_eval} mse={report.mse:.3g} mse_ratio_pc={report.rmse_vs_pc:.3g} "
         f"r2={report.r2_oos:.3g}"
     )
-    return EXIT_OK
 
 
 @dataclass(frozen=True)
@@ -282,14 +278,12 @@ class FactorsConfig:
         _check_count("k", self.k, auto=True)
 
 
-def cmd_select(config: dict, out_dir: Path, select: SelectConfig) -> int:
-    panel = load_csv(config["input"], config["target_column"])
+def cmd_select(out_dir: Path, panel: PanelData, select: SelectConfig) -> None:
     sdr.check_slice_rules([select.method], panel.t_len, f"panel length T={panel.t_len}")
     _check_target_varies(panel.y, "the panel")
     x = _standardize_array(panel.x, panel.series_names)
-    with one_blas_thread():
-        selection, fit = select_and_fit_factors(x, K_MAX)
-        indices = sdr.fit_indices([select.method], fit.factors, panel.y, panel.p, "auto")
+    selection, fit = select_and_fit_factors(x, K_MAX)
+    indices = sdr.fit_indices([select.method], fit.factors, panel.y, panel.p, "auto")
     dim, _ = indices[select.method]
     _write_csv(
         out_dir / "k_criterion.csv",
@@ -310,22 +304,19 @@ def cmd_select(config: dict, out_dir: Path, select: SelectConfig) -> int:
     }
     _write_json(out_dir / "summary.json", summary)
     print(f"k_hat={selection.k_hat} l_hat={dim.l_hat}")
-    return EXIT_OK
 
 
-def cmd_factors(config: dict, out_dir: Path, factors: FactorsConfig) -> int:
-    panel = load_csv(config["input"], config["target_column"])
+def cmd_factors(out_dir: Path, panel: PanelData, factors: FactorsConfig) -> None:
     x = _standardize_array(panel.x, panel.series_names)
-    with one_blas_thread():
-        _, fit = select_and_fit_factors(x, K_MAX, factors.k)
+    _, fit = select_and_fit_factors(x, K_MAX, factors.k)
     _write_csv(out_dir / "loadings.csv", fit.loadings)
     _write_csv(out_dir / "factors.csv", fit.factors)
     _write_csv(out_dir / "eigenvalues.csv", fit.eigenvalues[:, None])
     print(f"k={fit.k} eigenvalues={[float(f'{v:.3g}') for v in fit.eigenvalues]}")
-    return EXIT_OK
 
 
-#: command -> (runner, config classes, reads a panel)
+#: command -> (runner, config classes, reads a panel); a runner is called as
+#: ``runner(out_dir, [panel,] *configs)``, the panel only where it reads one
 _COMMANDS = {
     "simulate": (cmd_simulate, (DgpSpec, StudyConfig), False),
     "forecast": (cmd_forecast, (RollingConfig,), True),
@@ -353,21 +344,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    runner, classes, _ = _COMMANDS[args.command]
+    runner, classes, reads_panel = _COMMANDS[args.command]
     try:
         config = _resolve_config(args, _command_keys(args.command))
         # the config dataclasses check their values before anything is written
         built = [cls(**_fields_of(cls, config)) for cls in classes]
-        out_dir = Path(config["out_dir"] or os.environ.get("SUFFCAST_OUT_DIR", "."))
+        out_dir = Path(config["out_dir"] or ".")
         config["out_dir"] = str(out_dir)
         # the nearest existing path at or above out_dir ("." or "/" at worst)
         found = next(d for d in (out_dir, *out_dir.parents) if d.exists() or d.is_symlink())
         if not found.is_dir():
             raise ConfigError(f"out_dir {str(out_dir)!r}: {str(found)!r} is not a directory")
-        code = runner(config, out_dir, *built)
+        if reads_panel:
+            built.insert(0, load_csv(config["input"], config["target_column"]))
+        with one_blas_thread():
+            runner(out_dir, *built)
         # written only once the run succeeded, so that it always reproduces one
         _write_json(out_dir / "config_resolved.json", {"command": args.command, **config})
-        return code
+        return EXIT_OK
     except (DataError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA

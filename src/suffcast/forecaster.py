@@ -463,7 +463,7 @@ class RollingConfig:
         _check_count("k", self.k, auto=True)
         _check_count("l", self.l, auto=True)
         # with k="auto" the fitted K is at most K_MAX
-        bound, name = (K_MAX, "k_max") if self.k == "auto" else (self.k, "k")
+        bound, name = (K_MAX, "K_MAX") if self.k == "auto" else (self.k, "k")
         if self.l != "auto" and self.l > bound:
             raise ValueError(f"l={self.l} must be <= {name}={bound}")
         if self.method == "sir" and self.l != "auto" and self.l > sdr.N_SLICES - 1:

@@ -81,9 +81,11 @@ def load_csv(path: str | Path, target_column: str) -> PanelData:
     A row with a bad value (in the series or the target) or the wrong cell
     count is dropped (see :func:`_parse_row`); the drop count is reported on
     ``PanelData.n_dropped`` and in a warning naming the first dropped row's
-    first bad cell.  The target column is excluded from the predictor matrix,
-    so a series is never used to predict itself; header names must be unique,
-    so a second copy of the target cannot stay behind as a series.  A file
+    first bad cell.  A blank line, before or after the header, is skipped
+    and not counted; a line of only spaces is a row of one bad cell.  The
+    target column is excluded from the predictor matrix, so a series is never
+    used to predict itself; header names must be unique, so a second copy of
+    the target cannot stay behind as a series.  A file
     that cannot be read, decoded or split into records raises
     :class:`DataError`, and so does a record over more than one line: a stray
     quote would otherwise join the lines after it into one cell.
@@ -107,6 +109,8 @@ def load_csv(path: str | Path, target_column: str) -> PanelData:
                         f"{reader.line_num - line} lines"
                     )
                 line = reader.line_num
+                if not record:  # a blank line is no row
+                    continue
                 if column_names is None:
                     column_names, target_idx = _read_header(record, path, target_column)
                     continue

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from suffcast import DgpSpec, PanelData, RollingConfig, StudyConfig
+from suffcast import DgpSpec, PanelData, RollingConfig, StudyConfig, load_csv
 from suffcast import _parallel, cli, simulation
 from suffcast.cli import main
 from suffcast.factor_analysis import K_MAX
@@ -386,6 +386,10 @@ def write_unreadable(tmp_path, case):
     elif case == "input-directory":
         panel = tmp_path / "dir.csv"
         panel.mkdir()
+    elif case == "empty-file":
+        panel.write_text("")
+    elif case == "short-header":
+        panel.write_text("\n".join(["date,target", *(r.rsplit(",", 1)[0] for r in rows)]) + "\n")
     config = None
     if case == "config-directory":
         config = tmp_path / "cfg.json"
@@ -402,6 +406,8 @@ def write_unreadable(tmp_path, case):
         ("non-utf8-byte", 3),
         ("stray-quote", 3),
         ("config-directory", 2),
+        ("empty-file", 3),
+        ("short-header", 3),
     ],
 )
 def test_unreadable_input_exits_with_its_code(tmp_path, capsys, case, code):
@@ -740,13 +746,53 @@ def test_select_and_factors_do_not_depend_on_blas_threads(tmp_path):
     assert summary["blas_threads"] == _parallel.blas_threads() == 1
 
 
-def test_out_dir_from_environment(tmp_path, monkeypatch):
+def test_out_dir_defaults_to_the_working_directory(tmp_path, monkeypatch):
+    # out_dir has one source, the config: an environment variable is not read
     monkeypatch.setenv("SUFFCAST_OUT_DIR", str(tmp_path / "envout"))
     panel_path = write_factor_panel(tmp_path, t_len=150, p=15, k=2, seed=7)
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
     assert run([
         "factors", "--input", panel_path, "--target-column", "target", "--k", 2,
     ]) == 0
-    assert (tmp_path / "envout" / "factors.csv").exists()
+    assert (tmp_path / "cwd" / "factors.csv").exists()
+    assert json.loads((tmp_path / "cwd" / "config_resolved.json").read_text())["out_dir"] == "."
+    assert not (tmp_path / "envout").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "forecast", "select", "factors"])
+def test_main_reads_the_panel_once_and_pins_every_runner(tmp_path, monkeypatch, command):
+    panel_path = write_factor_panel(tmp_path, t_len=150, p=15, k=2, seed=7)
+    _, classes, reads_panel = cli._COMMANDS[command]
+    reads, calls = [], []
+
+    def counting_load_csv(*args):
+        reads.append(args)
+        return load_csv(*args)
+
+    openblas = _parallel.bundled_openblas()
+
+    def recording_runner(out_dir, *args):
+        calls.append((out_dir, args, openblas and openblas.get_num_threads()))
+
+    monkeypatch.setattr(cli, "load_csv", counting_load_csv)
+    monkeypatch.setitem(cli._COMMANDS, command, (recording_runner, classes, reads_panel))
+    io = ["--input", panel_path, "--target-column", "target"] if reads_panel else []
+    found = openblas and openblas.get_num_threads()
+    try:
+        if openblas is not None:  # so that the pin has something to change
+            openblas.set_num_threads(2)
+        assert run([command, *io, "--out-dir", tmp_path / "out"]) == 0
+    finally:
+        if openblas is not None:
+            openblas.set_num_threads(found)
+    assert reads == ([(str(panel_path), "target")] if reads_panel else [])
+    [(out_dir, args, threads)] = calls
+    assert out_dir == tmp_path / "out"
+    panel_args = args[:1] if reads_panel else ()
+    assert all(isinstance(a, PanelData) for a in panel_args)
+    assert [type(a) for a in args[len(panel_args):]] == list(classes)
+    assert threads == _parallel.blas_threads()
 
 
 PANEL_IO = {"input", "target_column", "out_dir"}
@@ -897,7 +943,7 @@ class TestConfigBoundary:
             ("forecast", ["--k", "2", "--l", "5", "--n-eval", "3"], None, "l=5 must be <= k=2"),
             ("forecast", ["--window", "15", "--horizon", "6"], None,
              "window too short: window - horizon = 9"),
-            ("forecast", ["--k", "auto", "--l", "9"], None, "l=9 must be <= k_max=8"),
+            ("forecast", ["--k", "auto", "--l", "9"], None, "l=9 must be <= K_MAX=8"),
             ("forecast", ["--method", "ens", "--window", "20", "--k", "auto", "--l", "auto"],
              None, "window - horizon = 19 must be >= 2 * N_SLICES = 20 for tm and ens"),
             ("forecast", ["--k", "115", "--horizon", "6"], None,
@@ -977,6 +1023,13 @@ class TestConfigBoundary:
             ("factors", ["--k", "0"], None, 'k must be >= 1 or "auto"'),
             # flags are spelled in full
             ("forecast", ["--win", "60"], None, "unrecognized arguments: --win 60"),
+            ("simulate", ["--model", "V"], None, "unknown link tag 'V'"),
+            ("simulate", ["--methods", "foo"], None, "unknown method 'foo'"),
+            # the config file itself
+            ("forecast", ["--config", "no-such-config.json"], None,
+             "config file not found: no-such-config.json"),
+            ("simulate", [], '{"p": 20', "config file is not valid JSON"),
+            ("select", [], '["method", "dr"]', "config file must hold a JSON object"),
         ],
     )
     def test_out_of_range_value_exits_2_before_writing(
@@ -1000,6 +1053,22 @@ class TestConfigBoundary:
         cfg.write_text(json.dumps({"command": "forecast"}))
         assert run(["simulate", "--config", cfg, "--out-dir", tmp_path / "x"]) == 2
         assert "for command 'forecast'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["forecast", "select", "factors"])
+    @pytest.mark.parametrize(
+        "given,missing",
+        [(["--input", "p.csv"], "['target_column']"), (["--target-column", "y"], "['input']"),
+         ([], "['input', 'target_column']")],
+    )
+    def test_missing_panel_key_exits_2_before_writing(
+        self, tmp_path, capsys, command, given, missing
+    ):
+        out = tmp_path / "out"
+        assert run([command, *given, "--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert f"error: missing required config keys: {missing}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", sorted(EXPOSED))
     def test_rerun_from_resolved_config_is_byte_identical(self, tmp_path, command):

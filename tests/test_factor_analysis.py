@@ -198,6 +198,10 @@ class TestFitFactors:
         with pytest.raises(ValueError, match="non-finite"):
             fit_k(x, 2)
 
+    def test_one_dimensional_panel(self):
+        with pytest.raises(ValueError, match=r"x must be 2-D \(series x time\)"):
+            select_and_fit_factors(np.arange(6.0), 1)
+
 
 #: (panel, k_max, k) whose extra eigenpair ties the last fitted one or is a zero
 FULL_ROUTE_CASES = {
@@ -270,6 +274,11 @@ class TestKnownLoadings:
         b = np.ones((5, 2))
         with pytest.raises(ValueError, match="rank-deficient"):
             estimated_factors_known_loadings(random_panel(5, 6), b)
+
+    def test_row_count_mismatch(self):
+        b = np.eye(5)[:, :2]
+        with pytest.raises(ValueError, match="x has 4 series but loadings have 5 rows"):
+            estimated_factors_known_loadings(random_panel(4, 6), b)
 
 
 class TestResiduals:

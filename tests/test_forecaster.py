@@ -115,6 +115,16 @@ class TestFitAdditive:
             fit_additive(ramp, np.zeros(4), [0.0], np.eye(1))
         with pytest.raises(ValueError, match="finite and strictly positive"):
             fit_additive(ramp, np.zeros(4), [np.nan], np.eye(1))
+        with pytest.raises(ValueError, match="at least one index"):
+            fit_additive(np.zeros((4, 0)), np.zeros(4), np.ones(0), np.zeros((1, 0)))
+        with pytest.raises(ValueError, match=r"targets have shape \(3,\), expected \(4,\)"):
+            fit_additive(ramp, np.zeros(3), one, np.eye(1))
+        with pytest.raises(ValueError, match=r"targets have shape \(4, 1\)"):
+            fit_additive(ramp, np.zeros((4, 1)), one, np.eye(1))
+        with pytest.raises(ValueError, match=r"bandwidths have shape \(2,\), expected \(1,\)"):
+            fit_additive(ramp, np.zeros(4), np.ones(2), np.eye(1))
+        with pytest.raises(ValueError, match=r"bandwidths have shape \(\), expected \(1,\)"):
+            fit_additive(ramp, np.zeros(4), 1.0, np.eye(1))
 
 
 def _reference_exponents(train_x, query_x, bandwidth):
@@ -509,6 +519,9 @@ class TestPredict:
         assert predict(model, np.array([[9.9]]))[0] == pytest.approx(2.0, abs=1e-12)
         with pytest.raises(ValueError, match="n x K"):
             predict(model, np.array([9.9]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-finite input to predict"):
+                predict(model, np.array([[1.0], [bad]]))
 
     def test_projection_through_directions(self):
         # direction (1, 0): second factor coordinate is ignored
@@ -701,6 +714,12 @@ class TestPcBaseline:
         beta = np.linalg.solve(design.T @ design, design.T @ y)
         assert model.intercept == pytest.approx(beta[0], rel=1e-10)
         assert np.allclose(model.coefficients, beta[1:], rtol=1e-10)
+
+    @pytest.mark.parametrize("t_len", [1, 2, 3])
+    def test_needs_more_observations_than_factors(self, t_len):
+        f = np.arange(3.0 * t_len).reshape(t_len, 3)
+        with pytest.raises(ValueError, match=f"needs T > K, got T={t_len}, K=3"):
+            fit_pc_baseline(f, np.zeros(t_len))
 
     def test_rank_deficiency(self):
         f = np.ones((10, 2))

@@ -75,6 +75,27 @@ class TestLoadCsv:
         assert panel.n_dropped == 1
         assert 3.0 not in panel.x
 
+    @pytest.mark.parametrize("where", ["start", "middle", "end"])
+    def test_blank_lines_are_not_rows(self, tmp_path, where):
+        lines = CSV_SIMPLE.splitlines()
+        at = {"start": 0, "middle": 3, "end": len(lines)}[where]
+        text = "\n".join(lines[:at] + ["", ""] + lines[at:]) + "\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            panel = load_csv(write(tmp_path, text), target_column="b")
+        assert identical_panels(panel, load_csv(write(tmp_path, CSV_SIMPLE, "clean.csv"), "b"))
+        assert panel.n_dropped == 0
+
+    def test_line_of_spaces_is_a_dropped_row(self, tmp_path):
+        text = CSV_SIMPLE.replace("2001-03,3.0,12.0\n", "2001-03,3.0,12.0\n  \n")
+        with pytest.warns(UserWarning) as record:
+            panel = load_csv(write(tmp_path, text), target_column="b")
+        assert str(record[0].message).endswith(
+            "dropped 1 row(s); first: row 5: expected 3 cells, got 1"
+        )
+        assert panel.n_dropped == 1
+        assert panel.t_len == 5
+
     def test_missing_target_column(self, tmp_path):
         with pytest.raises(DataError, match="target column not found"):
             load_csv(write(tmp_path, CSV_SIMPLE), target_column="zzz")
@@ -364,6 +385,25 @@ class TestPanelValidation:
                 time_labels=("t2", "t1", "t3"),
                 y=np.zeros(3),
             )
+
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            ({"x": np.ones(3)}, "x must be a 2-D matrix"),
+            ({"x": np.ones((0, 3)), "series_names": ()}, "at least one series"),
+            ({"y": np.zeros(2)}, r"y has length \(2,\), expected \(3,\)"),
+            ({"y": np.zeros((3, 1))}, r"y has length \(3, 1\)"),
+            ({"series_names": ("a", "b")}, "series_names length does not match"),
+            ({"time_labels": ("a", "b", "c", "d")}, "time_labels length does not match"),
+            ({"y": np.array([0.0, np.nan, 0.0])}, "y contains missing or non-finite"),
+            ({"y": np.array([0.0, 0.0, np.inf])}, "y contains missing or non-finite"),
+        ],
+    )
+    def test_shape_length_and_target_checks(self, changes, message):
+        fields = {"x": np.ones((1, 3)), "series_names": ("a",), "time_labels": ("a", "b", "c"),
+                  "y": np.zeros(3), **changes}
+        with pytest.raises(ValueError, match=message):
+            PanelData(**fields)
 
     def test_non_finite_rejected(self):
         x = np.ones((1, 3))

@@ -62,6 +62,8 @@ class TestSliceTarget:
             slice_target(np.arange(3.0), 4)
         with pytest.raises(ValueError, match=">= 1"):
             slice_target(np.arange(3.0), 0)
+        with pytest.raises(ValueError, match="y must be 1-D"):
+            slice_target(np.arange(6.0).reshape(3, 2), 2)
 
 
 class TestSirKernel:
@@ -234,6 +236,18 @@ class TestBuildKernels:
         assert np.array_equal(
             kernels["ens"].matrix, kernels["dr"].matrix + kernels["tm"].matrix
         )
+
+    def test_one_dimensional_factors(self):
+        s = slice_target(np.arange(6.0), 2)
+        with pytest.raises(ValueError, match="factors must be T x K"):
+            sdr.build_kernels(["sir"], np.arange(6.0), s)
+
+    def test_empty_slice(self):
+        # slice_target never leaves a slice empty; a hand-built assignment can
+        s = sdr.SliceAssignment(h_count=3, labels=np.array([0, 0, 2, 2]),
+                                counts=np.array([2, 0, 2]))
+        with pytest.raises(ValueError, match="empty slice"):
+            sdr.build_kernels(["sir"], np.arange(8.0).reshape(4, 2), s)
 
 
 def masked_kernel_matrices(f, slices):

@@ -202,6 +202,17 @@ class TestIdentifiabilityRotation:
         with pytest.raises(ValueError, match="rank-deficient"):
             identifiability_rotation(f, b)
 
+    def test_rank_deficient_loadings(self):
+        rng = np.random.default_rng(15)
+        b = np.outer(rng.standard_normal(8), [1.0, 2.0])
+        with pytest.raises(ValueError, match="rank-deficient loadings: B'B is singular"):
+            identifiability_rotation(rng.standard_normal((20, 2)), b)
+
+    def test_dimension_mismatch(self):
+        rng = np.random.default_rng(15)
+        with pytest.raises(ValueError, match="factor and loading dimensions differ"):
+            identifiability_rotation(rng.standard_normal((20, 2)), rng.standard_normal((8, 3)))
+
 
 class TestSubspaceR2:
     def test_inside_span(self):
@@ -438,6 +449,18 @@ class TestMonteCarloStudy:
         for key, vals in result.values.items():
             assert np.all(np.isnan(vals[:size]))
             assert vals[size] == base.values[key][size]
+
+    def test_chunk_whose_draw_raises_returns_a_failure_per_replicate(self, monkeypatch):
+        # in-process: the study above may run its chunks in workers
+        def failing_draw(spec, replicates):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(simulation, "_chunk_panels", failing_draw)
+        spec = DgpSpec(p=20, t_len=50, seed=26)
+        config = StudyConfig(methods=("dr",), metrics=("directions",), n_reps=3)
+        assert simulation._run_chunk(spec, config, [4, 5, 6]) == [
+            (None, "RuntimeError: boom")
+        ] * 3
 
     def test_failures_recorded_not_dropped(self, monkeypatch):
         # a degenerate draw makes every replication fail at run time
