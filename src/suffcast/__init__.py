@@ -15,9 +15,8 @@ from .sdr import (
     DimensionSelection,
     KernelEstimate,
     SliceAssignment,
-    build_kernel,
     build_kernels,
-    extract_directions,
+    fit_indices,
     select_dimension,
     slice_target,
 )
@@ -56,9 +55,8 @@ __all__ = [
     "KernelEstimate",
     "DimensionSelection",
     "slice_target",
-    "build_kernel",
     "build_kernels",
-    "extract_directions",
+    "fit_indices",
     "select_dimension",
     "ForecastModel",
     "EvalReport",

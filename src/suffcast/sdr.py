@@ -276,24 +276,6 @@ def build_kernels(
     return kernels
 
 
-def build_kernel(
-    method: str,
-    factors: np.ndarray,
-    slices: SliceAssignment,
-    variance_mode: str = "identity",
-) -> KernelEstimate:
-    """Build one of the ``KERNEL_METHODS`` kernels: :func:`build_kernels` for one method."""
-    return build_kernels([method], factors, slices, variance_mode)[method]
-
-
-def extract_directions(kernel: KernelEstimate, l: int) -> np.ndarray:
-    """Return the ``K x l`` matrix of the kernel's leading unit eigenvectors."""
-    k = kernel.k
-    if not 1 <= l <= k:
-        raise ValueError(f"l={l} out of range 1..{k}")
-    return kernel.eigenvectors[:, :l].copy()
-
-
 @dataclass(frozen=True, eq=False)
 class DimensionSelection:
     """Chosen index count with the full objective trace."""
@@ -364,9 +346,11 @@ def fit_indices(methods, factors, targets, p: int, l) -> dict[str, tuple]:
 
     Per ``KERNEL_METHODS`` name in ``methods`` (others are skipped), returns
     :func:`select_dimension` for ``p`` series and ``len(targets)`` periods,
-    and the ``K x l`` leading eigenvectors: ``l`` is an integer capped at
-    ``K``, or ``"auto"`` for ``l_hat``.  ``targets`` are sliced once.
+    and a copy of the ``K x l`` leading eigenvectors: ``l`` is an integer
+    from 1, capped at ``K``, or ``"auto"`` for ``l_hat``.  ``targets`` are sliced once.
     """
+    if not (l == "auto" or isinstance(l, (int, np.integer)) and l >= 1):
+        raise ValueError(f"l must be 'auto' or an integer >= 1, got {l!r}")
     kernel_methods = [m for m in methods if m in KERNEL_METHODS]
     if not kernel_methods:
         return {}
@@ -375,5 +359,5 @@ def fit_indices(methods, factors, targets, p: int, l) -> dict[str, tuple]:
     for method, kernel in build_kernels(kernel_methods, factors, slices).items():
         selection = select_dimension(kernel, p, slices.t_len)
         l_use = selection.l_hat if l == "auto" else min(l, kernel.k)
-        indices[method] = (selection, extract_directions(kernel, l_use))
+        indices[method] = (selection, kernel.eigenvectors[:, :l_use].copy())
     return indices

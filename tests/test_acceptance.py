@@ -98,7 +98,7 @@ def test_criterion_4_dr_pairform_identity():
         f = rng.standard_normal((t_len, k))
         y = rng.standard_normal(t_len)
         slices = sc.slice_target(y, h)
-        a = sc.build_kernel("dr", f, slices, "pooled").matrix
+        a = sc.build_kernels(["dr"], f, slices, "pooled")["dr"].matrix
         b = dr_kernel_pairform(f, slices, "pooled")
         worst = max(worst, np.linalg.norm(a - b) / max(np.linalg.norm(a), 1e-300))
     ok = worst < 1e-10
@@ -116,7 +116,7 @@ def test_criterion_5_tm_brute_force():
             f = rng.standard_normal((t_len, k))
             y = rng.standard_normal(t_len)
             slices = sc.slice_target(y, 3)
-            fast = sc.build_kernel("tm", f, slices).matrix
+            fast = sc.build_kernels(["tm"], f, slices)["tm"].matrix
             slow = brute_force_tm(f, slices)
             worst = max(
                 worst, np.linalg.norm(fast - slow) / max(np.linalg.norm(slow), 1e-12)
@@ -145,12 +145,12 @@ def test_criterion_6_contamination_invariance():
         for t_len in t_grid:
             slices = sc.slice_target(y[:t_len], 10)
             out[("dr", t_len)] = np.linalg.norm(
-                sc.build_kernel("dr", f_hat[:t_len], slices, "pooled").matrix
-                - sc.build_kernel("dr", f[:t_len], slices, "pooled").matrix
+                sc.build_kernels(["dr"], f_hat[:t_len], slices, "pooled")["dr"].matrix
+                - sc.build_kernels(["dr"], f[:t_len], slices, "pooled")["dr"].matrix
             )
             out[("tm", t_len)] = np.linalg.norm(
-                sc.build_kernel("tm", f_hat[:t_len], slices).matrix
-                - sc.build_kernel("tm", f[:t_len], slices).matrix
+                sc.build_kernels(["tm"], f_hat[:t_len], slices)["tm"].matrix
+                - sc.build_kernels(["tm"], f[:t_len], slices)["tm"].matrix
             )
         return out
 
@@ -189,8 +189,8 @@ def test_criterion_7_order_selection():
 def test_criterion_8_symmetric_link_discrimination():
     f = np.array([[-2.0], [-1.0], [1.0], [2.0]])
     slices = sc.slice_target(f[:, 0] ** 2, 2)
-    sir_value = sc.build_kernel("sir", f, slices).matrix[0, 0]
-    dr_eig = sc.build_kernel("dr", f, slices, "pooled").eigenvalues[0]
+    sir_value = sc.build_kernels(["sir"], f, slices)["sir"].matrix[0, 0]
+    dr_eig = sc.build_kernels(["dr"], f, slices, "pooled")["dr"].eigenvalues[0]
     ok = sir_value == 0.0 and dr_eig == 4.5
     assert report(
         8,

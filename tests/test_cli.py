@@ -626,7 +626,7 @@ class TestSelect:
         selection, fit = select_and_fit_factors(x, K_MAX)
         k = max(selection.k_hat, 1)
         slices = sdr.slice_target(panel.y, 10)
-        kernel = sdr.build_kernel("dr", fit.factors, slices)
+        kernel = sdr.build_kernels(["dr"], fit.factors, slices)["dr"]
         dim = sdr.select_dimension(kernel, panel.p, panel.t_len)
         # the penalty scale written out: CT_CALIBRATION (sqrt(K/p) T + sqrt(T))
         c_t = sdr.CT_CALIBRATION * (np.sqrt(k / panel.p) * panel.t_len + np.sqrt(panel.t_len))
@@ -744,6 +744,25 @@ def test_select_and_factors_do_not_depend_on_blas_threads(tmp_path):
             assert one.read_bytes() == two.read_bytes(), f"{command}/{name}"
     summary = json.loads((tmp_path / "select1" / "summary.json").read_text())
     assert summary["blas_threads"] == _parallel.blas_threads() == 1
+
+
+def test_outputs_record_no_blas_thread_count_without_a_thread_setter(tmp_path, monkeypatch):
+    # numpy linked against a BLAS other than its bundled OpenBLAS: the count
+    # is left as it is, and the outputs say that no count was set
+    monkeypatch.setattr(_parallel, "bundled_openblas", lambda: None)
+    panel = write_factor_panel(tmp_path, t_len=150, p=15, k=2, seed=8)
+    assert run([
+        "forecast", "--input", panel, "--target-column", "target", "--n-eval", 5,
+        "--out-dir", tmp_path / "forecast",
+    ]) == 0
+    assert run([
+        "simulate", "--p", 20, "--t-len", 60, "--n-reps", 2, "--jobs", 1,
+        "--out-dir", tmp_path / "simulate",
+    ]) == 0
+    summary = json.loads((tmp_path / "forecast" / "summary.json").read_text())
+    metadata = json.loads((tmp_path / "simulate" / "metadata.json").read_text())
+    assert summary["blas_threads"] is None
+    assert metadata["blas_threads"] is None
 
 
 def test_out_dir_defaults_to_the_working_directory(tmp_path, monkeypatch):

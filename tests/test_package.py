@@ -56,6 +56,17 @@ def test_no_unused_imports():
     assert found == {}
 
 
+def read_names(tree: ast.AST) -> set[str]:
+    """Names a module loads, as a name or as an attribute."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
 def unread_definitions(sources: dict) -> list[str]:
     """Module-level functions, classes and constants that no module reads.
 
@@ -75,12 +86,9 @@ def unread_definitions(sources: dict) -> list[str]:
                 defined += [
                     (module, node.lineno, t.id) for t in targets if isinstance(t, ast.Name)
                 ]
+        read |= read_names(tree)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.Assign) and any(
+            if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
             ):
                 read.update(ast.literal_eval(node.value))
@@ -116,6 +124,38 @@ def test_no_unread_definitions():
     package = Path(suffcast.__file__).parent
     sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
     assert unread_definitions(sources) == []
+
+
+def unread_exports(exported, sources: dict) -> list[str]:
+    """Names in ``exported`` that no module of ``sources`` reads (:func:`read_names`)."""
+    read = set().union(*(read_names(ast.parse(source)) for source in sources.values()))
+    return [name for name in exported if name not in read]
+
+
+def test_unread_exports_checker_sees_each_kind():
+    sources = {
+        "a.py": "from b import shared\nx = shared()\ny = b.Other\nz: Typed = 1\n",
+        "b.py": "def Stored():\n    pass\nGone = 1\n",
+    }
+    exported = ["shared", "Other", "Typed", "Stored", "Gone"]
+    assert unread_exports(exported, sources) == ["Stored", "Gone"]
+
+
+#: exported names no module of the package reads: ``sample_dgp`` is the
+#: one-replicate draw the chunk-draw tests compare the study's draws against
+ALLOWED_UNREAD_EXPORTS = {"sample_dgp"}
+
+
+def test_no_unread_exports():
+    # a public helper nothing in the package calls is a second way to do what
+    # the pipeline does, and drifts from it unseen
+    package = Path(suffcast.__file__).parent
+    sources = {
+        path.name: path.read_text()
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert set(unread_exports(suffcast.__all__, sources)) == ALLOWED_UNREAD_EXPORTS
 
 
 def test_cli_import_leaves_out_multiprocessing():

@@ -405,6 +405,12 @@ class TestPanelValidation:
         with pytest.raises(ValueError, match=message):
             PanelData(**fields)
 
+    def test_one_time_point_is_too_short(self):
+        # load_csv stops a short file first; a panel built in memory meets this check
+        with pytest.raises(DataError, match="^panel needs at least 2 usable time points$"):
+            PanelData(x=np.ones((2, 1)), series_names=("a", "b"), time_labels=("t1",),
+                      y=np.zeros(1))
+
     def test_non_finite_rejected(self):
         x = np.ones((1, 3))
         x[0, 1] = np.nan

@@ -67,3 +67,12 @@ class TestBlasPin:
             chunked_map(functools.partial(_fail_from, 1), [0, 1, 2, 3], jobs)
         assert two_threads() == 2
 
+
+def test_without_a_thread_setter_the_block_runs_unpinned(monkeypatch):
+    # numpy linked against a BLAS other than its bundled OpenBLAS
+    monkeypatch.setattr(_parallel, "bundled_openblas", lambda: None)
+    ran = []
+    with _parallel.one_blas_thread():
+        ran.append(True)
+    assert ran == [True]
+    assert _parallel.blas_threads() is None

@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from suffcast import (
     KernelEstimate,
-    build_kernel,
-    extract_directions,
+    build_kernels,
     select_dimension,
     slice_target,
     subspace_r2,
@@ -14,12 +13,6 @@ from suffcast import sdr
 from suffcast._eigen import sym_eig_desc
 
 FOUR_POINT_F = np.array([[-2.0], [-1.0], [1.0], [2.0]])
-
-
-def kernel_of(m):
-    """A kernel estimate of a given symmetric matrix."""
-    vals, vecs = sym_eig_desc(m)
-    return KernelEstimate("dr", m, vals, vecs)
 
 
 class TestSliceTarget:
@@ -69,15 +62,16 @@ class TestSliceTarget:
 class TestSirKernel:
     def test_single_slice_vanishes(self):
         s = slice_target(FOUR_POINT_F[:, 0], 1)
-        assert build_kernel("sir", FOUR_POINT_F, s).matrix[0, 0] == 0.0
+        assert build_kernels(["sir"], FOUR_POINT_F, s)["sir"].matrix[0, 0] == 0.0
 
     def test_monotone_link_hand_value(self):
         s = slice_target(FOUR_POINT_F[:, 0], 2)
-        assert build_kernel("sir", FOUR_POINT_F, s).matrix[0, 0] == pytest.approx(2.25, abs=1e-14)
+        m = build_kernels(["sir"], FOUR_POINT_F, s)["sir"].matrix
+        assert m[0, 0] == pytest.approx(2.25, abs=1e-14)
 
     def test_symmetric_link_blindness_exact(self):
         s = slice_target(FOUR_POINT_F[:, 0] ** 2, 2)
-        assert build_kernel("sir", FOUR_POINT_F, s).matrix[0, 0] == 0.0
+        assert build_kernels(["sir"], FOUR_POINT_F, s)["sir"].matrix[0, 0] == 0.0
 
     @pytest.mark.parametrize("h_count", [2, 3, 4])
     def test_rank_is_below_the_slice_count(self, h_count):
@@ -86,7 +80,7 @@ class TestSirKernel:
         rng = np.random.default_rng(h_count)
         f = rng.standard_normal((60, 5))
         y = f[:, 0] + f[:, 1] ** 2 + rng.standard_normal(60)
-        eigenvalues = build_kernel("sir", f, slice_target(y, h_count)).eigenvalues
+        eigenvalues = build_kernels(["sir"], f, slice_target(y, h_count))["sir"].eigenvalues
         assert eigenvalues[h_count - 2] > 1e-3
         assert np.all(np.abs(eigenvalues[h_count - 1 :]) < 1e-12 * eigenvalues[0])
 
@@ -94,18 +88,19 @@ class TestSirKernel:
 class TestDrKernel:
     def test_single_slice_pooled_vanishes(self):
         s = slice_target(FOUR_POINT_F[:, 0], 1)
-        assert build_kernel("dr", FOUR_POINT_F, s, "pooled").matrix[0, 0] == 0.0
+        assert build_kernels(["dr"], FOUR_POINT_F, s, "pooled")["dr"].matrix[0, 0] == 0.0
         assert dr_kernel_pairform(FOUR_POINT_F, s, "pooled")[0, 0] == 0.0
 
     def test_symmetric_link_hand_value(self):
         s = slice_target(FOUR_POINT_F[:, 0] ** 2, 2)
-        assert build_kernel("dr", FOUR_POINT_F, s, "pooled").matrix[0, 0] == pytest.approx(4.5)
+        m = build_kernels(["dr"], FOUR_POINT_F, s, "pooled")["dr"].matrix
+        assert m[0, 0] == pytest.approx(4.5)
         assert dr_kernel_pairform(FOUR_POINT_F, s, "pooled")[0, 0] == pytest.approx(4.5)
 
     def test_unknown_variance_mode(self):
         s = slice_target(FOUR_POINT_F[:, 0], 2)
         with pytest.raises(ValueError, match="variance_mode"):
-            build_kernel("dr", FOUR_POINT_F, s, "bogus")
+            build_kernels(["dr"], FOUR_POINT_F, s, "bogus")
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 10_000), st.integers(1, 5), st.integers(2, 10))
@@ -115,7 +110,7 @@ class TestDrKernel:
         f = rng.standard_normal((t_len, k))
         y = rng.standard_normal(t_len)
         s = slice_target(y, h)
-        a = build_kernel("dr", f, s, "pooled").matrix
+        a = build_kernels(["dr"], f, s, "pooled")["dr"].matrix
         b = dr_kernel_pairform(f, s, "pooled")
         scale = max(np.linalg.norm(a), 1e-12)
         assert np.linalg.norm(a - b) / scale < 1e-10
@@ -124,7 +119,8 @@ class TestDrKernel:
 class TestTmKernel:
     def test_symmetric_four_point_zero(self):
         s = slice_target(FOUR_POINT_F[:, 0] ** 2, 2)
-        assert build_kernel("tm", FOUR_POINT_F, s).matrix[0, 0] == pytest.approx(0.0, abs=1e-14)
+        m = build_kernels(["tm"], FOUR_POINT_F, s)["tm"].matrix
+        assert m[0, 0] == pytest.approx(0.0, abs=1e-14)
 
     def test_scalar_formula_oracle(self):
         # K=1: entry is sum_h p_h (slice third central moment - global third moment)^2
@@ -138,7 +134,7 @@ class TestTmKernel:
         for h in range(2):
             d = g[s.labels == h]
             expected += (d.shape[0] / 6) * (np.mean((d - d.mean()) ** 3) - global3) ** 2
-        assert build_kernel("tm", f, s).matrix[0, 0] == pytest.approx(expected, rel=1e-12)
+        assert build_kernels(["tm"], f, s)["tm"].matrix[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_brute_force_tensor_oracle(self):
         rng = np.random.default_rng(2)
@@ -147,7 +143,7 @@ class TestTmKernel:
         y = rng.standard_normal(t_len)
         s = slice_target(y, 2)
         assert np.allclose(
-            build_kernel("tm", f, s).matrix, brute_force_tm(f, s), rtol=1e-10, atol=1e-12
+            build_kernels(["tm"], f, s)["tm"].matrix, brute_force_tm(f, s), rtol=1e-10, atol=1e-12
         )
 
     def test_distinct_pair_products_match_brute_force_at_k6(self):
@@ -156,7 +152,7 @@ class TestTmKernel:
         rng = np.random.default_rng(5)
         f = rng.standard_normal((120, 6)) ** 2
         s = slice_target(f[:, 0] - f[:, 3] + 0.2 * rng.standard_normal(120), 8)
-        fast = build_kernel("tm", f, s).matrix
+        fast = build_kernels(["tm"], f, s)["tm"].matrix
         oracle = brute_force_tm(f, s)
         assert np.linalg.norm(fast - oracle) / np.linalg.norm(oracle) < 1e-12
 
@@ -164,7 +160,7 @@ class TestTmKernel:
         f = np.arange(3.0)[:, None]
         s = slice_target(np.arange(3.0), 3)
         with pytest.raises(ValueError, match="slice too small"):
-            build_kernel("tm", f, s)
+            build_kernels(["tm"], f, s)
 
 
 def dr_kernel_pairform(f, slices, variance_mode="identity"):
@@ -174,7 +170,7 @@ def dr_kernel_pairform(f, slices, variance_mode="identity"):
     ``M_{h,g} = 2V - S_h - S_g + m_h m_g' + m_g m_h'``, where ``m_h`` and
     ``S_h`` are the slice mean and second moment of the centered factors and
     ``V`` is the identity or the pooled second moment.  In pooled mode this
-    equals ``build_kernel("dr", ...)``: global centering makes
+    equals the DR kernel of ``build_kernels``: global centering makes
     ``sum_h p_h m_h = 0`` and pooling makes ``sum_h p_h (V - S_h) = 0``, so
     every cross term cancels.
     """
@@ -229,7 +225,7 @@ class TestBuildKernels:
         kernels = sdr.build_kernels(["sir", "dr", "tm", "ens"], f, s, mode)
         assert list(kernels) == ["sir", "dr", "tm", "ens"]
         for method, kern in kernels.items():
-            alone = build_kernel(method, f, s, mode)
+            alone = build_kernels([method], f, s, mode)[method]
             assert kern.method == method
             for name in ("matrix", "eigenvalues", "eigenvectors"):
                 assert np.array_equal(getattr(kern, name), getattr(alone, name)), (method, name)
@@ -316,32 +312,32 @@ class TestEnsembleKernel:
         rng = np.random.default_rng(3)
         f = rng.standard_normal((20, 2))
         s = slice_target(rng.standard_normal(20), 4)
-        dr = build_kernel("dr", f, s)
-        tm = build_kernel("tm", f, s)
+        dr = build_kernels(["dr"], f, s)["dr"]
+        tm = build_kernels(["tm"], f, s)["tm"]
         with monkeypatch.context() as m:
             m.setattr(sdr, "_tm_matrix", lambda g, slices, blocks: np.zeros((2, 2)))
-            assert np.array_equal(build_kernel("ens", f, s).matrix, dr.matrix)
+            assert np.array_equal(build_kernels(["ens"], f, s)["ens"].matrix, dr.matrix)
         with monkeypatch.context() as m:
             m.setattr(sdr, "_dr_matrix", lambda means, seconds, slices, mode: np.zeros((2, 2)))
-            assert np.array_equal(build_kernel("ens", f, s).matrix, tm.matrix)
+            assert np.array_equal(build_kernels(["ens"], f, s)["ens"].matrix, tm.matrix)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(3)
         f = rng.standard_normal((20, 2))
         s = slice_target(rng.standard_normal(21), 4)
         with pytest.raises(ValueError, match="factors cover T=20 but slices cover T=21"):
-            build_kernel("ens", f, s)
+            build_kernels(["ens"], f, s)
 
     @pytest.mark.parametrize("mode", ["identity", "pooled"])
     def test_sum_of_dr_and_tm_bit_for_bit(self, mode):
         rng = np.random.default_rng(8)
         f = rng.standard_normal((60, 4))
         s = slice_target(f[:, 0] ** 2 + 0.3 * rng.standard_normal(60), 5)
-        ens = build_kernel("ens", f, s, mode)
+        ens = build_kernels(["ens"], f, s, mode)["ens"]
         assert ens.method == "ens"
-        assert np.array_equal(
-            ens.matrix, build_kernel("dr", f, s, mode).matrix + build_kernel("tm", f, s).matrix
-        )
+        dr = build_kernels(["dr"], f, s, mode)["dr"]
+        tm = build_kernels(["tm"], f, s)["tm"]
+        assert np.array_equal(ens.matrix, dr.matrix + tm.matrix)
         assert np.array_equal(ens.matrix, ens.matrix.T)
 
     def test_disjoint_signals_union(self):
@@ -361,57 +357,18 @@ class TestEnsembleKernel:
             ys.append(np.full(per, float(h)))
         f = np.vstack(blocks)
         s = slice_target(np.concatenate(ys), 4)
-        dr = build_kernel("dr", f, s, "pooled")
-        tm = build_kernel("tm", f, s)
-        ens = build_kernel("ens", f, s, "pooled")
+        dr = build_kernels(["dr"], f, s, "pooled")["dr"]
+        tm = build_kernels(["tm"], f, s)["tm"]
+        ens = build_kernels(["ens"], f, s, "pooled")["ens"]
         basis = np.eye(k)[:, :2]
         quality = {}
         for name, kern in (("dr", dr), ("tm", tm), ("ens", ens)):
-            phi = extract_directions(kern, 2)
+            phi = kern.eigenvectors[:, :2]
             quality[name] = min(subspace_r2(phi[:, j], basis) for j in range(2))
         assert quality["dr"] < 0.2
         assert quality["ens"] > quality["dr"] + 0.02
         assert quality["ens"] > quality["tm"] + 0.02
         assert quality["ens"] > 0.95
-
-
-class TestExtractDirections:
-    def test_diagonal_kernel(self):
-        kern = kernel_of(np.diag([3.0, 2.0, 1.0]))
-        phi = extract_directions(kern, 2)
-        assert np.allclose(np.abs(phi), np.eye(3)[:, :2])
-        # the leading eigenvectors, copied out of the frozen estimate
-        assert np.array_equal(phi, kern.eigenvectors[:, :2])
-        assert not np.shares_memory(phi, kern.eigenvectors)
-
-    def test_full_dimension(self):
-        rng = np.random.default_rng(4)
-        m = rng.standard_normal((3, 3))
-        m = m + m.T
-        kern = kernel_of(m)
-        phi = extract_directions(kern, 3)
-        assert np.allclose(phi @ phi.T, np.eye(3), atol=1e-10)
-
-    def test_cubic_characteristic_oracle(self):
-        rng = np.random.default_rng(5)
-        m = rng.standard_normal((3, 3))
-        m = (m + m.T) / 2
-        kern = kernel_of(m)
-        phi = extract_directions(kern, 3)
-        # roots of det(M - lambda I) from explicit cubic coefficients
-        tr = np.trace(m)
-        m2 = sum(
-            m[i, i] * m[j, j] - m[i, j] ** 2 for i in range(3) for j in range(i + 1, 3)
-        )
-        roots = np.sort(np.roots([1.0, -tr, m2, -np.linalg.det(m)]).real)[::-1]
-        assert np.allclose(kern.eigenvalues, roots, atol=1e-8)
-        for j in range(3):
-            assert np.linalg.norm(m @ phi[:, j] - roots[j] * phi[:, j]) < 1e-8
-
-    def test_l_out_of_range(self):
-        kern = kernel_of(np.eye(2))
-        with pytest.raises(ValueError, match="out of range"):
-            extract_directions(kern, 3)
 
 
 def literal_ct(method, k, p, t_len):
@@ -485,14 +442,14 @@ class TestKernelProperties:
         q, _ = np.linalg.qr(rng.standard_normal((k, k)))
         s = slice_target(y, h)
         for method in ("sir", "dr"):
-            m = build_kernel(method, f, s).matrix
-            m_rot = build_kernel(method, f @ q.T, s).matrix
+            m = build_kernels([method], f, s)[method].matrix
+            m_rot = build_kernels([method], f @ q.T, s)[method].matrix
             assert np.linalg.norm(m_rot - q @ m @ q.T) <= 1e-10 * max(np.linalg.norm(m), 1.0)
         # the same rotation through the index step: F -> F Q with Q = q'
         s = slice_target(y, sdr.N_SLICES)
         steps = [sdr.fit_indices(("sir", "dr"), g, y, 20, "auto") for g in (f, f @ q.T)]
         for method in ("sir", "dr"):
-            kern, kern_rot = (build_kernel(method, g, s) for g in (f, f @ q.T))
+            kern, kern_rot = (build_kernels([method], g, s)[method] for g in (f, f @ q.T))
             scale = max(np.abs(kern.eigenvalues).max(), 1.0)
             assert np.allclose(kern_rot.eigenvalues, kern.eigenvalues, rtol=0, atol=1e-10 * scale)
             (sel, phi), (sel_rot, phi_rot) = (step[method] for step in steps)
@@ -520,8 +477,8 @@ class TestKernelProperties:
         y = f[:, 0] ** 2 + np.sin(f[:, 1]) + 0.1 * rng.standard_normal(t_len)
         q, _ = np.linalg.qr(rng.standard_normal((k, k)))
         s = slice_target(y, sdr.N_SLICES)
-        m = build_kernel(method, f, s).matrix
-        m_rot = build_kernel(method, f @ q.T, s).matrix
+        m = build_kernels([method], f, s)[method].matrix
+        m_rot = build_kernels([method], f @ q.T, s)[method].matrix
         assert np.linalg.norm(m_rot - q @ m @ q.T) <= 1e-10 * np.linalg.norm(m)
 
     def test_signed_permutation_covariance_tm(self):
@@ -535,8 +492,8 @@ class TestKernelProperties:
         s = slice_target(rng.standard_normal(t_len), 4)
         perm = np.zeros((k, k))
         perm[0, 1], perm[1, 2], perm[2, 0] = 1.0, -1.0, 1.0
-        m = build_kernel("tm", f, s).matrix
-        m_rot = build_kernel("tm", f @ perm.T, s).matrix
+        m = build_kernels(["tm"], f, s)["tm"].matrix
+        m_rot = build_kernels(["tm"], f @ perm.T, s)["tm"].matrix
         assert np.linalg.norm(m_rot - perm @ m @ perm.T) <= 1e-10 * np.linalg.norm(m)
 
     @settings(deadline=None, max_examples=20)
@@ -547,14 +504,15 @@ class TestKernelProperties:
         y = rng.standard_normal(40)
         s = slice_target(y, 4)
         for mode in ("identity", "pooled"):
-            assert build_kernel("dr", f, s, mode).eigenvalues[-1] >= -1e-10
-        assert build_kernel("tm", f, s).eigenvalues[-1] >= -1e-10
+            assert build_kernels(["dr"], f, s, mode)["dr"].eigenvalues[-1] >= -1e-10
+        assert build_kernels(["tm"], f, s)["tm"].eigenvalues[-1] >= -1e-10
 
     def test_kernel_symmetry(self):
         rng = np.random.default_rng(7)
         f = rng.standard_normal((30, 4))
         s = slice_target(rng.standard_normal(30), 5)
-        for kern in (build_kernel("sir", f, s), build_kernel("dr", f, s), build_kernel("tm", f, s)):
+        for method in ("sir", "dr", "tm"):
+            kern = build_kernels([method], f, s)[method]
             assert np.abs(kern.matrix - kern.matrix.T).max() < 1e-12
 
 
@@ -585,21 +543,76 @@ class TestFitIndices:
         assert decompositions == [(6, 6)] * 4
         assert list(indices) == ["sir", "dr", "tm", "ens"]
 
-    @pytest.mark.parametrize("l", [1, 4, 6, 9])
-    def test_integer_l_is_capped_at_k(self, l):
+    @pytest.mark.parametrize("l", [1, 2, 4, 6, 9])
+    def test_integer_l_is_capped_at_k(self, l, monkeypatch):
+        built = {}
+
+        def recording(*args):
+            built.update(kernels := build_kernels(*args))
+            return kernels
+
+        monkeypatch.setattr(sdr, "build_kernels", recording)
         f, y = self.data()
         s = slice_target(y, sdr.N_SLICES)
         for method, (sel, phi) in sdr.fit_indices(sdr.KERNEL_METHODS, f, y, 100, l).items():
-            kern = build_kernel(method, f, s)
+            kern = build_kernels([method], f, s)[method]
             assert np.array_equal(phi, kern.eigenvectors[:, : min(l, 6)])
+            # a copy of the leading eigenvectors, out of the frozen estimate
+            assert phi.flags.c_contiguous
+            assert not np.shares_memory(phi, built[method].eigenvectors)
             assert np.array_equal(sel.objective, select_dimension(kern, 100, 400).objective)
+
+    @pytest.mark.parametrize("l", [0, -1, "foo"])
+    def test_l_must_be_auto_or_at_least_one(self, l, monkeypatch):
+        def building(*args):
+            raise AssertionError("built a kernel for an invalid l")
+
+        monkeypatch.setattr(sdr, "build_kernels", building)
+        f, y = self.data()
+        message = f"^l must be 'auto' or an integer >= 1, got {l!r}$"
+        with pytest.raises(ValueError, match=message):
+            sdr.fit_indices(sdr.KERNEL_METHODS, f, y, 100, l)
+
+    def test_directions_of_a_diagonal_kernel(self):
+        # one observation a slice, and factors along orthogonal sign patterns:
+        # SIR's kernel is diag(9, 3.2, 0.8) with off-diagonal entries exactly 0
+        a = [1.0, -1.0] * 5
+        b = [1.0, 1.0, -1.0, -1.0] * 2 + [0.0, 0.0]
+        c = [1.0] * 4 + [-1.0] * 4 + [0.0, 0.0]
+        f = np.column_stack([3.0 * np.array(a), 2.0 * np.array(b), c])
+        [(_, phi)] = sdr.fit_indices(["sir"], f, np.arange(10.0), 100, 2).values()
+        assert np.allclose(np.abs(phi), np.eye(3)[:, :2])
+
+    def test_full_dimension(self):
+        # l at or above K takes an orthogonal K x K basis
+        f, y = self.data(k=3)
+        for l in (3, 6):
+            for _, phi in sdr.fit_indices(sdr.KERNEL_METHODS, f, y, 100, l).values():
+                assert phi.shape == (3, 3)
+                assert np.allclose(phi @ phi.T, np.eye(3), atol=1e-10)
+
+    def test_cubic_characteristic_oracle(self):
+        f, y = self.data(k=3)
+        s = slice_target(y, sdr.N_SLICES)
+        for method, (_, phi) in sdr.fit_indices(sdr.KERNEL_METHODS, f, y, 100, 3).items():
+            kern = build_kernels([method], f, s)[method]
+            m = kern.matrix
+            # roots of det(M - lambda I) from explicit cubic coefficients
+            tr = np.trace(m)
+            m2 = sum(
+                m[i, i] * m[j, j] - m[i, j] ** 2 for i in range(3) for j in range(i + 1, 3)
+            )
+            roots = np.sort(np.roots([1.0, -tr, m2, -np.linalg.det(m)]).real)[::-1]
+            assert np.allclose(kern.eigenvalues, roots, atol=1e-8), method
+            for j in range(3):
+                assert np.linalg.norm(m @ phi[:, j] - roots[j] * phi[:, j]) < 1e-8, method
 
     def test_auto_takes_the_selected_count(self):
         f, y = self.data()
         s = slice_target(y, sdr.N_SLICES)
         counts = {}
         for method, (sel, phi) in sdr.fit_indices(sdr.KERNEL_METHODS, f, y, 100, "auto").items():
-            kern = build_kernel(method, f, s)
+            kern = build_kernels([method], f, s)[method]
             alone = select_dimension(kern, 100, 400)
             assert (sel.l_hat, sel.tau, sel.c_t) == (alone.l_hat, alone.tau, alone.c_t)
             assert np.array_equal(sel.objective, alone.objective)
@@ -625,7 +638,7 @@ class TestBuildKernel:
         rng = np.random.default_rng(9)
         f = rng.standard_normal((50, 3))
         s = slice_target(rng.standard_normal(50), 5)
-        kern = build_kernel(method, f, s)
+        kern = build_kernels([method], f, s)[method]
         vals, vecs = sym_eig_desc(kern.matrix)
         assert np.array_equal(kern.eigenvalues, vals)
         assert np.array_equal(kern.eigenvectors, vecs)
@@ -641,13 +654,11 @@ class TestBuildKernel:
         monkeypatch.setattr(sdr, "sym_eig_desc", recording)
         rng = np.random.default_rng(10)
         f = rng.standard_normal((50, 3))
-        s = slice_target(rng.standard_normal(50), 5)
-        kern = build_kernel(method, f, s)
-        extract_directions(kern, 2)
-        select_dimension(kern, 20, 50)
+        # the index step reads both the spectrum and the directions
+        sdr.fit_indices([method], f, rng.standard_normal(50), 20, 2)
         assert seen == [(3, 3)]
 
     def test_unknown_method(self):
         s = slice_target(FOUR_POINT_F[:, 0], 2)
         with pytest.raises(ValueError, match="unknown kernel method 'pc'"):
-            build_kernel("pc", FOUR_POINT_F, s)
+            build_kernels(["pc"], FOUR_POINT_F, s)
