@@ -2,18 +2,17 @@
 
 Each option is a field of a config dataclass, which declares its name, type
 and default, and every field of a subcommand's classes is an option:
-``simulate`` exposes :class:`DgpSpec` (``link`` as ``model``) and
-:class:`StudyConfig`, ``forecast`` :class:`RollingConfig`, ``select``
-:class:`SelectConfig` and ``factors`` :class:`FactorsConfig`, next to string
-I/O keys.  The factor-count ceiling is the constant
-:data:`suffcast.factor_analysis.K_MAX`, no key.
+``simulate`` exposes :class:`DgpSpec` and :class:`StudyConfig`, ``forecast``
+:class:`RollingConfig`, ``select`` :class:`SelectConfig` and ``factors``
+:class:`FactorsConfig`, next to string I/O keys.  The factor-count ceiling is
+the constant :data:`suffcast.factor_analysis.K_MAX`, no key.
 
 A subcommand reads an optional flat JSON config file, overridden by explicit
-flags.  Every value is checked against its field's type (``_CONVERTERS``),
-then by the config dataclasses themselves (``simulate``'s cross-field checks
-are :func:`monte_carlo_study`'s own, made before it draws); a wrong one exits
-2 before anything is written.  ``select`` checks the panel's length against
-the slice rules once it is read, before it fits.
+flags.  A flag's text gets its field's type (``_CONVERTERS``); the config
+dataclasses check every value, integers by the one rule ``_check_count``
+(``simulate``'s cross-field checks are :func:`monte_carlo_study`'s own, made
+before it draws), and a wrong one exits 2 before anything is written.
+``select`` checks the panel's length against the slice rules once it is read.
 
 :func:`main` sets up every run once: it builds the configs, checks
 ``out_dir`` (else the current directory; a file, or a path under one, exits
@@ -45,8 +44,9 @@ import numpy as np
 from . import __version__, sdr
 from ._parallel import blas_threads, one_blas_thread
 from .factor_analysis import K_MAX, select_and_fit_factors
-from .forecaster import RollingConfig, _check_count, rolling_evaluate
-from .panel_data import DataError, PanelData, _check_target_varies, _standardize_array, load_csv
+from .forecaster import RollingConfig, rolling_evaluate
+from .panel_data import DataError, PanelData, _check_count, _check_target_varies
+from .panel_data import _standardize_array, load_csv
 from .simulation import N_FACTORS, DgpSpec, StudyConfig, monte_carlo_study
 
 EXIT_OK = 0
@@ -66,9 +66,10 @@ def _checked(v, ok: bool):
 
 
 # A converter takes a flag's text (text=True) or a decoded JSON value and
-# returns the typed value, or raises TypeError, ValueError or KeyError.
+# returns the typed value (a JSON integer as it is), or raises TypeError,
+# ValueError or KeyError.
 def _to_int(v, text):
-    return int(v) if text else _checked(v, type(v) is int)
+    return int(v) if text else v
 
 
 def _to_str(v, text):
@@ -92,14 +93,8 @@ _CONVERTERS = {
     tuple[str, ...]: (_to_names, "a comma list or a JSON list of strings"),
     int | str: (_to_int_or_auto, 'an integer or "auto"'),
 }
-#: the CLI key of a field whose name differs
-_ALIASES = {"link": "model"}
 #: the required string keys of the panel subcommands
 _PANEL_IO = ("input", "target_column")
-
-
-def _key(field_name: str) -> str:
-    return _ALIASES.get(field_name, field_name)
 
 
 def _command_keys(command: str) -> dict:
@@ -109,7 +104,7 @@ def _command_keys(command: str) -> dict:
     for cls in classes:
         hints = typing.get_type_hints(cls)
         for f in fields(cls):
-            keys[_key(f.name)] = (hints[f.name], f.default)
+            keys[f.name] = (hints[f.name], f.default)
     keys["out_dir"] = (str, None)
     return keys
 
@@ -155,11 +150,6 @@ def _resolve_config(args: argparse.Namespace, keys: dict) -> dict:
     return config
 
 
-def _fields_of(cls, config: dict) -> dict:
-    """The keyword arguments of ``cls`` in ``config``."""
-    return {f.name: config[_key(f.name)] for f in fields(cls)}
-
-
 def _write_csv(path: Path, rows, header=None) -> None:
     """Write ``rows`` as CSV: floats as ``repr(float(v))``, other cells as written."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -185,7 +175,7 @@ def cmd_simulate(out_dir: Path, spec: DgpSpec, study: StudyConfig) -> None:
     rows = result.summary_rows()
     _write_csv(
         out_dir / "study.csv",
-        [(spec.link, spec.p, spec.t_len, *row.values()) for row in rows],
+        [(spec.model, spec.p, spec.t_len, *row.values()) for row in rows],
         ["link", "p", "t_len", "method", "metric", "median", "sd", "n_ok", "n_fail"],
     )
     _write_csv(
@@ -201,7 +191,7 @@ def cmd_simulate(out_dir: Path, spec: DgpSpec, study: StudyConfig) -> None:
         "suffcast_version": __version__,
         "numpy_version": np.__version__,
         "seed": spec.seed,
-        "link": spec.link,
+        "link": spec.model,
         "p": spec.p,
         "t_len": spec.t_len,
         "k": N_FACTORS,
@@ -348,7 +338,7 @@ def main(argv=None) -> int:
     try:
         config = _resolve_config(args, _command_keys(args.command))
         # the config dataclasses check their values before anything is written
-        built = [cls(**_fields_of(cls, config)) for cls in classes]
+        built = [cls(**{f.name: config[f.name] for f in fields(cls)}) for cls in classes]
         out_dir = Path(config["out_dir"] or ".")
         config["out_dir"] = str(out_dir)
         # the nearest existing path at or above out_dir ("." or "/" at worst)

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._eigen import canonical_pairs, leading_pairs, sym_eig_desc
+from .panel_data import _check_count
 
 #: the largest factor count the criterion considers, the ceiling of ``k="auto"``
 K_MAX = 8
@@ -187,10 +188,10 @@ def select_and_fit_factors(
     first index of each factor column's largest entry.
     """
     x = _check_panel(x)
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    _check_count("k_max", k_max)
+    _check_count("k", k, auto=True)
     p, t_len = x.shape
-    if k != "auto" and not 1 <= k <= min(p, t_len):
+    if k != "auto" and k > min(p, t_len):
         raise ValueError(f"k={k} out of range 1..min(p={p}, T={t_len})")
     k_sel = min(k_max, min(p, t_len) - 1)
     # the fit reads at most max(k_sel, 1) pairs with "auto"; one more shows a

@@ -23,7 +23,7 @@ import numpy as np
 from . import sdr
 from ._parallel import chunked_map, usable_cpus
 from .factor_analysis import K_MAX, select_and_fit_factors
-from .panel_data import PanelData, _check_target_varies, _standardize_array
+from .panel_data import PanelData, _check_count, _check_target_varies, _standardize_array
 
 BACKFIT_TOL = 1e-8
 BACKFIT_MAX_SWEEPS = 100
@@ -366,15 +366,6 @@ def fit_pc_baseline(factors: np.ndarray, targets: np.ndarray) -> ForecastModel:
     return ForecastModel(kind="linear", intercept=float(beta[0]), coefficients=beta[1:])
 
 
-def _check_count(name: str, value, auto: bool = False) -> None:
-    """A count must be an integer >= 1, or ``"auto"`` where ``auto`` allows it."""
-    if auto and value == "auto":
-        return
-    if isinstance(value, str) or value < 1:
-        allowed = ' or "auto"' if auto else ""
-        raise ValueError(f"{name} must be >= 1{allowed}, got {value!r}")
-
-
 def fit_forecast_model(
     method: str,
     factors: np.ndarray,
@@ -389,10 +380,14 @@ def fit_forecast_model(
     additive fit on the indices ``factors @ phi``.  Every additive fit smooths
     index ``j`` with ``bandwidth_scale`` times its normal-reference bandwidth.
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "pc":
         return fit_pc_baseline(factors, targets)
     if method == "nlpc":
         indices, directions = factors, np.eye(factors.shape[1])
+    elif phi is None:
+        raise ValueError(f"method {method!r} needs its directions phi, got None")
     else:
         indices, directions = factors @ phi, phi
     bandwidths = bandwidth_scale * reference_bandwidth(indices)
@@ -448,10 +443,10 @@ class RollingConfig:
     n_eval: int = 240
 
     def __post_init__(self):
+        for name in ("window", "horizon", "n_eval", "k", "l"):
+            _check_count(name, getattr(self, name), auto=name in ("k", "l"))
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
         n_train = self.window - self.horizon
         if n_train < 10:
             raise ValueError(
@@ -459,9 +454,6 @@ class RollingConfig:
                 "training points"
             )
         sdr.check_slice_rules([self.method], n_train, f"window - horizon = {n_train}")
-        _check_count("n_eval", self.n_eval)
-        _check_count("k", self.k, auto=True)
-        _check_count("l", self.l, auto=True)
         # with k="auto" the fitted K is at most K_MAX
         bound, name = (K_MAX, "K_MAX") if self.k == "auto" else (self.k, "k")
         if self.l != "auto" and self.l > bound:

@@ -210,6 +210,21 @@ def _standardize_array(x: np.ndarray, series_names) -> np.ndarray:
     return dev
 
 
+def _check_count(name: str, value, auto: bool = False, minimum: int = 1) -> None:
+    """The package's one integer rule, for a count argument or config field ``name``.
+
+    ``value`` passes if it is an ``int`` or a numpy integer, never a ``bool``,
+    that is at least ``minimum``, or ``"auto"`` where ``auto`` allows it.
+    """
+    if auto and isinstance(value, str) and value == "auto":
+        return
+    allowed = ' or "auto"' if auto else ""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer{allowed}, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}{allowed}, got {value!r}")
+
+
 def _check_target_varies(y: np.ndarray, where: str) -> None:
     """A target constant over ``where`` is a :class:`DataError`: it cannot be sliced or scored."""
     if np.all(y == y[0]):

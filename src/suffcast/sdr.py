@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._eigen import sym_eig_desc
+from .panel_data import _check_count
 
 #: eigenvalues above this threshold count as strictly positive in the
 #: dimension-selection objective
@@ -45,9 +46,12 @@ N_SLICES = 10
 class SliceAssignment:
     """Partition of the target observations into rank-contiguous slices."""
 
-    h_count: int
     labels: np.ndarray  # length T, values in 0..H-1
     counts: np.ndarray  # length H, each >= 1
+
+    @property
+    def h_count(self) -> int:
+        return self.counts.shape[0]
 
     @property
     def t_len(self) -> int:
@@ -69,8 +73,7 @@ def slice_target(y, h_count: int) -> SliceAssignment:
     if y.ndim != 1:
         raise ValueError("y must be 1-D")
     t_len = y.shape[0]
-    if h_count < 1:
-        raise ValueError(f"h_count must be >= 1, got {h_count}")
+    _check_count("h_count", h_count)
     if h_count > t_len:
         raise ValueError(f"h_count={h_count} exceeds number of observations {t_len}")
     order = np.argsort(y, kind="stable")
@@ -79,7 +82,7 @@ def slice_target(y, h_count: int) -> SliceAssignment:
     counts[:rem] += 1
     labels = np.empty(t_len, dtype=int)
     labels[order] = np.repeat(np.arange(h_count), counts)
-    return SliceAssignment(h_count=h_count, labels=labels, counts=counts)
+    return SliceAssignment(labels=labels, counts=counts)
 
 
 def check_slice_rules(methods, t_len: int, label: str) -> None:
@@ -349,8 +352,7 @@ def fit_indices(methods, factors, targets, p: int, l) -> dict[str, tuple]:
     and a copy of the ``K x l`` leading eigenvectors: ``l`` is an integer
     from 1, capped at ``K``, or ``"auto"`` for ``l_hat``.  ``targets`` are sliced once.
     """
-    if not (l == "auto" or isinstance(l, (int, np.integer)) and l >= 1):
-        raise ValueError(f"l must be 'auto' or an integer >= 1, got {l!r}")
+    _check_count("l", l, auto=True)
     kernel_methods = [m for m in methods if m in KERNEL_METHODS]
     if not kernel_methods:
         return {}

@@ -26,7 +26,8 @@ from .factor_analysis import (
     estimated_factors_known_loadings,
     select_and_fit_factors,
 )
-from .forecaster import METHODS, _check_count, fit_forecast_model, predict
+from .forecaster import METHODS, fit_forecast_model, predict
+from .panel_data import _check_count
 
 LINKS = ("I", "II", "III", "IV")
 
@@ -75,15 +76,15 @@ class DgpSpec:
 
     p: int = 100
     t_len: int = 500
-    link: str = "I"
+    model: str = "I"  # a tag of LINKS
     seed: int = 0
 
     def __post_init__(self):
-        if self.link not in LINKS:
-            raise ValueError(f"unknown link tag {self.link!r}")
+        if self.model not in LINKS:
+            raise ValueError(f"unknown link tag {self.model!r}")
         _check_count("p", self.p)
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_count("t_len", self.t_len)
+        _check_count("seed", self.seed, minimum=0)
         if N_FACTORS > min(self.p, self.t_len):
             raise ValueError(f"the study's K={N_FACTORS} factors need p >= {N_FACTORS} and "
                              f"t_len >= {N_FACTORS}, got p={self.p}, t_len={self.t_len}")
@@ -157,7 +158,7 @@ def _build_draw(
     factors = np.ascontiguousarray(panel[:, :N_FACTORS])
     x = loadings @ factors.T
     x += panel[:, N_FACTORS:].T
-    y = link_function(spec.link, factors @ PHI1, factors @ PHI2) + SIGMA * eps
+    y = link_function(spec.model, factors @ PHI1, factors @ PHI2) + SIGMA * eps
     return SimDraw(x=x, y=y, factors=factors, loadings=loadings)
 
 
@@ -264,8 +265,7 @@ class StudyConfig:
             raise ValueError(f"no metric in {self.metrics} reads the methods {unread}")
         for name in ("n_reps", "n_test"):
             _check_count(name, getattr(self, name))
-        if self.jobs < 0:
-            raise ValueError(f"jobs must be >= 0, got {self.jobs}")
+        _check_count("jobs", self.jobs, minimum=0)
 
 
 @dataclass(eq=False)

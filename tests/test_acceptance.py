@@ -21,14 +21,14 @@ def report(criterion, ok, detail):
 
 @pytest.fixture(scope="module")
 def model1_directions():
-    spec = sc.DgpSpec(p=100, t_len=500, link="I", seed=ACCEPTANCE_SEED)
+    spec = sc.DgpSpec(p=100, t_len=500, model="I", seed=ACCEPTANCE_SEED)
     config = sc.StudyConfig(methods=("sir", "dr"), metrics=("directions",), n_reps=200)
     return spec, config, sc.monte_carlo_study(spec, config)
 
 
 @pytest.fixture(scope="module")
 def model3_directions():
-    spec = sc.DgpSpec(p=100, t_len=500, link="III", seed=ACCEPTANCE_SEED)
+    spec = sc.DgpSpec(p=100, t_len=500, model="III", seed=ACCEPTANCE_SEED)
     config = sc.StudyConfig(methods=("sir", "dr"), metrics=("directions",), n_reps=200)
     return sc.monte_carlo_study(spec, config)
 
@@ -67,7 +67,7 @@ def test_criterion_2_table1_model3(model3_directions):
 
 
 def test_criterion_3_table2_out_of_sample():
-    spec = sc.DgpSpec(p=100, t_len=500, link="I", seed=ACCEPTANCE_SEED)
+    spec = sc.DgpSpec(p=100, t_len=500, model="I", seed=ACCEPTANCE_SEED)
     config = sc.StudyConfig(
         methods=("sir", "dr", "pc"), metrics=("oos",), n_reps=200, n_test=100
     )
@@ -167,12 +167,12 @@ def test_criterion_6_contamination_invariance():
 
 
 def test_criterion_7_order_selection():
-    spec_k = sc.DgpSpec(p=200, t_len=200, link="I", seed=ACCEPTANCE_SEED)
+    spec_k = sc.DgpSpec(p=200, t_len=200, model="I", seed=ACCEPTANCE_SEED)
     config_k = sc.StudyConfig(methods=(), metrics=("k_selection",), n_reps=200)
     result_k = sc.monte_carlo_study(spec_k, config_k)
     freq_k = float(np.mean(result_k.values[("factors", "k_selection")] == 6))
 
-    spec_l = sc.DgpSpec(p=100, t_len=500, link="IV", seed=ACCEPTANCE_SEED)
+    spec_l = sc.DgpSpec(p=100, t_len=500, model="IV", seed=ACCEPTANCE_SEED)
     config_l = sc.StudyConfig(methods=("dr",), metrics=("l_selection",), n_reps=200)
     result_l = sc.monte_carlo_study(spec_l, config_l)
     freq_l = float(np.mean(result_l.values[("dr", "l_selection")] == 2))

@@ -122,7 +122,8 @@ class TestSimulate:
             "simulate", "--methods", "sir,dr", "--metrics", "k_selection", "--p", 20,
             "--t-len", t_len, "--n-reps", 1, "--out-dir", out,
         ]) == 0
-        rows = list(csv.DictReader(open(out / "study.csv")))
+        with open(out / "study.csv") as fh:
+            rows = list(csv.DictReader(fh))
         assert [(r["method"], r["metric"], r["n_ok"]) for r in rows] == [
             ("factors", "k_selection", "1")
         ]
@@ -846,7 +847,7 @@ class TestDerivedKeys:
             for f in fields(cls):
                 # every field has a type the CLI converts
                 assert hints[f.name] in cli._CONVERTERS, f.name
-                exposed["model" if f.name == "link" else f.name] = f.default
+                exposed[f.name] = f.default
         assert subcommand_keys(command) == set(exposed) | io_keys
         io = ["--input", "panel.csv", "--target-column", "y"] if "input" in io_keys else []
         config = resolve([command, *io])
@@ -914,6 +915,21 @@ class TestConfigBoundary:
         assert f"error: {next(iter(values))} must be" in err
         assert "Traceback" not in err
         assert not (out / "config_resolved.json").exists()
+
+    @pytest.mark.parametrize(
+        "command,values,message",
+        [
+            ("simulate", {"p": "20"}, "p must be an integer, got '20'"),
+            ("factors", {"k": True}, 'k must be an integer or "auto", got True'),
+        ],
+    )
+    def test_wrong_json_integer_message(self, tmp_path, capsys, command, values, message):
+        # the config classes' integer rule words a JSON value as the converters did
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        io = ["--input", "p.csv", "--target-column", "y"] if command == "factors" else []
+        assert run([command, *io, "--config", cfg, "--out-dir", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "command,flags,config,message",

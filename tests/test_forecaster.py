@@ -1,4 +1,5 @@
 import os
+import re
 import warnings
 from unittest import mock
 
@@ -733,6 +734,20 @@ class TestPcBaseline:
         )
         assert model.kind == "additive"
         assert np.array_equal(model.directions, np.eye(2))
+
+    def test_unknown_method_is_named(self):
+        rng = np.random.default_rng(6)
+        f, y = rng.standard_normal((20, 2)), rng.standard_normal(20)
+        message = re.escape(f"unknown method 'bogus'; expected one of {fc.METHODS}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fit_forecast_model("bogus", f, y, None, 1.0)
+
+    @pytest.mark.parametrize("method", sdr.KERNEL_METHODS)
+    def test_kernel_method_needs_its_directions(self, method):
+        rng = np.random.default_rng(6)
+        f, y = rng.standard_normal((20, 2)), rng.standard_normal(20)
+        with pytest.raises(ValueError, match=f"^method '{method}' needs its directions phi"):
+            fit_forecast_model(method, f, y, None, 1.0)
 
     @pytest.mark.parametrize("scale", [1.0, 0.5])
     def test_constant_factor_fixed_at_zero_at_any_scale(self, scale):

@@ -240,8 +240,7 @@ class TestBuildKernels:
 
     def test_empty_slice(self):
         # slice_target never leaves a slice empty; a hand-built assignment can
-        s = sdr.SliceAssignment(h_count=3, labels=np.array([0, 0, 2, 2]),
-                                counts=np.array([2, 0, 2]))
+        s = sdr.SliceAssignment(labels=np.array([0, 0, 2, 2]), counts=np.array([2, 0, 2]))
         with pytest.raises(ValueError, match="empty slice"):
             sdr.build_kernels(["sir"], np.arange(8.0).reshape(4, 2), s)
 
@@ -284,7 +283,7 @@ class TestSortedSlicing:
         labels = rng.permutation(
             np.concatenate([np.arange(h_count), rng.integers(0, h_count, extra)])
         )
-        slices = sdr.SliceAssignment(h_count, labels, np.bincount(labels, minlength=h_count))
+        slices = sdr.SliceAssignment(labels, np.bincount(labels, minlength=h_count))
         g = rng.standard_normal((labels.shape[0], 3))
         blocks = sdr._slice_rows(g, slices)
         assert len(blocks) == h_count
@@ -569,7 +568,8 @@ class TestFitIndices:
 
         monkeypatch.setattr(sdr, "build_kernels", building)
         f, y = self.data()
-        message = f"^l must be 'auto' or an integer >= 1, got {l!r}$"
+        rule = "an integer" if isinstance(l, str) else ">= 1"
+        message = f'^l must be {rule} or "auto", got {l!r}$'
         with pytest.raises(ValueError, match=message):
             sdr.fit_indices(sdr.KERNEL_METHODS, f, y, 100, l)
 

@@ -53,7 +53,7 @@ class TestSampleDgp:
     def test_one_ar1_pass_matches_a_loop_per_panel(self):
         # factors and errors from one pass over their joined columns, bit for
         # bit as from a separate loop over each, with the same shock draws
-        spec = DgpSpec(p=30, t_len=80, link="IV", seed=23)
+        spec = DgpSpec(p=30, t_len=80, model="IV", seed=23)
         draw = sample_dgp(spec, 4)
         alpha, rho = spec.ar_coefficients()
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(2, 4)))
@@ -73,7 +73,7 @@ class TestSampleDgp:
         ids=["full", "partial", "one"],
     )
     def test_chunk_draw_is_sample_dgp_per_replicate(self, replicates):
-        spec = DgpSpec(p=30, t_len=80, link="IV", seed=23)
+        spec = DgpSpec(p=30, t_len=80, model="IV", seed=23)
         panels, eps = simulation._chunk_panels(spec, replicates)
         loadings = simulation._loadings(spec)
         assert panels.shape == (spec.t_len, len(replicates), simulation.N_FACTORS + spec.p)
@@ -98,7 +98,7 @@ class TestSampleDgp:
 
     def test_sigma_zero_gives_exact_link(self, monkeypatch):
         monkeypatch.setattr(simulation, "SIGMA", 0.0)
-        spec = DgpSpec(p=10, t_len=25, link="IV", seed=6)
+        spec = DgpSpec(p=10, t_len=25, model="IV", seed=6)
         draw = sample_dgp(spec, 0)
         v1 = draw.factors @ simulation.PHI1
         v2 = draw.factors @ simulation.PHI2
@@ -397,7 +397,7 @@ class TestMonteCarloStudy:
         ids=["oos", "directions"],
     )
     def test_values_do_not_depend_on_the_chunk_size(self, monkeypatch, metrics, methods):
-        spec = DgpSpec(p=30, t_len=80, link="IV", seed=25)
+        spec = DgpSpec(p=30, t_len=80, model="IV", seed=25)
         config = StudyConfig(methods=methods, metrics=metrics, n_reps=7, n_test=20)
         base = monte_carlo_study(spec, config)
         for size in (1, 3):
@@ -517,7 +517,7 @@ class TestMonteCarloStudy:
                 return _built(*args)
 
             monkeypatch.setattr(sdr, name, counting)
-        spec = DgpSpec(p=30, t_len=80, link="IV", seed=24)
+        spec = DgpSpec(p=30, t_len=80, model="IV", seed=24)
         config = StudyConfig(
             methods=("dr", "tm", "ens"), metrics=("directions", "l_selection")
         )
