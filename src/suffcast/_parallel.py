@@ -12,12 +12,19 @@ the partial holding the rolling evaluator's panel added 0.4 MB of pickle per
 chunk and 0.9-1.1 MB (about 2%) to the benchmark's ``rolling`` ``peak_rss_mb``
 on a 2-core VM.
 
-numpy's bundled OpenBLAS starts one thread per core, and a forked worker
-keeps them, so two workers on two cores would run four BLAS threads.  Every
-chunk therefore runs on ``BLAS_THREADS`` = 1, in each worker and in-process,
-which also gives every result the same bits whatever the worker count or the
-user's thread setting.  Where numpy's BLAS exposes no thread setter, the
-count is left as it is.
+numpy's bundled OpenBLAS runs one thread per core by default, so two
+workers on two cores would run four BLAS threads.  Every chunk therefore runs
+on ``BLAS_THREADS`` = 1, in each worker and in-process, which also gives every
+result the same bits whatever the worker count or the user's thread setting.
+Where numpy's BLAS exposes no thread setter, the count is left as it is.
+
+The thread setter is called only where the count differs from
+``BLAS_THREADS``.  OpenBLAS shuts its thread pool down at every fork, and a
+setter call, even one that sets the count it already has, starts the pool
+again.  A forked worker inherits the parent's pin, so it makes no call and
+runs on its one OS thread; a call would start a pool thread that uses CPU
+beside the worker though it has no work.  A spawned worker starts at
+OpenBLAS's default count, and pins where that is not ``BLAS_THREADS``.
 
 :func:`bundled_openblas` is the one lookup of that library: the thread pin
 and the eigensolver :func:`suffcast._eigen.leading_pairs` both call through
@@ -107,12 +114,16 @@ def blas_threads() -> int | None:
 
 @contextlib.contextmanager
 def one_blas_thread():
-    """Run the block on ``BLAS_THREADS``, then restore the count it found."""
+    """Run the block on ``BLAS_THREADS``, then restore the count it found.
+
+    Where the count already is ``BLAS_THREADS``, as in a pin inside a pin, it
+    makes no call, neither to set nor to restore.
+    """
     openblas = bundled_openblas()
-    if openblas is None:
+    before = BLAS_THREADS if openblas is None else openblas.get_num_threads()
+    if before == BLAS_THREADS:
         yield
         return
-    before = openblas.get_num_threads()
     openblas.set_num_threads(BLAS_THREADS)
     try:
         yield
@@ -131,7 +142,7 @@ def _start_worker(fn) -> None:
     global _worker_fn
     _worker_fn = fn
     openblas = bundled_openblas()
-    if openblas is not None:
+    if openblas is not None and openblas.get_num_threads() != BLAS_THREADS:
         openblas.set_num_threads(BLAS_THREADS)
 
 

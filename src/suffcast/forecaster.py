@@ -294,10 +294,11 @@ def fit_additive(
     :func:`_fit_weights` finds a band pays, and otherwise as one stack of
     dense matrices by one :func:`_nw_weights` call, ``L x m x m`` (the
     matrices the sweeps keep anyway, plus a boolean mask of their shape while
-    they are built).  The sweeps see the components in index order either
-    way.  A zero-variance index column is dropped from the model, with its
-    direction and a warning, and its bandwidth is not used; with every column
-    dropped the model predicts its intercept.
+    they are built); with no dense index there is no call.  The sweeps see
+    the components in index order either way.  A zero-variance index column
+    is dropped from the model, with its direction and a warning, and its
+    bandwidth is not used; with every column dropped the model predicts its
+    intercept.
     """
     indices = np.asarray(indices, dtype=float)
     if indices.ndim != 2:
@@ -329,10 +330,11 @@ def fit_additive(
     bandwidths = bandwidths[keep]
     weights = [_fit_weights(x, h) for x, h in zip(train_x, bandwidths)]
     dense = [j for j, w in enumerate(weights) if w is None]
-    stacked = _nw_weights(train_x[dense], train_x[dense], bandwidths[dense],
-                          _nw_exponent_floor(t_len), queries_are_train=True)
-    for j, w in zip(dense, stacked):
-        weights[j] = w
+    if dense:
+        stacked = _nw_weights(train_x[dense], train_x[dense], bandwidths[dense],
+                              _nw_exponent_floor(t_len), queries_are_train=True)
+        for j, w in zip(dense, stacked):
+            weights[j] = w
 
     fitted, total, sweeps, converged = _backfit(weights, centered)
     return ForecastModel(

@@ -328,8 +328,10 @@ def select_dimension(kernel: KernelEstimate, p: int, t_len: int) -> DimensionSel
     ``c_t`` is the kernel method's penalty scale (:func:`_default_ct`), which
     no caller sets.  Ties are broken toward smaller ``l``.  The objective is
     intentionally not scale-free; the per-``l`` values are exposed for
-    inspection.
+    inspection.  ``p`` and ``t_len`` are integers from 1.
     """
+    _check_count("p", p)
+    _check_count("t_len", t_len)
     k = kernel.k
     c_t = _default_ct(kernel.method, k, p, t_len)
     k_c = int(math.floor(C_CENSOR * k + 0.5))
@@ -352,6 +354,7 @@ def fit_indices(methods, factors, targets, p: int, l) -> dict[str, tuple]:
     and a copy of the ``K x l`` leading eigenvectors: ``l`` is an integer
     from 1, capped at ``K``, or ``"auto"`` for ``l_hat``.  ``targets`` are sliced once.
     """
+    _check_count("p", p)
     _check_count("l", l, auto=True)
     kernel_methods = [m for m in methods if m in KERNEL_METHODS]
     if not kernel_methods:

@@ -11,20 +11,24 @@ from suffcast import (
     PanelData,
     RollingConfig,
     StudyConfig,
+    build_kernels,
     fit_indices,
     monte_carlo_study,
     rolling_evaluate,
     sample_dgp,
     select_and_fit_factors,
+    select_dimension,
     slice_target,
 )
 from suffcast import cli, simulation
 from suffcast.factor_analysis import K_MAX
+from suffcast.sdr import N_SLICES
 
 RNG = np.random.default_rng(30)
 X = RNG.standard_normal((12, 40))
 F = RNG.standard_normal((40, 3))
 Y = F[:, 0] ** 2 + 0.1 * RNG.standard_normal(40)
+KERNEL = build_kernels(["dr"], F, slice_target(Y, N_SLICES))["dr"]
 
 
 def dgp(**kw):
@@ -61,8 +65,13 @@ def slices(h_count):
     return s.labels, s.counts, s.h_count
 
 
-def indices(l):
-    return tuple(phi for _, phi in fit_indices(["sir", "dr"], F, Y, 12, l).values())
+def indices(l=2, p=12):
+    return tuple(phi for _, phi in fit_indices(["sir", "dr"], F, Y, p, l).values())
+
+
+def dimension(p=12, t_len=40):
+    selection = select_dimension(KERNEL, p, t_len)
+    return selection.objective, selection.l_hat, selection.c_t
 
 
 #: (owner.name, call of one value, a valid value, the least valid one, takes "auto")
@@ -83,6 +92,9 @@ COUNTS = [
     ("select_and_fit_factors.k", lambda v: fitted(k=v), 3, 1, True),
     ("slice_target.h_count", slices, 4, 1, False),
     ("fit_indices.l", indices, 2, 1, True),
+    ("fit_indices.p", lambda v: indices(p=v), 12, 1, False),
+    ("select_dimension.p", lambda v: dimension(p=v), 12, 1, False),
+    ("select_dimension.t_len", lambda v: dimension(t_len=v), 40, 1, False),
 ]
 CONFIGS = (DgpSpec, StudyConfig, RollingConfig, cli.SelectConfig, cli.FactorsConfig)
 

@@ -332,6 +332,23 @@ def test_held_out_study_does_not_depend_on_the_band():
                            rtol=0, atol=1e-12)
 
 
+def test_a_fit_with_every_index_banded_makes_no_dense_call():
+    # the study's held-out fit: 0.1x the reference rule at T = 500 bands both indices
+    rng = np.random.default_rng(29)
+    f = rng.standard_normal((500, 2))
+    y = np.sin(f[:, 0]) + 0.3 * rng.standard_normal(500)
+    bws = 0.1 * fc.reference_bandwidth(f)
+    assert all(isinstance(fc._fit_weights(x, h), fc._BandedWeights) for x, h in zip(f.T, bws))
+    nw_weights = fc._nw_weights
+
+    def no_empty_stack(x, *args, **kwargs):
+        assert len(x), "weights built for no index"
+        return nw_weights(x, *args, **kwargs)
+
+    with mock.patch.object(fc, "_nw_weights", no_empty_stack):
+        fit_additive(f, y, bws, np.eye(2))
+
+
 def _fit_operators(indices, bandwidths):
     """Each column's fit weights, built as :func:`fit_additive` builds them, one at a time."""
     m = indices.shape[0]
